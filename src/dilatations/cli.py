@@ -114,10 +114,15 @@ def parse(path: str) -> InstanceFile:
     return inst
 
 
+def _declared(table: dict, kind: str, name: str):
+    """table[name], or InputError naming the undeclared object."""
+    if name not in table:
+        raise InputError(f"undeclared {kind} {name!r}")
+    return table[name]
+
+
 def _get_ring(inst: InstanceFile, name: str) -> PresentedAlgebra:
-    if name not in inst.rings:
-        raise InputError(f"undeclared ring {name!r}")
-    return inst.rings[name]
+    return _declared(inst.rings, "ring", name)
 
 
 def _parse_line(inst: InstanceFile, line: str) -> None:
@@ -262,9 +267,7 @@ def _report_result(label: str, rep: Report, extra: dict | None = None) -> Reques
 
 
 def _center(inst: InstanceFile, name: str) -> MultiCenter:
-    if name not in inst.centers:
-        raise InputError(f"undeclared center {name!r}")
-    return inst.centers[name][1]
+    return _declared(inst.centers, "center", name)[1]
 
 
 def _kv_args(args):
@@ -300,9 +303,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
             return RequestResult("check", machine, ["check: zero ring (asserted)"], nil)
         extra = []
         for name in args[2:]:
-            if name not in inst.elems:
-                raise InputError(f"undeclared element {name!r}")
-            ring_name, poly = inst.elems[name]
+            ring_name, poly = _declared(inst.elems, "element", name)
             if ring_name != inst.centers[args[1]][0]:
                 raise InputError(f"element {name!r} lives on ring {ring_name!r}, not the center's ring")
             extra.append(poly)
@@ -343,7 +344,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         if sub == "conic":
             return _report_result("conic", conic_iso(center))
         if sub == "base-change":
-            hom = inst.homs[args[3]]
+            hom = _declared(inst.homs, "hom", args[3])
             return _report_result("base_change", base_change_compare(center, hom))
         if sub == "forget":
             keep = [int(x) for x in kv.get("K", "1").split(",")]
@@ -373,7 +374,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
             catalog = [oc.zmod(n) for n in range(1, 13)]
             rep = oc.universal_property_scan(base_ring, fc, catalog)
             return _report_result("universal_scan", rep)
-        hom = inst.homs[args[2]]
+        hom = _declared(inst.homs, "hom", args[2])
         out = universal_factor(center, hom)
         if out.refused:
             machine = {"universal": "refused", "universal.reason": out.reason}
@@ -383,14 +384,14 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
     if cmd == "congruence":
         sub = args[1]
         if sub == "iso":
-            fs, ring_s = inst.filtrations[args[2]]
-            fr, ring_r = inst.filtrations[args[3]]
+            fs, ring_s = _declared(inst.filtrations, "filtration", args[2])
+            fr, ring_r = _declared(inst.filtrations, "filtration", args[3])
             if fs.names() != fr.names() or ring_s.mod != ring_r.mod:
                 raise InputError("filtrations for iso must share group, names, p and N")
             rep = cg.congruent_iso_check(fs, fs.levels(), fr.levels(), ring_s)
             return _report_result("congruence_iso", rep)
         if sub == "points":
-            filt, ring = inst.filtrations[args[2]]
+            filt, ring = _declared(inst.filtrations, "filtration", args[2])
             pts = cg.group_points(filt, ring)
             lie = cg.lie_points(filt, ring)
             machine = {
@@ -404,7 +405,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
                 True,
             )
         if sub == "normalizer":
-            filt, ring = inst.filtrations[args[2]]
+            filt, ring = _declared(inst.filtrations, "filtration", args[2])
             kv = _kv_args(args[3:])
             rep = cg.normalizer_check(filt, kv.get("K", "Z"), ring)
             hypothesis_failed = any(
@@ -422,9 +423,10 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
     if cmd == "rost":
         ring_name = args[1]
         alg = _get_ring(inst, ring_name)
-        iname, jname = args[2], args[3]
+        _, i_ideal = _declared(inst.ideals, "ideal", args[2])
+        _, j_ideal = _declared(inst.ideals, "ideal", args[3])
         kv = _kv_args(args[4:])
-        data = RostInput(alg, inst.ideals[iname][1], inst.ideals[jname][1])
+        data = RostInput(alg, i_ideal, j_ideal)
         res = rost_space(data)
         rep = rost_subalgebra_check(data, int(kv.get("bound", flags.bidegree_bound)))
         rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
@@ -503,7 +505,7 @@ def main(argv=None) -> int:
     except (ResourceLimitError, oc.SizeCapError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, KeyError) as exc:
+    except InputError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sys.stdout.write(text)

@@ -2,8 +2,8 @@
 
 `dilate` builds A[{M_i/a_i}] as an explicit presentation: one fresh
 variable x_i_j per stored generator g_ij of M_i, the relations
-a_i*x_ij - g_ij, and a saturation by the product of the a_i that removes
-the denominator torsion.  Every structural identity the construction is
+a_i*x_ij - g_ij, and a saturation by each a_i in turn that removes the
+denominator torsion.  Every structural identity the construction is
 supposed to satisfy has a verifier here that certifies it with explicit
 maps in both directions; a verifier never reports success on a one-sided
 check.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraHom, PresentedAlgebra, check_hom, hom_kernel, is_nzd, maps_equal
 from .groebner import ideal_cofactors
-from .ideals import IdealHandle, colon
+from .ideals import IdealHandle, saturate
 from .poly import GREVLEX, InputError, PolyRing, Polynomial
 from .report import Report, VerificationFinding
 
@@ -157,9 +157,10 @@ def _fresh_fraction_names(ring: PolyRing, centers) -> list[list[str]]:
 def dilate(center: MultiCenter) -> DilatationResult:
     """Build the dilatation presentation (Groebner route).
 
-    The relation ideal is saturate(P + (a_i*x_ij - g_ij), f) with
-    f = prod a_i; when f is nilpotent modulo P the result is the zero
-    ring, and that equivalence is asserted on every run.
+    The relation ideal is P + (a_i*x_ij - g_ij) saturated by f = prod a_i,
+    one distinct a_i at a time (I:(fg)^∞ = (I:f^∞):g^∞); when f is
+    nilpotent modulo P the result is the zero ring, and that equivalence
+    is asserted on every run.
     """
     a = center.algebra
     if not center.centers:
@@ -181,7 +182,7 @@ def dilate(center: MultiCenter) -> DilatationResult:
         # inverting 0 collapses everything; colon by 0 is undefined
         sat = IdealHandle(ext, [ext.one()], a.relations.limits)
     else:
-        sat = colon(presat, f.map_ring(ext), saturate=True)
+        sat = saturate(presat, [c.elem.map_ring(ext) for c in center.centers])
     if sat.is_unit() != nilpotent:
         raise VerificationFinding(
             "zero-ring criterion mismatch: saturation says "
@@ -827,12 +828,11 @@ def base_change_compare(center: MultiCenter, h: AlgebraHom) -> Report:
         tensor_gens.append(g.subst(subst))
     tensor = IdealHandle(t_ring, tensor_gens, b.relations.limits)
 
-    fb = pushed.product_elem().map_ring(t_ring)
     nilpotent = b.relations.radical_contains(pushed.product_elem())
     if nilpotent:
         t_sat = IdealHandle(t_ring, [t_ring.one()], b.relations.limits)
     else:
-        t_sat = colon(tensor, fb, saturate=True)
+        t_sat = saturate(tensor, [c.elem.map_ring(t_ring) for c in pushed.centers])
     rep.add("tensor_matches_direct", t_sat.equals(direct.algebra.relations))
 
     flat_ext = (

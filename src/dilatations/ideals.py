@@ -153,6 +153,18 @@ def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
     return a.with_gens(quotients)
 
 
+def saturate(a: IdealHandle, elems: Iterable[Polynomial]) -> IdealHandle:
+    """A : (f_1*...*f_k)^∞, as (...(A : f_1^∞) : ...) : f_k^∞.
+
+    One Rabinowitsch saturation per distinct element, in the order given;
+    a repeated element is skipped, since saturation is idempotent.  Many
+    small saturations are far cheaper than one by the product.
+    """
+    for f in dict.fromkeys(elems):
+        a = colon(a, f, saturate=True)
+    return a
+
+
 def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
     """Generators of A ∩ k[remaining variables], over the smaller ring."""
     names = list(names)

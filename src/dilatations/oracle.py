@@ -823,7 +823,7 @@ def enumerate_homs(a: FiniteRing, b: FiniteRing, budget: int = 200_000):
     if b.size**ngens > budget:
         raise SizeCapError("hom enumeration budget exceeded")
     homs = []
-    order = a.sorted(exprs)
+    order = list(exprs)  # insertion order: operands come before results
     for images in itertools.product(b.elements, repeat=ngens):
         fmap = {}
         ok = True

@@ -271,3 +271,40 @@ request check C nosuch
 """
     code, _ = run_cli(tmp_path, text)
     assert code == 2
+
+
+def test_universal_scan_two_centers(tmp_path):
+    # enumerate_homs once read an element's image before computing it
+    text = """
+ring U = Fp(2)[u, v]
+rels U = (u^2 - u, v^2 - v)
+ideal UU in U = (u)
+ideal UV in U = (u*v)
+center CU on U = [UU / u], [UV / v]
+request universal CU scan
+"""
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    assert "universal_scan: pass" in out
+
+
+def test_base_change_rejects_undeclared_hom(tmp_path, capsys):
+    text = """
+ring A = QQ[a, g]
+ideal M in A = (g)
+center C on A = [M / a]
+request iso base-change C nosuch
+"""
+    code, _ = run_cli(tmp_path, text)
+    assert code == 2
+    assert "undeclared hom 'nosuch'" in capsys.readouterr().err
+
+
+def test_congruence_iso_rejects_undeclared_filtration(tmp_path, capsys):
+    text = """
+filtration FS = group GL(1), p=3, N=3, (e, 1)
+request congruence iso FS nosuch
+"""
+    code, _ = run_cli(tmp_path, text)
+    assert code == 2
+    assert "undeclared filtration 'nosuch'" in capsys.readouterr().err

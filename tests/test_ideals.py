@@ -3,8 +3,11 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from dilatations.ideals import IdealHandle, colon, combine, eliminate, intersect, membership
-from dilatations.poly import InputError
+from dilatations import ideals
+from dilatations.algebras import PresentedAlgebra
+from dilatations.dilatation import Center, MultiCenter, dilate
+from dilatations.ideals import IdealHandle, colon, combine, eliminate, intersect, membership, saturate
+from dilatations.poly import Field, InputError, QQ
 
 from conftest import random_poly, ring
 
@@ -146,3 +149,51 @@ def test_eliminate_unknown_variable_rejected():
     r = ring(["x", "y"])
     with pytest.raises(InputError):
         eliminate(handle(r, "x"), ["t"])
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
+def test_saturate_by_factors_matches_product(seed, field):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = ring(["x", "y"], field)
+    a = IdealHandle(r, [p for p in (random_poly(rng, r) for _ in range(2)) if not p.is_zero()])
+    f = random_poly(rng, r, max_deg=1)
+    g = random_poly(rng, r, max_deg=1)
+    if f.is_zero() or g.is_zero():
+        return
+    assert saturate(a, [f, g, f]).groebner() == colon(a, f * g, saturate=True).groebner()
+
+
+def test_dilate_saturates_once_per_distinct_denominator(monkeypatch):
+    r = ring(["a", "b", "g"])
+    alg = PresentedAlgebra(r)
+    center = MultiCenter(alg, [Center(handle(r, "g"), r.var("a")), Center(handle(r, "a*g"), r.var("a"))])
+    calls = []
+    real = ideals.colon
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("saturate", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "colon", counted)
+    dilate(center)
+    assert calls == [True]
+
+
+def test_dilate_matches_saturation_by_product():
+    r = ring(["x", "y", "z", "w"])
+    alg = PresentedAlgebra(r, handle(r, "x*w - y*z"))
+    center = MultiCenter(
+        alg,
+        [
+            Center(handle(r, "y", "z", "w"), r.var("x")),
+            Center(handle(r, "x", "z", "w"), r.var("y")),
+            Center(handle(r, "x", "y", "w"), r.var("z")),
+        ],
+    )
+    res = dilate(center)
+    product = center.product_elem().map_ring(res.presaturation.ring)
+    old = colon(res.presaturation, product, saturate=True)
+    assert res.algebra.relations.groebner() == old.groebner()
+    assert res.saturation_changed == (not old.equals(res.presaturation))
