@@ -49,6 +49,16 @@ class PresentedAlgebra:
     def quotient(self, extra_gens) -> "PresentedAlgebra":
         return PresentedAlgebra(self.ring, self.ideal(list(extra_gens)))
 
+    def localize(self, f: Polynomial) -> tuple["PresentedAlgebra", str]:
+        """A[1/f] presented as A[z]/(P, z*f - 1), with z a fresh variable
+        appended last; returns the algebra and z's name.  `f` may come
+        from any ring whose variables are among A's."""
+        zname = self.ring.fresh_name("z")
+        ring = self.ring.extend([zname])
+        rels = [p.map_ring(ring) for p in self.relations.gens]
+        rels.append(ring.var(zname) * f.map_ring(ring) - ring.one())
+        return PresentedAlgebra(ring, IdealHandle(ring, rels, self.relations.limits)), zname
+
     def parse(self, text: str) -> Polynomial:
         return self.ring.parse(text)
 

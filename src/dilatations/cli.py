@@ -279,10 +279,45 @@ def _kv_args(args):
     return out
 
 
+def _request_error(args, message: str) -> InputError:
+    return InputError(f"request {' '.join(args)}: {message}")
+
+
+def _arg(args, i: int, what: str) -> str:
+    """args[i], or InputError naming the request and the missing argument."""
+    if i >= len(args):
+        raise _request_error(args, f"missing {what}")
+    return args[i]
+
+
+def _int_arg(args, key: str, text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _request_error(args, f"{key} value {text!r} is not an integer") from None
+
+
+def _int_list(args, kv, key: str) -> list[int]:
+    """The comma-separated integers of `key=...` (default 1)."""
+    return [_int_arg(args, key, x) for x in kv.get(key, "1").split(",")]
+
+
+def _index_map(args, text: str) -> dict[int, int]:
+    """The `map=i:k,...` assignment of open-immersion."""
+    assign = {}
+    for pair in text.split(","):
+        if pair:
+            i, sep, k = pair.partition(":")
+            if not sep:
+                raise _request_error(args, f"map entry {pair!r} is not of the form i:k")
+            assign[_int_arg(args, "map", i)] = _int_arg(args, "map", k)
+    return assign
+
+
 def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
-    cmd = args[0]
+    cmd = _arg(args, 0, "command")
     if cmd == "present":
-        center = _center(inst, args[1])
+        center = _center(inst, _arg(args, 1, "center"))
         res = dilate(center)
         rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
         machine = {
@@ -295,7 +330,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         return RequestResult("present", machine, human, True)
 
     if cmd == "check":
-        center = _center(inst, args[1])
+        center = _center(inst, _arg(args, 1, "center"))
         res = dilate(center)
         if res.is_zero_ring():
             nil = center.algebra.relations.radical_contains(center.product_elem())
@@ -312,28 +347,24 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         return out
 
     if cmd == "iso":
-        sub = args[1]
-        center = _center(inst, args[2])
+        sub = _arg(args, 1, "verifier")
+        center = _center(inst, _arg(args, 2, "center"))
         kv = _kv_args(args[3:])
         if sub == "monopoly":
             _, _, rep = monopoly_iso(center)
             return _report_result("monopoly", rep)
         if sub == "two-stage":
-            keep = [int(x) for x in kv.get("K", "1").split(",")]
+            keep = _int_list(args, kv, "K")
             _, rep = two_stage_iso(center, keep)
             return _report_result("two_stage", rep)
         if sub == "localize":
             return _report_result("localize", localize_compare(center))
         if sub == "open-immersion":
-            keep = [int(x) for x in kv.get("K", "1").split(",")]
-            assign = {}
-            for pair in kv.get("map", "").split(","):
-                if pair:
-                    a, b = pair.split(":")
-                    assign[int(a)] = int(b)
+            keep = _int_list(args, kv, "K")
+            assign = _index_map(args, kv.get("map", ""))
             return _report_result("open_immersion", open_immersion_iso(center, keep, assign))
         if sub == "iterate":
-            t = int(kv.get("t", "1"))
+            t = _int_arg(args, "t", kv.get("t", "1"))
             det = detect_common_base(center)
             if det is None:
                 raise InputError("iterate needs a single-divisor center")
@@ -344,21 +375,21 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         if sub == "conic":
             return _report_result("conic", conic_iso(center))
         if sub == "base-change":
-            hom = _declared(inst.homs, "hom", args[3])
+            hom = _declared(inst.homs, "hom", _arg(args, 3, "hom"))
             return _report_result("base_change", base_change_compare(center, hom))
         if sub == "forget":
-            keep = [int(x) for x in kv.get("K", "1").split(",")]
+            keep = _int_list(args, kv, "K")
             _, rep = forget_map(dilate(center), keep)
             return _report_result("forget", rep)
         raise InputError(f"unknown iso verifier {sub!r}")
 
     if cmd == "oracle":
-        center = _center(inst, args[1])
+        center = _center(inst, _arg(args, 1, "center"))
         rep = oc.compare_with_symbolic(center.algebra, center, flags.oracle_size_cap)
         return _report_result("oracle", rep)
 
     if cmd == "universal":
-        center = _center(inst, args[1])
+        center = _center(inst, _arg(args, 1, "center"))
         if len(args) > 2 and args[2] == "scan":
             base_ring, var_map = oc.from_presented(center.algebra, flags.oracle_size_cap)
             fc = oc.FiniteCenter.from_gens(
@@ -374,7 +405,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
             catalog = [oc.zmod(n) for n in range(1, 13)]
             rep = oc.universal_property_scan(base_ring, fc, catalog)
             return _report_result("universal_scan", rep)
-        hom = _declared(inst.homs, "hom", args[2])
+        hom = _declared(inst.homs, "hom", _arg(args, 2, "hom or `scan`"))
         out = universal_factor(center, hom)
         if out.refused:
             machine = {"universal": "refused", "universal.reason": out.reason}
@@ -382,16 +413,16 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         return _report_result("universal", out.report)
 
     if cmd == "congruence":
-        sub = args[1]
+        sub = _arg(args, 1, "verifier")
         if sub == "iso":
-            fs, ring_s = _declared(inst.filtrations, "filtration", args[2])
-            fr, ring_r = _declared(inst.filtrations, "filtration", args[3])
+            fs, ring_s = _declared(inst.filtrations, "filtration", _arg(args, 2, "filtration S"))
+            fr, ring_r = _declared(inst.filtrations, "filtration", _arg(args, 3, "filtration R"))
             if fs.names() != fr.names() or ring_s.mod != ring_r.mod:
                 raise InputError("filtrations for iso must share group, names, p and N")
             rep = cg.congruent_iso_check(fs, fs.levels(), fr.levels(), ring_s)
             return _report_result("congruence_iso", rep)
         if sub == "points":
-            filt, ring = _declared(inst.filtrations, "filtration", args[2])
+            filt, ring = _declared(inst.filtrations, "filtration", _arg(args, 2, "filtration"))
             pts = cg.group_points(filt, ring)
             lie = cg.lie_points(filt, ring)
             machine = {
@@ -405,7 +436,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
                 True,
             )
         if sub == "normalizer":
-            filt, ring = _declared(inst.filtrations, "filtration", args[2])
+            filt, ring = _declared(inst.filtrations, "filtration", _arg(args, 2, "filtration"))
             kv = _kv_args(args[3:])
             rep = cg.normalizer_check(filt, kv.get("K", "Z"), ring)
             hypothesis_failed = any(
@@ -421,14 +452,13 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         raise InputError(f"unknown congruence verifier {sub!r}")
 
     if cmd == "rost":
-        ring_name = args[1]
-        alg = _get_ring(inst, ring_name)
-        _, i_ideal = _declared(inst.ideals, "ideal", args[2])
-        _, j_ideal = _declared(inst.ideals, "ideal", args[3])
+        alg = _get_ring(inst, _arg(args, 1, "ring"))
+        _, i_ideal = _declared(inst.ideals, "ideal", _arg(args, 2, "ideal I"))
+        _, j_ideal = _declared(inst.ideals, "ideal", _arg(args, 3, "ideal J"))
         kv = _kv_args(args[4:])
         data = RostInput(alg, i_ideal, j_ideal)
         res = rost_space(data)
-        rep = rost_subalgebra_check(data, int(kv.get("bound", flags.bidegree_bound)))
+        rep = rost_subalgebra_check(data, _int_arg(args, "bound", kv.get("bound", flags.bidegree_bound)))
         rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
         return _report_result("rost", rep, {"rost.relations": rels})
 

@@ -21,7 +21,7 @@ import random
 
 from .poly import InputError
 from .report import Report
-from .oracle import FiniteRing, SizeCapError, dual_numbers, galois_extension, zmod
+from .oracle import SizeCapError, dual_numbers, galois_extension, zmod
 
 CANDIDATE_BUDGET = 2**22
 LEVEL_CAP = 2**20
@@ -85,44 +85,6 @@ class IntModOps:
         return pow(a, -1, self.m)
 
 
-class FiniteRingOps:
-    """Ring-ops adapter around a FiniteRing (small test rings)."""
-
-    __slots__ = ("ring",)
-
-    def __init__(self, ring: FiniteRing):
-        self.ring = ring
-
-    @property
-    def elements(self):
-        return self.ring.elements
-
-    @property
-    def size(self):
-        return self.ring.size
-
-    zero = property(lambda self: self.ring.zero)
-    one = property(lambda self: self.ring.one)
-
-    def add(self, a, b):
-        return self.ring.add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
-
-    def neg(self, a):
-        return self.ring.neg(a)
-
-    def is_unit(self, a):
-        return self.ring.is_unit(a)
-
-    def inverse(self, a):
-        return self.ring.inverse(a)
-
-
 # matrix helpers over a ring-ops adapter
 
 
@@ -167,13 +129,6 @@ def mat_det(ops, a):
             term = ops.mul(term, a[i][perm[i]])
         total = ops.add(total, term if sign > 0 else ops.neg(term))
     return total
-
-
-def mat_trace(ops, a):
-    s = ops.zero
-    for i in range(len(a)):
-        s = ops.add(s, a[i][i])
-    return s
 
 
 def mat_inv(ops, a):
@@ -359,10 +314,6 @@ def subgroup_elements(spec: GroupSpec, name: str, ops, budget: int = CANDIDATE_B
                 out.append(g)
         return out
     raise InputError(f"unknown catalog subgroup {name!r}")
-
-
-def _block(g, lo, hi):
-    return tuple(tuple(g[i][j] for j in range(lo, hi)) for i in range(lo, hi))
 
 
 def _invertible(ops, g):
@@ -707,13 +658,13 @@ def _test_rings(p: int, level: int):
     points over Z/2), so scheme-level non-commutation is witnessed on the
     small extensions."""
     m = p**level
-    rings = [FiniteRingOps(zmod(m))]
+    rings = [zmod(m)]
     try:
-        rings.append(FiniteRingOps(galois_extension(m, p)))
+        rings.append(galois_extension(m, p))
     except SizeCapError:
         pass
     try:
-        rings.append(FiniteRingOps(dual_numbers(m)))
+        rings.append(dual_numbers(m))
     except SizeCapError:
         pass
     return rings

@@ -476,17 +476,8 @@ def localize_compare(center: MultiCenter) -> Report:
 
     all_unit = all(a.ideal(c.ideal.gens).is_unit() for c in center.centers)
     if all_unit:
-        zname = a.ring.fresh_name("z")
-        locring = a.ring.extend([zname])
-        loc = PresentedAlgebra(
-            locring,
-            IdealHandle(
-                locring,
-                [p.map_ring(locring) for p in a.relations.gens]
-                + [locring.var(zname) * f.map_ring(locring) - locring.one()],
-                a.relations.limits,
-            ),
-        )
+        loc, zname = a.localize(f)
+        locring = loc.ring
         prime_ring = result.algebra.ring
         fwd_images = []
         z = locring.var(zname)
@@ -511,28 +502,9 @@ def localize_compare(center: MultiCenter) -> Report:
         _certify_pair(rep, fwd, bwd, tag="unit_centers")
 
     # general comparison after inverting f on both sides
-    zname = a.ring.fresh_name("z")
-    aring = a.ring.extend([zname])
-    a_f = PresentedAlgebra(
-        aring,
-        IdealHandle(
-            aring,
-            [p.map_ring(aring) for p in a.relations.gens]
-            + [aring.var(zname) * f.map_ring(aring) - aring.one()],
-            a.relations.limits,
-        ),
-    )
-    wname = result.algebra.ring.fresh_name("z")
-    pring = result.algebra.ring.extend([wname])
-    prime_f = PresentedAlgebra(
-        pring,
-        IdealHandle(
-            pring,
-            [p.map_ring(pring) for p in result.algebra.relations.gens]
-            + [pring.var(wname) * f.map_ring(pring) - pring.one()],
-            result.algebra.relations.limits,
-        ),
-    )
+    a_f, zname = a.localize(f)
+    prime_f, wname = result.algebra.localize(f)
+    aring, pring = a_f.ring, prime_f.ring
     fwd = AlgebraHom(a_f, prime_f, [pring.var(n) for n in a.ring.names] + [pring.var(wname)])
     vd = result.var_dict()
     bwd_images = []
@@ -588,20 +560,11 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
         k = assign[i]
         fracs[i] = part.fraction(pos_in_keep[k], center.centers[i - 1].elem, in_l=True)
 
-    zname = part.algebra.ring.fresh_name("z")
-    lring = part.algebra.ring.extend([zname])
-    prod = lring.one()
+    prod = part.algebra.one()
     for i in rest:
-        prod = prod * fracs[i].map_ring(lring)
-    loc = PresentedAlgebra(
-        lring,
-        IdealHandle(
-            lring,
-            [p.map_ring(lring) for p in part.algebra.relations.gens]
-            + [lring.var(zname) * prod - lring.one()],
-            part.algebra.relations.limits,
-        ),
-    )
+        prod = prod * fracs[i]
+    loc, zname = part.algebra.localize(prod)
+    lring = loc.ring
 
     # forward: full dilatation -> localized K-dilatation
     vd = full.var_dict()

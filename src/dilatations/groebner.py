@@ -10,6 +10,8 @@ S-pair processing uses the normal strategy (smallest lcm first) together
 with the two classical discard criteria (coprime leading terms, and the
 lcm chain criterion).  Work is bounded by a degree cap and a pair cap;
 exceeding either raises ResourceLimitError rather than running unbounded.
+The same loop optionally carries a cofactor track (each basis element
+written over the input generators), which `ideal_cofactors` uses.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _same_ring(polys):
     return ring
 
 
-def normal_form(f: Polynomial, basis, order=None) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of `f` under multivariate division by `basis`.
 
     No term of the result is divisible by any basis leading term, and
@@ -108,40 +110,58 @@ def divide(f: Polynomial, basis, with_quotients: bool = True):
     return Polynomial(ring, rem_terms), quotients
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    ring = f.ring
-    fld = ring.field
-    l = mono_lcm(f.lm(), g.lm())
-    a = f.mul_term(mono_div(l, f.lm()), fld.inv(f.lc()))
-    b = g.mul_term(mono_div(l, g.lm()), fld.inv(g.lc()))
-    return a - b
+def _reduce_tracked(f: Polynomial, row, basis, rows) -> Polynomial:
+    """Remainder of `f` under division by `basis`, with `f`'s cofactor row
+    turned in place into the remainder's: every quotient times the row of
+    its basis element is subtracted."""
+    r, qs = divide(f, basis)
+    for q, brow in zip(qs, rows):
+        if not q.is_zero():
+            for k, c in enumerate(brow):
+                row[k] = row[k] - q * c
+    return r
 
 
-def buchberger_reduced(gens, order=None, limits: Limits | None = None):
+def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = False):
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
-    `order` overrides the generators' ring order when given (a ring with
-    that order must already be attached to the inputs; the argument is a
-    consistency check only).
+    With `cofactors` set, a cofactor row over `gens` rides along with
+    every basis element and (basis, rows) is returned before
+    interreduction: a monic, not necessarily reduced, Groebner basis with
+    basis[e] == sum_j rows[e][j] * gens[j] exactly.  Both modes share the
+    initial reduction, the pair order, the criteria and the budgets.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    ring = _same_ring(gens)
-    if order is not None and order != ring.order:
-        raise InputError("order argument disagrees with the ring order")
+    gens = list(gens)
+    live = [k for k, g in enumerate(gens) if not g.is_zero()]
+    if not live:
+        return ([], []) if cofactors else []
+    ring = _same_ring([gens[k] for k in live])
     limits = limits or DEFAULT_LIMITS
+    key = ring.order.key
+    one = ring.field.one()
 
     basis: list[Polynomial] = []
-    for g in sorted(gens, key=lambda p: (ring.order.key(p.lm()), sorted(p.terms.items()))):
-        r = normal_form(g, basis)
+    rows = [] if cofactors else None
+
+    def keep(r, row):
+        if rows is not None:
+            inv = ring.field.inv(r.lc())
+            rows.append([c.scale(inv) for c in row])
+        basis.append(r.monic())
+
+    for k in sorted(live, key=lambda k: (key(gens[k].lm()), sorted(gens[k].terms.items()))):
+        if rows is None:
+            r, row = normal_form(gens[k], basis), None
+        else:
+            row = [ring.zero() for _ in gens]
+            row[k] = ring.one()
+            r = _reduce_tracked(gens[k], row, basis, rows)
         if not r.is_zero():
-            basis.append(r.monic())
+            keep(r, row)
 
     # pair queue keyed by (lcm order key, i, j) — normal strategy
     import heapq
 
-    key = ring.order.key
     heap: list = []
     pending = set()
 
@@ -179,18 +199,27 @@ def buchberger_reduced(gens, order=None, limits: Limits | None = None):
                     break
         if skip:
             continue
-        r = normal_form(_spoly(basis[i], basis[j]), basis)
+        # S-polynomial; basis elements are monic
+        ti, tj = mono_div(l, basis[i].lm()), mono_div(l, basis[j].lm())
+        s = basis[i].mul_term(ti, one) - basis[j].mul_term(tj, one)
+        if rows is None:
+            r, row = normal_form(s, basis), None
+        else:
+            row = [a.mul_term(ti, one) - b.mul_term(tj, one) for a, b in zip(rows[i], rows[j])]
+            r = _reduce_tracked(s, row, basis, rows)
         if r.is_zero():
             continue
         if mono_deg(r.lm()) > limits.degree_cap:
             raise ResourceLimitError(
                 f"degree budget {limits.degree_cap} exceeded (new lead degree {mono_deg(r.lm())})"
             )
-        basis.append(r.monic())
+        keep(r, row)
         new = len(basis) - 1
         for k in range(new):
             push(k, new)
 
+    if rows is not None:
+        return basis, rows
     return _interreduce(basis)
 
 
@@ -223,84 +252,12 @@ def _interreduce(basis):
     return reduced
 
 
-def groebner_with_cofactors(gens, limits: Limits | None = None):
-    """Groebner basis plus cofactor rows expressing it over `gens`.
-
-    Returns (basis, rows): basis[e] == sum_j rows[e][j] * gens[j] exactly.
-    The basis is a (not necessarily reduced) monic Groebner basis.
-    """
-    gens = list(gens)
-    nz = [(g, k) for k, g in enumerate(gens) if not g.is_zero()]
-    if not nz:
-        return [], []
-    ring = _same_ring([g for g, _ in nz])
-    limits = limits or DEFAULT_LIMITS
-    fld = ring.field
-
-    basis = []
-    rows = []
-    for g, k in sorted(nz, key=lambda gk: (ring.order.key(gk[0].lm()), gk[1])):
-        row = [ring.zero() for _ in gens]
-        row[k] = ring.one()
-        r, qs = divide(g, basis)
-        for idx, q in enumerate(qs):
-            if not q.is_zero():
-                for j in range(len(gens)):
-                    row[j] = row[j] - q * rows[idx][j]
-        if r.is_zero():
-            continue
-        inv = fld.inv(r.lc())
-        basis.append(r.monic())
-        rows.append([c.scale(inv) for c in row])
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    processed = 0
-    while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (ring.order.key(mono_lcm(basis[ij[0]].lm(), basis[ij[1]].lm())), ij),
-        )
-        pairs.discard((i, j))
-        processed += 1
-        if processed > limits.pair_cap:
-            raise ResourceLimitError(f"pair budget {limits.pair_cap} exceeded")
-        l = mono_lcm(basis[i].lm(), basis[j].lm())
-        if mono_deg(l) > limits.degree_cap:
-            raise ResourceLimitError(f"degree budget {limits.degree_cap} exceeded")
-        if mono_coprime(basis[i].lm(), basis[j].lm()):
-            continue
-        mi = mono_div(l, basis[i].lm())
-        mj = mono_div(l, basis[j].lm())
-        ci = fld.inv(basis[i].lc())
-        cj = fld.inv(basis[j].lc())
-        s = basis[i].mul_term(mi, ci) - basis[j].mul_term(mj, cj)
-        srow = [
-            rows[i][k].mul_term(mi, ci) - rows[j][k].mul_term(mj, cj) for k in range(len(gens))
-        ]
-        r, qs = divide(s, basis)
-        for idx, q in enumerate(qs):
-            if not q.is_zero():
-                for k in range(len(gens)):
-                    srow[k] = srow[k] - q * rows[idx][k]
-        if r.is_zero():
-            continue
-        if mono_deg(r.lm()) > limits.degree_cap:
-            raise ResourceLimitError(f"degree budget {limits.degree_cap} exceeded")
-        inv = fld.inv(r.lc())
-        basis.append(r.monic())
-        rows.append([c.scale(inv) for c in srow])
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
-    return basis, rows
-
-
 def ideal_cofactors(f: Polynomial, gens, limits: Limits | None = None):
     """Express f as a combination of gens, or None if f is not a member.
 
     Returns coefficients cs with f == sum cs[j] * gens[j], exactly.
     """
-    basis, rows = groebner_with_cofactors(gens, limits)
+    basis, rows = buchberger_reduced(gens, limits, cofactors=True)
     r, qs = divide(f, basis)
     if not r.is_zero():
         return None

@@ -318,13 +318,6 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
             vec[mono_pos[m]] = c
         return tuple(vec)
 
-    def vec_to_poly(vec):
-        terms = {}
-        for i, c in enumerate(vec):
-            if c:
-                terms[basis_monos[i]] = c
-        return Polynomial(ap.ring, terms)
-
     if dim == 0:
         ring = FiniteRing(f"{ap.ring}(zero)", [()], lambda a, b: (), lambda a, b: (), (), (), [])
         return ring, {n: () for n in ap.ring.names}
@@ -638,9 +631,6 @@ class SymbolDilatation:
                 if value(reps[mul_table[i][j]]) != base.mul(values[i], values[j]):
                     raise VerificationFinding("multiplication disagrees with the subring dilatation")
 
-    def struct_class(self, x):
-        return self.class_of_symbol.get((x, (0,) * len(self.center.pairs)))
-
 
 def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
     return SymbolDilatation(a, c, cap)
@@ -694,20 +684,6 @@ class FiniteModule:
     @classmethod
     def from_ring(cls, ring: FiniteRing):
         return cls(ring, f"{ring.label} as module", ring.elements, ring.add, ring.mul, ring.zero)
-
-    @classmethod
-    def zmod_over(cls, ring: FiniteRing, n: int, m: int):
-        """Z/m as a Z/n-module (m | n)."""
-        if n % m:
-            raise InputError("m must divide n")
-        return cls(
-            ring,
-            f"Z/{m} over Z/{n}",
-            range(m),
-            lambda a, b: (a + b) % m,
-            lambda r, x: (r * x) % m,
-            0,
-        )
 
 
 class ModuleDilatation:

@@ -92,17 +92,9 @@ def rost_subalgebra_check(data: RostInput, bound: int = 4) -> Report:
         raise InputError("bidegree bound capped at 4")
     rep = Report("rost_subalgebra")
     ast, s, t = _extended(data.algebra)
-    zname = ast.ring.fresh_name("z")
-    lring = ast.ring.extend([zname])
+    loc, zname = ast.localize(ast.var(s) * ast.var(t))
+    lring = loc.ring
     sv, tv, zv = lring.var(s), lring.var(t), lring.var(zname)
-    loc = PresentedAlgebra(
-        lring,
-        IdealHandle(
-            lring,
-            [p.map_ring(lring) for p in ast.relations.gens] + [sv * tv * zv - lring.one()],
-            ast.relations.limits,
-        ),
-    )
     igens = [g.map_ring(lring) for g in data.ideal_i.gens]
     jgens = [g.map_ring(lring) for g in data.ideal_j.gens]
     s_inv = tv * zv

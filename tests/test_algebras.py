@@ -117,3 +117,26 @@ def test_composition():
     assert str(comp.images[0]) == "s^2 + 2*s + 1"
     with pytest.raises(InputError):
         h1.compose(h2)
+
+
+def test_localize_matches_hand_built_presentation():
+    a = algebra(["z", "x", "y"], "x*y - z^2")
+    f = a.parse("x + y")
+    loc, zname = a.localize(f)
+    assert zname == "z_2"
+    lring = a.ring.extend([zname])
+    rels = [p.map_ring(lring) for p in a.relations.gens]
+    rels.append(lring.var(zname) * f.map_ring(lring) - lring.one())
+    assert loc.ring == lring
+    assert loc.relations.gens == rels
+    assert loc == PresentedAlgebra(lring, IdealHandle(lring, rels))
+    # f is a unit there: z*f = 1
+    assert loc.eq(loc.var(zname) * f.map_ring(lring), loc.one())
+
+
+def test_localize_takes_element_of_a_subring():
+    a = algebra(["a", "x"], "x^2 - a")
+    base = ring(["a"])
+    loc, zname = a.localize(base.var("a"))
+    assert loc.ring.names == ("a", "x", zname)
+    assert loc.relations.gens[-1] == loc.parse(f"{zname}*a - 1")

@@ -1,6 +1,8 @@
 import io
 import sys
 
+import pytest
+
 from conftest import package_env
 from dilatations import cli
 
@@ -308,3 +310,43 @@ request congruence iso FS nosuch
     code, _ = run_cli(tmp_path, text)
     assert code == 2
     assert "undeclared filtration 'nosuch'" in capsys.readouterr().err
+
+
+MALFORMED_BASE = """
+ring A = QQ[a, g]
+ideal M in A = (g)
+ideal N in A = (a*g)
+center C on A = [M / a], [N / a]
+center D on A = [M / a]
+filtration FS = group GL(1), p=3, N=3, (e, 1)
+"""
+
+
+@pytest.mark.parametrize(
+    "request_line",
+    [
+        "present",
+        "universal D",
+        "iso base-change D",
+        "congruence iso FS",
+        "rost",
+        "rost A",
+        "iso two-stage C K=x",
+        "iso open-immersion C K=1 map=2",
+    ],
+)
+def test_malformed_request_exits_two_without_traceback(tmp_path, request_line):
+    import subprocess
+
+    path = tmp_path / "instance.dila"
+    path.write_text(MALFORMED_BASE + f"request {request_line}\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dilatations.cli", str(path)],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parse error"), proc.stderr
+    assert f"request {request_line}:" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 from dilatations.groebner import (
     Limits,
     ResourceLimitError,
+    _interreduce,
     buchberger_reduced,
     divide,
     ideal_cofactors,
     normal_form,
 )
-from dilatations.poly import LEX, PolyRing, QQ
+from dilatations.poly import LEX, Field, PolyRing, QQ
 
 from conftest import random_poly, ring
 
@@ -137,3 +138,62 @@ def test_cofactors_express_membership():
         total = total + c * g
     assert total == f
     assert ideal_cofactors(r.parse("x"), gens) is None
+
+
+def _combination(coeffs, gens):
+    total = gens[0].ring.zero()
+    for c, g in zip(coeffs, gens):
+        total = total + c * g
+    return total
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
+def test_cofactor_track_rebuilds_basis(seed, field):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = ring(["x", "y", "z"], field=field)
+    gens = [random_poly(rng, r) for _ in range(rng.randint(1, 3))]
+    gens += [r.zero(), gens[0]]  # a zero and a repeated generator
+    rng.shuffle(gens)
+    basis, rows = buchberger_reduced(gens, cofactors=True)
+    assert len(rows) == len(basis)
+    for g, row in zip(basis, rows):
+        assert len(row) == len(gens)
+        assert g.lc() == field.one()
+        assert _combination(row, gens) == g
+    assert _interreduce(basis) == buchberger_reduced(gens)
+
+
+def test_cofactor_track_of_zero_generators():
+    r = ring(["x"])
+    assert buchberger_reduced([r.zero(), r.zero()], cofactors=True) == ([], [])
+
+
+@given(st.integers(0, 10**9))
+def test_ideal_cofactors_rebuild_member(seed):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = ring(["x", "y"])
+    gens = [random_poly(rng, r) for _ in range(2)] + [r.zero()]
+    f = _combination([random_poly(rng, r, max_deg=1, max_terms=2) for _ in gens], gens)
+    cof = ideal_cofactors(f, gens)
+    assert cof is not None and len(cof) == len(gens)
+    assert _combination(cof, gens) == f
+
+
+def test_ideal_cofactors_rejects_non_member():
+    r = ring(["x", "y"])
+    gens = [r.parse("x^2 - y"), r.parse("x*y - 1"), r.parse("x^2 - y")]
+    assert ideal_cofactors(r.parse("x + y"), gens) is None
+
+
+def test_ideal_cofactors_respects_limits():
+    r = ring(["x", "y", "z"])
+    gens = [r.parse("x^2 + y*z"), r.parse("y^3 - x*z"), r.parse("z^3 - x*y")]
+    f = r.parse("x") * gens[0]
+    with pytest.raises(ResourceLimitError):
+        ideal_cofactors(f, gens, Limits(pair_cap=1))
+    with pytest.raises(ResourceLimitError):
+        ideal_cofactors(f, gens, Limits(degree_cap=2))
