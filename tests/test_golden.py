@@ -1,0 +1,31 @@
+"""Machine sections recorded from the program and compared byte for byte.
+
+`golden/demo.machine` is the `--machine-only` output for
+`instances/demo.dila`.  `golden/name_clash.dila` declares a ring that
+already holds every stem used for a fresh variable, and a base-change
+target that shares its names; its output is `golden/name_clash.machine`.
+How fresh names are chosen, how budgets reach the kernel and how requests
+are scheduled must not change either file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dilatations import cli
+
+HERE = Path(__file__).parent
+ROOT = HERE.parent
+
+CASES = [
+    (ROOT / "instances" / "demo.dila", HERE / "golden" / "demo.machine"),
+    (HERE / "golden" / "name_clash.dila", HERE / "golden" / "name_clash.machine"),
+]
+
+
+@pytest.mark.parametrize("instance, expected", CASES, ids=["demo", "name_clash"])
+def test_machine_section_matches_golden(instance, expected, capsys):
+    code = cli.main([str(instance), "--machine-only"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == expected.read_text(encoding="utf-8")
