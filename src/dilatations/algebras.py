@@ -155,18 +155,9 @@ def hom_kernel(h: AlgebraHom) -> IdealHandle:
     relations), computed by eliminating the target block of the graph
     ideal."""
     src, tgt = h.source.ring, h.target.ring
-    rename = {}
-    taken = set(src.names)
-    for n in tgt.names:
-        cand = n
-        k = 0
-        while cand in taken:
-            k += 1
-            cand = f"_im{k}_{n}"
-        rename[n] = cand
-        taken.add(cand)
-    combined = PolyRing(src.field, tuple(rename[n] for n in tgt.names) + src.names)
-    tgt_alias = PolyRing(tgt.field, tuple(rename[n] for n in tgt.names), tgt.order)
+    alias = src.fresh_names(tgt.names)
+    combined = PolyRing(src.field, tuple(alias) + src.names)
+    tgt_alias = PolyRing(tgt.field, alias, tgt.order)
 
     def to_combined(f: Polynomial, from_tgt: bool) -> Polynomial:
         if from_tgt:
@@ -177,7 +168,7 @@ def hom_kernel(h: AlgebraHom) -> IdealHandle:
     for name, img in zip(src.names, h.images):
         gens.append(combined.var(name) - to_combined(img, True))
     graph = IdealHandle(combined, gens, h.source.relations.limits)
-    elim = eliminate(graph, [rename[n] for n in tgt.names])
+    elim = eliminate(graph, alias)
     kept = [g.map_ring(src) for g in elim.gens]
     return IdealHandle(src, kept, h.source.relations.limits)
 

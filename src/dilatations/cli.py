@@ -16,6 +16,12 @@ rost (see README for per-command arguments).  Reports have a human
 section and a machine section of sorted `key: value` lines; exit codes:
 0 all certificates pass, 1 a verification failed, 2 parse error,
 3 resource limit.
+
+Requests run one after another, in declaration order; `--jobs N` is
+accepted and ignored.  The Groebner budgets `--degree-cap` and
+`--pair-cap` are one `Limits` value that `parse` gives to every declared
+ring and ideal; each ideal derived from them carries it on, so the run
+sets no module-level state.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import congruence as cg
 from . import oracle as oc
@@ -44,7 +49,7 @@ from .dilatation import (
     two_stage_iso,
     universal_factor,
 )
-from .groebner import ResourceLimitError
+from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_PAIR_CAP, Limits, ResourceLimitError
 from .ideals import IdealHandle
 from .poly import Field, InputError, PolyRing, Polynomial, QQ, format_poly
 from .report import Report
@@ -63,8 +68,9 @@ class ParseError(ValueError):
 
 
 class InstanceFile:
-    def __init__(self, path: str):
+    def __init__(self, path: str, limits: Limits | None = None):
         self.path = path
+        self.limits = limits
         self.rings: dict[str, PresentedAlgebra] = {}
         self.ideals: dict[str, tuple[str, IdealHandle]] = {}
         self.elems: dict[str, tuple[str, Polynomial]] = {}
@@ -97,8 +103,11 @@ def _split_top(text: str, sep: str = ","):
     return parts
 
 
-def parse(path: str) -> InstanceFile:
-    inst = InstanceFile(path)
+def parse(path: str, limits: Limits | None = None) -> InstanceFile:
+    """Read an instance file.  Every declared ring's relations and every
+    declared ideal carry `limits` (the default budgets when None), and so
+    does every ideal the requests derive from them."""
+    inst = InstanceFile(path, limits)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     for no, raw in enumerate(lines, start=1):
@@ -136,12 +145,13 @@ def _parse_line(inst: InstanceFile, line: str) -> None:
             raise InputError(f"bad ring declaration {spec.strip()!r}")
         field = QQ if m.group(1) == "QQ" else Field(int(m.group(2)))
         names = [v.strip() for v in m.group(3).split(",") if v.strip()]
-        inst.rings[name] = PresentedAlgebra(PolyRing(field, names))
+        ring = PolyRing(field, names)
+        inst.rings[name] = PresentedAlgebra(ring, IdealHandle(ring, [], inst.limits))
     elif head == "rels":
         name, _, spec = rest.partition("=")
         alg = _get_ring(inst, name.strip())
         gens = _parse_poly_list(alg.ring, spec.strip())
-        inst.rings[name.strip()] = PresentedAlgebra(alg.ring, IdealHandle(alg.ring, gens))
+        inst.rings[name.strip()] = PresentedAlgebra(alg.ring, IdealHandle(alg.ring, gens, inst.limits))
     elif head == "ideal":
         decl, _, spec = rest.partition("=")
         m = re.match(r"(\w+)\s+in\s+(\w+)\s*\Z", decl.strip())
@@ -149,7 +159,7 @@ def _parse_line(inst: InstanceFile, line: str) -> None:
             raise InputError(f"bad ideal declaration {decl.strip()!r}")
         alg = _get_ring(inst, m.group(2))
         gens = _parse_poly_list(alg.ring, spec.strip())
-        inst.ideals[m.group(1)] = (m.group(2), IdealHandle(alg.ring, gens))
+        inst.ideals[m.group(1)] = (m.group(2), IdealHandle(alg.ring, gens, inst.limits))
     elif head == "elem":
         decl, _, spec = rest.partition("=")
         m = re.match(r"(\w+)\s+in\s+(\w+)\s*\Z", decl.strip())
@@ -466,37 +476,19 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
 
 
 def run(inst: InstanceFile, flags) -> tuple[str, int]:
-    results: list[RequestResult | Exception] = [None] * len(inst.requests)
-
-    def work(idx_args):
-        idx, args = idx_args
-        try:
-            return idx, run_request(inst, args, flags)
-        except Exception as exc:  # collected and re-raised in order
-            return idx, exc
-
-    if flags.jobs > 1:
-        with ThreadPoolExecutor(max_workers=flags.jobs) as pool:
-            for idx, out in pool.map(work, inst.requests):
-                results[idx - 1] = out
-    else:
-        for idx, out in map(work, inst.requests):
-            results[idx - 1] = out
-
+    """Run the requests one after another, in declaration order; the
+    first exception ends the run."""
     human: list[str] = []
     machine: dict[str, str] = {}
     ok = True
     label_counts: dict[str, int] = {}
-    for out in results:
-        if isinstance(out, (ResourceLimitError, oc.SizeCapError)):
-            raise out
-        if isinstance(out, Exception):
-            raise out
+    for _, args in inst.requests:
+        out = run_request(inst, args, flags)
         label_counts[out.label] = label_counts.get(out.label, 0) + 1
         suffix = "" if label_counts[out.label] == 1 else f"#{label_counts[out.label]}"
         human.extend(out.human)
         for k, v in out.machine.items():
-            machine[k + suffix if suffix else k] = v
+            machine[k + suffix] = v
         ok = ok and out.ok
 
     lines = []
@@ -512,21 +504,16 @@ def run(inst: InstanceFile, flags) -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dilat", description="dilatation verifier")
     parser.add_argument("instance", help="instance file")
-    parser.add_argument("--degree-cap", type=int, default=24)
-    parser.add_argument("--pair-cap", type=int, default=200_000)
+    parser.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
+    parser.add_argument("--pair-cap", type=int, default=DEFAULT_PAIR_CAP)
     parser.add_argument("--oracle-size-cap", type=int, default=oc.SIZE_CAP)
     parser.add_argument("--bidegree-bound", type=int, default=4)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored: requests run in order")
     parser.add_argument("--machine-only", action="store_true")
     flags = parser.parse_args(argv)
 
-    import dilatations.groebner as gb
-
-    gb.DEFAULT_LIMITS.degree_cap = flags.degree_cap
-    gb.DEFAULT_LIMITS.pair_cap = flags.pair_cap
-
     try:
-        inst = parse(flags.instance)
+        inst = parse(flags.instance, Limits(flags.degree_cap, flags.pair_cap))
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

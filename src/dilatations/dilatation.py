@@ -58,6 +58,14 @@ class MultiCenter:
             f = f * c.elem
         return f
 
+    def cofactor(self, i: int) -> Polynomial:
+        """prod_{l != i} a_l, the other centers' denominators (i 1-based)."""
+        f = self.algebra.ring.one()
+        for l, c in enumerate(self.centers, start=1):
+            if l != i:
+                f = f * c.elem
+        return f
+
     def sub(self, indices) -> "MultiCenter":
         """Sub-multi-center for 1-based positions `indices` (order kept)."""
         return MultiCenter(self.algebra, [self.centers[i - 1] for i in indices])
@@ -122,7 +130,7 @@ class DilatationResult:
         if in_l:
             gens.append(c.elem)
         gens_all = gens + self.base.relations.gens
-        cof = ideal_cofactors(m, gens_all)
+        cof = ideal_cofactors(m, gens_all, self.base.relations.limits)
         if cof is None:
             raise InputError(f"element {m} is not in the center ideal at position {pos}")
         ring = self.algebra.ring
@@ -134,24 +142,6 @@ class DilatationResult:
         if in_l and not cof[n_m].is_zero():
             out = out + cof[n_m].map_ring(ring)  # a_i / a_i = 1
         return self.algebra.nf(out)
-
-
-def _fresh_fraction_names(ring: PolyRing, centers) -> list[list[str]]:
-    taken = set(ring.names)
-    rows = []
-    for i, c in enumerate(centers, start=1):
-        row = []
-        for j in range(1, len(c.ideal.gens) + 1):
-            stem = f"x_{i}_{j}"
-            name = stem
-            k = 1
-            while name in taken:
-                k += 1
-                name = f"{stem}_{k}"
-            taken.add(name)
-            row.append(name)
-        rows.append(row)
-    return rows
 
 
 def dilate(center: MultiCenter) -> DilatationResult:
@@ -166,7 +156,10 @@ def dilate(center: MultiCenter) -> DilatationResult:
     if not center.centers:
         return DilatationResult(center, a, AlgebraHom.identity(a), [], a.relations, False)
 
-    names = _fresh_fraction_names(a.ring, center.centers)
+    fresh = iter(a.ring.fresh_names(
+        f"x_{i}_{j}" for i, c in enumerate(center.centers, start=1) for j in range(1, len(c.ideal.gens) + 1)
+    ))
+    names = [[next(fresh) for _ in c.ideal.gens] for c in center.centers]
     ext = PolyRing(a.ring.field, a.ring.names + tuple(n for row in names for n in row), GREVLEX)
 
     rels = [p.map_ring(ext) for p in a.relations.gens]
@@ -366,7 +359,7 @@ def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]
             c = center.centers[i - 1]
             cof_gens = [c.elem] + a.relations.gens
             for j, g in enumerate(c.ideal.gens):
-                cof = ideal_cofactors(g, cof_gens)
+                cof = ideal_cofactors(g, cof_gens, a.relations.limits)
                 w = cof[0].map_ring(ring_i)
                 xvar = ring_i.var(result_full.fraction_vars[i - 1][j])
                 if not result_full.algebra.nf(xvar - w).is_zero():
@@ -393,10 +386,7 @@ def monopoly_iso(center: MultiCenter) -> tuple[MultiCenter, tuple[AlgebraHom, Al
     mono_gens = []
     tags = []  # (center pos, gen pos) per mono generator
     for i, c in enumerate(center.centers, start=1):
-        cofactor = a.ring.one()
-        for l, other in enumerate(center.centers, start=1):
-            if l != i:
-                cofactor = cofactor * other.elem
+        cofactor = center.cofactor(i)
         for j, g in enumerate(c.ideal.gens, start=1):
             mono_gens.append(g * cofactor)
             tags.append((i, j))
@@ -473,52 +463,40 @@ def localize_compare(center: MultiCenter) -> Report:
     rep = Report("localize")
     result = dilate(center)
     f = center.product_elem()
+    # A[1/f], shared by both comparisons
+    a_f, zname = a.localize(f)
+    aring = a_f.ring
+    z = aring.var(zname)
+    vd = result.var_dict()
+
+    def as_fraction(n):
+        """x_ij = g_ij / a_i = g_ij * z * prod_{l != i} a_l in A[1/f]."""
+        i, j = vd[n]
+        g = center.centers[i - 1].ideal.gens[j - 1]
+        return g.map_ring(aring) * z * center.cofactor(i).map_ring(aring)
 
     all_unit = all(a.ideal(c.ideal.gens).is_unit() for c in center.centers)
     if all_unit:
-        loc, zname = a.localize(f)
-        locring = loc.ring
         prime_ring = result.algebra.ring
-        fwd_images = []
-        z = locring.var(zname)
-        vd = result.var_dict()
-        for n in prime_ring.names:
-            if n in vd:
-                i, j = vd[n]
-                g = center.centers[i - 1].ideal.gens[j - 1]
-                cof = a.ring.one()
-                for l, other in enumerate(center.centers, start=1):
-                    if l != i:
-                        cof = cof * other.elem
-                fwd_images.append(g.map_ring(locring) * z * cof.map_ring(locring))
-            else:
-                fwd_images.append(locring.var(n))
-        fwd = AlgebraHom(result.algebra, loc, fwd_images)
+        fwd_images = [as_fraction(n) if n in vd else aring.var(n) for n in prime_ring.names]
+        fwd = AlgebraHom(result.algebra, a_f, fwd_images)
         inv = result.algebra.one()
         for i in range(1, len(center.centers) + 1):
             inv = inv * result.fraction(i, a.ring.one())
         bwd_images = [prime_ring.var(n) for n in a.ring.names] + [inv]
-        bwd = AlgebraHom(loc, result.algebra, bwd_images)
+        bwd = AlgebraHom(a_f, result.algebra, bwd_images)
         _certify_pair(rep, fwd, bwd, tag="unit_centers")
 
     # general comparison after inverting f on both sides
-    a_f, zname = a.localize(f)
     prime_f, wname = result.algebra.localize(f)
-    aring, pring = a_f.ring, prime_f.ring
+    pring = prime_f.ring
     fwd = AlgebraHom(a_f, prime_f, [pring.var(n) for n in a.ring.names] + [pring.var(wname)])
-    vd = result.var_dict()
     bwd_images = []
     for n in pring.names:
         if n == wname:
-            bwd_images.append(aring.var(zname))
+            bwd_images.append(z)
         elif n in vd:
-            i, j = vd[n]
-            g = center.centers[i - 1].ideal.gens[j - 1]
-            cof = a.ring.one()
-            for l, other in enumerate(center.centers, start=1):
-                if l != i:
-                    cof = cof * other.elem
-            bwd_images.append(g.map_ring(aring) * aring.var(zname) * cof.map_ring(aring))
+            bwd_images.append(as_fraction(n))
         else:
             bwd_images.append(aring.var(n))
     bwd = AlgebraHom(prime_f, a_f, bwd_images)
@@ -823,30 +801,18 @@ def conic_iso(center: MultiCenter) -> Report:
         rep.add("empty_center", True)
         return rep
 
-    # ambient polynomial extension A[t_1..t_k]
-    tnames = []
-    taken = set(a.ring.names)
-    for i in range(1, k + 1):
-        n = f"t_{i}"
-        while n in taken:
-            n = "_" + n
-        taken.add(n)
-        tnames.append(n)
+    # ambient polynomial extension A[t_1..t_k], and one u_i_j per
+    # generator of L_i = M_i + (a_i)
+    fresh = iter(a.ring.fresh_names(
+        [f"t_{i}" for i in range(1, k + 1)]
+        + [f"u_{i}_{j}" for i, c in enumerate(center.centers, start=1) for j in range(1, len(c.ideal.gens) + 2)]
+    ))
+    tnames = [next(fresh) for _ in range(k)]
+    rows = [[next(fresh) for _ in range(len(c.ideal.gens) + 1)] for c in center.centers]
+    unames = [n for row in rows for n in row]
     tring = a.ring.extend(tnames)
     at = PresentedAlgebra(tring, IdealHandle(tring, [p.map_ring(tring) for p in a.relations.gens], a.relations.limits))
 
-    unames = []
-    rows = []
-    for i, c in enumerate(center.centers, start=1):
-        row = []
-        for j in range(1, len(c.ideal.gens) + 2):
-            n = f"u_{i}_{j}"
-            while n in taken:
-                n = "_" + n
-            taken.add(n)
-            row.append(n)
-        rows.append(row)
-        unames += row
     uring = a.ring.extend(unames)
     src = PresentedAlgebra(uring, IdealHandle(uring, [p.map_ring(uring) for p in a.relations.gens], a.relations.limits))
 
@@ -970,9 +936,9 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
             c = center.centers[i - 1]
             bi = chi.apply(c.elem)
             gi = chi.apply(c.ideal.gens[j - 1])
-            cof = ideal_cofactors(gi, [bi] + b.relations.gens)
+            cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
             images.append(b.nf(cof[0]))
-            cof2 = ideal_cofactors(gi, b.relations.gens + [bi])
+            cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
             images_alt.append(b.nf(cof2[-1]))
         else:
             idx = a.ring.names.index(n)

@@ -43,9 +43,6 @@ class Limits:
         self.pair_cap = pair_cap
 
 
-DEFAULT_LIMITS = Limits()
-
-
 def _same_ring(polys):
     ring = None
     for f in polys:
@@ -136,7 +133,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     if not live:
         return ([], []) if cofactors else []
     ring = _same_ring([gens[k] for k in live])
-    limits = limits or DEFAULT_LIMITS
+    limits = limits or Limits()
     key = ring.order.key
     one = ring.field.one()
 

@@ -2,8 +2,11 @@
 elimination and membership, all through the Groebner kernel.
 
 An IdealHandle keeps its generator list verbatim and caches the reduced
-Groebner basis on first use (one-shot, guarded by a lock, so handles may
-be shared across threads).  Ideal equality means equality of ideals, not
+Groebner basis on first use (one-shot, guarded by a lock, so library
+callers may share handles across threads).  It also carries the `Limits`
+that every Buchberger run on its behalf uses (None means the defaults),
+and each ideal built from it here inherits them; that is the only way
+budgets reach the kernel.  Ideal equality means equality of ideals, not
 of generator lists: reduced bases are canonical, so it is a list
 comparison.
 """
@@ -63,10 +66,7 @@ class IdealHandle:
 
     def radical_contains(self, f: Polynomial) -> bool:
         """f nilpotent modulo the ideal, by the Rabinowitsch trick."""
-        ext, mapped = _extend_first(self.ring, "_z", self.gens + [f])
-        z = ext.var(ext.names[0])
-        trick = mapped[:-1] + [ext.one() - z * mapped[-1]]
-        gb = buchberger_reduced(trick, limits=self.limits)
+        gb = _rabinowitsch_basis(self, f)
         return len(gb) == 1 and gb[0].is_one()
 
     def with_gens(self, gens) -> "IdealHandle":
@@ -76,16 +76,18 @@ class IdealHandle:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
 
-def _extend_first(ring: PolyRing, stem: str, polys, block: int = 1):
+def _extend_first(ring: PolyRing, stem: str, polys):
     """Ring with one fresh variable prepended (block-eliminated) and the
     given polynomials transported into it."""
-    name = stem
-    k = 0
-    while name in ring.names:
-        k += 1
-        name = f"{stem}{k}"
-    ext = PolyRing(ring.field, (name,) + ring.names, block_order(block))
+    ext = PolyRing(ring.field, (ring.fresh_name(stem),) + ring.names, block_order(1))
     return ext, [p.map_ring(ext) for p in polys]
+
+
+def _rabinowitsch_basis(a: IdealHandle, f: Polynomial) -> list[Polynomial]:
+    """Reduced basis of A + (1 - z*f) in A[z], z first and eliminated."""
+    ext, mapped = _extend_first(a.ring, "_z", a.gens + [f])
+    z = ext.var(ext.names[0])
+    return buchberger_reduced(mapped[:-1] + [ext.one() - z * mapped[-1]], limits=a.limits)
 
 
 def combine(kind: str, a: IdealHandle, b=None) -> IdealHandle:
@@ -137,10 +139,7 @@ def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
     if f.is_zero():
         raise InputError("colon by the zero element")
     if saturate:
-        ext, mapped = _extend_first(a.ring, "_z", a.gens + [f])
-        z = ext.var(ext.names[0])
-        trick = mapped[:-1] + [ext.one() - z * mapped[-1]]
-        gb = buchberger_reduced(trick, limits=a.limits)
+        gb = _rabinowitsch_basis(a, f)
         kept = [g.map_ring(a.ring) for g in gb if 0 not in g.uses_vars()]
         return a.with_gens(kept)
     meet = intersect(a, a.with_gens([f]))

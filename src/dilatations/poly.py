@@ -269,13 +269,24 @@ class PolyRing:
     def extend(self, extra: Iterable[str], order: MonomialOrder | None = None) -> "PolyRing":
         return PolyRing(self.field, self.names + tuple(extra), order or self.order)
 
+    def fresh_names(self, stems: Iterable[str]) -> list[str]:
+        """One new variable name per stem: the stem itself, else the first
+        free `stem_2`, `stem_3`, ...; distinct from the ring's names and
+        from each other.  Every fresh variable in the library is named
+        here."""
+        taken = set(self.names)
+        out = []
+        for stem in stems:
+            name, k = stem, 1
+            while name in taken:
+                k += 1
+                name = f"{stem}_{k}"
+            taken.add(name)
+            out.append(name)
+        return out
+
     def fresh_name(self, stem: str) -> str:
-        if stem not in self._index:
-            return stem
-        k = 2
-        while f"{stem}_{k}" in self._index:
-            k += 1
-        return f"{stem}_{k}"
+        return self.fresh_names([stem])[0]
 
     # parsing / printing ----------------------------------------------------
 

@@ -38,8 +38,7 @@ class RostInput:
 
 def _extended(algebra: PresentedAlgebra):
     ring = algebra.ring
-    s = ring.fresh_name("s")
-    t = ring.fresh_name("t")
+    s, t = ring.fresh_names(["s", "t"])
     ext = ring.extend([s, t])
     return (
         PresentedAlgebra(

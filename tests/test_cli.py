@@ -1,10 +1,11 @@
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import package_env
-from dilatations import cli
+from conftest import package_env, ring
+from dilatations import cli, groebner
 
 
 def run_cli(tmp_path, text, *flags):
@@ -118,7 +119,7 @@ request iso two-stage C K=1
     out1 = run_cli(tmp_path, text, "--machine-only")
     out2 = run_cli(tmp_path, text, "--machine-only")
     assert out1 == out2
-    # and under parallel execution
+    # --jobs is accepted and ignored: requests still run in order
     out3 = run_cli(tmp_path, text, "--machine-only", "--jobs", "4")
     assert out1[1] == out3[1]
 
@@ -350,3 +351,47 @@ def test_malformed_request_exits_two_without_traceback(tmp_path, request_line):
     assert proc.stderr.startswith("parse error"), proc.stderr
     assert f"request {request_line}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------------------ run budgets
+
+DEMO = Path(__file__).parent.parent / "instances" / "demo.dila"
+
+
+def test_pair_cap_flag_does_not_outlive_the_run(tmp_path):
+    code, _ = run_cli(tmp_path, BASIC, "--pair-cap", "1")
+    assert code == 3
+    r = ring(["x", "y", "z"])
+    gens = [r.parse(t) for t in ("x^2 - y", "x*y - z", "y^2 - x*z")]
+    assert groebner.buchberger_reduced(gens)
+
+
+def _demo_requests():
+    lines = DEMO.read_text(encoding="utf-8").splitlines()
+    decls = [line for line in lines if not line.startswith("request ")]
+    requests = [line for line in lines if line.startswith("request ")]
+    return decls, requests
+
+
+# every request of the demo except the congruence ones, which do no Groebner work
+GROEBNER_REQUESTS = [r for r in _demo_requests()[1] if not r.startswith("request congruence")]
+
+
+@pytest.mark.parametrize("line", GROEBNER_REQUESTS)
+def test_flag_budgets_reach_every_buchberger_call(tmp_path, monkeypatch, line):
+    original = groebner.buchberger_reduced
+    seen = []
+
+    def recording(gens, limits=None, cofactors=False):
+        seen.append(limits)
+        return original(gens, limits, cofactors)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dilatations") and getattr(module, "buchberger_reduced", None) is original:
+            monkeypatch.setattr(module, "buchberger_reduced", recording)
+    decls, _ = _demo_requests()
+    text = "\n".join(decls + [line]) + "\n"
+    code, _ = run_cli(tmp_path, text, "--degree-cap", "23", "--pair-cap", "99999")
+    assert code == 0
+    assert seen
+    assert all(lim is not None and (lim.degree_cap, lim.pair_cap) == (23, 99999) for lim in seen)

@@ -286,6 +286,33 @@ def test_localize_all_unit_multi():
     assert rep.ok
 
 
+def test_localize_unit_center_builds_base_localization_once(monkeypatch):
+    # both comparisons use the one A[1/a]; only A' is localized besides it
+    calls = []
+    original = PresentedAlgebra.localize
+
+    def counting(self, f):
+        calls.append(self.ring.names)
+        return original(self, f)
+
+    monkeypatch.setattr(PresentedAlgebra, "localize", counting)
+    a = PresentedAlgebra(ring(["a", "g"]))
+    rep = localize_compare(mk_center(a, (["1"], "a")))
+    assert rep.ok
+    assert any(k.startswith("unit_centers") for k, _, _ in rep.clauses)
+    assert calls == [("a", "g"), ("a", "g", "x_1_1")]
+
+
+def test_cofactor_is_product_of_other_denominators():
+    a = PresentedAlgebra(ring(["a", "b", "c", "g"]))
+    center = mk_center(a, (["g"], "a"), (["g"], "b"), (["g"], "c"))
+    r = a.ring
+    assert center.cofactor(1) == r.parse("b*c")
+    assert center.cofactor(2) == r.parse("a*c")
+    assert center.cofactor(3) == r.parse("a*b")
+    assert mk_center(a, (["g"], "a")).cofactor(1) == r.one()
+
+
 # ------------------------------------------------------------ open immersion
 
 

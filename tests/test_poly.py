@@ -128,3 +128,13 @@ def test_fresh_name_disambiguation():
     r = ring(["x_1_1", "a"])
     assert r.fresh_name("x_1_1") == "x_1_1_2"
     assert r.fresh_name("b") == "b"
+
+
+def test_fresh_names_distinct_from_ring_and_each_other():
+    r = ring(["z", "z_2", "t", "x_1_1"])
+    assert r.fresh_names(["z", "z", "t", "x_1_1", "x_1_1", "b"]) == [
+        "z_3", "z_4", "t_2", "x_1_1_2", "x_1_1_3", "b"
+    ]
+    # a later stem may be an earlier fresh name: it is probed as well
+    assert r.fresh_names(["t", "t_2"]) == ["t_2", "t_2_2"]
+    assert r.fresh_names([]) == []
