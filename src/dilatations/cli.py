@@ -17,8 +17,9 @@ section and a machine section of sorted `key: value` lines; exit codes:
 0 all certificates pass, 1 a verification failed, 2 parse error,
 3 resource limit.
 
-Requests run one after another, in declaration order; `--jobs N` is
-accepted and ignored.  The Groebner budgets `--degree-cap` and
+`parse` checks every request's argument count and integer values, so a
+malformed request exits 2 before any request runs.  Requests run one
+after another, in declaration order; `--jobs N` is accepted and ignored.  The Groebner budgets `--degree-cap` and
 `--pair-cap` are one `Limits` value that `parse` gives to every declared
 ring and ideal; each ideal derived from them carries it on, so the run
 sets no module-level state.
@@ -226,7 +227,9 @@ def _parse_line(inst: InstanceFile, line: str) -> None:
             cg.LevelRing(p, n_level),
         )
     elif head == "request":
-        inst.requests.append((len(inst.requests) + 1, rest.split()))
+        args = rest.split()
+        _request_args(args)
+        inst.requests.append((len(inst.requests) + 1, args))
     else:
         raise InputError(f"unknown declaration {head!r}")
 
@@ -280,24 +283,8 @@ def _center(inst: InstanceFile, name: str) -> MultiCenter:
     return _declared(inst.centers, "center", name)[1]
 
 
-def _kv_args(args):
-    out = {}
-    for a in args:
-        if "=" in a:
-            k, v = a.split("=", 1)
-            out[k] = v
-    return out
-
-
 def _request_error(args, message: str) -> InputError:
     return InputError(f"request {' '.join(args)}: {message}")
-
-
-def _arg(args, i: int, what: str) -> str:
-    """args[i], or InputError naming the request and the missing argument."""
-    if i >= len(args):
-        raise _request_error(args, f"missing {what}")
-    return args[i]
 
 
 def _int_arg(args, key: str, text) -> int:
@@ -305,11 +292,6 @@ def _int_arg(args, key: str, text) -> int:
         return int(text)
     except ValueError:
         raise _request_error(args, f"{key} value {text!r} is not an integer") from None
-
-
-def _int_list(args, kv, key: str) -> list[int]:
-    """The comma-separated integers of `key=...` (default 1)."""
-    return [_int_arg(args, key, x) for x in kv.get(key, "1").split(",")]
 
 
 def _index_map(args, text: str) -> dict[int, int]:
@@ -324,10 +306,67 @@ def _index_map(args, text: str) -> dict[int, int]:
     return assign
 
 
+# every request: its command words -> (its positional arguments, its
+# integer-valued `key=value` options)
+_REQUESTS = {
+    "present": (("center",), ()),
+    "check": (("center",), ()),
+    "iso monopoly": (("center",), ()),
+    "iso two-stage": (("center",), ("K",)),
+    "iso localize": (("center",), ()),
+    "iso open-immersion": (("center",), ("K", "map")),
+    "iso iterate": (("center",), ("t",)),
+    "iso conic": (("center",), ()),
+    "iso base-change": (("center", "hom"), ()),
+    "iso forget": (("center",), ("K",)),
+    "oracle": (("center",), ()),
+    "universal": (("center", "hom or `scan`"), ()),
+    "congruence iso": (("filtration S", "filtration R"), ()),
+    "congruence points": (("filtration",), ()),
+    "congruence normalizer": (("filtration",), ()),
+    "rost": (("ring", "ideal I", "ideal J"), ("bound",)),
+}
+
+
+def _request_args(args) -> tuple[str, list[str], dict]:
+    """(command, positional arguments, options) of a request, with its
+    argument count and integer values checked: `parse` calls it on every
+    request line, so a malformed request fails before any request runs.
+    Integer options are parsed (`K` to a list, `map` to a dict); other
+    options stay text."""
+    if not args:
+        raise _request_error(args, "missing command")
+    cmd = args[0]
+    if cmd in ("iso", "congruence"):
+        if len(args) < 2:
+            raise _request_error(args, "missing verifier")
+        if f"{cmd} {args[1]}" not in _REQUESTS:
+            raise InputError(f"unknown {cmd} verifier {args[1]!r}")
+        cmd = f"{cmd} {args[1]}"
+    elif cmd not in _REQUESTS:
+        raise InputError(f"unknown request {cmd!r}")
+    names, ints = _REQUESTS[cmd]
+    rest = args[len(cmd.split()):]
+    pos = [a for a in rest if "=" not in a]
+    if len(pos) < len(names):
+        raise _request_error(args, f"missing {names[len(pos)]}")
+    opts = dict(a.split("=", 1) for a in rest if "=" in a)
+    for key in ints:
+        if key in opts:
+            text = opts[key]
+            if key == "map":
+                opts[key] = _index_map(args, text)
+            elif key == "K":
+                opts[key] = [_int_arg(args, key, x) for x in text.split(",")]
+            else:
+                opts[key] = _int_arg(args, key, text)
+    return cmd, pos, opts
+
+
 def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
-    cmd = _arg(args, 0, "command")
+    cmd, pos, opts = _request_args(args)
     if cmd == "present":
-        center = _center(inst, _arg(args, 1, "center"))
+        center = _center(inst, pos[0])
         res = dilate(center)
         rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
         machine = {
@@ -336,71 +375,64 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
             "saturation_changed": "true" if res.saturation_changed else "false",
             "variables": ", ".join(res.algebra.ring.names),
         }
-        human = [f"present {args[1]}: A' = {res.algebra!r}"]
+        human = [f"present {pos[0]}: A' = {res.algebra!r}"]
         return RequestResult("present", machine, human, True)
 
     if cmd == "check":
-        center = _center(inst, _arg(args, 1, "center"))
+        center = _center(inst, pos[0])
         res = dilate(center)
         if res.is_zero_ring():
             nil = center.algebra.relations.radical_contains(center.product_elem())
             machine = {"zero_ring": "true", "zero_criterion": "pass" if nil else "fail"}
             return RequestResult("check", machine, ["check: zero ring (asserted)"], nil)
         extra = []
-        for name in args[2:]:
+        for name in pos[1:]:
             ring_name, poly = _declared(inst.elems, "element", name)
-            if ring_name != inst.centers[args[1]][0]:
+            if ring_name != inst.centers[pos[0]][0]:
                 raise InputError(f"element {name!r} lives on ring {ring_name!r}, not the center's ring")
             extra.append(poly)
         rep = check_exceptional(res, extra)
         out = _report_result("check", rep, {"zero_ring": "false"})
         return out
 
-    if cmd == "iso":
-        sub = _arg(args, 1, "verifier")
-        center = _center(inst, _arg(args, 2, "center"))
-        kv = _kv_args(args[3:])
-        if sub == "monopoly":
+    if cmd.startswith("iso "):
+        center = _center(inst, pos[0])
+        keep = opts.get("K", [1])
+        if cmd == "iso monopoly":
             _, _, rep = monopoly_iso(center)
             return _report_result("monopoly", rep)
-        if sub == "two-stage":
-            keep = _int_list(args, kv, "K")
+        if cmd == "iso two-stage":
             _, rep = two_stage_iso(center, keep)
             return _report_result("two_stage", rep)
-        if sub == "localize":
+        if cmd == "iso localize":
             return _report_result("localize", localize_compare(center))
-        if sub == "open-immersion":
-            keep = _int_list(args, kv, "K")
-            assign = _index_map(args, kv.get("map", ""))
+        if cmd == "iso open-immersion":
+            assign = opts.get("map", {})
             return _report_result("open_immersion", open_immersion_iso(center, keep, assign))
-        if sub == "iterate":
-            t = _int_arg(args, "t", kv.get("t", "1"))
+        if cmd == "iso iterate":
             det = detect_common_base(center)
             if det is None:
                 raise InputError("iterate needs a single-divisor center")
             base, exps = det
             gens = [list(c.ideal.gens) for c in center.centers]
-            rep = iterate_iso(center.algebra, base, gens, exps, t)
+            rep = iterate_iso(center.algebra, base, gens, exps, opts.get("t", 1))
             return _report_result("iterate", rep)
-        if sub == "conic":
+        if cmd == "iso conic":
             return _report_result("conic", conic_iso(center))
-        if sub == "base-change":
-            hom = _declared(inst.homs, "hom", _arg(args, 3, "hom"))
+        if cmd == "iso base-change":
+            hom = _declared(inst.homs, "hom", pos[1])
             return _report_result("base_change", base_change_compare(center, hom))
-        if sub == "forget":
-            keep = _int_list(args, kv, "K")
-            _, rep = forget_map(dilate(center), keep)
-            return _report_result("forget", rep)
-        raise InputError(f"unknown iso verifier {sub!r}")
+        _, rep = forget_map(dilate(center), keep)
+        return _report_result("forget", rep)
 
     if cmd == "oracle":
-        center = _center(inst, _arg(args, 1, "center"))
+        center = _center(inst, pos[0])
         rep = oc.compare_with_symbolic(center.algebra, center, flags.oracle_size_cap)
         return _report_result("oracle", rep)
 
     if cmd == "universal":
-        center = _center(inst, _arg(args, 1, "center"))
-        if len(args) > 2 and args[2] == "scan":
+        center = _center(inst, pos[0])
+        if pos[1] == "scan":
             base_ring, var_map = oc.from_presented(center.algebra, flags.oracle_size_cap)
             fc = oc.FiniteCenter.from_gens(
                 base_ring,
@@ -415,24 +447,23 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
             catalog = [oc.zmod(n) for n in range(1, 13)]
             rep = oc.universal_property_scan(base_ring, fc, catalog)
             return _report_result("universal_scan", rep)
-        hom = _declared(inst.homs, "hom", _arg(args, 2, "hom or `scan`"))
+        hom = _declared(inst.homs, "hom", pos[1])
         out = universal_factor(center, hom)
         if out.refused:
             machine = {"universal": "refused", "universal.reason": out.reason}
             return RequestResult("universal", machine, [f"universal: refused ({out.reason})"], True)
         return _report_result("universal", out.report)
 
-    if cmd == "congruence":
-        sub = _arg(args, 1, "verifier")
-        if sub == "iso":
-            fs, ring_s = _declared(inst.filtrations, "filtration", _arg(args, 2, "filtration S"))
-            fr, ring_r = _declared(inst.filtrations, "filtration", _arg(args, 3, "filtration R"))
+    if cmd.startswith("congruence "):
+        if cmd == "congruence iso":
+            fs, ring_s = _declared(inst.filtrations, "filtration", pos[0])
+            fr, ring_r = _declared(inst.filtrations, "filtration", pos[1])
             if fs.names() != fr.names() or ring_s.mod != ring_r.mod:
                 raise InputError("filtrations for iso must share group, names, p and N")
             rep = cg.congruent_iso_check(fs, fs.levels(), fr.levels(), ring_s)
             return _report_result("congruence_iso", rep)
-        if sub == "points":
-            filt, ring = _declared(inst.filtrations, "filtration", _arg(args, 2, "filtration"))
+        if cmd == "congruence points":
+            filt, ring = _declared(inst.filtrations, "filtration", pos[0])
             pts = cg.group_points(filt, ring)
             lie = cg.lie_points(filt, ring)
             machine = {
@@ -445,34 +476,28 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
                 [f"points: |group| = {len(pts)}, |lie| = {len(lie)}"],
                 True,
             )
-        if sub == "normalizer":
-            filt, ring = _declared(inst.filtrations, "filtration", _arg(args, 2, "filtration"))
-            kv = _kv_args(args[3:])
-            rep = cg.normalizer_check(filt, kv.get("K", "Z"), ring)
-            hypothesis_failed = any(
-                k.startswith("commutes") and not ok for k, ok, _ in rep.clauses
+        filt, ring = _declared(inst.filtrations, "filtration", pos[0])
+        rep = cg.normalizer_check(filt, opts.get("K", "Z"), ring)
+        hypothesis_failed = any(
+            k.startswith("commutes") and not ok for k, ok, _ in rep.clauses
+        )
+        if hypothesis_failed:
+            machine = {f"normalizer.{k}": ("pass" if ok else "fail") for k, ok, _ in rep.clauses}
+            machine["normalizer"] = "hypothesis-failed"
+            return RequestResult(
+                "normalizer", machine, ["normalizer: hypothesis failed (reported)"], True
             )
-            if hypothesis_failed:
-                machine = {f"normalizer.{k}": ("pass" if ok else "fail") for k, ok, _ in rep.clauses}
-                machine["normalizer"] = "hypothesis-failed"
-                return RequestResult(
-                    "normalizer", machine, ["normalizer: hypothesis failed (reported)"], True
-                )
-            return _report_result("normalizer", rep)
-        raise InputError(f"unknown congruence verifier {sub!r}")
+        return _report_result("normalizer", rep)
 
-    if cmd == "rost":
-        alg = _get_ring(inst, _arg(args, 1, "ring"))
-        _, i_ideal = _declared(inst.ideals, "ideal", _arg(args, 2, "ideal I"))
-        _, j_ideal = _declared(inst.ideals, "ideal", _arg(args, 3, "ideal J"))
-        kv = _kv_args(args[4:])
-        data = RostInput(alg, i_ideal, j_ideal)
-        res = rost_space(data)
-        rep = rost_subalgebra_check(data, _int_arg(args, "bound", kv.get("bound", flags.bidegree_bound)))
-        rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
-        return _report_result("rost", rep, {"rost.relations": rels})
-
-    raise InputError(f"unknown request {cmd!r}")
+    # the one request left: rost
+    alg = _get_ring(inst, pos[0])
+    _, i_ideal = _declared(inst.ideals, "ideal", pos[1])
+    _, j_ideal = _declared(inst.ideals, "ideal", pos[2])
+    data = RostInput(alg, i_ideal, j_ideal)
+    res = rost_space(data)
+    rep = rost_subalgebra_check(data, opts.get("bound", flags.bidegree_bound))
+    rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
+    return _report_result("rost", rep, {"rost.relations": rels})
 
 
 def run(inst: InstanceFile, flags) -> tuple[str, int]:

@@ -6,15 +6,23 @@ monomial (descending).  Identical inputs give bit-identical output; there
 is no randomness and no hash-order dependence anywhere in the pair
 selection.
 
-S-pair processing uses the normal strategy (smallest lcm first) together
-with the two classical discard criteria (coprime leading terms, and the
-lcm chain criterion).  Work is bounded by a degree cap and a pair cap;
-exceeding either raises ResourceLimitError rather than running unbounded.
+Strategy: pairs leave the queue by sugar, then by the order of their
+lcm (Giovini et al. 1991, "One sugar cube, please").  Criteria: the
+Gebauer-Moeller update (Gebauer & Moeller 1988) runs when an element is
+added.  Its B criterion prunes queued pairs; its M and F criteria and the
+coprime test filter the new pairs; elements whose leading monomial the
+new one divides stop forming pairs and stop reducing.  Budgets: the pair
+cap counts every pair formed, dropped ones included, and the degree cap
+checks the lcm of every pair formed and every new leading monomial;
+exceeding either raises ResourceLimitError, which names the cap, the
+pairs formed, the basis size and largest degree, and the ring.
 The same loop optionally carries a cofactor track (each basis element
 written over the input generators), which `ideal_cofactors` uses.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .poly import (
     InputError,
@@ -48,7 +56,7 @@ def _same_ring(polys):
     for f in polys:
         if ring is None:
             ring = f.ring
-        elif f.ring != ring:
+        elif f.ring is not ring and f.ring != ring:
             raise InputError("basis elements over different registries")
     return ring
 
@@ -127,97 +135,114 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     interreduction: a monic, not necessarily reduced, Groebner basis with
     basis[e] == sum_j rows[e][j] * gens[j] exactly.  Both modes share the
     initial reduction, the pair order, the criteria and the budgets.
+
+    Sugar: an input generator's sugar is its total degree (the standard
+    choice), a pair's is max(sugar_i + deg t_i, sugar_j + deg t_j) where
+    t_i * lt_i = lcm, and a new element takes the sugar of its pair.
     """
     gens = list(gens)
-    live = [k for k, g in enumerate(gens) if not g.is_zero()]
-    if not live:
+    nonzero = [k for k, g in enumerate(gens) if not g.is_zero()]
+    if not nonzero:
         return ([], []) if cofactors else []
-    ring = _same_ring([gens[k] for k in live])
+    ring = _same_ring([gens[k] for k in nonzero])
     limits = limits or Limits()
     key = ring.order.key
     one = ring.field.one()
 
     basis: list[Polynomial] = []
     rows = [] if cofactors else None
+    lms: list = []
+    sugar: list[int] = []
+    live: list[int] = []  # elements whose leading monomial no later one divides
+    heap: list = []  # (sugar, order key of lcm, i, j, lcm) with i < j
+    formed = 0
 
-    def keep(r, row):
+    def exceeded(what: str) -> ResourceLimitError:
+        top = max(g.degree() for g in basis)
+        return ResourceLimitError(
+            f"{what}: {formed} pairs formed; basis of {len(basis)} elements, "
+            f"largest degree {top}; ring of {ring.nvars} variables, order {ring.order!r}"
+        )
+
+    def add(r, row, s):
+        """Keep r (monic) with sugar s and apply the Gebauer-Moeller update."""
+        nonlocal formed
         if rows is not None:
             inv = ring.field.inv(r.lc())
             rows.append([c.scale(inv) for c in row])
+        h = len(basis)
         basis.append(r.monic())
+        lm_h = basis[h].lm()
+        lms.append(lm_h)
+        sugar.append(s)
+        by_lcm: dict = {}
+        for g in live:
+            formed += 1
+            if formed > limits.pair_cap:
+                raise exceeded(f"pair budget {limits.pair_cap} exceeded")
+            l = mono_lcm(lms[g], lm_h)
+            if mono_deg(l) > limits.degree_cap:
+                raise exceeded(f"degree budget {limits.degree_cap} exceeded (lcm degree {mono_deg(l)})")
+            by_lcm.setdefault(l, []).append(g)
+        # B: a queued pair goes when lt(h) divides its lcm and that lcm
+        # differs from the lcm of h with each of its two elements
+        kept = [
+            e for e in heap
+            if not mono_divides(lm_h, e[4])
+            or mono_lcm(lms[e[2]], lm_h) == e[4]
+            or mono_lcm(lms[e[3]], lm_h) == e[4]
+        ]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        # M: a new pair goes when another new pair's lcm strictly divides
+        # its lcm (checking the lcms that M kept suffices, as division is
+        # transitive); F: of the new pairs sharing an lcm one stays, and
+        # none when one of them has coprime leading monomials
+        minimal: list = []  # (degree, lcm) of the lcms M kept
+        for l in sorted(by_lcm, key=mono_deg):
+            d = mono_deg(l)
+            if any(dm < d and mono_divides(m, l) for dm, m in minimal):
+                continue
+            minimal.append((d, l))
+            group = by_lcm[l]
+            if any(mono_coprime(lms[g], lm_h) for g in group):
+                continue
+            ps, g = min((max(sugar[g] + d - mono_deg(lms[g]), s + d - mono_deg(lm_h)), g) for g in group)
+            heapq.heappush(heap, (ps, key(l), g, h, l))
+        live[:] = [g for g in live if not mono_divides(lm_h, lms[g])] + [h]
 
-    for k in sorted(live, key=lambda k: (key(gens[k].lm()), sorted(gens[k].terms.items()))):
+    for k in sorted(nonzero, key=lambda k: (key(gens[k].lm()), sorted(gens[k].terms.items()))):
+        reducers = [basis[e] for e in live]
         if rows is None:
-            r, row = normal_form(gens[k], basis), None
+            r, row = normal_form(gens[k], reducers), None
         else:
             row = [ring.zero() for _ in gens]
             row[k] = ring.one()
-            r = _reduce_tracked(gens[k], row, basis, rows)
+            r = _reduce_tracked(gens[k], row, reducers, [rows[e] for e in live])
         if not r.is_zero():
-            keep(r, row)
+            add(r, row, gens[k].degree())
 
-    # pair queue keyed by (lcm order key, i, j) — normal strategy
-    import heapq
-
-    heap: list = []
-    pending = set()
-
-    def push(i, j):
-        l = mono_lcm(basis[i].lm(), basis[j].lm())
-        heapq.heappush(heap, (key(l), i, j, l))
-        pending.add((i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
-
-    processed = 0
     while heap:
-        _, i, j, l = heapq.heappop(heap)
-        pending.discard((i, j))
-        processed += 1
-        if processed > limits.pair_cap:
-            raise ResourceLimitError(f"pair budget {limits.pair_cap} exceeded")
-        if mono_deg(l) > limits.degree_cap:
-            raise ResourceLimitError(
-                f"degree budget {limits.degree_cap} exceeded (lcm degree {mono_deg(l)})"
-            )
-        if mono_coprime(basis[i].lm(), basis[j].lm()):
-            continue
-        # chain criterion: some k with lt(k) | lcm(i,j) and both other pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(basis[k].lm(), l):
-                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
+        s, _, i, j, l = heapq.heappop(heap)
         # S-polynomial; basis elements are monic
-        ti, tj = mono_div(l, basis[i].lm()), mono_div(l, basis[j].lm())
-        s = basis[i].mul_term(ti, one) - basis[j].mul_term(tj, one)
+        ti, tj = mono_div(l, lms[i]), mono_div(l, lms[j])
+        spoly = basis[i].mul_term(ti, one) - basis[j].mul_term(tj, one)
+        reducers = [basis[e] for e in live]
         if rows is None:
-            r, row = normal_form(s, basis), None
+            r, row = normal_form(spoly, reducers), None
         else:
             row = [a.mul_term(ti, one) - b.mul_term(tj, one) for a, b in zip(rows[i], rows[j])]
-            r = _reduce_tracked(s, row, basis, rows)
+            r = _reduce_tracked(spoly, row, reducers, [rows[e] for e in live])
         if r.is_zero():
             continue
         if mono_deg(r.lm()) > limits.degree_cap:
-            raise ResourceLimitError(
-                f"degree budget {limits.degree_cap} exceeded (new lead degree {mono_deg(r.lm())})"
-            )
-        keep(r, row)
-        new = len(basis) - 1
-        for k in range(new):
-            push(k, new)
+            raise exceeded(f"degree budget {limits.degree_cap} exceeded (new lead degree {mono_deg(r.lm())})")
+        add(r, row, s)
 
     if rows is not None:
-        return basis, rows
-    return _interreduce(basis)
+        return [basis[k] for k in live], [rows[k] for k in live]
+    return _interreduce([basis[k] for k in live])
 
 
 def _interreduce(basis):

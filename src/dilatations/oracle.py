@@ -36,7 +36,7 @@ class FiniteRing:
     hom enumeration.
     """
 
-    def __init__(self, label, elements, add, mul, zero, one, gens, verify=True):
+    def __init__(self, label, elements, add, mul, zero, one, gens, verify=True, cap=SIZE_CAP):
         self.label = label
         self.elements = list(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
@@ -49,16 +49,16 @@ class FiniteRing:
         self.gens = list(gens)
         self._neg = None
         if verify:
-            self._verify_axioms()
+            self._verify_axioms(cap)
 
     @property
     def size(self):
         return len(self.elements)
 
-    def _verify_axioms(self):
+    def _verify_axioms(self, cap):
         els = self.elements
-        if len(els) > SIZE_CAP:
-            raise SizeCapError(f"ring size {len(els)} exceeds cap {SIZE_CAP}")
+        if len(els) > cap:
+            raise SizeCapError(f"ring size {len(els)} exceeds cap {cap}")
         if len(els) <= 64:
             triples = itertools.product(els, repeat=3)
         else:
@@ -353,7 +353,7 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
     one = poly_to_vec(ap.ring.one())
     var_map = {n: poly_to_vec(ap.ring.var(n)) for n in ap.ring.names}
     gens = [one] + [var_map[n] for n in ap.ring.names]
-    ring = FiniteRing(str(ap.ring), elements, add, mul, zero, one, gens)
+    ring = FiniteRing(str(ap.ring), elements, add, mul, zero, one, gens, cap=cap)
     return ring, var_map
 
 
@@ -621,6 +621,7 @@ class SymbolDilatation:
             zero_c,
             one_c,
             gen_cs,
+            cap=cap,
         )
 
         # operations agree with the subring construction through the values

@@ -70,6 +70,25 @@ request iso monopoly C
     assert "monopoly: pass" in out
 
 
+def test_iso_monopoly_on_four_center_segre_quadric_within_default_budgets(tmp_path):
+    # the top rung of the instance ladder: four centers on x*w = y*z
+    text = """
+ring S = QQ[x, y, z, w]
+rels S = (x*w - y*z)
+ideal SYZW in S = (y, z, w)
+ideal SXZW in S = (x, z, w)
+ideal SXYW in S = (x, y, w)
+ideal SXY2 in S = (x^2, y^2)
+center S4 on S = [SYZW / x], [SXZW / y], [SXYW / z], [SXY2 / w]
+request iso monopoly S4
+"""
+    code, out = run_cli(tmp_path, text, "--machine-only")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("monopoly")]
+    assert len(lines) == 5
+    assert all(line.endswith(": pass") for line in lines)
+
+
 def test_parse_error_nonprime(tmp_path):
     code, _ = run_cli(tmp_path, "ring A = Fp(6)[x]\n")
     assert code == 2
@@ -103,6 +122,21 @@ request present C
 """
     code, _ = run_cli(tmp_path, text, "--degree-cap", "2")
     assert code == 3
+
+
+def test_resource_limit_names_the_budget_on_stderr_only(tmp_path, capsys):
+    text = """
+ring A = QQ[x, y, z]
+ideal M in A = (x^3 + y^3 + z^3, x*y*z - 1, x^2*y - z^2)
+center C on A = [M / x]
+request present C
+"""
+    code, out = run_cli(tmp_path, text, "--pair-cap", "5")
+    assert code == 3
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: pair budget 5 exceeded: 6 pairs formed; basis of ")
+    assert "largest degree" in err and "variables, order " in err
 
 
 def test_report_determinism(tmp_path):
@@ -351,6 +385,27 @@ def test_malformed_request_exits_two_without_traceback(tmp_path, request_line):
     assert proc.stderr.startswith("parse error"), proc.stderr
     assert f"request {request_line}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "request_line",
+    ["iso iterate D t=x", "rost A M N bound=y", "iso two-stage K=1", "congruence points"],
+)
+def test_malformed_request_fails_at_parse(tmp_path, request_line):
+    path = tmp_path / "instance.dila"
+    path.write_text(MALFORMED_BASE + f"request {request_line}\n", encoding="utf-8")
+    with pytest.raises(cli.ParseError, match=f"line 8: request {request_line}: "):
+        cli.parse(str(path))
+
+
+def test_malformed_last_request_exits_two_before_any_request_runs(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_request", lambda inst, args, flags: ran.append(args))
+    text = DEMO.read_text(encoding="utf-8") + "request rost X\n"
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert out == "" and ran == []
+    assert "request rost X: missing ideal I" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ run budgets

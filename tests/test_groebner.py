@@ -1,7 +1,7 @@
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dilatations.groebner import (
     Limits,
@@ -12,7 +12,17 @@ from dilatations.groebner import (
     ideal_cofactors,
     normal_form,
 )
-from dilatations.poly import LEX, Field, PolyRing, QQ
+from dilatations.poly import (
+    GREVLEX,
+    LEX,
+    Field,
+    PolyRing,
+    Polynomial,
+    QQ,
+    block_order,
+    mono_div,
+    mono_lcm,
+)
 
 from conftest import random_poly, ring
 
@@ -197,3 +207,105 @@ def test_ideal_cofactors_respects_limits():
         ideal_cofactors(f, gens, Limits(pair_cap=1))
     with pytest.raises(ResourceLimitError):
         ideal_cofactors(f, gens, Limits(degree_cap=2))
+
+
+# ------------------------------------------------------------ budgets
+
+
+def test_pair_budget_counts_pairs_dropped_as_coprime():
+    # x, y, z form 0 + 1 + 2 = 3 pairs, all with coprime leading monomials
+    r = ring(["x", "y", "z"])
+    gens = [r.var("x"), r.var("y"), r.var("z")]
+    with pytest.raises(ResourceLimitError, match="pair budget 2 exceeded: 3 pairs formed"):
+        buchberger_reduced(gens, limits=Limits(pair_cap=2))
+    assert len(buchberger_reduced(gens, limits=Limits(pair_cap=3))) == 3
+
+
+def test_pair_budget_counts_every_pair_formed():
+    # lex, x > y: x*y - 1 and x^2 - y form one pair; its S-polynomial
+    # gives x - y^2, which forms two more; one of these gives y^3 - 1,
+    # which forms a fourth pair, coprime with x - y^2 and dropped
+    r = ring(["x", "y"], order=LEX)
+    gens = [r.parse("x^2 - y"), r.parse("x*y - 1")]
+    expected = buchberger_reduced(gens)
+    assert [str(g) for g in expected] == ["x - y^2", "y^3 - 1"]
+    with pytest.raises(ResourceLimitError, match="pair budget 3 exceeded: 4 pairs formed"):
+        buchberger_reduced(gens, limits=Limits(pair_cap=3))
+    assert buchberger_reduced(gens, limits=Limits(pair_cap=4)) == expected
+
+
+def test_degree_budget_checks_a_coprime_pair():
+    # the only pair has coprime leading monomials, lcm x^3*y^3 of degree 6
+    r = ring(["x", "y"])
+    gens = [r.parse("x^3 + 1"), r.parse("y^3 + 1")]
+    with pytest.raises(ResourceLimitError, match=r"degree budget 5 exceeded \(lcm degree 6\)"):
+        buchberger_reduced(gens, limits=Limits(degree_cap=5))
+    assert len(buchberger_reduced(gens, limits=Limits(degree_cap=6))) == 2
+
+
+def test_budget_error_names_pairs_basis_and_ring():
+    r = PolyRing(QQ, ["x", "y", "z", "w"], block_order(2))
+    gens = [r.var("x"), r.parse("y^2 + w"), r.parse("z^3 + 1")]
+    with pytest.raises(ResourceLimitError) as info:
+        buchberger_reduced(gens, limits=Limits(pair_cap=1))
+    assert str(info.value) == (
+        "pair budget 1 exceeded: 2 pairs formed; basis of 3 elements, largest degree 3; "
+        "ring of 4 variables, order block(2)"
+    )
+
+
+# ------------------------------------------------------------ criterion-free reference
+
+
+def _textbook_basis(gens):
+    """Reduced basis by the textbook loop: every pair of every element,
+    first in first out, no criteria and no sugar."""
+    basis = [g.monic() for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    one = basis[0].ring.field.one()
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        l = mono_lcm(basis[i].lm(), basis[j].lm())
+        s = basis[i].mul_term(mono_div(l, basis[i].lm()), one) - basis[j].mul_term(
+            mono_div(l, basis[j].lm()), one
+        )
+        r = normal_form(s, basis)
+        if not r.is_zero():
+            basis.append(r.monic())
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return _interreduce(basis)
+
+
+ORDERS = {"lex": LEX, "grevlex": GREVLEX, "block1": block_order(1), "block2": block_order(2)}
+
+
+def _random_binomial(rng, r):
+    """c1*m1 + c2*m2 with monomials of degree 1 to 3: binomial ideals share
+    many lcms, which is where the pair criteria act."""
+    terms = {}
+    for _ in range(2):
+        e = [0] * r.nvars
+        for _ in range(rng.randint(1, 3)):
+            e[rng.randrange(r.nvars)] += 1
+        terms[tuple(e)] = r.field.of_int(rng.choice([1, -1, 2]))
+    return Polynomial(r, terms)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.sampled_from(sorted(ORDERS)))
+def test_basis_matches_criterion_free_reference(seed, field, order_name):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = PolyRing(field, ["x", "y", "z", "w"], ORDERS[order_name])
+    gens = [_random_binomial(rng, r) for _ in range(rng.randint(2, 4))]
+    gens += [r.zero(), gens[0]]  # a zero and a repeated generator
+    rng.shuffle(gens)
+    expected = _textbook_basis(gens)
+    assert buchberger_reduced(gens) == expected
+    basis, rows = buchberger_reduced(gens, cofactors=True)
+    for g, row in zip(basis, rows):
+        assert _combination(row, gens) == g
+    assert _interreduce(basis) == expected

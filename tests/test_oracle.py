@@ -234,6 +234,18 @@ def test_bridge_rejects_positive_dimension():
         from_presented(a)
 
 
+def test_from_presented_honours_a_cap_above_the_default():
+    # Fp(3)[u, v]/(u^4, v^2) has 3^8 = 6561 elements, more than SIZE_CAP
+    from dilatations.oracle import SIZE_CAP, SizeCapError
+
+    a = fp_algebra(3, ["u", "v"], "u^4", "v^2")
+    assert 3**8 > SIZE_CAP
+    with pytest.raises(SizeCapError):
+        from_presented(a)
+    finite, _ = from_presented(a, 8192)
+    assert finite.size == 3**8
+
+
 # ---------------------------------------------- oracle vs engine verifiers
 
 
