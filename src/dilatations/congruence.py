@@ -4,9 +4,23 @@ Group points of a dilatation of GL_n / SL_n along a filtration
 (H_i, v_i) are the matrices g over Z/p^N with g mod p^{v_i} in
 H_i(Z/p^{v_i}); Lie points are the matching congruence lattices in gl_n
 or sl_n.  The congruent-isomorphism check builds both quotients and
-verifies the truncation map g -> g - 1 exhaustively: well-definedness,
-bijectivity and the homomorphism law are checked on every element, and
-any failure is reported verbatim as a finding rather than patched.
+verifies the truncation map g -> g - 1 exhaustively, and any failure is
+reported verbatim as a finding rather than patched.
+
+Every check is exhaustive, and none compares all pairs of elements.
+Each rests on a generator certificate (`closure.closure_certificate`):
+generators are picked greedily and the closure of the identity under
+them is built, every product checked for membership, in at most
+|S|·log2|S| products.
+- Groups: a finite set of invertible matrices that contains 1 and is
+  closed under multiplication is a group, so no inverse is checked.
+- Lie lattices: the additive certificate from 0, then the bracket on
+  pairs of additive generators, since the bracket is bilinear.
+- The congruent isomorphism: normality of P_r is checked on generators
+  of P_s and P_r, and then a map of the quotient groups is a
+  homomorphism once it is additive on (class, generator) pairs.  The
+  truncation map finds the class of g - 1 by a dict lookup on its
+  canonical image modulo the ambient lattice (`lattice_key`).
 
 Enumeration always goes through the congruence-class parametrization
 g = 1 + p^{v0} m; nothing scans all of M_n(Z/p^N) unless the filtration
@@ -15,12 +29,13 @@ really is trivial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import random
 
 from .poly import InputError
 from .report import Report
+from .closure import closure_certificate
 from .oracle import SizeCapError, dual_numbers, galois_extension, zmod
 
 CANDIDATE_BUDGET = 2**22
@@ -150,10 +165,6 @@ def mat_inv(ops, a):
     return tuple(tuple(ops.mul(cof[j][i], dinv) for j in range(n)) for i in range(n))
 
 
-def mat_reduce(a, modulus):
-    return tuple(tuple(x % modulus for x in row) for row in a)
-
-
 # ---------------------------------------------------------------------------
 # group catalog
 
@@ -207,54 +218,51 @@ def _levi_blocks(sizes):
     return blocks
 
 
-def shape_ok(spec: GroupSpec, name: str, mat, n: int) -> bool:
-    """Additive shape membership (no invertibility): used both for the
-    group congruence conditions and for Lie lattices."""
+@functools.lru_cache(maxsize=None)
+def _shape(name: str, n: int):
+    """The Lie shape of a catalog subgroup in n x n matrices: the cells
+    it forces to zero, and whether it forces a constant diagonal (Z).
+    `e` forces every cell to zero and G none."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if name == "e":
+        return tuple(cells), False
     if name == "G":
-        return True
-    if name == "e":
-        raise InputError("trivial shape handled by callers")
-    if name == "T":
-        return all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        return (), False
+    if name in ("T", "Z"):
+        return tuple((i, j) for i, j in cells if i != j), name == "Z"
     if name == "B":
-        return all(mat[i][j] == 0 for i in range(n) for j in range(n) if i > j)
-    if name == "Z":
-        return (
-            all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-            and len({mat[i][i] for i in range(n)}) == 1
-        )
+        return tuple((i, j) for i, j in cells if i > j), False
     sizes = _parse_levi(name)
-    if sizes is not None:
-        if sum(sizes) != n:
-            raise InputError(f"Levi shape {name} does not fit n = {n}")
-        blocks = _levi_blocks(sizes)
-        for i in range(n):
-            for j in range(n):
-                inside = any(lo <= i < hi and lo <= j < hi for lo, hi in blocks)
-                if not inside and mat[i][j] != 0:
-                    return False
-        return True
-    raise InputError(f"unknown catalog subgroup {name!r}")
+    if sizes is None:
+        raise InputError(f"unknown catalog subgroup {name!r}")
+    if sum(sizes) != n:
+        raise InputError(f"Levi shape {name} does not fit n = {n}")
+    blocks = _levi_blocks(sizes)
+    inside = {(i, j) for lo, hi in blocks for i in range(lo, hi) for j in range(lo, hi)}
+    return tuple(c for c in cells if c not in inside), False
 
 
-def group_member(spec: GroupSpec, name: str, g, modulus: int) -> bool:
-    """g mod modulus lies in H(Z/modulus)? (g already invertible at the
-    top level, so only the shape constraints matter here.)"""
-    if modulus == 1:
-        return True
-    gm = mat_reduce(g, modulus)
-    if name == "e":
-        return gm == mat_id(IntModOps(modulus), spec.n)
-    return shape_ok(spec, name, gm, spec.n)
+def lattice_key(entries, x, p: int) -> tuple:
+    """Canonical image of the matrix x modulo the congruence lattice
+    { y : y mod p^v lies in Lie(H)(Z/p^v) for each (H, v) in entries }.
 
-
-def lie_member(spec: GroupSpec, name: str, x, modulus: int) -> bool:
-    if modulus == 1:
-        return True
-    xm = mat_reduce(x, modulus)
-    if name == "e":
-        return all(v == 0 for row in xm for v in row)
-    return shape_ok(spec, name, xm, spec.n)
+    Per entry it lists the cells of x mod p^v that the shape of H forces
+    to zero, and for Z the differences of the diagonal.  The key is
+    additive and its kernel is exactly that lattice, so x - y lies in the
+    lattice iff x and y have equal keys, and x lies in it iff its key is
+    all zero.  An invertible g meets the group conditions iff g - 1 lies
+    in the lattice: for e both say g = 1 mod p^v, and every other shape
+    is linear and contains 1.
+    """
+    n = len(x)
+    key = []
+    for h, v in entries:
+        m = p**v
+        zeros, scalar = _shape(h, n)
+        key.extend(x[i][j] % m for i, j in zeros)
+        if scalar:
+            key.extend((x[i][i] - x[0][0]) % m for i in range(1, n))
+    return tuple(key)
 
 
 def subgroup_elements(spec: GroupSpec, name: str, ops, budget: int = CANDIDATE_BUDGET):
@@ -320,23 +328,16 @@ def _invertible(ops, g):
     return ops.is_unit(mat_det(ops, g))
 
 
-def verify_subgroup_closure(spec: GroupSpec, name: str, ops) -> bool:
-    els = subgroup_elements(spec, name, ops)
+def subgroup_gens(spec: GroupSpec, name: str, ops):
+    """Certified generators of the catalog subgroup over `ops` (see
+    EnumeratedGroup.verify_group), or None if its points are not closed."""
+    els = sorted(subgroup_elements(spec, name, ops))
     sset = set(els)
-    pairs = (
-        itertools.product(els, els)
-        if len(els) <= 128
-        else _seeded_pairs(els, 4000)
-    )
-    for a, b in pairs:
-        if mat_mul(ops, a, b) not in sset:
-            return False
-    return all(mat_inv(ops, g) in sset for g in els)
+    return closure_certificate(els, sset.__contains__, lambda a, b: mat_mul(ops, a, b), mat_id(ops, spec.n))
 
 
-def _seeded_pairs(els, count):
-    rng = random.Random(7)
-    return [(rng.choice(els), rng.choice(els)) for _ in range(count)]
+def verify_subgroup_closure(spec: GroupSpec, name: str, ops) -> bool:
+    return subgroup_gens(spec, name, ops) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +398,14 @@ def validate_congruent_levels(s, r, n_level: int) -> str | None:
 
 
 class EnumeratedGroup:
-    __slots__ = ("spec", "ring", "elements", "as_set")
+    __slots__ = ("spec", "ring", "elements", "as_set", "gens")
 
     def __init__(self, spec: GroupSpec, ring: LevelRing, elements):
         self.spec = spec
         self.ring = ring
         self.elements = sorted(elements)
         self.as_set = set(self.elements)
+        self.gens = None
         ops = IntModOps(ring.mod)
         ident = mat_id(ops, spec.n)
         if ident not in self.as_set:
@@ -416,17 +418,18 @@ class EnumeratedGroup:
         return g in self.as_set
 
     def verify_group(self) -> bool:
+        """A finite set of invertible matrices that contains 1 and is
+        closed under multiplication is a subgroup (each element has finite
+        order, so its inverse is a power of it).  Closure is certified on
+        generators, which the group keeps in `gens`."""
         ops = IntModOps(self.ring.mod)
-        els = self.elements
-        pairs = (
-            itertools.product(els, els)
-            if len(els) <= 1024
-            else _seeded_pairs(els, 60_000)
+        self.gens = closure_certificate(
+            self.elements,
+            self.as_set.__contains__,
+            lambda a, b: mat_mul(ops, a, b),
+            mat_id(ops, self.spec.n),
         )
-        for a, b in pairs:
-            if mat_mul(ops, a, b) not in self.as_set:
-                return False
-        return all(mat_inv(ops, g) in self.as_set for g in els)
+        return self.gens is not None
 
 
 def _trivial_level(filt: FiltrationSpec) -> int:
@@ -447,22 +450,12 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     count = rest ** (n * n)
     if count > CANDIDATE_BUDGET:
         raise SizeCapError(f"{count} candidate matrices exceed the budget")
-    ident = mat_id(ops, n)
     found = []
     other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
     for vals in itertools.product(range(rest), repeat=n * n):
-        g = tuple(
-            tuple((ident[i][j] + base * vals[i * n + j]) % ring.mod for j in range(n))
-            for i in range(n)
-        )
-        if not spec.det_ok(ops, g):
-            continue
-        ok = True
-        for h, v in other:
-            if not group_member(spec, h, g, ring.p**v):
-                ok = False
-                break
-        if ok:
+        x = tuple(tuple(base * vals[i * n + j] for j in range(n)) for i in range(n))
+        g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
+        if spec.det_ok(ops, g) and not any(lattice_key(other, x, ring.p)):
             found.append(g)
     grp = EnumeratedGroup(spec, ring, found)
     if not grp.verify_group():
@@ -488,27 +481,29 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
         x = tuple(tuple((base * vals[i * n + j]) % ring.mod for j in range(n)) for i in range(n))
         if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % ring.mod != 0:
             continue
-        ok = True
-        for h, v in other:
-            if not lie_member(spec, h, x, ring.p**v):
-                ok = False
-                break
-        if ok:
+        if not any(lattice_key(other, x, ring.p)):
             out.append(x)
     return sorted(out)
 
 
 def verify_lie_closure(xs, ring: LevelRing) -> bool:
+    """xs is a Lie lattice: an additive certificate from 0, then the
+    bracket on pairs of its additive generators, which is exhaustive
+    because the bracket is bi-additive ([b, a] = -[a, b] and [a, a] = 0
+    cover the other pairs)."""
+    if not xs:
+        return False
     ops = IntModOps(ring.mod)
     sset = set(xs)
-    pairs = itertools.product(xs, xs) if len(xs) <= 600 else _seeded_pairs(list(xs), 50_000)
-    for a, b in pairs:
-        if mat_add(ops, a, b) not in sset:
-            return False
-        br = mat_sub(ops, mat_mul(ops, a, b), mat_mul(ops, b, a))
-        if br not in sset:
-            return False
-    return True
+    n = len(xs[0])
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    gens = closure_certificate(xs, sset.__contains__, lambda a, b: mat_add(ops, a, b), zero)
+    if gens is None:
+        return False
+    return all(
+        mat_sub(ops, mat_mul(ops, a, b), mat_mul(ops, b, a)) in sset
+        for a, b in itertools.combinations(gens, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +533,8 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     trace of g - 1 vanishes only to the order forced by the determinant,
     so the match is made modulo that ambient lattice; uniqueness of the
     match is guaranteed by L_s ∩ Λ^gl_r = L_r and is checked, not
-    assumed; the smoothness of the catalog subgroups that the underlying
+    assumed (a bucket of classes with equal `lattice_key` must hold
+    exactly one); the smoothness of the catalog subgroups that the underlying
     theory needs is a property of the catalog, not machine-checked.
     """
     rep = Report("congruent_iso")
@@ -574,29 +570,18 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
         f"|Q_grp| = {len(g_reps)}, |Q_lie| = {len(l_reps)}",
     )
 
+    # Lie classes keyed by their image modulo the ambient lattice Λ^gl_r
     lam_entries = [(h, v) for (h, _), v in zip(filt.entries, r)]
-
-    def in_ambient_r(z):
-        for h, v in lam_entries:
-            if h == "e":
-                if any(val % ring.p**v for row in z for val in row):
-                    return False
-            elif not lie_member(spec, h, z, ring.p**v):
-                return False
-        return True
-
+    buckets = {}
+    for ci, (y, _) in enumerate(l_reps):
+        buckets.setdefault(lattice_key(lam_entries, y, ring.p), []).append(ci)
     ident = mat_id(ops, n)
-
-    def match(g):
-        x = mat_sub(ops, g, ident)
-        hits = [ci for ci, (y, _) in enumerate(l_reps) if in_ambient_r(mat_sub(ops, x, y))]
-        return hits
 
     mu = {}
     well_defined = True
     witness = ""
     for g in ps.elements:
-        hits = match(g)
+        hits = buckets.get(lattice_key(lam_entries, mat_sub(ops, g, ident), ring.p), [])
         ci = g_assign[g]
         if len(hits) != 1:
             well_defined = False
@@ -613,20 +598,26 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     injective = len(set(mu.values())) == len(mu)
     rep.add("bijective", injective and len(mu) == len(l_reps), "match map is not a bijection")
 
-    hom_ok = True
-    witness = ""
-    for i, (g1, _) in enumerate(g_reps):
-        for j, (g2, _) in enumerate(g_reps):
-            prod_class = g_assign[_locate(ps, mat_mul(ops, g1, g2))]
-            y = mat_add(ops, l_reps[mu[i]][0], l_reps[mu[j]][0])
-            sum_class = l_assign[_locate_lie(ls_set, l_assign, y)]
-            if mu[prod_class] != sum_class:
-                hom_ok = False
-                witness = f"({g1}, {g2})"
-                break
-        if not hom_ok:
-            break
-    rep.add("homomorphism", hom_ok, witness)
+    def hom_witness():
+        # P_r is normal iff s t s^-1 lies in P_r for generators s of P_s
+        # and t of P_r; then the cosets form the group Q, and mu is a
+        # homomorphism once mu(q s) = mu(q) + mu(s) for every q in Q and
+        # every generator s (induction on words in the generators).
+        for u in ps.gens:
+            u_inv = mat_inv(ops, u)
+            for t in pr.gens:
+                if mat_mul(ops, mat_mul(ops, u, t), u_inv) not in pr.as_set:
+                    return f"P_r is not normal in P_s: s = {u}, t = {t}"
+        for i, (g, _) in enumerate(g_reps):
+            for u in ps.gens:
+                prod_class = g_assign[_locate(ps, mat_mul(ops, g, u))]
+                y = mat_add(ops, l_reps[mu[i]][0], l_reps[mu[g_assign[u]]][0])
+                if mu[prod_class] != l_assign[_locate_lie(ls_set, l_assign, y)]:
+                    return f"({g}, {u})"
+        return ""
+
+    witness = hom_witness()
+    rep.add("homomorphism", not witness, witness)
     return rep
 
 
@@ -677,46 +668,48 @@ def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Repo
     rep = Report("normalizer")
     spec = filt.group
 
+    # Checked on generators: K and H commute elementwise iff their
+    # generators do, and k P k^-1 lies in P for every k in K iff k t k^-1
+    # does for generators k of K and t of P.
     for idx, (h, v) in enumerate(filt.entries):
         if h == "e" or v == 0:
             rep.add(f"commutes_{idx}", True, "trivial level")
             continue
-        ok = True
         witness = ""
         for ops in _test_rings(ring.p, v):
-            if not (verify_subgroup_closure(spec, k_name, ops) and verify_subgroup_closure(spec, h, ops)):
+            k_gens, h_gens = subgroup_gens(spec, k_name, ops), subgroup_gens(spec, h, ops)
+            if k_gens is None or h_gens is None:
                 raise InputError(f"catalog subgroup not closed over {ops!r}")
-            k_els = subgroup_elements(spec, k_name, ops)
-            h_els = subgroup_elements(spec, h, ops)
-            for k in k_els:
-                kin = mat_inv(ops, k)
-                for x in h_els:
-                    if mat_mul(ops, mat_mul(ops, k, x), kin) != x:
-                        ok = False
-                        witness = f"level p^{v}: k = {k}, h = {x}"
-                        break
-                if not ok:
-                    break
-            if not ok:
+            witness = next(
+                (
+                    f"level p^{v}: k = {k}, h = {x}"
+                    for k in k_gens
+                    for x in h_gens
+                    if mat_mul(ops, k, x) != mat_mul(ops, x, k)
+                ),
+                "",
+            )
+            if witness:
                 break
-        rep.add(f"commutes_{idx}", ok, witness)
-        if not ok:
+        rep.add(f"commutes_{idx}", not witness, witness)
+        if witness:
             rep.add("main_check_skipped", True, "hypothesis failed; normalization criterion does not apply")
             return rep
 
     pts = group_points(filt, ring)
     ops = IntModOps(ring.mod)
-    k_els = subgroup_elements(spec, k_name, ops)
-    ok = True
-    witness = ""
-    for k in k_els:
-        kin = mat_inv(ops, k)
-        for g in pts.elements:
-            if mat_mul(ops, mat_mul(ops, k, g), kin) not in pts.as_set:
-                ok = False
-                witness = f"k = {k}, g = {g}"
-                break
-        if not ok:
-            break
-    rep.add("normalizes", ok, witness)
+    k_gens = subgroup_gens(spec, k_name, ops)
+    if k_gens is None:
+        raise InputError(f"catalog subgroup not closed over {ring!r}")
+    inverses = {k: mat_inv(ops, k) for k in k_gens}
+    witness = next(
+        (
+            f"k = {k}, g = {t}"
+            for k in k_gens
+            for t in pts.gens
+            if mat_mul(ops, mat_mul(ops, k, t), inverses[k]) not in pts.as_set
+        ),
+        "",
+    )
+    rep.add("normalizes", not witness, witness)
     return rep

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .closure import Closure, closure_certificate
 from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
 
@@ -129,26 +130,20 @@ class FiniteRing:
         )
 
     def ideal_closure(self, gens):
-        """Smallest subset containing gens closed under + and ring
-        multiplication (an ideal)."""
-        current = {self.zero}
-        current.update(gens)
-        changed = True
-        while changed:
-            changed = False
-            snapshot = sorted(current, key=self._sort_key)
-            for x in snapshot:
-                for y in snapshot:
-                    s = self.add(x, y)
-                    if s not in current:
-                        current.add(s)
-                        changed = True
-                for r in self.elements:
-                    p = self.mul(r, x)
-                    if p not in current:
-                        current.add(p)
-                        changed = True
-        return frozenset(current)
+        """Smallest ideal containing gens.
+
+        Its additive span is grown from a worklist that starts as gens;
+        each element that enlarges the span becomes an additive generator
+        and is multiplied once by each of the ring's `gens`, and the
+        products join the worklist.  That suffices: the ring is generated
+        by 1 and `gens`, and multiplication distributes over +."""
+        span = Closure(self.zero, self.add)
+        todo = list(gens)
+        for x in todo:
+            if x not in span.seen:
+                span.extend(x, lambda y: True)
+                todo.extend(self.mul(r, x) for r in self.gens)
+        return frozenset(span.seen)
 
     def _sort_key(self, x):
         return self.index[x]
@@ -353,7 +348,17 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
     one = poly_to_vec(ap.ring.one())
     var_map = {n: poly_to_vec(ap.ring.var(n)) for n in ap.ring.names}
     gens = [one] + [var_map[n] for n in ap.ring.names]
-    ring = FiniteRing(str(ap.ring), elements, add, mul, zero, one, gens, cap=cap)
+    ring = FiniteRing(str(ap.ring), elements, add, mul, zero, one, gens, verify=False)
+    # Addition is coordinatewise mod p, the product is bilinear and the
+    # table symmetric by construction, so the additive laws, commutativity
+    # and distributivity hold.  Associativity and the unit law are
+    # multilinear, so checking them on basis vectors is exhaustive.
+    basis = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    for x, y, z in itertools.product(basis, repeat=3):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            raise VerificationFinding(f"{ring.label}: multiplicative associativity fails")
+    if any(mul(one, x) != x for x in basis):
+        raise VerificationFinding(f"{ring.label}: unit laws fail")
     return ring, var_map
 
 
@@ -372,15 +377,17 @@ class FiniteCenter:
             m = frozenset(m)
             if a not in ring.index:
                 raise InputError("center element not in the ring")
-            for x in m:
-                for y in m:
-                    if ring.add(x, y) not in m:
-                        raise InputError("center subset not closed under addition")
-                for r in ring.elements:
-                    if ring.mul(r, x) not in m:
-                        raise InputError("center subset not closed under multiplication")
+            if not m <= ring.index.keys():
+                raise InputError("center subset not in the ring")
             if ring.zero not in m:
                 raise InputError("center subset must contain zero")
+            # an additive certificate, then its generators times the ring's
+            # generators: exhaustive for the reason given in ideal_closure
+            basis = closure_certificate(ring.sorted(m), m.__contains__, ring.add, ring.zero)
+            if basis is None:
+                raise InputError("center subset not closed under addition")
+            if any(ring.mul(r, x) not in m for x in basis for r in ring.gens):
+                raise InputError("center subset not closed under multiplication")
             self.pairs.append((m, a))
 
     @classmethod

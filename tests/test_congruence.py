@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from dilatations.congruence import (
+    EnumeratedGroup,
     FiltrationSpec,
     GroupSpec,
     IntModOps,
     LevelRing,
+    _test_rings,
     congruent_iso_check,
     expected_trivial_quotient_order,
     group_points,
@@ -18,6 +22,8 @@ from dilatations.congruence import (
     verify_lie_closure,
     verify_subgroup_closure,
 )
+from dilatations.closure import closure_certificate
+from dilatations.oracle import dual_numbers, galois_extension
 from dilatations.poly import InputError
 
 
@@ -227,3 +233,342 @@ def test_gl3_levi_points():
     for g in pts.elements:
         assert g[0][2] % 4 == 0 and g[1][2] % 4 == 0
         assert g[2][0] % 4 == 0 and g[2][1] % 4 == 0
+
+
+# ------------------------------------------------ all-pairs reference checks
+#
+# The library certifies closure on generators.  These references check
+# every pair instead, with their own matrix product and shape predicates,
+# and the verdicts and reports must agree.
+
+
+def _ref_times(els, m):
+    """Products by every element b: row -> row·b mod m for each row that
+    occurs in els, so that a·b is read off row by row."""
+    rows = {row for a in els for row in a}
+    times = {}
+    for b in els:
+        cols = list(zip(*b))
+        times[b] = {row: tuple(sum(x * y for x, y in zip(row, col)) % m for col in cols) for row in rows}
+    return times
+
+
+def _ref_mul(times, a, b):
+    return tuple(times[b][row] for row in a)
+
+
+def _ref_mul_ops(ops, a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = ops.zero
+            for k in range(n):
+                s = ops.add(s, ops.mul(a[i][k], b[k][j]))
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _ref_sum(a, b, m):
+    return tuple(tuple((x + y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _ref_group_closed(els, ident, mul):
+    sset = set(els)
+    return ident in sset and all(mul(a, b) in sset for a in els for b in els)
+
+
+def _ref_lie_closed(xs, m):
+    """Every sum and bracket of two elements lies in xs (unordered pairs:
+    both operations are symmetric up to sign)."""
+    sset = set(xs)
+    times = _ref_times(xs, m)
+    for a, b in itertools.combinations_with_replacement(xs, 2):
+        ab, ba = _ref_mul(times, a, b), _ref_mul(times, b, a)
+        br = tuple(tuple((x - y) % m for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
+        if _ref_sum(a, b, m) not in sset or br not in sset:
+            return False
+    return True
+
+
+def _ref_in_shape(name, x, m):
+    """x mod m lies in the Lie shape of the catalog subgroup `name`."""
+    n = len(x)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if m == 1 or name == "G":
+        return True
+    if name == "e":
+        return all(x[i][j] % m == 0 for i, j in cells)
+    if name == "T":
+        return all(x[i][j] % m == 0 for i, j in cells if i != j)
+    if name == "B":
+        return all(x[i][j] % m == 0 for i, j in cells if i > j)
+    if name == "Z":
+        diag = {x[i][i] % m for i in range(n)}
+        return len(diag) == 1 and all(x[i][j] % m == 0 for i, j in cells if i != j)
+    sizes = [int(t) for t in name[2:-1].split(",")]
+    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    block = [k for k in range(len(sizes)) for _ in range(sizes[k])]
+    assert starts[-1] == n
+    return all(x[i][j] % m == 0 for i, j in cells if block[i] != block[j])
+
+
+def _ref_points(filt, ring):
+    """Group and Lie points by the 1 + p^{v0} m parametrization and the
+    reference shape predicate."""
+    spec, n, p, mod = filt.group, filt.group.n, ring.p, ring.mod
+    v0 = max([v for h, v in filt.entries if h == "e"], default=0)
+    ops = IntModOps(mod)
+    group, lie = [], []
+    for vals in itertools.product(range(mod // p**v0), repeat=n * n):
+        x = tuple(tuple(p**v0 * vals[i * n + j] for j in range(n)) for i in range(n))
+        if not all(_ref_in_shape(h, x, p**v) for h, v in filt.entries):
+            continue
+        g = tuple(tuple((x[i][j] + (i == j)) % mod for j in range(n)) for i in range(n))
+        if spec.det_ok(ops, g):
+            group.append(g)
+        if spec.kind == "GL" or sum(x[i][i] for i in range(n)) % mod == 0:
+            lie.append(x)
+    return sorted(group), sorted(lie)
+
+
+def _ref_congruent_iso(filt, s, r, ring):
+    """The congruent-isomorphism report, every check over all pairs."""
+    clauses = []
+
+    def add(key, ok, detail=""):
+        clauses.append((key, bool(ok), detail))
+        return ok
+
+    if filt.names()[0] != "e":
+        add("h0_trivial", False, "first filtration entry must be the trivial subgroup")
+        return clauses
+    violation = validate_congruent_levels(list(s), list(r), ring.N)
+    if not add("level_hypotheses", violation is None, violation or ""):
+        return clauses
+    mod = ring.mod
+    ops = IntModOps(mod)
+    ps, ls = _ref_points(filt.with_levels(list(s)), ring)
+    pr, lr = _ref_points(filt.with_levels(list(r)), ring)
+    ps_set, pr_set, ls_set, lr_set = set(ps), set(pr), set(ls), set(lr)
+    if not add("group_inclusion", pr_set <= ps_set, "P_r is not inside P_s"):
+        return clauses
+    if not add("lie_inclusion", lr_set <= ls_set, "L_r is not inside L_s"):
+        return clauses
+    add("lie_closure_s", _ref_lie_closed(ls, mod))
+
+    def cosets(elements, sub, combine):
+        assigned, reps = {}, []
+        for g in elements:
+            if g not in assigned:
+                for u in sub:
+                    assigned[combine(g, u)] = len(reps)
+                reps.append(g)
+        return reps, assigned
+
+    times = _ref_times(ps, mod)
+    g_reps, g_assign = cosets(ps, pr, lambda g, u: _ref_mul(times, g, u))
+    l_reps, l_assign = cosets(ls, lr, lambda x, y: _ref_sum(x, y, mod))
+    add("orders_equal", len(g_reps) == len(l_reps), f"|Q_grp| = {len(g_reps)}, |Q_lie| = {len(l_reps)}")
+
+    lam = [(h, v) for (h, _), v in zip(filt.entries, r)]
+    ident = mat_id(ops, filt.group.n)
+    mu = {}
+    for g in ps:
+        x = tuple(tuple((a - b) % mod for a, b in zip(r1, r2)) for r1, r2 in zip(g, ident))
+        hits = [
+            ci
+            for ci, y in enumerate(l_reps)
+            if all(_ref_in_shape(h, tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(x, y)), ring.p**v) for h, v in lam)
+        ]
+        if len(hits) != 1 or mu.setdefault(g_assign[g], hits[0]) != hits[0]:
+            add("well_defined", False)
+            return clauses
+    add("well_defined", True)
+    add("bijective", len(set(mu.values())) == len(mu) == len(l_reps), "match map is not a bijection")
+    hom = all(
+        mu[g_assign[_ref_mul(times, g1, g2)]] == l_assign[_ref_sum(l_reps[mu[i]], l_reps[mu[j]], mod)]
+        for i, g1 in enumerate(g_reps)
+        for j, g2 in enumerate(g_reps)
+    )
+    add("homomorphism", hom)
+    return clauses
+
+
+# every filtration of the tests above, and of the benchmark's finite-certify
+# workload up to 512 elements: (group, n, p, N, entries)
+_FILTRATIONS = [
+    ("GL", 1, 3, 3, [("e", 1)]),
+    ("GL", 1, 3, 3, [("e", 2)]),
+    ("SL", 2, 2, 3, [("e", 1)]),
+    ("SL", 2, 2, 3, [("e", 1), ("T", 2)]),
+    ("SL", 2, 2, 3, [("e", 0), ("T", 2)]),
+    ("SL", 2, 2, 3, [("e", 1), ("T", 1)]),
+    ("SL", 2, 2, 3, [("e", 2), ("T", 3)]),
+    ("SL", 2, 2, 3, [("e", 0)]),
+    ("SL", 2, 2, 4, [("e", 1)]),
+    ("SL", 2, 2, 4, [("e", 2)]),
+    ("SL", 2, 2, 4, [("e", 1), ("T", 2)]),
+    ("SL", 2, 2, 4, [("e", 2), ("T", 3)]),
+    ("GL", 2, 2, 3, [("e", 1)]),
+    ("GL", 2, 2, 3, [("e", 2)]),
+    ("GL", 2, 2, 3, [("e", 1), ("T", 2)]),
+    ("SL", 2, 3, 3, [("e", 1)]),
+    ("SL", 2, 3, 3, [("e", 2)]),
+    ("SL", 2, 3, 3, [("e", 1), ("B", 2)]),
+    ("SL", 2, 3, 3, [("e", 2), ("B", 3)]),
+    ("GL", 2, 3, 3, [("e", 1), ("L(1,1)", 2)]),
+    ("GL", 2, 3, 3, [("e", 2), ("L(1,1)", 3)]),
+    ("GL", 3, 2, 2, [("e", 1)]),
+    ("GL", 3, 2, 2, [("e", 2)]),
+    ("GL", 3, 2, 2, [("e", 1), ("L(2,1)", 2)]),
+]
+
+
+def _filt_id(case):
+    kind, n, p, level, entries = case
+    return f"{kind}{n}-p{p}-N{level}-" + "-".join(f"{h}{v}" for h, v in entries)
+
+
+@pytest.mark.parametrize("case", _FILTRATIONS, ids=_filt_id)
+def test_certificates_match_all_pairs_reference(case):
+    kind, n, p, level, entries = case
+    filt = FiltrationSpec(GroupSpec(kind, n), entries)
+    ring_ = LevelRing(p, level)
+    pts = group_points(filt, ring_)  # runs verify_group
+    xs = lie_points(filt, ring_)
+    ref_group, ref_lie = _ref_points(filt, ring_)
+    assert pts.elements == ref_group and xs == ref_lie
+    times = _ref_times(pts.elements, ring_.mod)
+    ident = mat_id(IntModOps(ring_.mod), n)
+    assert _ref_group_closed(pts.elements, ident, lambda a, b: _ref_mul(times, a, b))
+    assert pts.gens is not None and len(pts.gens) <= max(1, len(pts).bit_length())
+    assert verify_lie_closure(xs, ring_) == _ref_lie_closed(xs, ring_.mod)
+
+
+# (group, n, p, N, entries, s, r): every congruent-isomorphism call above
+_ISOS = [
+    ("GL", 1, 3, 3, [("e", 1)], [1], [2]),
+    ("GL", 1, 3, 3, [("e", 1)], [1], [3]),
+    ("SL", 2, 2, 4, [("e", 1)], [1], [2]),
+    ("SL", 2, 2, 4, [("e", 1), ("T", 2)], [1, 2], [2, 3]),
+    ("GL", 2, 3, 3, [("e", 1), ("L(1,1)", 2)], [1, 2], [2, 3]),
+    ("SL", 2, 3, 3, [("e", 1), ("B", 2)], [1, 2], [2, 3]),
+    ("GL", 3, 2, 2, [("e", 1)], [1], [2]),
+]
+
+
+@pytest.mark.parametrize("case", _ISOS, ids=lambda c: _filt_id(c[:5]) + f"-s{c[5]}-r{c[6]}")
+def test_congruent_iso_matches_all_pairs_reference(case):
+    kind, n, p, level, entries, s, r = case
+    filt = FiltrationSpec(GroupSpec(kind, n), entries)
+    ring_ = LevelRing(p, level)
+    assert congruent_iso_check(filt, s, r, ring_).clauses == _ref_congruent_iso(filt, s, r, ring_)
+
+
+@pytest.mark.parametrize(
+    "kind, names, ops",
+    [
+        ("SL", ("e", "T", "B", "Z", "G"), IntModOps(4)),
+        ("GL", ("T", "Z", "L(1,1)"), IntModOps(4)),
+        ("GL", ("T", "Z"), galois_extension(4, 2)),
+        ("SL", ("T", "Z"), dual_numbers(4)),
+    ],
+)
+def test_subgroup_closure_matches_all_pairs_reference(kind, names, ops):
+    spec = GroupSpec(kind, 2)
+    for name in names:
+        els = subgroup_elements(spec, name, ops)
+        ref = _ref_group_closed(els, mat_id(ops, 2), lambda a, b: _ref_mul_ops(ops, a, b))
+        assert verify_subgroup_closure(spec, name, ops) == ref
+
+
+# ------------------------------------------------------ rejected certificates
+
+
+def test_group_with_one_element_removed_is_rejected():
+    spec = GroupSpec("GL", 2)
+    ring_ = LevelRing(3, 3)
+    pts = group_points(FiltrationSpec(spec, [("e", 1)]), ring_)
+    assert len(pts) > 1024
+    ident = mat_id(IntModOps(ring_.mod), 2)
+    for k in (1, len(pts) // 2, len(pts) - 1):
+        drop = pts.elements[k]
+        assert drop != ident
+        cut = EnumeratedGroup(spec, ring_, [g for g in pts.elements if g != drop])
+        assert not cut.verify_group()
+        assert cut.gens is None
+
+
+def test_lie_lattice_with_one_element_removed_is_rejected():
+    ring_ = LevelRing(2, 3)
+    xs = lie_points(FiltrationSpec(GroupSpec("SL", 2), [("e", 1)]), ring_)
+    for k in (1, len(xs) // 2, len(xs) - 1):
+        assert not verify_lie_closure(xs[:k] + xs[k + 1 :], ring_)
+
+
+def test_additive_lattice_not_closed_under_bracket_is_rejected():
+    # span{E12, E21} over Z/2: [E12, E21] = diag(1, -1) lies outside
+    e12, e21 = ((0, 1), (0, 0)), ((0, 0), (1, 0))
+    xs = sorted({((0, 0), (0, 0)), e12, e21, ((0, 1), (1, 0))})
+    ring_ = LevelRing(2, 1)
+    assert _ref_lie_closed(xs, 2) is False
+    assert not verify_lie_closure(xs, ring_)
+
+
+def test_closure_certificate():
+    add8 = lambda a, b: (a + b) % 8  # noqa: E731
+    assert closure_certificate(range(8), set(range(8)).__contains__, add8, 0) == [1]
+    assert closure_certificate([0, 2, 4, 6], {0, 2, 4, 6}.__contains__, add8, 0) == [2]
+    assert closure_certificate([0, 2, 3], {0, 2, 3}.__contains__, add8, 0) is None
+    # start outside the set
+    assert closure_certificate([2, 4, 6], {2, 4, 6}.__contains__, add8, 0) is None
+
+
+def _ref_normalizer(filt, k_name, ring_):
+    """(clause, verdict) pairs of the normalizer check, over all pairs."""
+    spec, out = filt.group, []
+    for idx, (h, v) in enumerate(filt.entries):
+        if h == "e" or v == 0:
+            out.append((f"commutes_{idx}", True))
+            continue
+        ok = all(
+            _ref_mul_ops(ops, k, x) == _ref_mul_ops(ops, x, k)
+            for ops in _test_rings(ring_.p, v)
+            for k in subgroup_elements(spec, k_name, ops)
+            for x in subgroup_elements(spec, h, ops)
+        )
+        out.append((f"commutes_{idx}", ok))
+        if not ok:
+            return out + [("main_check_skipped", True)]
+    ops = IntModOps(ring_.mod)
+    pts = group_points(filt, ring_)
+    out.append(
+        (
+            "normalizes",
+            all(
+                _ref_mul_ops(ops, _ref_mul_ops(ops, k, g), mat_inv(ops, k)) in pts.as_set
+                for k in subgroup_elements(spec, k_name, ops)
+                for g in pts.elements
+            ),
+        )
+    )
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, level, entries, k_name",
+    [
+        ("GL", 3, [("e", 1), ("T", 2)], "Z"),
+        ("GL", 3, [("e", 1), ("T", 2)], "T"),
+        ("SL", 3, [("e", 1), ("T", 1)], "G"),
+        ("SL", 4, [("e", 1), ("T", 2)], "Z"),
+    ],
+)
+def test_normalizer_matches_all_pairs_reference(kind, level, entries, k_name):
+    filt = FiltrationSpec(GroupSpec(kind, 2), entries)
+    ring_ = LevelRing(2, level)
+    rep = normalizer_check(filt, k_name, ring_)
+    assert [(k, ok) for k, ok, _ in rep.clauses] == _ref_normalizer(filt, k_name, ring_)

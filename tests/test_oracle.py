@@ -23,7 +23,7 @@ from dilatations.oracle import (
     universal_property_scan,
     zmod,
 )
-from dilatations.poly import Field, PolyRing
+from dilatations.poly import Field, InputError, PolyRing
 
 from conftest import ring
 
@@ -244,6 +244,80 @@ def test_from_presented_honours_a_cap_above_the_default():
         from_presented(a)
     finite, _ = from_presented(a, 8192)
     assert finite.size == 3**8
+
+
+def test_from_presented_axioms_checked_without_sampling(monkeypatch):
+    # the 81-element ring of the benchmark's `oracle YC`: above the 64
+    # elements where a generic FiniteRing still samples triples
+    import dilatations.oracle as oc
+
+    def no_sampling(*args):
+        raise AssertionError("random sampling used")
+
+    monkeypatch.setattr(oc.random, "Random", no_sampling)
+    finite, _ = from_presented(fp_algebra(3, ["y"], "y^4 - y"))
+    assert finite.size == 81
+
+
+# ------------------------------------------------- ideals and their checks
+
+
+def _ref_ideal(ring_, gens):
+    """The ideal by definition: every sum r_1 g_1 + ... + r_k g_k."""
+    out = set()
+    for coeffs in itertools.product(ring_.elements, repeat=len(gens)):
+        total = ring_.zero
+        for r, g in zip(coeffs, gens):
+            total = ring_.add(total, ring_.mul(r, g))
+        out.add(total)
+    return frozenset(out)
+
+
+def _ref_is_ideal(ring_, m):
+    return (
+        ring_.zero in m
+        and all(ring_.add(x, y) in m for x in m for y in m)
+        and all(ring_.mul(r, x) in m for r in ring_.elements for x in m)
+    )
+
+
+_IDEAL_RINGS = [
+    (2, ["u", "v"], ["u^2 - u", "v^2 - v"]),  # 16 elements
+    (3, ["y"], ["y^4 - y"]),  # 81 elements
+]
+
+
+@pytest.mark.parametrize("p, names, rels", _IDEAL_RINGS, ids=["F2[u,v]", "F3[y]"])
+def test_ideal_closure_and_center_check_match_brute_force(p, names, rels):
+    base, _ = from_presented(fp_algebra(p, names, *rels))
+    els = base.elements
+    gen_sets = [[x] for x in els] + [[els[i], els[(5 * i + 3) % len(els)]] for i in range(0, len(els), 7)]
+    for gens in gen_sets:
+        ideal = base.ideal_closure(gens)
+        assert ideal == _ref_ideal(base, gens)
+        FiniteCenter(base, [(ideal, base.one)])
+        # one element more or less: the center check agrees with brute force
+        for x in els[:: max(1, len(els) // 12)]:
+            other = ideal ^ {x}
+            if _ref_is_ideal(base, other):
+                FiniteCenter(base, [(other, base.one)])
+            else:
+                with pytest.raises(InputError):
+                    FiniteCenter(base, [(other, base.one)])
+
+
+def test_center_check_rejects_non_ideals():
+    base, var = from_presented(fp_algebra(3, ["y"], "y^4 - y"))
+    y = var["y"]
+    zero, two_y = base.zero, base.add(y, y)
+    with pytest.raises(InputError, match="multiplication"):
+        FiniteCenter(base, [({zero, y, two_y}, base.one)])  # y * y is not in it
+    with pytest.raises(InputError, match="addition"):
+        FiniteCenter(base, [({zero, y}, base.one)])
+    with pytest.raises(InputError, match="zero"):
+        FiniteCenter(base, [({y, two_y}, base.one)])
+    with pytest.raises(InputError, match="not in the ring"):
+        FiniteCenter(base, [({zero, (7, 7, 7, 7)}, base.one)])
 
 
 # ---------------------------------------------- oracle vs engine verifiers
