@@ -1,7 +1,7 @@
 """Closure certificates: a finite set is certified closed under an
 associative operation on greedily chosen generators.  The congruence
 checks (groups, Lie lattices) and the finite-ring ideal checks rest on
-it.
+it; `span` builds the additive spans of the module dilatation checks.
 """
 
 from __future__ import annotations
@@ -59,3 +59,13 @@ def closure_certificate(elements, member, combine, start):
         if g not in span.seen and not span.extend(g, member):
             return None
     return span.gens
+
+
+def span(gens, combine, start):
+    """The closure of `start` under right-combination with `gens`, as a
+    set: for + from 0 in a finite group, the subgroup they generate."""
+    out = Closure(start, combine)
+    for g in gens:
+        if g not in out.seen:
+            out.extend(g, lambda y: True)
+    return out.seen

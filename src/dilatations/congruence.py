@@ -43,7 +43,10 @@ LEVEL_CAP = 2**20
 
 
 class LevelRing:
-    """Z/p^N with p prime."""
+    """Z/p^N with p prime, with the ring ops the matrix helpers use.
+
+    Units are found by gcd and inverted by `pow`, so nothing scans the
+    ring: p^N may reach LEVEL_CAP, far above the oracle's SIZE_CAP."""
 
     __slots__ = ("p", "N", "mod")
 
@@ -61,43 +64,34 @@ class LevelRing:
     def __repr__(self):
         return f"Z/{self.p}^{self.N}"
 
-
-class IntModOps:
-    """Ring-ops adapter for plain integers mod m."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        self.m = m
-
     @property
     def elements(self):
-        return range(self.m)
+        return range(self.mod)
 
     @property
     def size(self):
-        return self.m
+        return self.mod
 
     zero = property(lambda self: 0)
-    one = property(lambda self: 1 % self.m)
+    one = property(lambda self: 1 % self.mod)
 
     def add(self, a, b):
-        return (a + b) % self.m
+        return (a + b) % self.mod
 
     def sub(self, a, b):
-        return (a - b) % self.m
+        return (a - b) % self.mod
 
     def mul(self, a, b):
-        return (a * b) % self.m
+        return (a * b) % self.mod
 
     def neg(self, a):
-        return (-a) % self.m
+        return (-a) % self.mod
 
     def is_unit(self, a):
-        return math.gcd(a, self.m) == 1
+        return math.gcd(a, self.mod) == 1
 
     def inverse(self, a):
-        return pow(a, -1, self.m)
+        return pow(a, -1, self.mod)
 
 
 # matrix helpers over a ring-ops adapter
@@ -406,8 +400,7 @@ class EnumeratedGroup:
         self.elements = sorted(elements)
         self.as_set = set(self.elements)
         self.gens = None
-        ops = IntModOps(ring.mod)
-        ident = mat_id(ops, spec.n)
+        ident = mat_id(ring, spec.n)
         if ident not in self.as_set:
             raise InputError("enumerated set misses the identity")
 
@@ -422,12 +415,11 @@ class EnumeratedGroup:
         closed under multiplication is a subgroup (each element has finite
         order, so its inverse is a power of it).  Closure is certified on
         generators, which the group keeps in `gens`."""
-        ops = IntModOps(self.ring.mod)
         self.gens = closure_certificate(
             self.elements,
             self.as_set.__contains__,
-            lambda a, b: mat_mul(ops, a, b),
-            mat_id(ops, self.spec.n),
+            lambda a, b: mat_mul(self.ring, a, b),
+            mat_id(self.ring, self.spec.n),
         )
         return self.gens is not None
 
@@ -443,7 +435,6 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     n = spec.n
     if max(filt.levels(), default=0) > ring.N:
         raise InputError("filtration level exceeds N")
-    ops = IntModOps(ring.mod)
     v0 = _trivial_level(filt)
     base = ring.p**v0
     rest = ring.mod // base
@@ -455,7 +446,7 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     for vals in itertools.product(range(rest), repeat=n * n):
         x = tuple(tuple(base * vals[i * n + j] for j in range(n)) for i in range(n))
         g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
-        if spec.det_ok(ops, g) and not any(lattice_key(other, x, ring.p)):
+        if spec.det_ok(ring, g) and not any(lattice_key(other, x, ring.p)):
             found.append(g)
     grp = EnumeratedGroup(spec, ring, found)
     if not grp.verify_group():
@@ -493,15 +484,14 @@ def verify_lie_closure(xs, ring: LevelRing) -> bool:
     cover the other pairs)."""
     if not xs:
         return False
-    ops = IntModOps(ring.mod)
     sset = set(xs)
     n = len(xs[0])
     zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    gens = closure_certificate(xs, sset.__contains__, lambda a, b: mat_add(ops, a, b), zero)
+    gens = closure_certificate(xs, sset.__contains__, lambda a, b: mat_add(ring, a, b), zero)
     if gens is None:
         return False
     return all(
-        mat_sub(ops, mat_mul(ops, a, b), mat_mul(ops, b, a)) in sset
+        mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a)) in sset
         for a, b in itertools.combinations(gens, 2)
     )
 
@@ -548,7 +538,6 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
 
     fs = filt.with_levels(list(s))
     fr = filt.with_levels(list(r))
-    ops = IntModOps(ring.mod)
     n = spec.n
 
     ps = group_points(fs, ring)
@@ -562,8 +551,8 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
         return rep
     rep.add("lie_closure_s", verify_lie_closure(ls, ring))
 
-    g_reps, g_assign = _cosets(ps.elements, pr.as_set, lambda g, u: mat_mul(ops, g, u))
-    l_reps, l_assign = _cosets(ls, lr_set, lambda x, y: mat_add(ops, x, y))
+    g_reps, g_assign = _cosets(ps.elements, pr.as_set, lambda g, u: mat_mul(ring, g, u))
+    l_reps, l_assign = _cosets(ls, lr_set, lambda x, y: mat_add(ring, x, y))
     rep.add(
         "orders_equal",
         len(g_reps) == len(l_reps),
@@ -575,13 +564,13 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     buckets = {}
     for ci, (y, _) in enumerate(l_reps):
         buckets.setdefault(lattice_key(lam_entries, y, ring.p), []).append(ci)
-    ident = mat_id(ops, n)
+    ident = mat_id(ring, n)
 
     mu = {}
     well_defined = True
     witness = ""
     for g in ps.elements:
-        hits = buckets.get(lattice_key(lam_entries, mat_sub(ops, g, ident), ring.p), [])
+        hits = buckets.get(lattice_key(lam_entries, mat_sub(ring, g, ident), ring.p), [])
         ci = g_assign[g]
         if len(hits) != 1:
             well_defined = False
@@ -604,14 +593,14 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
         # homomorphism once mu(q s) = mu(q) + mu(s) for every q in Q and
         # every generator s (induction on words in the generators).
         for u in ps.gens:
-            u_inv = mat_inv(ops, u)
+            u_inv = mat_inv(ring, u)
             for t in pr.gens:
-                if mat_mul(ops, mat_mul(ops, u, t), u_inv) not in pr.as_set:
+                if mat_mul(ring, mat_mul(ring, u, t), u_inv) not in pr.as_set:
                     return f"P_r is not normal in P_s: s = {u}, t = {t}"
         for i, (g, _) in enumerate(g_reps):
             for u in ps.gens:
-                prod_class = g_assign[_locate(ps, mat_mul(ops, g, u))]
-                y = mat_add(ops, l_reps[mu[i]][0], l_reps[mu[g_assign[u]]][0])
+                prod_class = g_assign[_locate(ps, mat_mul(ring, g, u))]
+                y = mat_add(ring, l_reps[mu[i]][0], l_reps[mu[g_assign[u]]][0])
                 if mu[prod_class] != l_assign[_locate_lie(ls_set, l_assign, y)]:
                     return f"({g}, {u})"
         return ""
@@ -697,17 +686,16 @@ def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Repo
             return rep
 
     pts = group_points(filt, ring)
-    ops = IntModOps(ring.mod)
-    k_gens = subgroup_gens(spec, k_name, ops)
+    k_gens = subgroup_gens(spec, k_name, ring)
     if k_gens is None:
         raise InputError(f"catalog subgroup not closed over {ring!r}")
-    inverses = {k: mat_inv(ops, k) for k in k_gens}
+    inverses = {k: mat_inv(ring, k) for k in k_gens}
     witness = next(
         (
             f"k = {k}, g = {t}"
             for k in k_gens
             for t in pts.gens
-            if mat_mul(ops, mat_mul(ops, k, t), inverses[k]) not in pts.as_set
+            if mat_mul(ring, mat_mul(ring, k, t), inverses[k]) not in pts.as_set
         ),
         "",
     )

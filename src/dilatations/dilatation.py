@@ -568,14 +568,15 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     # backward: localized K-dilatation -> full dilatation
     bwd_images = []
     fring = full.algebra.ring
+    part_vd = part.var_dict()
     for n in lring.names:
         if n == zname:
             img = full.algebra.one()
             for i in rest:
                 img = img * full.fraction(i, center.centers[assign[i] - 1].elem, in_l=True)
             bwd_images.append(img)
-        elif n in part.var_dict():
-            p, j = part.var_dict()[n]
+        elif n in part_vd:
+            p, j = part_vd[n]
             bwd_images.append(fring.var(full.fraction_vars[keep[p - 1] - 1][j - 1]))
         else:
             bwd_images.append(fring.var(n))
@@ -693,7 +694,7 @@ def iterate_iso(
 
     n_frac = sum(len(row) for row in first.fraction_vars)
     frac_names = [n for row in first.fraction_vars for n in row]
-    vd1 = first.var_dict()
+    vd1, vd2, vd_direct = first.var_dict(), second.var_dict(), direct.var_dict()
 
     at = base.map_ring(dring) ** t
     fwd_images = []
@@ -701,8 +702,8 @@ def iterate_iso(
         if n in vd1:
             i, j = vd1[n]
             fwd_images.append(at * dring.var(direct.fraction_vars[i - 1][j - 1]))
-        elif n in second.var_dict():
-            _, m = second.var_dict()[n]
+        elif n in vd2:
+            _, m = vd2[n]
             if m <= n_frac:
                 i, j = vd1[frac_names[m - 1]]
                 fwd_images.append(dring.var(direct.fraction_vars[i - 1][j - 1]))
@@ -714,13 +715,13 @@ def iterate_iso(
     fwd = AlgebraHom(b2, direct.algebra, fwd_images)
 
     u_for_frac = {}
-    for name, (pos, m) in second.var_dict().items():
+    for name, (pos, m) in vd2.items():
         if m <= n_frac:
             u_for_frac[frac_names[m - 1]] = name
     bwd_images = []
     for n in dring.names:
-        if n in direct.var_dict():
-            i, j = direct.var_dict()[n]
+        if n in vd_direct:
+            i, j = vd_direct[n]
             bwd_images.append(b2.ring.var(u_for_frac[first.fraction_vars[i - 1][j - 1]]))
         else:
             bwd_images.append(b2.ring.var(n))
@@ -769,8 +770,8 @@ def base_change_compare(center: MultiCenter, h: AlgebraHom) -> Report:
         tensor_gens.append(g.subst(subst))
     tensor = IdealHandle(t_ring, tensor_gens, b.relations.limits)
 
-    nilpotent = b.relations.radical_contains(pushed.product_elem())
-    if nilpotent:
+    # dilate(pushed) asserted: a zero ring iff the product is nilpotent in B
+    if direct.is_zero_ring():
         t_sat = IdealHandle(t_ring, [t_ring.one()], b.relations.limits)
     else:
         t_sat = saturate(tensor, [c.elem.map_ring(t_ring) for c in pushed.centers])
@@ -853,10 +854,10 @@ def conic_iso(center: MultiCenter) -> Report:
             fwd_images.append(lring.var(n))
     fwd = AlgebraHom(quot, r_l.algebra, fwd_images)
     bwd_images = []
+    vd_l = r_l.var_dict()
     for n in lring.names:
-        vd = r_l.var_dict()
-        if n in vd:
-            i, j = vd[n]
+        if n in vd_l:
+            i, j = vd_l[n]
             bwd_images.append(uring.var(rows[i - 1][j - 1]))
         else:
             bwd_images.append(uring.var(n))
@@ -867,9 +868,8 @@ def conic_iso(center: MultiCenter) -> Report:
     mring = r_m.algebra.ring
     e_images = []
     for n in lring.names:
-        vd = r_l.var_dict()
-        if n in vd:
-            i, j = vd[n]
+        if n in vd_l:
+            i, j = vd_l[n]
             if j <= len(center.centers[i - 1].ideal.gens):
                 e_images.append(mring.var(r_m.fraction_vars[i - 1][j - 1]))
             else:
@@ -878,10 +878,10 @@ def conic_iso(center: MultiCenter) -> Report:
             e_images.append(mring.var(n))
     eps = AlgebraHom(r_l.algebra, r_m.algebra, e_images)
     z_images = []
+    vd_m = r_m.var_dict()
     for n in mring.names:
-        vd = r_m.var_dict()
-        if n in vd:
-            i, j = vd[n]
+        if n in vd_m:
+            i, j = vd_m[n]
             z_images.append(lring.var(r_l.fraction_vars[i - 1][j - 1]))
         else:
             z_images.append(lring.var(n))

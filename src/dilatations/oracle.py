@@ -1,10 +1,13 @@
 """Ground-truth dilatation semantics over small finite rings.
 
 Everything here is literal: rings are element lists with operation
-tables, the fraction construction enumerates equivalence classes of
-symbols m/a^nu exactly as defined, and the subring construction closes
-generator sets inside an idempotent localization.  The two constructions
-certify each other; the symbolic engine is then checked against them on
+tables, the fraction construction enumerates the symbols m/a^nu and
+classes them, and the subring construction closes generator sets inside
+an idempotent localization.  One routine, `symbol_classes`, classes the
+symbols of rings and of modules: it keys each symbol by its value
+e*m*(e*a^nu)^{-1} in e*A and certifies the classes against the literal
+equivalence of the definition.  The two constructions certify each
+other; the symbolic engine is then checked against them on
 finite-dimensional instances.
 
 Witness bound: with e = f^t idempotent (f the product of the a_i), two
@@ -15,10 +18,11 @@ That bound is what makes the enumeration total.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
-from .closure import Closure, closure_certificate
+from .closure import Closure, closure_certificate, span
 from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
 
@@ -389,6 +393,7 @@ class FiniteCenter:
             if any(ring.mul(r, x) not in m for x in basis for r in ring.gens):
                 raise InputError("center subset not closed under multiplication")
             self.pairs.append((m, a))
+        self._l_powers = {(0,) * len(self.pairs): frozenset(ring.elements)}
 
     @classmethod
     def from_gens(cls, ring: FiniteRing, pairs):
@@ -400,6 +405,26 @@ class FiniteCenter:
     def l_set(self, i):
         m, a = self.pairs[i]
         return self.ring.ideal_closure(set(m) | {a})
+
+    def l_power(self, nu):
+        """L^nu = prod L_i^{nu_i}, the ideal generated by the products,
+        built one factor at a time and memoised."""
+        out = self._l_powers.get(nu)
+        if out is None:
+            i = next(j for j, v in enumerate(nu) if v > 0)
+            prev = self.l_power(nu[:i] + (nu[i] - 1,) + nu[i + 1:])
+            li = self.l_set(i)
+            out = self.ring.ideal_closure({self.ring.mul(x, y) for x in prev for y in li})
+            self._l_powers[nu] = out
+        return out
+
+    def a_power(self, nu):
+        """a^nu = prod a_i^{nu_i}."""
+        v = self.ring.one
+        for (_, ai), k in zip(self.pairs, nu):
+            for _ in range(k):
+                v = self.ring.mul(v, ai)
+        return v
 
     def product_elem(self):
         f = self.ring.one
@@ -467,25 +492,11 @@ class OracleDilatation:
                 v = base.mul(self.loc.map(x), inv)
                 self.fraction_values[(i, x)] = v
                 gens.append(v)
-        elements = set()
-        current = {self.loc.ring.zero, e}
-        current.update(gens)
-        changed = True
-        while changed:
-            if len(current) > cap:
-                raise SizeCapError(f"oracle dilatation exceeded cap {cap}")
-            changed = False
-            snap = base.sorted(current)
-            for x in snap:
-                for y in snap:
-                    for v in (base.add(x, y), base.mul(x, y)):
-                        if v not in current:
-                            current.add(v)
-                            changed = True
         frac_gens = [self.fraction_values[k] for k in sorted(self.fraction_values, key=lambda k: (k[0], base.index[k[1]]))]
         self.ring = FiniteRing(
             f"{base.label}-dilatation",
-            base.sorted(current),
+            # inside e*A, whose order is the base order
+            self.loc.ring.subring_closure(gens, cap),
             base.add,
             base.mul,
             base.zero,
@@ -502,13 +513,44 @@ def dilate_oracle_subring(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> Oracl
     return OracleDilatation(a, c, cap)
 
 
+def symbol_classes(symbols, value, equivalent):
+    """Class fraction symbols by their value, certified by the literal
+    equivalence.
+
+    Each symbol is keyed by `value(sym)`, and the first symbol with a
+    value represents its class, so representatives keep discovery order.
+    Every symbol must be `equivalent` to its representative and no two
+    representatives may be equivalent, else VerificationFinding; for an
+    equivalence relation that makes the classes exactly its classes.
+    Returns (reps, symbol -> class index, value -> class index).
+    """
+    reps, class_of, classes = [], {}, {}
+    for sym in symbols:
+        ci = classes.setdefault(value(sym), len(reps))
+        if ci == len(reps):
+            reps.append(sym)
+        elif not equivalent(sym, reps[ci]):
+            raise VerificationFinding(f"symbol {sym} has the value of {reps[ci]} but is not equivalent to it")
+        class_of[sym] = ci
+    for r1, r2 in itertools.combinations(reps, 2):
+        if equivalent(r1, r2):
+            raise VerificationFinding(f"symbols {r1} and {r2} are equivalent but have different values")
+    return reps, class_of, classes
+
+
+def _power_inverses(loc: Localization, center: FiniteCenter):
+    """nu -> (e*a^nu)^{-1} in e*A, each found once."""
+    return functools.lru_cache(maxsize=None)(lambda nu: loc.ring.inverse(loc.map(center.a_power(nu))))
+
+
 class SymbolDilatation:
     """Fraction-symbol dilatation built from the literal definition.
 
-    Symbols m/a^nu with nu_i <= t and m in L^nu, classed by the witness
-    test e*m*a^lambda == e*p*a^nu.  The certified bijection onto the
-    subring construction (value map m/a^nu -> e*m*(e*a^nu)^{-1}) is part
-    of construction; failure raises VerificationFinding.
+    Symbols m/a^nu with nu_i <= t and m in L^nu, classed by their value
+    e*m*(e*a^nu)^{-1} in e*A and certified against the literal witness
+    test e*m*a^lambda == e*p*a^nu (`symbol_classes`).  The certified
+    bijection onto the subring construction is part of construction;
+    failure raises VerificationFinding.
     """
 
     def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP):
@@ -518,33 +560,7 @@ class SymbolDilatation:
         loc = self.sub.loc
         e, t = loc.e, loc.t
         k = len(center.pairs)
-
-        lsets = {(0,) * k: frozenset(base.elements)}
-
-        def l_of(nu):
-            if nu in lsets:
-                return lsets[nu]
-            i = next(j for j, v in enumerate(nu) if v > 0)
-            prev = l_of(tuple(v - 1 if j == i else v for j, v in enumerate(nu)))
-            li = center.l_set(i)
-            prods = {base.mul(x, y) for x in prev for y in li}
-            out = base.ideal_closure(prods)
-            lsets[nu] = out
-            return out
-
-        _pow_cache = {}
-
-        def a_pow(nu):
-            v = _pow_cache.get(nu)
-            if v is None:
-                v = base.one
-                for i, (m, ai) in enumerate(center.pairs):
-                    for _ in range(nu[i]):
-                        v = base.mul(v, ai)
-                _pow_cache[nu] = v
-            return v
-
-        self._a_pow = a_pow
+        a_pow = center.a_power
 
         def equivalent(sym1, sym2):
             (m, nu), (p, lam) = sym1, sym2
@@ -553,70 +569,44 @@ class SymbolDilatation:
             return lhs == rhs
 
         self.equivalent = equivalent
-
-        symbols = []
-        for nu in itertools.product(range(t + 1), repeat=k):
-            for m in base.sorted(l_of(nu)):
-                symbols.append((m, nu))
-                if len(symbols) > cap * (t + 1) ** k:
-                    raise SizeCapError("symbol enumeration exceeded cap")
-
-        reps = []  # class representatives in discovery order
-        self.class_of_symbol = {}
-        for sym in symbols:
-            for ci, rep_sym in enumerate(reps):
-                if equivalent(sym, rep_sym):
-                    self.class_of_symbol[sym] = ci
-                    break
-            else:
-                self.class_of_symbol[sym] = len(reps)
-                reps.append(sym)
-        self.reps = reps
+        inverse = _power_inverses(loc, center)
 
         def value(sym):
             m, nu = sym
-            u = loc.map(a_pow(nu))
-            return base.mul(base.mul(e, m), loc.ring.inverse(u))
+            return base.mul(base.mul(e, m), inverse(nu))
 
         self.value = value
 
+        symbols = []
+        for nu in itertools.product(range(t + 1), repeat=k):
+            for m in base.sorted(center.l_power(nu)):
+                symbols.append((m, nu))
+                if len(symbols) > cap * (t + 1) ** k:
+                    raise SizeCapError("symbol enumeration exceeded cap")
+        reps, self.class_of_symbol, classes = symbol_classes(symbols, value, equivalent)
+        self.reps = reps
+        values = self.values = list(classes)
         # certified bijection with the subring construction
-        values = [value(s) for s in reps]
-        if len(set(values)) != len(values):
-            raise VerificationFinding("fraction classes collapse in the localization")
         if set(values) != set(self.sub.ring.elements):
             raise VerificationFinding("fraction classes do not cover the subring dilatation")
-        for s1 in reps:
-            for s2 in reps:
-                if (value(s1) == value(s2)) != equivalent(s1, s2):
-                    raise VerificationFinding("equivalence disagrees with localization equality")
-        self.values = values
 
         def locate(sym):
             """Class index of an arbitrary symbol (exponents unbounded)."""
-            for ci, rep_sym in enumerate(reps):
-                if equivalent(sym, rep_sym):
-                    return ci
-            raise VerificationFinding(f"symbol {sym} matches no class")
-
-        def add_op(i, j):
-            (m, nu), (p, lam) = reps[i], reps[j]
-            s = (base.add(base.mul(m, a_pow(lam)), base.mul(p, a_pow(nu))),
-                 tuple(x + y for x, y in zip(nu, lam)))
-            return locate(s)
-
-        def mul_op(i, j):
-            (m, nu), (p, lam) = reps[i], reps[j]
-            s = (base.mul(m, p), tuple(x + y for x, y in zip(nu, lam)))
-            return locate(s)
+            ci = classes.get(value(sym))
+            if ci is None or not equivalent(sym, reps[ci]):
+                raise VerificationFinding(f"symbol {sym} matches no class")
+            return ci
 
         n = len(reps)
         add_table = [[0] * n for _ in range(n)]
         mul_table = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                add_table[i][j] = add_table[j][i] = add_op(i, j)
-                mul_table[i][j] = mul_table[j][i] = mul_op(i, j)
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            # m/a^nu + p/a^lam = (m*a^lam + p*a^nu)/a^(nu+lam), m/a^nu * p/a^lam = m*p/a^(nu+lam)
+            (m, nu), (p, lam) = reps[i], reps[j]
+            den = tuple(x + y for x, y in zip(nu, lam))
+            num = base.add(base.mul(m, a_pow(lam)), base.mul(p, a_pow(nu)))
+            add_table[i][j] = add_table[j][i] = locate((num, den))
+            mul_table[i][j] = mul_table[j][i] = locate((base.mul(m, p), den))
         zero_c = locate((base.zero, (0,) * k))
         one_c = locate((base.one, (0,) * k))
         gen_cs = sorted({locate((base.mul(x, base.one), (0,) * k)) for x in base.gens})
@@ -634,9 +624,9 @@ class SymbolDilatation:
         # operations agree with the subring construction through the values
         for i in range(n):
             for j in range(n):
-                if value(reps[add_table[i][j]]) != base.add(values[i], values[j]):
+                if values[add_table[i][j]] != base.add(values[i], values[j]):
                     raise VerificationFinding("addition disagrees with the subring dilatation")
-                if value(reps[mul_table[i][j]]) != base.mul(values[i], values[j]):
+                if values[mul_table[i][j]] != base.mul(values[i], values[j]):
                     raise VerificationFinding("multiplication disagrees with the subring dilatation")
 
 
@@ -706,25 +696,8 @@ class ModuleDilatation:
         loc = self.sub.loc
         e, t = loc.e, loc.t
         k = len(center.pairs)
-
-        def a_pow(nu):
-            v = base.one
-            for i, (_, ai) in enumerate(center.pairs):
-                for _ in range(nu[i]):
-                    v = base.mul(v, ai)
-            return v
-
-        lsets = {(0,) * k: frozenset(base.elements)}
-
-        def l_of(nu):
-            if nu in lsets:
-                return lsets[nu]
-            i = next(j for j, v in enumerate(nu) if v > 0)
-            prev = l_of(tuple(v - 1 if j == i else v for j, v in enumerate(nu)))
-            li = center.l_set(i)
-            out = base.ideal_closure({base.mul(x, y) for x in prev for y in li})
-            lsets[nu] = out
-            return out
+        a_pow = center.a_power
+        inverse = _power_inverses(loc, center)
 
         # symbols l*m / a^nu
         def equivalent(sym1, sym2):
@@ -735,24 +708,17 @@ class ModuleDilatation:
 
         def value(sym):
             l, m, nu = sym
-            inv = loc.ring.inverse(loc.map(a_pow(nu)))
-            return module.act(base.mul(base.mul(e, l), inv), m)
+            return module.act(base.mul(base.mul(e, l), inverse(nu)), m)
 
         symbols = []
         for nu in itertools.product(range(t + 1), repeat=k):
-            for l in base.sorted(l_of(nu)):
+            for l in base.sorted(center.l_power(nu)):
                 for m in module.elements:
                     symbols.append((l, m, nu))
 
-        reps = []
-        for sym in symbols:
-            if not any(equivalent(sym, r) for r in reps):
-                reps.append(sym)
-        values = [value(r) for r in reps]
-        if len(set(values)) != len(values):
-            raise VerificationFinding("module classes collapse")
+        _, _, classes = symbol_classes(symbols, value, equivalent)
         target = {module.act(e, m) for m in module.elements}
-        if set(values) != target:
+        if set(classes) != target:
             raise VerificationFinding("module classes do not cover e*M")
 
         self.elements = module.sorted(target)
@@ -768,26 +734,12 @@ class ModuleDilatation:
 
         # a^nu acts injectively and a^nu M' = L^nu M' for small nu
         for nu in itertools.product(range(3), repeat=k):
-            anu = self.sub.loc.map(a_pow(nu))
+            anu = loc.map(a_pow(nu))
             image = {module.act(anu, x) for x in self.elements}
             if len(image) != len(self.elements):
                 raise VerificationFinding(f"a^{nu} acts non-injectively on the dilatation")
-            lnu_image = set()
-            for l in base.sorted(l_of(nu)):
-                for x in self.elements:
-                    lnu_image.add(module.act(base.mul(e, l), x))
-            span = set()
-            frontier = set(lnu_image)
-            while frontier - span:
-                span.update(frontier)
-                frontier = {module.add(x, y) for x in span for y in span}
-            lspan = span or {self.result.zero}
-            aspan = set()
-            frontier = set(image)
-            while frontier - aspan:
-                aspan.update(frontier)
-                frontier = {module.add(x, y) for x in aspan for y in aspan}
-            if lspan != aspan:
+            lnu_image = {module.act(base.mul(e, l), x) for l in center.l_power(nu) for x in self.elements}
+            if span(lnu_image, module.add, self.result.zero) != span(image, module.add, self.result.zero):
                 raise VerificationFinding(f"L^{nu} M' != a^{nu} M'")
 
 

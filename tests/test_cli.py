@@ -55,6 +55,7 @@ request check C
     code, out = run_cli(tmp_path, text)
     assert code == 0
     assert "zero_ring: true" in out
+    assert "zero_criterion: pass" in out
 
 
 def test_iso_monopoly_pass(tmp_path):

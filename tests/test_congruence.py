@@ -6,7 +6,6 @@ from dilatations.congruence import (
     EnumeratedGroup,
     FiltrationSpec,
     GroupSpec,
-    IntModOps,
     LevelRing,
     _test_rings,
     congruent_iso_check,
@@ -86,16 +85,16 @@ def test_lie_points_sl2_count_and_closure():
 
 def test_catalog_subgroups_closed():
     spec = GroupSpec("SL", 2)
-    ops = IntModOps(4)
+    ops = LevelRing(2, 2)
     for name in ("e", "T", "B", "Z", "G"):
         assert verify_subgroup_closure(spec, name, ops)
     spec_gl = GroupSpec("GL", 2)
-    assert verify_subgroup_closure(spec_gl, "L(1,1)", IntModOps(4))
+    assert verify_subgroup_closure(spec_gl, "L(1,1)", LevelRing(2, 2))
 
 
 def test_levi_equals_torus_for_unit_blocks():
     spec = GroupSpec("GL", 2)
-    ops = IntModOps(3)
+    ops = LevelRing(3, 1)
     levi = set(subgroup_elements(spec, "L(1,1)", ops))
     torus = set(subgroup_elements(spec, "T", ops))
     assert levi == torus
@@ -188,11 +187,11 @@ def test_budget_guard():
 
 
 def test_matrix_inverse():
-    ops = IntModOps(9)
+    ops = LevelRing(3, 2)
     g = ((1, 3), (0, 1))
     assert mat_mul(ops, g, mat_inv(ops, g)) == mat_id(ops, 2)
     g3 = ((1, 2, 0), (0, 1, 5), (0, 0, 1))
-    ops3 = IntModOps(8)
+    ops3 = LevelRing(2, 3)
     assert mat_mul(ops3, g3, mat_inv(ops3, g3)) == mat_id(ops3, 3)
 
 
@@ -320,14 +319,13 @@ def _ref_points(filt, ring):
     reference shape predicate."""
     spec, n, p, mod = filt.group, filt.group.n, ring.p, ring.mod
     v0 = max([v for h, v in filt.entries if h == "e"], default=0)
-    ops = IntModOps(mod)
     group, lie = [], []
     for vals in itertools.product(range(mod // p**v0), repeat=n * n):
         x = tuple(tuple(p**v0 * vals[i * n + j] for j in range(n)) for i in range(n))
         if not all(_ref_in_shape(h, x, p**v) for h, v in filt.entries):
             continue
         g = tuple(tuple((x[i][j] + (i == j)) % mod for j in range(n)) for i in range(n))
-        if spec.det_ok(ops, g):
+        if spec.det_ok(ring, g):
             group.append(g)
         if spec.kind == "GL" or sum(x[i][i] for i in range(n)) % mod == 0:
             lie.append(x)
@@ -349,7 +347,6 @@ def _ref_congruent_iso(filt, s, r, ring):
     if not add("level_hypotheses", violation is None, violation or ""):
         return clauses
     mod = ring.mod
-    ops = IntModOps(mod)
     ps, ls = _ref_points(filt.with_levels(list(s)), ring)
     pr, lr = _ref_points(filt.with_levels(list(r)), ring)
     ps_set, pr_set, ls_set, lr_set = set(ps), set(pr), set(ls), set(lr)
@@ -374,7 +371,7 @@ def _ref_congruent_iso(filt, s, r, ring):
     add("orders_equal", len(g_reps) == len(l_reps), f"|Q_grp| = {len(g_reps)}, |Q_lie| = {len(l_reps)}")
 
     lam = [(h, v) for (h, _), v in zip(filt.entries, r)]
-    ident = mat_id(ops, filt.group.n)
+    ident = mat_id(ring, filt.group.n)
     mu = {}
     for g in ps:
         x = tuple(tuple((a - b) % mod for a, b in zip(r1, r2)) for r1, r2 in zip(g, ident))
@@ -442,7 +439,7 @@ def test_certificates_match_all_pairs_reference(case):
     ref_group, ref_lie = _ref_points(filt, ring_)
     assert pts.elements == ref_group and xs == ref_lie
     times = _ref_times(pts.elements, ring_.mod)
-    ident = mat_id(IntModOps(ring_.mod), n)
+    ident = mat_id(ring_, n)
     assert _ref_group_closed(pts.elements, ident, lambda a, b: _ref_mul(times, a, b))
     assert pts.gens is not None and len(pts.gens) <= max(1, len(pts).bit_length())
     assert verify_lie_closure(xs, ring_) == _ref_lie_closed(xs, ring_.mod)
@@ -471,8 +468,8 @@ def test_congruent_iso_matches_all_pairs_reference(case):
 @pytest.mark.parametrize(
     "kind, names, ops",
     [
-        ("SL", ("e", "T", "B", "Z", "G"), IntModOps(4)),
-        ("GL", ("T", "Z", "L(1,1)"), IntModOps(4)),
+        ("SL", ("e", "T", "B", "Z", "G"), LevelRing(2, 2)),
+        ("GL", ("T", "Z", "L(1,1)"), LevelRing(2, 2)),
         ("GL", ("T", "Z"), galois_extension(4, 2)),
         ("SL", ("T", "Z"), dual_numbers(4)),
     ],
@@ -493,7 +490,7 @@ def test_group_with_one_element_removed_is_rejected():
     ring_ = LevelRing(3, 3)
     pts = group_points(FiltrationSpec(spec, [("e", 1)]), ring_)
     assert len(pts) > 1024
-    ident = mat_id(IntModOps(ring_.mod), 2)
+    ident = mat_id(ring_, 2)
     for k in (1, len(pts) // 2, len(pts) - 1):
         drop = pts.elements[k]
         assert drop != ident
@@ -543,7 +540,7 @@ def _ref_normalizer(filt, k_name, ring_):
         out.append((f"commutes_{idx}", ok))
         if not ok:
             return out + [("main_check_skipped", True)]
-    ops = IntModOps(ring_.mod)
+    ops = ring_
     pts = group_points(filt, ring_)
     out.append(
         (

@@ -20,10 +20,12 @@ from dilatations.oracle import (
     module_dilate_oracle,
     preservation_checks,
     quotient_ring,
+    symbol_classes,
     universal_property_scan,
     zmod,
 )
 from dilatations.poly import Field, InputError, PolyRing
+from dilatations.report import VerificationFinding
 
 from conftest import ring
 
@@ -166,6 +168,173 @@ def test_module_dilatation_zero_module():
     zero = FiniteModule(base, "0", [0], lambda a, b: 0, lambda r, x: 0, 0)
     md = module_dilate_oracle(zero, c)
     assert len(md.elements) == 1
+
+
+# ------------------------------------------------------------- symbol classes
+#
+# The reference is the literal first-match scan: a symbol joins the first
+# class representative it is equivalent to, or opens a new class.
+
+
+def _ref_a_pow(center, nu):
+    base = center.ring
+    v = base.one
+    for (_, ai), n in zip(center.pairs, nu):
+        for _ in range(n):
+            v = base.mul(v, ai)
+    return v
+
+
+def _ref_l_pow(center, nu):
+    base = center.ring
+    out = base.ideal_closure([base.one])
+    for i, n in enumerate(nu):
+        for _ in range(n):
+            out = base.ideal_closure({base.mul(x, y) for x in out for y in center.l_set(i)})
+    return out
+
+
+def _first_match(sym, reps, equivalent):
+    return next((ci for ci, r in enumerate(reps) if equivalent(sym, r)), None)
+
+
+def _ref_symbol_reps(symbols, equivalent):
+    reps, class_of = [], {}
+    for sym in symbols:
+        ci = _first_match(sym, reps, equivalent)
+        if ci is None:
+            ci = len(reps)
+            reps.append(sym)
+        class_of[sym] = ci
+    return reps, class_of
+
+
+def _ref_fractions(base, center):
+    """Representatives, classes and add/mul tables of the fraction ring by
+    the first-match scan."""
+    loc = localize_finite(base, center.product_elem())
+    e, t, k = loc.e, loc.t, len(center.pairs)
+
+    def equivalent(s1, s2):
+        (m, nu), (p, lam) = s1, s2
+        lhs = base.mul(base.mul(e, m), _ref_a_pow(center, lam))
+        return lhs == base.mul(base.mul(e, p), _ref_a_pow(center, nu))
+
+    symbols = [
+        (m, nu)
+        for nu in itertools.product(range(t + 1), repeat=k)
+        for m in base.sorted(_ref_l_pow(center, nu))
+    ]
+    reps, class_of = _ref_symbol_reps(symbols, equivalent)
+
+    def table(op):
+        n = len(reps)
+        out = [[None] * n for _ in range(n)]
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            (m, nu), (p, lam) = reps[i], reps[j]
+            sym = (op(m, nu, p, lam), tuple(x + y for x, y in zip(nu, lam)))
+            out[i][j] = out[j][i] = _first_match(sym, reps, equivalent)
+        return out
+
+    def plus(m, nu, p, lam):
+        return base.add(base.mul(m, _ref_a_pow(center, lam)), base.mul(p, _ref_a_pow(center, nu)))
+
+    return reps, class_of, table(plus), table(lambda m, nu, p, lam: base.mul(m, p))
+
+
+def _fraction_bases():
+    z12 = zmod(12)
+    yield z12, FiniteCenter.from_gens(z12, [([6], 2), ([4], 3)])
+    f3 = quotient_ring(3, (2, 0, 1))
+    yield f3, FiniteCenter.from_gens(f3, [([(0, 1)], (1, 1))])
+    f2 = quotient_ring(2, (0, 0, 0, 1))
+    yield f2, FiniteCenter.from_gens(f2, [([(0, 1, 0)], (0, 1, 0))])
+    y_ring, var = from_presented(fp_algebra(3, ["y"], "y^4 - y"))  # 81 elements
+    y = var["y"]
+    yield y_ring, FiniteCenter.from_gens(y_ring, [([y], y_ring.add(y, y_ring.one))])
+    u_ring, var = from_presented(fp_algebra(2, ["u", "v"], "u^2 - u", "v^2 - v"))
+    u, v = var["u"], var["v"]
+    yield u_ring, FiniteCenter.from_gens(u_ring, [([u], u), ([u_ring.mul(u, v)], v)])
+
+
+@pytest.mark.parametrize("case", range(5), ids=["Z12", "F3[y]/(y^2-1)", "F2[y]/(y^3)", "YC", "CU"])
+def test_fraction_classes_match_first_match_reference(case):
+    base, center = list(_fraction_bases())[case]
+    fr = dilate_oracle_fractions(base, center)
+    reps, class_of, add_table, mul_table = _ref_fractions(base, center)
+    assert fr.reps == reps
+    assert fr.class_of_symbol == class_of and list(fr.class_of_symbol) == list(class_of)
+    n = len(reps)
+    assert [[fr.ring.add(i, j) for j in range(n)] for i in range(n)] == add_table
+    assert [[fr.ring.mul(i, j) for j in range(n)] for i in range(n)] == mul_table
+
+
+def _quotient_module(base, n):
+    return FiniteModule(base, f"Z/{n}", range(n), lambda a, b: (a + b) % n, lambda r, x: r * x % n, 0)
+
+
+@pytest.mark.parametrize(
+    "base, module, pairs",
+    [
+        (zmod(6), FiniteModule.from_ring(zmod(6)), [([3], 2)]),
+        (zmod(12), FiniteModule.from_ring(zmod(12)), [([6], 2), ([4], 3)]),
+        (zmod(12), _quotient_module(zmod(12), 4), [([2], 2)]),
+        (zmod(12), _quotient_module(zmod(12), 6), [([3], 3)]),
+    ],
+    ids=["Z6", "Z12", "Z12-on-Z4", "Z12-on-Z6"],
+)
+def test_module_classes_match_first_match_reference(base, module, pairs):
+    center = FiniteCenter.from_gens(base, pairs)
+    loc = localize_finite(base, center.product_elem())
+    e, t = loc.e, loc.t
+
+    def equivalent(s1, s2):
+        (l1, m1, nu), (l2, m2, lam) = s1, s2
+        lhs = module.act(base.mul(base.mul(e, l1), _ref_a_pow(center, lam)), m1)
+        return lhs == module.act(base.mul(base.mul(e, l2), _ref_a_pow(center, nu)), m2)
+
+    def value(sym):
+        l, m, nu = sym
+        inv = next(x for x in loc.ring.elements if base.mul(x, loc.map(_ref_a_pow(center, nu))) == e)
+        return module.act(base.mul(base.mul(e, l), inv), m)
+
+    symbols = [
+        (l, m, nu)
+        for nu in itertools.product(range(t + 1), repeat=len(pairs))
+        for l in base.sorted(_ref_l_pow(center, nu))
+        for m in module.elements
+    ]
+    reps, _ = _ref_symbol_reps(symbols, equivalent)
+    values = [value(r) for r in reps]
+    assert len(set(values)) == len(values)
+    assert module_dilate_oracle(module, center).elements == module.sorted(values)
+
+
+def _z6_symbols():
+    fr = dilate_oracle_fractions(zmod(6), FiniteCenter.from_gens(zmod(6), [([3], 2)]))
+    return fr, list(fr.class_of_symbol)
+
+
+def test_symbol_classes_keep_discovery_order():
+    fr, symbols = _z6_symbols()
+    reps, class_of, classes = symbol_classes(symbols, fr.value, fr.equivalent)
+    assert reps == fr.reps and class_of == fr.class_of_symbol
+    assert list(classes) == fr.values
+
+
+def test_symbol_classes_reject_a_symbol_not_equivalent_to_its_representative():
+    fr, symbols = _z6_symbols()
+    # equality of symbols is finer than equality of values
+    with pytest.raises(VerificationFinding, match="not equivalent"):
+        symbol_classes(symbols, fr.value, lambda s1, s2: s1 == s2)
+
+
+def test_symbol_classes_reject_equivalent_representatives():
+    fr, symbols = _z6_symbols()
+    assert len(fr.reps) > 1
+    # an equivalence coarser than equality of values
+    with pytest.raises(VerificationFinding, match="are equivalent"):
+        symbol_classes(symbols, fr.value, lambda s1, s2: True)
 
 
 # ------------------------------------------------------------- hom scans
