@@ -12,7 +12,11 @@ from .poly import InputError, PolyRing, Polynomial
 
 
 class PresentedAlgebra:
-    __slots__ = ("ring", "relations")
+    """k[y1..ym]/P.  `dilatations` is the memo of `dilatation.dilate`:
+    each dilatation of this algebra by content (stored generators and
+    denominator of every center, in order), built once per algebra."""
+
+    __slots__ = ("ring", "relations", "dilatations")
 
     def __init__(self, ring: PolyRing, relations: IdealHandle | None = None):
         if relations is None:
@@ -21,6 +25,7 @@ class PresentedAlgebra:
             raise InputError("relation ideal over a different registry")
         self.ring = ring
         self.relations = relations
+        self.dilatations = {}
 
     @classmethod
     def free(cls, field, names, order=None) -> "PresentedAlgebra":

@@ -3,10 +3,11 @@
 `dilate` builds A[{M_i/a_i}] as an explicit presentation: one fresh
 variable x_i_j per stored generator g_ij of M_i, the relations
 a_i*x_ij - g_ij, and a saturation by each a_i in turn that removes the
-denominator torsion.  Every structural identity the construction is
-supposed to satisfy has a verifier here that certifies it with explicit
-maps in both directions; a verifier never reports success on a one-sided
-check.
+denominator torsion.  Each distinct dilatation is built once per base
+algebra and shared (see `dilate`).  Every structural identity the
+construction is supposed to satisfy has a verifier here that certifies
+it with explicit maps in both directions; a verifier never reports
+success on a one-sided check.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class DilatationResult:
 
     fraction_vars[i][j] is the name of the variable representing
     g_ij / a_i (0-based lists, 1-based names x_<i>_<j>).
+
+    `center` is the caller's own multi-center.  Everything else is
+    shared by every result `dilate` returns for an equal center of the
+    same base algebra, so treat a result and its parts as immutable.
     """
 
     __slots__ = (
@@ -150,11 +155,30 @@ def dilate(center: MultiCenter) -> DilatationResult:
     The relation ideal is P + (a_i*x_ij - g_ij) saturated by f = prod a_i,
     one distinct a_i at a time (I:(fg)^∞ = (I:f^∞):g^∞); when f is
     nilpotent modulo P the result is the zero ring, and that equivalence
-    is asserted on every run.
+    is asserted on every build.
+
+    Each dilatation is built once per base algebra and kept in its
+    `dilatations`, keyed by the stored generators (verbatim, in order)
+    and the denominator of every center, in order: the construction,
+    fraction-variable names included, depends on nothing else.  The
+    result has the caller's `center`; its algebra, structural map,
+    fraction variables and presaturation are shared with every other
+    call on an equal key and must be treated as immutable.
     """
+    key = tuple((tuple(c.ideal.gens), c.elem) for c in center.centers)
+    shared = center.algebra.dilatations.get(key)
+    if shared is None:
+        # a concurrent miss builds twice; setdefault keeps the first
+        shared = center.algebra.dilatations.setdefault(key, _construct(center))
+    return DilatationResult(center, *shared)
+
+
+def _construct(center: MultiCenter) -> tuple:
+    """The parts of `dilate`'s result after the center: algebra, iota,
+    fraction variables, presaturation and whether saturation changed it."""
     a = center.algebra
     if not center.centers:
-        return DilatationResult(center, a, AlgebraHom.identity(a), [], a.relations, False)
+        return a, AlgebraHom.identity(a), [], a.relations, False
 
     fresh = iter(a.ring.fresh_names(
         f"x_{i}_{j}" for i, c in enumerate(center.centers, start=1) for j in range(1, len(c.ideal.gens) + 1)
@@ -187,7 +211,7 @@ def dilate(center: MultiCenter) -> DilatationResult:
     if not check_hom(iota):
         raise VerificationFinding("structural map failed well-definedness")
     changed = not sat.equals(presat)
-    return DilatationResult(center, prime, iota, names, presat, changed)
+    return prime, iota, names, presat, changed
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,11 @@ class FiniteRing:
         )
 
     def ideal_closure(self, gens):
-        """Smallest ideal containing gens.
+        """Smallest ideal containing gens."""
+        return self.ideal_span(gens)[0]
+
+    def ideal_span(self, gens):
+        """Smallest ideal containing gens, and additive generators of it.
 
         Its additive span is grown from a worklist that starts as gens;
         each element that enlarges the span becomes an additive generator
@@ -147,7 +151,7 @@ class FiniteRing:
             if x not in span.seen:
                 span.extend(x, lambda y: True)
                 todo.extend(self.mul(r, x) for r in self.gens)
-        return frozenset(span.seen)
+        return frozenset(span.seen), span.gens
 
     def _sort_key(self, x):
         return self.index[x]
@@ -393,7 +397,8 @@ class FiniteCenter:
             if any(ring.mul(r, x) not in m for x in basis for r in ring.gens):
                 raise InputError("center subset not closed under multiplication")
             self.pairs.append((m, a))
-        self._l_powers = {(0,) * len(self.pairs): frozenset(ring.elements)}
+        # L^nu with elements generating it as an ideal; one generates A
+        self._l_powers = {(0,) * len(self.pairs): (frozenset(ring.elements), [ring.one])}
 
     @classmethod
     def from_gens(cls, ring: FiniteRing, pairs):
@@ -407,14 +412,21 @@ class FiniteCenter:
         return self.ring.ideal_closure(set(m) | {a})
 
     def l_power(self, nu):
-        """L^nu = prod L_i^{nu_i}, the ideal generated by the products,
-        built one factor at a time and memoised."""
+        """L^nu = prod L_i^{nu_i}, built one factor at a time and memoised."""
+        return self._l_power(nu)[0]
+
+    def _l_power(self, nu):
+        """L^nu and elements that generate it as an ideal.  IJ is generated
+        by the products of generators of I and of J (bilinearity), so
+        each step multiplies the generators kept for L^(nu-e_i) by the
+        additive generators of L_i only."""
         out = self._l_powers.get(nu)
         if out is None:
             i = next(j for j, v in enumerate(nu) if v > 0)
-            prev = self.l_power(nu[:i] + (nu[i] - 1,) + nu[i + 1:])
-            li = self.l_set(i)
-            out = self.ring.ideal_closure({self.ring.mul(x, y) for x in prev for y in li})
+            _, prev = self._l_power(nu[:i] + (nu[i] - 1,) + nu[i + 1:])
+            m, a = self.pairs[i]
+            _, li = self.ring.ideal_span(set(m) | {a})
+            out = self.ring.ideal_span({self.ring.mul(x, y) for x in prev for y in li})
             self._l_powers[nu] = out
         return out
 

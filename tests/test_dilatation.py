@@ -1,5 +1,9 @@
+import threading
+
 import pytest
 
+import dilatations.dilatation as dilatation_module
+from dilatations import cli
 from dilatations.algebras import AlgebraHom, PresentedAlgebra, maps_equal
 from dilatations.dilatation import (
     Center,
@@ -141,6 +145,90 @@ def test_saturation_needed_when_not_regular():
     assert res.saturation_changed
     rep = check_exceptional(res)
     assert rep.ok
+
+
+# ---------------------------------------------------------------- memo
+
+
+def test_dilate_shares_one_build_per_algebra():
+    a = algebra(["a", "g", "h"], "g*h")
+    c1 = mk_center(a, (["g", "h"], "a"))
+    c2 = mk_center(a, (["g", "h"], "a"))
+    r1, r2 = dilate(c1), dilate(c2)
+    assert r1.center is c1 and r2.center is c2
+    assert r1.algebra is r2.algebra and r1.iota is r2.iota
+    assert r1.presaturation is r2.presaturation and r1.fraction_vars is r2.fraction_vars
+    assert len(a.dilatations) == 1
+    assert str(r2.fraction(1, a.var("h"))) == "x_1_2"
+
+
+def test_dilate_reordered_generators_are_another_key():
+    # x_1_j names the j-th stored generator over a, so order is content
+    a = PresentedAlgebra(ring(["a", "g", "h"]))
+    r1 = dilate(mk_center(a, (["g", "h"], "a")))
+    r2 = dilate(mk_center(a, (["h", "g"], "a")))
+    assert r1.algebra is not r2.algebra
+    assert len(a.dilatations) == 2
+    assert str(r1.fraction(1, a.var("g"))) == "x_1_1"
+    assert str(r2.fraction(1, a.var("g"))) == "x_1_2"
+
+
+def test_verifiers_build_each_dilatation_once(monkeypatch):
+    built = []
+    construct = dilatation_module._construct
+    monkeypatch.setattr(dilatation_module, "_construct", lambda c: built.append(c) or construct(c))
+    a = PresentedAlgebra(ring(["a", "b", "g", "h"]))
+    c = mk_center(a, (["g"], "a"), (["h"], "b"))
+    part = dilate(mk_center(a, (["g"], "a")))
+    assert dilate(c.sub([1])).algebra is part.algebra
+    assert len(built) == 1
+    forget_map(dilate(c), [1])  # the full center is new
+    assert len(built) == 2
+    assert two_stage_iso(c, [1])[1].ok  # stage 2, keyed on part.algebra, is new
+    assert len(part.algebra.dilatations) == 1
+    assert len(built) == 3
+    assert monopoly_iso(c)[2].ok  # the single center is new
+    assert len(built) == 4
+    forget_map(dilate(c), [1])
+    assert two_stage_iso(c, [1])[1].ok
+    assert monopoly_iso(c)[2].ok
+    assert len(built) == 4
+
+
+def test_parse_twice_shares_no_dilatation(tmp_path):
+    path = tmp_path / "twice.dila"
+    path.write_text("ring A = QQ[a, g]\nideal M in A = (g)\ncenter C on A = [M / a]\nrequest present C\n")
+    first, second = cli.parse(str(path)), cli.parse(str(path))
+    r1 = dilate(cli._center(first, "C"))
+    assert not cli._center(second, "C").algebra.dilatations
+    r2 = dilate(cli._center(second, "C"))
+    assert r1.algebra is not r2.algebra
+    assert [str(g) for g in r1.algebra.relations.groebner()] == [str(g) for g in r2.algebra.relations.groebner()]
+
+
+def test_concurrent_misses_share_one_result(monkeypatch):
+    # every thread misses and builds before any stores; all must get the
+    # result stored first
+    construct = dilatation_module._construct
+    all_inside = threading.Barrier(4)
+
+    def build(c):
+        all_inside.wait(timeout=60)
+        return construct(c)
+
+    monkeypatch.setattr(dilatation_module, "_construct", build)
+    a = algebra(["x", "y"], "x*y")
+    results = []
+    center = mk_center(a, (["x"], "x"))
+    threads = [threading.Thread(target=lambda: results.append(dilate(center))) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    (stored,) = a.dilatations.values()
+    assert all(r.algebra is stored[0] for r in results)
 
 
 # ---------------------------------------------------------------- exceptional

@@ -1,7 +1,7 @@
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dilatations.groebner import (
     Limits,
@@ -295,6 +295,8 @@ def _random_binomial(rng, r):
 
 @settings(max_examples=200)
 @given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.sampled_from(sorted(ORDERS)))
+@example(116962205, QQ, "lex")
+@example(6393, QQ, "lex")
 def test_basis_matches_criterion_free_reference(seed, field, order_name):
     import random as _random
 
@@ -304,8 +306,12 @@ def test_basis_matches_criterion_free_reference(seed, field, order_name):
     gens += [r.zero(), gens[0]]  # a zero and a repeated generator
     rng.shuffle(gens)
     expected = _textbook_basis(gens)
-    assert buchberger_reduced(gens) == expected
-    basis, rows = buchberger_reduced(gens, cofactors=True)
+    # lex bases of these inputs pass through elements of degree 25-27
+    # (seeds 6393 and 116962205) above the default cap of 24; the claim
+    # here is equality with the reference, not the default budget
+    limits = Limits(degree_cap=64)
+    assert buchberger_reduced(gens, limits=limits) == expected
+    basis, rows = buchberger_reduced(gens, cofactors=True, limits=limits)
     for g, row in zip(basis, rows):
         assert _combination(row, gens) == g
     assert _interreduce(basis) == expected
