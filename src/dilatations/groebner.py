@@ -18,29 +18,27 @@ exceeding either raises ResourceLimitError, which names the cap, the
 pairs formed, the basis size and largest degree, and the ring.
 The same loop optionally carries a cofactor track (each basis element
 written over the input generators), which `ideal_cofactors` uses.
+
+Representation: division, normal forms, Buchberger (both modes) and
+interreduction run on packed term dicts, {packed monomial: coefficient}
+(`poly.Packing`: one int per monomial, compared by the monomial order).
+Polynomials with exponent tuples appear only at the public functions'
+arguments and results.  Each basis element is turned once into its
+reducer row (packed leading monomial, inverse leading coefficient,
+negated monic tail): Buchberger builds it when it adds the element, and
+an `ideals.IdealHandle` keeps a `Reducers` table next to its cached
+basis.  A product whose exponent field would reach its guard bit raises
+ResourceLimitError instead of wrapping.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .poly import (
-    InputError,
-    Polynomial,
-    mono_coprime,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .poly import InputError, Packing, Polynomial, ResourceLimitError
 
 DEFAULT_DEGREE_CAP = 24
 DEFAULT_PAIR_CAP = 200_000
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured S-pair or degree budget was exceeded."""
 
 
 class Limits:
@@ -61,69 +59,132 @@ def _same_ring(polys):
     return ring
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
+def _row(packing: Packing, terms: dict):
+    """The reducer row of a packed nonzero polynomial: its leading
+    monomial, the inverse of its leading coefficient, and its tail made
+    monic and negated, as (monomial, coefficient) pairs, so that reducing
+    a term c * x^(lm + q) adds c * x^q * tail."""
+    fld = packing.ring.field
+    lm = max(terms)
+    inv = fld.inv(terms[lm])
+    minus = fld.neg(inv)
+    return lm, inv, [(m, fld.mul(minus, c)) for m, c in terms.items() if m != lm]
+
+
+class Reducers:
+    """The reducer rows of a basis, in basis order, built once per basis."""
+
+    __slots__ = ("packing", "rows", "lms")
+
+    def __init__(self, packing: Packing, rows: list):
+        self.packing = packing
+        self.rows = rows
+        self.lms = [row[0] for row in rows]
+
+    @classmethod
+    def of(cls, ring, basis) -> "Reducers":
+        """Rows of `basis`, nonzero polynomials over `ring`."""
+        packing = ring.packing
+        return cls(packing, [_row(packing, packing.terms(g)) for g in basis])
+
+
+def _table(f: Polynomial, basis) -> Reducers:
+    """`basis` (polynomials or a table) as a table over f's ring."""
+    if isinstance(basis, Reducers):
+        if f.ring is not basis.packing.ring and f.ring != basis.packing.ring:
+            raise InputError("basis elements over different registries")
+        return basis
+    basis = [g for g in basis if not g.is_zero()]
+    _same_ring([f] + basis)
+    return Reducers.of(f.ring, basis)
+
+
+def _add_multiple(acc: dict, terms, shift: int, coef, packing: Packing) -> None:
+    """acc += coef * x^shift * terms, in place, on packed terms."""
+    guard, p = packing.guard, packing.ring.field.p
+    for m, c in terms:
+        t = m + shift
+        if t & guard:
+            raise packing.overflow(t)
+        s = c * coef
+        old = acc.get(t)
+        if old is not None:
+            s += old
+        if p:
+            s %= p
+        if s:
+            acc[t] = s
+        else:
+            del acc[t]
+
+
+def _reduce(work: dict, table: Reducers, quotients=None) -> dict:
+    """The division loop: reduce the packed term dict `work` (consumed) by
+    the table's rows; return the packed remainder, terms descending.  With
+    `quotients` (one dict per row) record each quotient term there."""
+    packing = table.packing
+    guard, mul = packing.guard, packing.ring.field.mul
+    lms, rows = table.lms, table.rows
+    rem = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        for k, lm in enumerate(lms):
+            q = m - lm
+            if not q & guard:
+                break
+        else:
+            rem[m] = c
+            continue
+        if quotients is not None:
+            quotients[k][q] = mul(c, rows[k][1])
+        _add_multiple(work, rows[k][2], q, c, packing)
+    return rem
+
+
+def normal_form(f, basis):
     """Remainder of `f` under multivariate division by `basis`.
 
     No term of the result is divisible by any basis leading term, and
-    f - result lies in the ideal generated by the basis.
+    f - result lies in the ideal generated by the basis.  `f` is a
+    Polynomial and `basis` a list of polynomials or a `Reducers` table;
+    inside the kernel `f` may also be a packed term dict with a table as
+    `basis`, and the remainder is then a packed term dict.
     """
-    r, _ = divide(f, basis, with_quotients=False)
-    return r
+    if isinstance(f, Polynomial):
+        table = _table(f, basis)
+        return table.packing.poly(_reduce(table.packing.terms(f), table))
+    return _reduce(dict(f), basis)
 
 
 def divide(f: Polynomial, basis, with_quotients: bool = True):
     """Divide `f` by a list of polynomials; return (remainder, quotients).
 
     quotients[i] * basis[i] summed plus the remainder reconstructs f
-    exactly (quotients is None when with_quotients is false).
+    exactly, over the nonzero elements of basis (quotients is None when
+    with_quotients is false).
     """
-    basis = [g for g in basis if not g.is_zero()]
-    ring = f.ring
-    _same_ring([f] + basis)
-    fld = ring.field
-    key = ring.order.key
-    lts = [(g.lm(), g.lc(), g) for g in basis]
-    quotients = [ring.zero() for _ in basis] if with_quotients else None
-
-    rem_terms: dict = {}
-    work = dict(f.terms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = -1
-        for idx, (lm, _, _) in enumerate(lts):
-            if mono_divides(lm, m):
-                hit = idx
-                break
-        if hit < 0:
-            rem_terms[m] = c
-            continue
-        lm, lc, g = lts[hit]
-        q_mono = mono_div(m, lm)
-        q_coef = fld.mul(c, fld.inv(lc))
-        if with_quotients:
-            quotients[hit] = quotients[hit] + Polynomial(ring, {q_mono: q_coef})
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            t = mono_mul(gm, q_mono)
-            s = fld.sub(work.get(t, fld.zero()), fld.mul(gc, q_coef))
-            if s:
-                work[t] = s
-            else:
-                work.pop(t, None)
-    return Polynomial(ring, rem_terms), quotients
+    table = _table(f, basis)
+    packing = table.packing
+    quotients = [{} for _ in table.rows] if with_quotients else None
+    rem = _reduce(packing.terms(f), table, quotients)
+    if quotients is not None:
+        quotients = [packing.poly(q) for q in quotients]
+    return packing.poly(rem), quotients
 
 
-def _reduce_tracked(f: Polynomial, row, basis, rows) -> Polynomial:
-    """Remainder of `f` under division by `basis`, with `f`'s cofactor row
-    turned in place into the remainder's: every quotient times the row of
-    its basis element is subtracted."""
-    r, qs = divide(f, basis)
-    for q, brow in zip(qs, rows):
-        if not q.is_zero():
-            for k, c in enumerate(brow):
-                row[k] = row[k] - q * c
+def _reduce_tracked(work: dict, row, table: Reducers, rows) -> dict:
+    """Packed remainder of `work` under the table, with its cofactor row
+    (packed dicts) turned in place into the remainder's: every quotient
+    times the row of its basis element is subtracted."""
+    quotients = [{} for _ in table.rows]
+    r = _reduce(work, table, quotients)
+    packing = table.packing
+    neg = packing.ring.field.neg
+    for q, brow in zip(quotients, rows):
+        for qm, qc in q.items():
+            for acc, c in zip(row, brow):
+                _add_multiple(acc, c.items(), qm, neg(qc), packing)
     return r
 
 
@@ -139,6 +200,10 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     Sugar: an input generator's sugar is its total degree (the standard
     choice), a pair's is max(sugar_i + deg t_i, sugar_j + deg t_j) where
     t_i * lt_i = lcm, and a new element takes the sugar of its pair.
+
+    The loop runs on packed monomials (`poly.Packing`): each element keeps
+    its packed terms and its reducer row, built when it is added, and the
+    rows of the live elements form the table every reduction uses.
     """
     gens = list(gens)
     nonzero = [k for k, g in enumerate(gens) if not g.is_zero()]
@@ -147,18 +212,25 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     ring = _same_ring([gens[k] for k in nonzero])
     limits = limits or Limits()
     key = ring.order.key
-    one = ring.field.one()
+    packing = ring.packing
+    guard, deg, lcm = packing.guard, packing.deg, packing.lcm
+    fld = ring.field
+    one = fld.one()
+    minus_one = fld.neg(one)
 
-    basis: list[Polynomial] = []
-    rows = [] if cofactors else None
-    lms: list = []
+    basis: list[dict] = []  # packed terms, monic
+    rows = [] if cofactors else None  # cofactor rows, packed, over gens
+    reducer_rows: list = []
+    lms: list[int] = []
+    degs: list[int] = []
     sugar: list[int] = []
     live: list[int] = []  # elements whose leading monomial no later one divides
-    heap: list = []  # (sugar, order key of lcm, i, j, lcm) with i < j
+    table = Reducers(packing, [])  # the rows of the live elements
+    heap: list = []  # (sugar, lcm, i, j) with i < j; packed lcms sort by the order
     formed = 0
 
     def exceeded(what: str) -> ResourceLimitError:
-        top = max(g.degree() for g in basis)
+        top = max(deg(m) for g in basis for m in g)
         return ResourceLimitError(
             f"{what}: {formed} pairs formed; basis of {len(basis)} elements, "
             f"largest degree {top}; ring of {ring.nvars} variables, order {ring.order!r}"
@@ -166,31 +238,42 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
 
     def add(r, row, s):
         """Keep r (monic) with sugar s and apply the Gebauer-Moeller update."""
-        nonlocal formed
+        nonlocal formed, table
+        lm_h = max(r)
+        inv = fld.inv(r[lm_h])
+        if inv != one:
+            r = {m: fld.mul(inv, c) for m, c in r.items()}
+            if rows is not None:
+                row = [{m: fld.mul(inv, c) for m, c in acc.items()} for acc in row]
         if rows is not None:
-            inv = ring.field.inv(r.lc())
-            rows.append([c.scale(inv) for c in row])
+            rows.append(row)
         h = len(basis)
-        basis.append(r.monic())
-        lm_h = basis[h].lm()
+        basis.append(r)
+        reducer_rows.append(_row(packing, r))
         lms.append(lm_h)
+        degs.append(deg(lm_h))
         sugar.append(s)
         by_lcm: dict = {}
+        lcm_deg: dict = {}
         for g in live:
             formed += 1
             if formed > limits.pair_cap:
                 raise exceeded(f"pair budget {limits.pair_cap} exceeded")
-            l = mono_lcm(lms[g], lm_h)
-            if mono_deg(l) > limits.degree_cap:
-                raise exceeded(f"degree budget {limits.degree_cap} exceeded (lcm degree {mono_deg(l)})")
+            l = lcm(lms[g], lm_h)
+            if l & guard:
+                raise packing.overflow(l)
+            if l not in lcm_deg:
+                lcm_deg[l] = d = deg(l)
+                if d > limits.degree_cap:
+                    raise exceeded(f"degree budget {limits.degree_cap} exceeded (lcm degree {d})")
             by_lcm.setdefault(l, []).append(g)
         # B: a queued pair goes when lt(h) divides its lcm and that lcm
         # differs from the lcm of h with each of its two elements
         kept = [
             e for e in heap
-            if not mono_divides(lm_h, e[4])
-            or mono_lcm(lms[e[2]], lm_h) == e[4]
-            or mono_lcm(lms[e[3]], lm_h) == e[4]
+            if (e[1] - lm_h) & guard
+            or lcm(lms[e[2]], lm_h) == e[1]
+            or lcm(lms[e[3]], lm_h) == e[1]
         ]
         if len(kept) < len(heap):
             heap[:] = kept
@@ -198,80 +281,83 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         # M: a new pair goes when another new pair's lcm strictly divides
         # its lcm (checking the lcms that M kept suffices, as division is
         # transitive); F: of the new pairs sharing an lcm one stays, and
-        # none when one of them has coprime leading monomials
+        # none when one of them has coprime leading monomials (its lcm is
+        # their product)
         minimal: list = []  # (degree, lcm) of the lcms M kept
-        for l in sorted(by_lcm, key=mono_deg):
-            d = mono_deg(l)
-            if any(dm < d and mono_divides(m, l) for dm, m in minimal):
-                continue
-            minimal.append((d, l))
-            group = by_lcm[l]
-            if any(mono_coprime(lms[g], lm_h) for g in group):
-                continue
-            ps, g = min((max(sugar[g] + d - mono_deg(lms[g]), s + d - mono_deg(lm_h)), g) for g in group)
-            heapq.heappush(heap, (ps, key(l), g, h, l))
-        live[:] = [g for g in live if not mono_divides(lm_h, lms[g])] + [h]
+        for l in sorted(by_lcm, key=lcm_deg.__getitem__):
+            d = lcm_deg[l]
+            for dm, m in minimal:
+                if dm < d and not (l - m) & guard:
+                    break
+            else:
+                minimal.append((d, l))
+                group = by_lcm[l]
+                if any(l == lms[g] + lm_h for g in group):
+                    continue
+                ps, g = min((max(sugar[g] + d - degs[g], s + d - degs[h]), g) for g in group)
+                heapq.heappush(heap, (ps, l, g, h))
+        live[:] = [g for g in live if (lms[g] - lm_h) & guard] + [h]
+        table = Reducers(packing, [reducer_rows[e] for e in live])
 
     for k in sorted(nonzero, key=lambda k: (key(gens[k].lm()), sorted(gens[k].terms.items()))):
-        reducers = [basis[e] for e in live]
+        f = packing.terms(gens[k])
         if rows is None:
-            r, row = normal_form(gens[k], reducers), None
+            r, row = normal_form(f, table), None
         else:
-            row = [ring.zero() for _ in gens]
-            row[k] = ring.one()
-            r = _reduce_tracked(gens[k], row, reducers, [rows[e] for e in live])
-        if not r.is_zero():
+            row = [{} for _ in gens]
+            row[k] = {0: one}
+            r = _reduce_tracked(f, row, table, [rows[e] for e in live])
+        if r:
             add(r, row, gens[k].degree())
 
     while heap:
-        s, _, i, j, l = heapq.heappop(heap)
-        # S-polynomial; basis elements are monic
-        ti, tj = mono_div(l, lms[i]), mono_div(l, lms[j])
-        spoly = basis[i].mul_term(ti, one) - basis[j].mul_term(tj, one)
-        reducers = [basis[e] for e in live]
+        s, l, i, j = heapq.heappop(heap)
+        # S-polynomial x^ti*g_i - x^tj*g_j of monic g_i, g_j: the leading
+        # terms cancel, and the rows hold the negated tails
+        ti, tj = l - lms[i], l - lms[j]
+        spoly: dict = {}
+        _add_multiple(spoly, reducer_rows[j][2], tj, one, packing)
+        _add_multiple(spoly, reducer_rows[i][2], ti, minus_one, packing)
         if rows is None:
-            r, row = normal_form(spoly, reducers), None
+            r, row = normal_form(spoly, table), None
         else:
-            row = [a.mul_term(ti, one) - b.mul_term(tj, one) for a, b in zip(rows[i], rows[j])]
-            r = _reduce_tracked(spoly, row, reducers, [rows[e] for e in live])
-        if r.is_zero():
+            row = [{} for _ in gens]
+            for acc, a, b in zip(row, rows[i], rows[j]):
+                _add_multiple(acc, a.items(), ti, one, packing)
+                _add_multiple(acc, b.items(), tj, minus_one, packing)
+            r = _reduce_tracked(spoly, row, table, [rows[e] for e in live])
+        if not r:
             continue
-        if mono_deg(r.lm()) > limits.degree_cap:
-            raise exceeded(f"degree budget {limits.degree_cap} exceeded (new lead degree {mono_deg(r.lm())})")
+        if deg(max(r)) > limits.degree_cap:
+            raise exceeded(f"degree budget {limits.degree_cap} exceeded (new lead degree {deg(max(r))})")
         add(r, row, s)
 
     if rows is not None:
-        return [basis[k] for k in live], [rows[k] for k in live]
-    return _interreduce([basis[k] for k in live])
+        return [packing.poly(basis[k]) for k in live], [[packing.poly(c) for c in rows[k]] for k in live]
+    return _interreduce([packing.poly(basis[k]) for k in live])
 
 
 def _interreduce(basis):
     """Minimalize and fully reduce a Groebner basis; sort deterministically."""
     if not basis:
         return []
-    ring = basis[0].ring
-    key = ring.order.key
-    basis = sorted(basis, key=lambda p: key(p.lm()))
-    keep = []
-    for i, g in enumerate(basis):
-        lm = g.lm()
-        dominated = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            if mono_divides(h.lm(), lm) and (h.lm() != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
+    packing = basis[0].ring.packing
+    guard = packing.guard
+    polys = sorted((packing.terms(g) for g in basis), key=max)
+    lms = [max(g) for g in polys]
+    # a divisor of a leading monomial is not larger, so only an earlier
+    # element can dominate a later one (of equal leading monomials, the
+    # first stays)
+    keep = [g for i, g in enumerate(polys) if all((lms[i] - lm) & guard for lm in lms[:i])]
+    rows = [_row(packing, g) for g in keep]
     reduced = []
     for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda p: key(p.lm()), reverse=True)
-    return reduced
+        r = normal_form(g, Reducers(packing, rows[:i] + rows[i + 1 :]))
+        if r:
+            inv = packing.ring.field.inv(r[max(r)])
+            reduced.append({m: packing.ring.field.mul(inv, c) for m, c in r.items()})
+    reduced.sort(key=max, reverse=True)
+    return [packing.poly(g) for g in reduced]
 
 
 def ideal_cofactors(f: Polynomial, gens, limits: Limits | None = None):

@@ -2,11 +2,12 @@
 elimination and membership, all through the Groebner kernel.
 
 An IdealHandle keeps its generator list verbatim and caches the reduced
-Groebner basis on first use (one-shot, guarded by a lock, so library
-callers may share handles across threads).  It also carries the `Limits`
-that every Buchberger run on its behalf uses (None means the defaults),
-and each ideal built from it here inherits them; that is the only way
-budgets reach the kernel.  Ideal equality means equality of ideals, not
+Groebner basis on first use, with the basis's reducer rows (`Reducers`)
+next to it for every later normal form (one-shot, guarded by a lock, so
+library callers may share handles across threads).  It also carries the
+`Limits` that every Buchberger run on its behalf uses (None means the
+defaults), and each ideal built from it here inherits them; that is the
+only way budgets reach the kernel.  Ideal equality means equality of ideals, not
 of generator lists: reduced bases are canonical, so it is a list
 comparison.
 """
@@ -16,12 +17,12 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from .groebner import Limits, buchberger_reduced, divide, normal_form
-from .poly import InputError, PolyRing, Polynomial, block_order
+from .groebner import Limits, Reducers, buchberger_reduced, divide, normal_form
+from .poly import GREVLEX, InputError, PolyRing, Polynomial, block_order
 
 
 class IdealHandle:
-    __slots__ = ("ring", "gens", "limits", "_gb", "_lock")
+    __slots__ = ("ring", "gens", "limits", "_gb", "_reducers", "_lock")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial], limits: Limits | None = None):
         gens = list(gens)
@@ -32,17 +33,21 @@ class IdealHandle:
         self.gens = gens
         self.limits = limits
         self._gb = None
+        self._reducers = None
         self._lock = threading.Lock()
 
     def groebner(self) -> list[Polynomial]:
         if self._gb is None:
             with self._lock:
                 if self._gb is None:
-                    self._gb = buchberger_reduced(self.gens, limits=self.limits)
+                    gb = buchberger_reduced(self.gens, limits=self.limits)
+                    self._reducers = Reducers.of(self.ring, gb)
+                    self._gb = gb  # last: a reader that sees it sees the rows
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.groebner())
+        self.groebner()
+        return normal_form(f, self._reducers)
 
     # predicates
 
@@ -175,8 +180,6 @@ def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
     mapped = [g.map_ring(perm) for g in a.gens]
     gb = buchberger_reduced(mapped, limits=a.limits)
     k = len(names)
-    from .poly import GREVLEX
-
     keep_order = a.ring.order if a.ring.order.kind != "block" else GREVLEX
     sub = PolyRing(a.ring.field, rest, keep_order)
     kept = []

@@ -23,7 +23,7 @@ import itertools
 import random
 
 from .closure import Closure, closure_certificate, span
-from .poly import InputError, Polynomial
+from .poly import InputError, Polynomial, mono_divides, mono_mul
 from .report import Report, VerificationFinding
 
 SIZE_CAP = 4096
@@ -301,8 +301,6 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
             if not pure:
                 raise InputError("relation ideal is not zero-dimensional")
             bounds.append(min(pure))
-        from .poly import mono_divides
-
         basis_monos = []
         for exps in itertools.product(*(range(b) for b in bounds)):
             if not any(mono_divides(lm, exps) for lm in lms):
@@ -328,8 +326,6 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
     prod_table = {}
     for i in range(dim):
         for j in range(i, dim):
-            from .poly import mono_mul
-
             m = mono_mul(basis_monos[i], basis_monos[j])
             prod_table[(i, j)] = poly_to_vec(Polynomial(ap.ring, {m: field.one()}))
 

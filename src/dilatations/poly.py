@@ -5,6 +5,20 @@ scalars.  A monomial is a plain tuple of nonnegative ints over a fixed
 variable registry; the registry (variable name list), the coefficient
 field and the monomial order together form a PolyRing.  All values are
 immutable after construction, so sharing across threads is safe.
+
+Inside the Groebner kernel a monomial is one Python int instead: each
+ring has a `Packing` (built on first use) that packs an exponent tuple
+into a row of fields of FIELD_BITS value bits, each with a guard bit
+above it.  From the most significant end the fields are, for grevlex,
+the prefix sums S_n, S_{n-1}, ..., S_1 (S_k = e_1 + ... + e_k); for
+block(k), the prefix sums of the first k exponents and then those of
+the rest; for lex, none; and then the exponents themselves.  Every
+field is a sum of exponents, so a product is `a + b`, a quotient `b - a`,
+`a` divides `b` exactly when `(b - a) & guard == 0`, and comparing two
+packed ints compares their order keys, so `max` of a term dict is its
+leading monomial.  A field that reaches 2**FIELD_BITS would spill into
+its guard bit: packing such a tuple, or forming such a product, raises
+ResourceLimitError naming the ring, the bound and the value.
 """
 
 from __future__ import annotations
@@ -19,6 +33,11 @@ Scalar = Union[Fraction, int]  # Fraction over QQ, int residue over Fp
 
 class InputError(ValueError):
     """Malformed input: registry mismatch, bad syntax, non-prime modulus."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A budget was exceeded: the S-pair or degree cap of a Groebner
+    computation, or the width of a packed exponent field."""
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +203,109 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
+
+
+# packed monomials (one int each; see the module docstring)
+
+FIELD_BITS = 32
+
+
+class Packing:
+    """The packed encoding of one ring's monomials.
+
+    Exponent fields sit at the low end, variable i in field i (lex: in
+    field n-1-i, so that e_1 is the most significant); each block's
+    prefix-sum fields sit above them, the first block highest.  `guard`
+    has the guard bit of every field set.
+    """
+
+    __slots__ = ("ring", "guard", "_shifts", "_blocks", "_groups", "_deg_shifts", "_exps", "_exp_guards")
+
+    def __init__(self, ring: "PolyRing"):
+        n, order = ring.nvars, ring.order
+        width = FIELD_BITS + 1
+        if order.kind == _LEX:
+            cuts, self._shifts = [], [(n - 1 - i) * width for i in range(n)]
+        else:
+            cuts = [0, min(order.block, n), n] if order.kind == _BLOCK else [0, n]
+            self._shifts = [i * width for i in range(n)]
+        self.ring = ring
+        self._blocks = [(s, t) for s, t in zip(cuts, cuts[1:]) if t > s]
+        # per block: (low shift, mask, ones, target shift).  The block's
+        # exponents times a row of ones hold its prefix sums in their low
+        # fields, the whole block's sum (its degree) at the top
+        self._groups, self._deg_shifts, pos = [], [], n
+        for s, t in reversed(self._blocks):
+            size = t - s
+            ones = sum(1 << j * width for j in range(size))
+            self._groups.append((s * width, (1 << size * width) - 1, ones, pos * width))
+            self._deg_shifts.append((pos + size - 1) * width)
+            pos += size
+        if not self._blocks:
+            self._deg_shifts = list(self._shifts)
+        self.guard = sum(1 << (j * width + FIELD_BITS) for j in range(pos))
+        self._exp_guards = sum(1 << (j * width + FIELD_BITS) for j in range(n))
+        self._exps = sum(((1 << FIELD_BITS) - 1) << j * width for j in range(n))
+
+    def _expand(self, d: int) -> int:
+        """Exponent fields only -> the full packed monomial."""
+        for low, mask, ones, target in self._groups:
+            d += (((d >> low) & mask) * ones & mask) << target
+        return d
+
+    def pack(self, e: Mono) -> int:
+        """The packed int of exponent tuple e; ResourceLimitError when a
+        field (an exponent or a block's degree) reaches the bound."""
+        top = max([sum(e[s:t]) for s, t in self._blocks] or e, default=0)
+        if top >> FIELD_BITS:
+            raise self._overflow(top)
+        d = 0
+        for x, shift in zip(e, self._shifts):
+            d |= x << shift
+        return self._expand(d)
+
+    def unpack(self, m: int) -> Mono:
+        mask = (1 << FIELD_BITS) - 1
+        return tuple((m >> shift) & mask for shift in self._shifts)
+
+    def deg(self, m: int) -> int:
+        """Total degree: the sum of the blocks' top fields (lex: of the
+        exponents)."""
+        mask, d = (1 << FIELD_BITS) - 1, 0
+        for shift in self._deg_shifts:
+            d += (m >> shift) & mask
+        return d
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm of packed a and b; unchecked: a field may reach its
+        guard bit, which the caller tests."""
+        guards = self._exp_guards
+        diff = ((b & self._exps) | guards) - (a & self._exps)
+        up = diff & guards  # guard bit kept where b's exponent >= a's
+        return a + self._expand(diff & (up - (up >> FIELD_BITS)))
+
+    def overflow(self, m: int) -> ResourceLimitError:
+        """The error for a packed product m with a field past its bound."""
+        width = FIELD_BITS + 1
+        value = 0
+        while m:
+            value = max(value, m & ((1 << width) - 1))
+            m >>= width
+        return self._overflow(value)
+
+    def _overflow(self, value: int) -> ResourceLimitError:
+        return ResourceLimitError(
+            f"exponent or degree sum {value} reaches the packed field bound 2^{FIELD_BITS} "
+            f"in ring {self.ring!r}, order {self.ring.order!r}"
+        )
+
+    def terms(self, f: "Polynomial") -> dict:
+        return {self.pack(m): c for m, c in f.terms.items()}
+
+    def poly(self, terms: dict) -> "Polynomial":
+        return Polynomial(self.ring, {self.unpack(m): c for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +321,7 @@ class PolyRing:
     compare by value, so equal declarations are interchangeable.
     """
 
-    __slots__ = ("field", "names", "order", "_index", "_hash")
+    __slots__ = ("field", "names", "order", "_index", "_hash", "_packing")
 
     def __init__(self, field: Field, names: Iterable[str], order: MonomialOrder = GREVLEX):
         names = tuple(names)
@@ -221,10 +337,18 @@ class PolyRing:
         self.order = order
         self._index = {n: i for i, n in enumerate(names)}
         self._hash = hash((field, names, order))
+        self._packing = None
 
     @property
     def nvars(self) -> int:
         return len(self.names)
+
+    @property
+    def packing(self) -> Packing:
+        # two threads may both build one; they are equal, and either serves
+        if self._packing is None:
+            self._packing = Packing(self)
+        return self._packing
 
     def __eq__(self, other):
         return (

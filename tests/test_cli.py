@@ -125,6 +125,24 @@ request present C
     assert code == 3
 
 
+def test_exponent_past_the_packed_field_exits_three(tmp_path, capsys):
+    text = """
+ring A = QQ[x, y]
+rels A = (x^4294967296 - y)
+ideal M in A = (y)
+center C on A = [M / x]
+request present C
+"""
+    code, out = run_cli(tmp_path, text)
+    assert code == 3
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "resource limit: exponent or degree sum 4294967296 reaches the packed field bound 2^32 in ring QQ["
+    )
+    assert "Traceback" not in err
+
+
 def test_resource_limit_names_the_budget_on_stderr_only(tmp_path, capsys):
     text = """
 ring A = QQ[x, y, z]

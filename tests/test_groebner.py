@@ -12,10 +12,13 @@ from dilatations.groebner import (
     ideal_cofactors,
     normal_form,
 )
+from dilatations.ideals import IdealHandle
 from dilatations.poly import (
+    FIELD_BITS,
     GREVLEX,
     LEX,
     Field,
+    InputError,
     PolyRing,
     Polynomial,
     QQ,
@@ -43,6 +46,27 @@ def test_nf_single_substitution():
     r = PolyRing(QQ, ["y", "x"], LEX)
     out = normal_form(r.parse("x*y - 1"), [r.parse("y - x")])
     assert str(out) == "x^2 - 1"
+
+
+def test_nf_rejects_other_ring():
+    r, other = ring(["x", "y"]), ring(["x", "z"])
+    basis = buchberger_reduced([r.parse("x - y")])
+    with pytest.raises(InputError):
+        normal_form(other.parse("x"), basis)
+    with pytest.raises(InputError):
+        IdealHandle(r, basis).contains(other.parse("x"))
+
+
+def test_packed_field_overflow_raises():
+    # y -> x sends y*x^(bound - 1) to x^bound, whose field reaches its guard bit
+    bound = 2**FIELD_BITS
+    r = PolyRing(QQ, ["y", "x"], LEX)
+    f = Polynomial(r, {(1, bound - 1): QQ.one()})
+    message = rf"{bound} reaches the packed field bound 2\^{FIELD_BITS} in ring QQ\[y, x\], order lex"
+    with pytest.raises(ResourceLimitError, match=message):
+        normal_form(f, [r.parse("y - x")])
+    with pytest.raises(ResourceLimitError, match=message):
+        buchberger_reduced([f, r.parse("y - x")])
 
 
 def test_buchberger_already_reduced():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from dilatations import ideals
 from dilatations.algebras import PresentedAlgebra
 from dilatations.dilatation import Center, MultiCenter, dilate
+from dilatations.groebner import Reducers, buchberger_reduced, normal_form
 from dilatations.ideals import IdealHandle, colon, combine, eliminate, intersect, membership, saturate
 from dilatations.poly import Field, InputError, QQ
 
@@ -82,6 +83,54 @@ def test_groebner_cache_thread_safe():
     for t in ts:
         t.join()
     assert all(o is outs[0] for o in outs)
+
+
+def test_reducer_table_built_once_across_threads(monkeypatch):
+    """Threads racing on a fresh handle's normal forms and membership
+    tests share one basis and one reducer table, and agree."""
+    import sys
+    import time
+
+    r = ring(["x", "y", "z"])
+    gens = [r.parse("x^2 + y*z"), r.parse("y^2 - x*z"), r.parse("z^2 - x*y")]
+    queries = [r.parse(t) for t in ("x^3", "x*y*z + y", "z^4 - x*y^3", "x^2*y + y^2*z")]
+    gb = buchberger_reduced(gens)
+    expected = [normal_form(f, gb) for f in queries]
+    builds, tables = [], []
+
+    def counting_buchberger(*args, **kwargs):
+        builds.append(1)
+        time.sleep(0.01)  # widen the windows in which other threads arrive
+        return buchberger_reduced(*args, **kwargs)
+
+    class CountingReducers(Reducers):
+        @classmethod
+        def of(cls, ring, basis):
+            tables.append(1)
+            time.sleep(0.01)
+            return super().of(ring, basis)
+
+    monkeypatch.setattr(ideals, "buchberger_reduced", counting_buchberger)
+    monkeypatch.setattr(ideals, "Reducers", CountingReducers)
+    h = IdealHandle(r, gens)
+    outs = [None] * 16
+
+    def work(i):
+        outs[i] = [h.normal_form(f) for f in queries] + [h.contains(f) for f in queries]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ts = [threading.Thread(target=work, args=(i,)) for i in range(len(outs))]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in ts)
+    assert all(o == expected + [nf.is_zero() for nf in expected] for o in outs)
+    assert len(builds) == 1 and len(tables) == 1
 
 
 @given(st.integers(0, 10**9))

@@ -1,15 +1,20 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dilatations.poly import (
+    FIELD_BITS,
     Field,
     GREVLEX,
     InputError,
     LEX,
     PolyRing,
     QQ,
+    ResourceLimitError,
     block_order,
     format_poly,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
 )
 
 from conftest import random_poly, ring
@@ -138,3 +143,50 @@ def test_fresh_names_distinct_from_ring_and_each_other():
     # a later stem may be an earlier fresh name: it is probed as well
     assert r.fresh_names(["t", "t_2"]) == ["t_2", "t_2_2"]
     assert r.fresh_names([]) == []
+
+
+# ------------------------------------------------------------ packed monomials
+
+
+@st.composite
+def packed_case(draw):
+    """A ring of 1-8 variables under lex, grevlex or block(k), and two
+    exponent vectors, b a multiple of a in half the cases."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.sampled_from([LEX, GREVLEX] + [block_order(k) for k in range(n + 2)]))
+    # up to 2^20 per exponent: 8 of them sum to well under the 2^32 bound
+    exps = st.lists(st.integers(0, 2**20), min_size=n, max_size=n).map(tuple)
+    a, c = draw(exps), draw(exps)
+    b = mono_mul(a, c) if draw(st.booleans()) else draw(exps)
+    return PolyRing(QQ, [f"x{i}" for i in range(n)], order), a, b
+
+
+@settings(max_examples=300)
+@given(packed_case())
+def test_packing_matches_tuple_monomials(case):
+    r, a, b = case
+    packing = r.packing
+    pa, pb = packing.pack(a), packing.pack(b)
+    key = r.order.key
+    assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
+    assert ((pb - pa) & packing.guard == 0) == mono_divides(a, b)
+    assert pa + pb == packing.pack(mono_mul(a, b))
+    assert packing.lcm(pa, pb) == packing.pack(mono_lcm(a, b))
+    assert packing.unpack(pa) == a and packing.deg(pa) == sum(a)
+
+
+def test_packing_overflow_raises():
+    bound = 2**FIELD_BITS
+    r = PolyRing(QQ, ["x", "y"])
+    message = rf"{bound} reaches the packed field bound 2\^{FIELD_BITS} in ring QQ\[x, y\], order grevlex"
+    with pytest.raises(ResourceLimitError, match=message):
+        r.packing.pack((bound, 0))
+    # grevlex has a field for the degree, which spills before any exponent
+    with pytest.raises(ResourceLimitError, match=rf"degree sum {bound} "):
+        r.packing.pack((bound // 2, bound // 2))
+    lex = PolyRing(QQ, ["x", "y"], LEX)
+    a = lex.packing.pack((bound // 2, bound // 2))
+    assert lex.packing.unpack(a) == (bound // 2, bound // 2)
+    # a product that reaches a guard bit is caught by one test
+    assert (a + a) & lex.packing.guard
+    assert not (a + lex.packing.pack((bound // 2 - 1, 0))) & lex.packing.guard
