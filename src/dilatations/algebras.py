@@ -8,7 +8,7 @@ uniform (the zero ring is presented by P = (1) and is legal).
 from __future__ import annotations
 
 from .ideals import IdealHandle, colon, eliminate
-from .poly import InputError, PolyRing, Polynomial
+from .poly import GREVLEX, InputError, PolyRing, Polynomial
 
 
 class PresentedAlgebra:
@@ -29,8 +29,6 @@ class PresentedAlgebra:
 
     @classmethod
     def free(cls, field, names, order=None) -> "PresentedAlgebra":
-        from .poly import GREVLEX
-
         return cls(PolyRing(field, names, order or GREVLEX))
 
     def nf(self, f: Polynomial) -> Polynomial:

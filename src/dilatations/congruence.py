@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 
-from .poly import InputError
+from .poly import InputError, _is_prime
 from .report import Report
 from .closure import closure_certificate
 from .oracle import SizeCapError, dual_numbers, galois_extension, zmod
@@ -51,8 +51,6 @@ class LevelRing:
     __slots__ = ("p", "N", "mod")
 
     def __init__(self, p: int, n: int):
-        from .poly import _is_prime
-
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         if n < 1 or p**n > LEVEL_CAP:

@@ -1,14 +1,24 @@
 """Ground-truth dilatation semantics over small finite rings.
 
-Everything here is literal: rings are element lists with operation
-tables, the fraction construction enumerates the symbols m/a^nu and
-classes them, and the subring construction closes generator sets inside
-an idempotent localization.  One routine, `symbol_classes`, classes the
-symbols of rings and of modules: it keys each symbol by its value
+Everything here is literal: rings are element lists with operations,
+the fraction construction enumerates the symbols m/a^nu and classes
+them, and the subring construction closes generator sets inside an
+idempotent localization.  The two constructions certify each other; the
+symbolic engine is then checked against them on finite-dimensional
+instances.
+
+Every check is exhaustive.  A ring built from scratch (`zmod`,
+`quotient_ring`, `from_presented`) has a product that is bilinear by
+construction, so `certify_basis_axioms` checks its axioms on basis
+triples; subrings of a certified ring need no check.  One span routine,
+`FiniteRing.closed_span`, builds ideals and subrings: an additive span
+closed under multiplication by generators.  One hom plan per source ring
+(`HomPlan`) extends generator images to a map and certifies it on
+additive and ring generators; hom enumeration and the algebra-hom count
+both run on it.  One routine, `symbol_classes`, classes the symbols of
+rings and of modules: it keys each symbol by its value
 e*m*(e*a^nu)^{-1} in e*A and certifies the classes against the literal
-equivalence of the definition.  The two constructions certify each
-other; the symbolic engine is then checked against them on
-finite-dimensional instances.
+equivalence of the definition.
 
 Witness bound: with e = f^t idempotent (f the product of the a_i), two
 symbols are equivalent iff they are equalized by the single witness
@@ -20,9 +30,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 
 from .closure import Closure, closure_certificate, span
+from .dilatation import dilate
 from .poly import InputError, Polynomial, mono_divides, mono_mul
 from .report import Report, VerificationFinding
 
@@ -38,10 +48,13 @@ class FiniteRing:
 
     Elements are hashable canonical labels; `gens` generate the ring (the
     closure of {0, 1} ∪ gens under + and * is everything), which drives
-    hom enumeration.
+    ideal spans and hom enumeration.  Nothing is checked here: the
+    constructors certify their rings (`certify_basis_axioms`); the other
+    rings are subsets of a certified ring closed under + and * (e*A has
+    its own unit e), or certified isomorphic to one.
     """
 
-    def __init__(self, label, elements, add, mul, zero, one, gens, verify=True, cap=SIZE_CAP):
+    def __init__(self, label, elements, add, mul, zero, one, gens):
         self.label = label
         self.elements = list(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
@@ -53,35 +66,10 @@ class FiniteRing:
         self.one = one
         self.gens = list(gens)
         self._neg = None
-        if verify:
-            self._verify_axioms(cap)
 
     @property
     def size(self):
         return len(self.elements)
-
-    def _verify_axioms(self, cap):
-        els = self.elements
-        if len(els) > cap:
-            raise SizeCapError(f"ring size {len(els)} exceeds cap {cap}")
-        if len(els) <= 64:
-            triples = itertools.product(els, repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = [tuple(rng.choice(els) for _ in range(3)) for _ in range(2000)]
-        add, mul = self.add, self.mul
-        for x, y, z in triples:
-            if add(x, y) != add(y, x) or mul(x, y) != mul(y, x):
-                raise VerificationFinding(f"{self.label}: commutativity fails")
-            if add(add(x, y), z) != add(x, add(y, z)):
-                raise VerificationFinding(f"{self.label}: additive associativity fails")
-            if mul(mul(x, y), z) != mul(x, mul(y, z)):
-                raise VerificationFinding(f"{self.label}: multiplicative associativity fails")
-            if mul(x, add(y, z)) != add(mul(x, y), mul(x, z)):
-                raise VerificationFinding(f"{self.label}: distributivity fails")
-        for x in els:
-            if add(x, self.zero) != x or mul(x, self.one) != x:
-                raise VerificationFinding(f"{self.label}: unit laws fail")
 
     def neg(self, x):
         if self._neg is None:
@@ -133,25 +121,37 @@ class FiniteRing:
             if y != self.zero
         )
 
+    def closed_span(self, todo, multipliers):
+        """The additive span of `todo` closed under multiplication by
+        `multipliers`: (elements, additive generators, sources).
+
+        The span is grown from a worklist that starts as `todo`; each
+        element that enlarges it becomes an additive generator and is
+        multiplied once by each multiplier, and the products join the
+        worklist.  When it ends, every additive generator times every
+        multiplier lies in the span, so by distributivity the span is
+        closed under multiplication by the subring the multipliers
+        generate.  sources[j] says where additive generator j came
+        from: an int t for todo[t], or (i, k) for multipliers[k] times
+        additive generator i."""
+        span = Closure(self.zero, self.add)
+        sources = []
+        work = list(enumerate(todo))
+        for src, x in work:
+            if x not in span.seen:
+                span.extend(x, lambda y: True)
+                work.extend(((len(sources), k), self.mul(r, x)) for k, r in enumerate(multipliers))
+                sources.append(src)
+        return frozenset(span.seen), span.gens, sources
+
     def ideal_closure(self, gens):
         """Smallest ideal containing gens."""
         return self.ideal_span(gens)[0]
 
     def ideal_span(self, gens):
-        """Smallest ideal containing gens, and additive generators of it.
-
-        Its additive span is grown from a worklist that starts as gens;
-        each element that enlarges the span becomes an additive generator
-        and is multiplied once by each of the ring's `gens`, and the
-        products join the worklist.  That suffices: the ring is generated
-        by 1 and `gens`, and multiplication distributes over +."""
-        span = Closure(self.zero, self.add)
-        todo = list(gens)
-        for x in todo:
-            if x not in span.seen:
-                span.extend(x, lambda y: True)
-                todo.extend(self.mul(r, x) for r in self.gens)
-        return frozenset(span.seen), span.gens
+        """Smallest ideal containing gens, and additive generators of it:
+        the ring is generated by 1 and `self.gens`."""
+        return self.closed_span(gens, self.gens)[:2]
 
     def _sort_key(self, x):
         return self.index[x]
@@ -160,44 +160,18 @@ class FiniteRing:
         return sorted(xs, key=self._sort_key)
 
     def subring_closure(self, gens, cap=SIZE_CAP):
-        """Closure of {one} ∪ gens under + and *, as a sorted list."""
-        current = {self.zero, self.one}
-        current.update(gens)
-        changed = True
-        while changed:
-            if len(current) > cap:
-                raise SizeCapError(f"subring closure exceeded cap {cap}")
-            changed = False
-            snapshot = self.sorted(current)
-            for x in snapshot:
-                for y in snapshot:
-                    for v in (self.add(x, y), self.mul(x, y)):
-                        if v not in current:
-                            current.add(v)
-                            changed = True
-        return self.sorted(current)
+        """Closure of {one} ∪ gens under + and *, as a sorted list: the
+        span of 1 and gens closed under multiplication by gens holds 1
+        and every product of gens, and lies in the subring."""
+        elements = self.closed_span([self.one, *gens], gens)[0]
+        if len(elements) > cap:
+            raise SizeCapError(f"subring closure exceeded cap {cap}")
+        return self.sorted(elements)
 
-    def expressions(self):
-        """One expression DAG per element over {0, 1, gens}: used to
-        extend candidate generator images to full maps."""
-        exprs = {self.zero: ("zero",), self.one: ("one",)}
-        for k, g in enumerate(self.gens):
-            exprs.setdefault(g, ("gen", k))
-        frontier = self.sorted(exprs)
-        while True:
-            new = []
-            for x in self.sorted(exprs):
-                for y in frontier:
-                    for op, v in (("add", self.add(x, y)), ("mul", self.mul(x, y))):
-                        if v not in exprs:
-                            exprs[v] = (op, x, y)
-                            new.append(v)
-            if not new:
-                break
-            frontier = new
-        if len(exprs) != self.size:
-            raise InputError(f"{self.label}: listed gens do not generate the ring")
-        return exprs
+    @functools.cached_property
+    def hom_plan(self):
+        """The ring's `HomPlan`, built on first use."""
+        return HomPlan(self)
 
     def __repr__(self):
         return f"FiniteRing({self.label}, n={self.size})"
@@ -207,18 +181,40 @@ class FiniteRing:
 # constructors
 
 
+def certify_basis_axioms(label, basis, mul, one):
+    """Certify the multiplicative ring axioms of a product that is
+    bilinear by construction, over an addition that is coordinatewise
+    mod n and that `basis` generates.
+
+    The additive laws and distributivity then hold by construction;
+    commutativity, associativity and the unit law are multilinear, so
+    checking them on basis vectors is exhaustive.  Raises
+    VerificationFinding at the first that fails."""
+    for x, y in itertools.product(basis, repeat=2):
+        if mul(x, y) != mul(y, x):
+            raise VerificationFinding(f"{label}: commutativity fails")
+    for x, y, z in itertools.product(basis, repeat=3):
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            raise VerificationFinding(f"{label}: multiplicative associativity fails")
+    if any(mul(one, x) != x for x in basis):
+        raise VerificationFinding(f"{label}: unit laws fail")
+
+
+def _unit_vectors(dim):
+    return [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+
+
 def zmod(n: int) -> FiniteRing:
     if n < 1:
         raise InputError("modulus must be >= 1")
-    return FiniteRing(
-        f"Z/{n}",
-        range(n),
-        lambda a, b: (a + b) % n,
-        lambda a, b: (a * b) % n,
-        0,
-        1 % n,
-        [1 % n],
-    )
+    if n > SIZE_CAP:
+        raise SizeCapError(f"ring size {n} exceeds cap {SIZE_CAP}")
+
+    def mul(a, b):
+        return (a * b) % n
+
+    certify_basis_axioms(f"Z/{n}", [1 % n], mul, 1 % n)
+    return FiniteRing(f"Z/{n}", range(n), lambda a, b: (a + b) % n, mul, 0, 1 % n, [1 % n])
 
 
 def quotient_ring(n: int, modulus: tuple, var: str = "y") -> FiniteRing:
@@ -260,7 +256,9 @@ def quotient_ring(n: int, modulus: tuple, var: str = "y") -> FiniteRing:
     zero = (0,) * d
     one = reduce([1])
     y = reduce([0, 1])
-    return FiniteRing(f"Z/{n}[{var}]/(m)", elements, add, mul, zero, one, [one, y] if one != y else [y])
+    label = f"Z/{n}[{var}]/(m)"
+    certify_basis_axioms(label, _unit_vectors(d), mul, one)
+    return FiniteRing(label, elements, add, mul, zero, one, [one, y] if one != y else [y])
 
 
 def dual_numbers(n: int) -> FiniteRing:
@@ -352,17 +350,8 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
     one = poly_to_vec(ap.ring.one())
     var_map = {n: poly_to_vec(ap.ring.var(n)) for n in ap.ring.names}
     gens = [one] + [var_map[n] for n in ap.ring.names]
-    ring = FiniteRing(str(ap.ring), elements, add, mul, zero, one, gens, verify=False)
-    # Addition is coordinatewise mod p, the product is bilinear and the
-    # table symmetric by construction, so the additive laws, commutativity
-    # and distributivity hold.  Associativity and the unit law are
-    # multilinear, so checking them on basis vectors is exhaustive.
-    basis = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
-    for x, y, z in itertools.product(basis, repeat=3):
-        if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            raise VerificationFinding(f"{ring.label}: multiplicative associativity fails")
-    if any(mul(one, x) != x for x in basis):
-        raise VerificationFinding(f"{ring.label}: unit laws fail")
+    certify_basis_axioms(str(ap.ring), _unit_vectors(dim), mul, one)
+    ring = FiniteRing(str(ap.ring), elements, add, mul, zero, one, gens)
     return ring, var_map
 
 
@@ -465,7 +454,6 @@ class Localization:
             parent.zero,
             self.e,
             [parent.mul(self.e, g) for g in parent.gens],
-            verify=False,
         )
         ef = parent.mul(self.e, f)
         if not self.ring.is_unit(ef):
@@ -491,16 +479,14 @@ class OracleDilatation:
         self.base = base
         self.center = center
         self.loc = localize_finite(base, center.product_elem())
-        e = self.loc.e
-        gens = [self.loc.map(x) for x in base.elements]
         self.fraction_values = {}
         for i, (m, a) in enumerate(center.pairs):
             inv = self.loc.ring.inverse(self.loc.map(a))
             for x in base.sorted(m):
-                v = base.mul(self.loc.map(x), inv)
-                self.fraction_values[(i, x)] = v
-                gens.append(v)
-        frac_gens = [self.fraction_values[k] for k in sorted(self.fraction_values, key=lambda k: (k[0], base.index[k[1]]))]
+                self.fraction_values[(i, x)] = base.mul(self.loc.map(x), inv)
+        # base generators, then fractions: count_algebra_homs assigns images in this order
+        self.fraction_keys = sorted(self.fraction_values, key=lambda k: (k[0], base.index[k[1]]))
+        gens = [self.loc.map(g) for g in base.gens] + [self.fraction_values[k] for k in self.fraction_keys]
         self.ring = FiniteRing(
             f"{base.label}-dilatation",
             # inside e*A, whose order is the base order
@@ -508,9 +494,8 @@ class OracleDilatation:
             base.add,
             base.mul,
             base.zero,
-            e,
-            [self.loc.map(g) for g in base.gens] + frac_gens,
-            verify=False,
+            self.loc.e,
+            gens,
         )
 
     def struct_map(self, x):
@@ -615,27 +600,24 @@ class SymbolDilatation:
             num = base.add(base.mul(m, a_pow(lam)), base.mul(p, a_pow(nu)))
             add_table[i][j] = add_table[j][i] = locate((num, den))
             mul_table[i][j] = mul_table[j][i] = locate((base.mul(m, p), den))
-        zero_c = locate((base.zero, (0,) * k))
-        one_c = locate((base.one, (0,) * k))
-        gen_cs = sorted({locate((base.mul(x, base.one), (0,) * k)) for x in base.gens})
-        self.ring = FiniteRing(
-            f"{base.label}-fractions",
-            range(n),
-            lambda x, y: add_table[x][y],
-            lambda x, y: mul_table[x][y],
-            zero_c,
-            one_c,
-            gen_cs,
-            cap=cap,
-        )
-
-        # operations agree with the subring construction through the values
+        # the value map is injective (one value per class) and onto the
+        # subring dilatation; it respects + and *, so the tables form a
+        # ring isomorphic to that certified subring
         for i in range(n):
             for j in range(n):
                 if values[add_table[i][j]] != base.add(values[i], values[j]):
                     raise VerificationFinding("addition disagrees with the subring dilatation")
                 if values[mul_table[i][j]] != base.mul(values[i], values[j]):
                     raise VerificationFinding("multiplication disagrees with the subring dilatation")
+        self.ring = FiniteRing(
+            f"{base.label}-fractions",
+            range(n),
+            lambda x, y: add_table[x][y],
+            lambda x, y: mul_table[x][y],
+            locate((base.zero, (0,) * k)),
+            locate((base.one, (0,) * k)),
+            [classes[v] for v in self.sub.ring.gens],
+        )
 
 
 def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
@@ -662,27 +644,36 @@ class FiniteModule:
             self._verify()
 
     def _verify(self):
-        els = self.elements
-        ring = self.ring
-        if len(els) > 512 or ring.size > 512:
-            rng = random.Random(1)
-            pairs = [(rng.choice(els), rng.choice(els)) for _ in range(500)]
-            rpairs = [(rng.choice(ring.elements), rng.choice(els)) for _ in range(500)]
-        else:
-            pairs = [(x, y) for x in els for y in els]
-            rpairs = [(r, x) for r in ring.elements for x in els]
-        for x, y in pairs:
-            if self.add(x, y) != self.add(y, x) or self.add(x, y) not in self.index:
-                raise VerificationFinding(f"{self.label}: addition broken")
-        for r, x in rpairs:
-            if self.act(r, x) not in self.index:
-                raise VerificationFinding(f"{self.label}: action not closed")
-            if self.act(ring.one, x) != x:
+        """Exhaustive on generators, for an associative addition.
+
+        + is closed, 0 neutral, and each additive generator h of M
+        commutes and translates injectively, so M is an abelian group.
+        For all r in A and x in M: r*x is in M, (r+g)*x = r*x + g*x for
+        the additive generators g of A, (s*r)*x = s*(r*x) for the ring
+        generators s, and each s acts additively.  Then the r that act
+        additively, and those with (r*t)*x = r*(t*x) for all t, form
+        subrings holding the generators: A -> End(M) is a unital hom.
+        """
+        ring, add, act, els = self.ring, self.add, self.act, self.elements
+        mgens = closure_certificate(els, self.index.__contains__, add, self.zero)
+        if mgens is None or any(add(x, self.zero) != x for x in els) or any(
+            len({add(x, h) for x in els}) != len(els) or any(add(x, h) != add(h, x) for x in els) for h in mgens
+        ):
+            raise VerificationFinding(f"{self.label}: addition broken")
+        _, rgens, _ = ring.closed_span([ring.one], ring.gens)
+        for x in els:
+            if act(ring.one, x) != x:
                 raise VerificationFinding(f"{self.label}: unit action broken")
-        for r, x in rpairs[:200]:
-            for s in ring.elements[: min(len(ring.elements), 16)]:
-                if self.act(ring.mul(r, s), x) != self.act(r, self.act(s, x)):
+            for r in ring.elements:
+                rx = act(r, x)
+                if rx not in self.index:
+                    raise VerificationFinding(f"{self.label}: action not closed")
+                if any(act(ring.add(r, g), x) != add(rx, act(g, x)) for g in rgens):
+                    raise VerificationFinding(f"{self.label}: action not additive")
+                if any(act(ring.mul(s, r), x) != act(s, rx) for s in ring.gens):
                     raise VerificationFinding(f"{self.label}: action not associative")
+            if any(act(s, add(x, h)) != add(act(s, x), act(s, h)) for s in ring.gens for h in mgens):
+                raise VerificationFinding(f"{self.label}: action not additive")
 
     def sorted(self, xs):
         return sorted(xs, key=lambda x: self.index[x])
@@ -759,47 +750,85 @@ def module_dilate_oracle(module: FiniteModule, center: FiniteCenter, cap=SIZE_CA
 # hom enumeration and the universal-property scan
 
 
+class HomPlan:
+    """How a hom out of a finite ring is fixed by its generator images.
+
+    The additive generators come from `closed_span([one] + gens, gens)`,
+    so each is 1, a ring generator, or an earlier additive generator
+    times a ring generator (`sources`).  The elements are listed
+    breadth-first from 0, each reached as an earlier element plus an
+    additive generator; `plus[i][j]` is the position of element i plus
+    additive generator j, and `times[j][k]` that of additive generator j
+    times ring generator k.
+    """
+
+    def __init__(self, ring: FiniteRing):
+        reached, adds, self.sources = ring.closed_span([ring.one, *ring.gens], ring.gens)
+        if len(reached) != ring.size:
+            raise InputError(f"{ring.label}: listed gens do not generate the ring")
+        self.elements = [ring.zero]
+        pos = {ring.zero: 0}
+        self.plus = []
+        for x in self.elements:
+            row = []
+            for g in adds:
+                y = ring.add(x, g)
+                if y not in pos:
+                    pos[y] = len(self.elements)
+                    self.elements.append(y)
+                row.append(pos[y])
+            self.plus.append(row)
+        self.one = pos[ring.one]
+        self.times = [[pos[ring.mul(g, r)] for r in ring.gens] for g in adds]
+
+    def extend(self, b: FiniteRing, images):
+        """The unital ring hom into b that sends the generators to
+        `images`, as a dict, or None if there is none.
+
+        The images follow from `images` along `sources`, then `plus`.
+        The map f is certified by f(1) = 1, f(x + g) = f(x) + f(g) for
+        every element x and additive generator g, and
+        f(g * r_k) = f(g) * images[k] for every additive generator g and
+        ring generator r_k; g = 1 gives f(r_k) = images[k].  f is then
+        additive, so the last check holds for every element in place of
+        g, and the y with f(x*y) = f(x)*f(y) for all x form a subring
+        holding the generators.
+        """
+        adds = []
+        for src in self.sources:
+            if isinstance(src, int):
+                adds.append(b.one if src == 0 else images[src - 1])
+            else:
+                j, k = src
+                adds.append(b.mul(images[k], adds[j]))
+        f = [b.zero] + [None] * (len(self.elements) - 1)
+        for i, row in enumerate(self.plus):
+            fx = f[i]
+            for y, fg in zip(row, adds):
+                v = b.add(fx, fg)
+                if f[y] is None:
+                    f[y] = v
+                elif f[y] != v:
+                    return None
+        if f[self.one] != b.one:
+            return None
+        for fg, row in zip(adds, self.times):
+            if any(f[y] != b.mul(fg, v) for y, v in zip(row, images)):
+                return None
+        return dict(zip(self.elements, f))
+
+
 def enumerate_homs(a: FiniteRing, b: FiniteRing, budget: int = 200_000):
-    """All unital ring homs A -> B, by assigning generator images and
-    verifying the full addition/multiplication tables."""
-    exprs = a.expressions()
-    ngens = len(a.gens)
-    if b.size**ngens > budget:
+    """All unital ring homs A -> B: every assignment of generator images
+    is extended and certified along A's hom plan."""
+    plan = a.hom_plan
+    if b.size ** len(a.gens) > budget:
         raise SizeCapError("hom enumeration budget exceeded")
     homs = []
-    order = list(exprs)  # insertion order: operands come before results
-    for images in itertools.product(b.elements, repeat=ngens):
-        fmap = {}
-        ok = True
-        for x in order:
-            ex = exprs[x]
-            if ex[0] == "zero":
-                v = b.zero
-            elif ex[0] == "one":
-                v = b.one
-            elif ex[0] == "gen":
-                v = images[ex[1]]
-            elif ex[0] == "add":
-                v = b.add(fmap[ex[1]], fmap[ex[2]])
-            else:
-                v = b.mul(fmap[ex[1]], fmap[ex[2]])
-            if x in fmap and fmap[x] != v:
-                ok = False
-                break
-            fmap[x] = v
-        if not ok:
-            continue
-        if fmap[a.one] != b.one:
-            continue
-        good = all(
-            fmap[a.add(x, y)] == b.add(fmap[x], fmap[y])
-            and fmap[a.mul(x, y)] == b.mul(fmap[x], fmap[y])
-            for x in a.elements
-            for y in a.elements
-        )
-        if good:
-            if fmap not in homs:
-                homs.append(fmap)
+    for images in itertools.product(b.elements, repeat=len(a.gens)):
+        f = plan.extend(b, images)
+        if f is not None:
+            homs.append(f)
     return homs
 
 
@@ -807,49 +836,19 @@ def count_algebra_homs(dil: OracleDilatation, b: FiniteRing, f: dict) -> int:
     """#Hom_{A-alg}(A', B) over the base hom f, for f(a_i) non-zero-
     divisors.  Candidate images of each fraction are enumerated as the
     solutions of x * f(a_i) = f(m); a non-zero-divisor admits at most one,
-    which is checked rather than assumed."""
-    base = dil.base
-    forced = {}
-    for (i, m), v in sorted(dil.fraction_values.items(), key=lambda kv: (kv[0][0], base.index[kv[0][1]])):
+    which is checked rather than assumed.  A' is generated by the base
+    generators and the fractions, so the count is 1 exactly when their
+    images extend to a hom."""
+    images = [f[g] for g in dil.base.gens]
+    for i, m in dil.fraction_keys:
         ai = dil.center.pairs[i][1]
         sols = [x for x in b.elements if b.mul(x, f[ai]) == f[m]]
         if len(sols) > 1:
             raise VerificationFinding("multiple fraction images despite a non-zero-divisor")
         if not sols:
             return 0
-        forced[v] = sols[0]
-
-    # extend to the whole dilatation along its subring closure structure
-    fmap = {}
-    for x in dil.ring.elements:
-        fmap[x] = None
-    for x in base.elements:
-        ex = dil.struct_map(x)
-        if fmap.get(ex) is not None and fmap[ex] != f[x]:
-            return 0
-        fmap[ex] = f[x]
-    for v, img in forced.items():
-        if fmap.get(v) is not None and fmap[v] != img:
-            return 0
-        fmap[v] = img
-    changed = True
-    while changed:
-        changed = False
-        known = [x for x in dil.ring.elements if fmap[x] is not None]
-        for x in known:
-            for y in known:
-                for res, img in (
-                    (base.add(x, y), b.add(fmap[x], fmap[y])),
-                    (base.mul(x, y), b.mul(fmap[x], fmap[y])),
-                ):
-                    if fmap[res] is None:
-                        fmap[res] = img
-                        changed = True
-                    elif fmap[res] != img:
-                        return 0
-    if any(v is None for v in fmap.values()):
-        raise VerificationFinding("dilatation not generated by base and fractions")
-    return 1
+        images.append(sols[0])
+    return 0 if dil.ring.hom_plan.extend(b, images) is None else 1
 
 
 def universal_property_scan(a: FiniteRing, center: FiniteCenter, catalog, budget: int = 200_000) -> Report:
@@ -922,8 +921,6 @@ def eval_poly(f, var_values: dict, target: FiniteRing):
 def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
     """Cross-validate the symbolic dilatation of a finite-dimensional Fp
     algebra against both oracle constructions."""
-    from .dilatation import dilate
-
     rep = Report("oracle_bridge")
     base_ring, var_map = from_presented(ap, cap)
     fc = FiniteCenter.from_gens(

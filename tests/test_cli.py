@@ -344,6 +344,20 @@ request universal CU scan
     assert "universal_scan: pass" in out
 
 
+def test_universal_scan_on_a_256_element_ring(tmp_path):
+    # 256 elements, within the default oracle size cap
+    text = """
+ring U = Fp(2)[u, v]
+rels U = (u^4, v^2)
+ideal M in U = (u)
+center C on U = [M / u]
+request universal C scan
+"""
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    assert "universal_scan: pass" in out
+
+
 def test_base_change_rejects_undeclared_hom(tmp_path, capsys):
     text = """
 ring A = QQ[a, g]

@@ -8,6 +8,8 @@ from dilatations.ideals import IdealHandle
 from dilatations.oracle import (
     FiniteCenter,
     FiniteModule,
+    SizeCapError,
+    certify_basis_axioms,
     compare_with_symbolic,
     dilate_oracle_fractions,
     dilate_oracle_subring,
@@ -415,17 +417,137 @@ def test_from_presented_honours_a_cap_above_the_default():
     assert finite.size == 3**8
 
 
-def test_from_presented_axioms_checked_without_sampling(monkeypatch):
-    # the 81-element ring of the benchmark's `oracle YC`: above the 64
-    # elements where a generic FiniteRing still samples triples
+def test_ring_axioms_certified_without_sampling(monkeypatch):
     import dilatations.oracle as oc
 
-    def no_sampling(*args):
-        raise AssertionError("random sampling used")
+    assert not hasattr(oc, "random")
+    certified = []
 
-    monkeypatch.setattr(oc.random, "Random", no_sampling)
+    def record(label, basis, mul, one):
+        certified.append((label, len(basis)))
+        certify_basis_axioms(label, basis, mul, one)
+
+    monkeypatch.setattr(oc, "certify_basis_axioms", record)
     finite, _ = from_presented(fp_algebra(3, ["y"], "y^4 - y"))
     assert finite.size == 81
+    big = quotient_ring(4, (1, 0, 1, 0, 1))  # Z/4[y]/(y^4 + y^2 + 1)
+    assert big.size == 256
+    assert certified == [(finite.label, 4), (big.label, 4)]
+
+
+def test_basis_certificate_rejects_a_bilinear_non_associative_product():
+    # F2^2 with e1*e1 = e2, e1*e2 = e2*e1 = e1, e2*e2 = 0, extended bilinearly
+    table = {(0, 0): (0, 1), (0, 1): (1, 0), (1, 0): (1, 0), (1, 1): (0, 0)}
+
+    def mul(a, b):
+        out = [0, 0]
+        for i, j in itertools.product(range(2), repeat=2):
+            if a[i] and b[j]:
+                out = [(o + t) % 2 for o, t in zip(out, table[(i, j)])]
+        return tuple(out)
+
+    with pytest.raises(VerificationFinding, match="associativity fails"):
+        certify_basis_axioms("F2^2", [(1, 0), (0, 1)], mul, (1, 0))
+
+
+def test_module_check_rejects_a_non_unital_action():
+    with pytest.raises(VerificationFinding, match="unit action broken"):
+        FiniteModule(zmod(2), "Z/2", range(2), lambda a, b: (a + b) % 2, lambda r, x: 0, 0)
+
+
+def test_module_check_rejects_a_non_associative_action():
+    # over F2[eps]/(eps^2), eps acting as the identity: unital and additive
+    # in both arguments, but eps*(eps*x) = x while (eps*eps)*x = 0
+    base = dual_numbers(2)
+    with pytest.raises(VerificationFinding, match="action not associative"):
+        FiniteModule(base, "Z/2", range(2), lambda a, b: (a + b) % 2, lambda r, x: (r[0] + r[1]) * x % 2, 0)
+
+
+# The references below keep the earlier definitions: an expression DAG
+# extends each assignment, which is checked on all pairs of elements, and
+# subrings are closed by adding all sums and products until nothing changes.
+
+
+def _ref_expressions(a):
+    exprs = {a.zero: ("zero",), a.one: ("one",)}
+    for k, g in enumerate(a.gens):
+        exprs.setdefault(g, ("gen", k))
+    frontier = a.sorted(exprs)
+    while frontier:
+        new = []
+        for x in a.sorted(exprs):
+            for y in frontier:
+                for op, v in (("add", a.add(x, y)), ("mul", a.mul(x, y))):
+                    if v not in exprs:
+                        exprs[v] = (op, x, y)
+                        new.append(v)
+        frontier = new
+    assert len(exprs) == a.size
+    return exprs
+
+
+def _ref_enumerate_homs(a, b):
+    exprs = _ref_expressions(a)
+    homs = []
+    for images in itertools.product(b.elements, repeat=len(a.gens)):
+        fmap = {}
+        for x, ex in exprs.items():
+            if ex[0] in ("zero", "one"):
+                fmap[x] = b.zero if ex[0] == "zero" else b.one
+            elif ex[0] == "gen":
+                fmap[x] = images[ex[1]]
+            else:
+                op = b.add if ex[0] == "add" else b.mul
+                fmap[x] = op(fmap[ex[1]], fmap[ex[2]])
+        if fmap[a.one] != b.one or fmap in homs:
+            continue
+        if all(
+            fmap[a.add(x, y)] == b.add(fmap[x], fmap[y]) and fmap[a.mul(x, y)] == b.mul(fmap[x], fmap[y])
+            for x in a.elements
+            for y in a.elements
+        ):
+            homs.append(fmap)
+    return homs
+
+
+def _hom_cases():
+    catalog = [zmod(m) for m in range(1, 13)]
+    for n in range(1, 13):
+        for b in catalog:
+            yield zmod(n), b
+    u_ring, _ = from_presented(fp_algebra(2, ["u", "v"], "u^2 - u", "v^2 - v"))
+    for a in (dual_numbers(3), galois_extension(4, 2), u_ring):
+        for b in catalog + [a]:
+            yield a, b
+
+
+def test_enumerate_homs_matches_all_pairs_reference():
+    for a, b in _hom_cases():
+        assert enumerate_homs(a, b) == _ref_enumerate_homs(a, b), (a, b)
+
+
+def _ref_subring_closure(r, gens):
+    current = {r.zero, r.one, *gens}
+    while True:
+        new = {op(x, y) for x in current for y in current for op in (r.add, r.mul)} - current
+        if not new:
+            return r.sorted(current)
+        current |= new
+
+
+@pytest.mark.parametrize("case", range(5), ids=["Z12", "F3[y]/(y^2-1)", "F2[y]/(y^3)", "YC", "CU"])
+def test_subring_closure_matches_fixed_point_reference(case):
+    base, center = list(_fraction_bases())[case]
+    els = base.elements
+    gen_sets = [[]] + [[x] for x in els[:: max(1, len(els) // 9)]] + [[els[i], els[-1 - 2 * i]] for i in range(1, 4)]
+    for gens in gen_sets:
+        assert base.subring_closure(gens) == _ref_subring_closure(base, gens), gens
+    dil = dilate_oracle_subring(base, center)
+    loc = dil.loc.ring
+    every = [dil.loc.map(x) for x in els] + list(dil.fraction_values.values())
+    assert dil.ring.elements == _ref_subring_closure(loc, every)
+    with pytest.raises(SizeCapError, match="subring closure exceeded cap"):
+        base.subring_closure(els, cap=base.size - 1)
 
 
 # ------------------------------------------------- ideals and their checks
