@@ -29,6 +29,16 @@ negated monic tail): Buchberger builds it when it adds the element, and
 an `ideals.IdealHandle` keeps a `Reducers` table next to its cached
 basis.  A product whose exponent field would reach its guard bit raises
 ResourceLimitError instead of wrapping.
+
+Coefficients: over QQ a coefficient inside the kernel is an int when it
+is integral and a Fraction only otherwise.  `Packing.terms` turns
+integral Fractions into ints and `Packing.poly` turns ints back, so
+every Polynomial the kernel returns carries Fractions only.  Integral
+coefficients, the common case, multiply and add as ints, with no gcd.
+An inverse is an int when it is integral, and a Fraction that comes out
+integral becomes an int again where an element gets its reducer row or
+is made monic, not at every term operation.  The arithmetic sequence is
+the same as with Fractions throughout: same pairs, reductions and bases.
 """
 
 from __future__ import annotations
@@ -59,6 +69,20 @@ def _same_ring(polys):
     return ring
 
 
+def _integral(c):
+    """c, as an int when it is an integral rational (Fp residues are
+    ints already)."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _inverse(fld, c):
+    """1 / c for nonzero c, as an int when it is an integral rational:
+    over QQ that is when c's numerator is 1 or -1."""
+    if fld.p is None and c.numerator in (1, -1):
+        return c.numerator * c.denominator
+    return fld.inv(c)
+
+
 def _row(packing: Packing, terms: dict):
     """The reducer row of a packed nonzero polynomial: its leading
     monomial, the inverse of its leading coefficient, and its tail made
@@ -66,9 +90,9 @@ def _row(packing: Packing, terms: dict):
     a term c * x^(lm + q) adds c * x^q * tail."""
     fld = packing.ring.field
     lm = max(terms)
-    inv = fld.inv(terms[lm])
+    inv = _inverse(fld, terms[lm])
     minus = fld.neg(inv)
-    return lm, inv, [(m, fld.mul(minus, c)) for m, c in terms.items() if m != lm]
+    return lm, inv, [(m, _integral(fld.mul(minus, c))) for m, c in terms.items() if m != lm]
 
 
 class Reducers:
@@ -215,7 +239,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     packing = ring.packing
     guard, deg, lcm = packing.guard, packing.deg, packing.lcm
     fld = ring.field
-    one = fld.one()
+    one = 1
     minus_one = fld.neg(one)
 
     basis: list[dict] = []  # packed terms, monic
@@ -240,11 +264,11 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         """Keep r (monic) with sugar s and apply the Gebauer-Moeller update."""
         nonlocal formed, table
         lm_h = max(r)
-        inv = fld.inv(r[lm_h])
+        inv = _inverse(fld, r[lm_h])
         if inv != one:
-            r = {m: fld.mul(inv, c) for m, c in r.items()}
+            r = {m: _integral(fld.mul(inv, c)) for m, c in r.items()}
             if rows is not None:
-                row = [{m: fld.mul(inv, c) for m, c in acc.items()} for acc in row]
+                row = [{m: _integral(fld.mul(inv, c)) for m, c in acc.items()} for acc in row]
         if rows is not None:
             rows.append(row)
         h = len(basis)
@@ -334,16 +358,22 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
 
     if rows is not None:
         return [packing.poly(basis[k]) for k in live], [[packing.poly(c) for c in rows[k]] for k in live]
-    return _interreduce([packing.poly(basis[k]) for k in live])
+    return _interreduce([basis[k] for k in live], packing)
 
 
-def _interreduce(basis):
-    """Minimalize and fully reduce a Groebner basis; sort deterministically."""
+def _interreduce(basis, packing: Packing | None = None):
+    """Minimalize and fully reduce a Groebner basis; sort deterministically.
+
+    `basis` is a list of polynomials, or of packed term dicts over
+    `packing`; the result is a list of polynomials either way."""
     if not basis:
         return []
-    packing = basis[0].ring.packing
+    if packing is None:
+        packing = basis[0].ring.packing
+        basis = [packing.terms(g) for g in basis]
+    fld = packing.ring.field
     guard = packing.guard
-    polys = sorted((packing.terms(g) for g in basis), key=max)
+    polys = sorted(basis, key=max)
     lms = [max(g) for g in polys]
     # a divisor of a leading monomial is not larger, so only an earlier
     # element can dominate a later one (of equal leading monomials, the
@@ -354,8 +384,8 @@ def _interreduce(basis):
     for i, g in enumerate(keep):
         r = normal_form(g, Reducers(packing, rows[:i] + rows[i + 1 :]))
         if r:
-            inv = packing.ring.field.inv(r[max(r)])
-            reduced.append({m: packing.ring.field.mul(inv, c) for m, c in r.items()})
+            inv = _inverse(fld, r[max(r)])
+            reduced.append({m: fld.mul(inv, c) for m, c in r.items()})
     reduced.sort(key=max, reverse=True)
     return [packing.poly(g) for g in reduced]
 

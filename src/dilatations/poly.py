@@ -61,7 +61,9 @@ class Field:
     """QQ, or Fp for a prime p < 2**31.
 
     Rationals are Fractions (lowest terms, positive denominator by
-    construction); Fp residues are ints in [0, p).
+    construction); Fp residues are ints in [0, p).  Inside the Groebner
+    kernel a rational may also be an int (see `Packing.terms`), and
+    the operations below accept either.
     """
 
     __slots__ = ("p",)
@@ -107,7 +109,7 @@ class Field:
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("field inverse of zero")
-        return 1 / a if self.p is None else pow(a, -1, self.p)
+        return Fraction(1, a) if self.p is None else pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -302,10 +304,19 @@ class Packing:
         )
 
     def terms(self, f: "Polynomial") -> dict:
-        return {self.pack(m): c for m, c in f.terms.items()}
+        """f's packed terms; over QQ an integral coefficient becomes an
+        int, so that the kernel's arithmetic on it takes no gcd (an Fp
+        residue is an int already)."""
+        pack = self.pack
+        return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
     def poly(self, terms: dict) -> "Polynomial":
-        return Polynomial(self.ring, {self.unpack(m): c for m, c in terms.items()})
+        """The polynomial of packed terms; over QQ every coefficient
+        leaves as a Fraction."""
+        unpack = self.unpack
+        if self.ring.field.p is None:
+            terms = {m: Fraction(c) if type(c) is int else c for m, c in terms.items()}
+        return Polynomial(self.ring, {unpack(m): c for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +656,7 @@ def format_poly(f: Polynomial, ascending: bool = False) -> str:
     out = []
     for m in monos:
         c = f.terms[m]
-        neg = (not isinstance(c, int)) and c < 0
+        neg = f.ring.field.p is None and c < 0
         mag = -c if neg else c
         factors = []
         for i, e in enumerate(m):

@@ -1,4 +1,5 @@
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -150,6 +151,48 @@ def test_determinism_across_threads():
     first = results[0]
     assert all(res == first for res in results)
     assert [str(g) for g in first] == [str(g) for g in buchberger_reduced(gens)]
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [["x^2 - y", "x*y - 1"], ["2*x - 3*y", "1/2*x*y + 1"]],
+    ids=["integral", "non-integral"],
+)
+def test_qq_results_carry_fractions_only(texts):
+    # inside the kernel an integral rational is an int; every polynomial
+    # it hands back holds Fractions
+    r = ring(["x", "y"])
+    gens = [r.parse(t) for t in texts]
+    f = r.parse("x^3 + 2*x*y^2 - 5*y + 7")
+    member = gens[0] * r.parse("x + 2") + gens[1] * r.parse("3*y")
+    gb = buchberger_reduced(gens)
+    basis, rows = buchberger_reduced(gens, cofactors=True)
+    rem, quotients = divide(f, gens)
+    out = gb + basis + [p for row in rows for p in row] + [rem] + quotients
+    out += [normal_form(f, gb), normal_form(f, gens), IdealHandle(r, gens).normal_form(f)]
+    out += ideal_cofactors(member, gens)
+    assert all(type(c) is Fraction for p in out for c in p.terms.values())
+    assert any(c.denominator == 1 for p in out for c in p.terms.values())
+    assert rem + sum((q * g for q, g in zip(quotients, gens)), r.zero()) == f
+
+
+def test_prime_field_results_carry_ints():
+    r = ring(["x", "y"], field=Field(7))
+    gens = [r.parse("2*x - 3*y"), r.parse("4*x*y + 1")]
+    f = r.parse("x^3 + 5")
+    rem, quotients = divide(f, gens)
+    out = buchberger_reduced(gens) + [rem] + quotients + [normal_form(f, gens)]
+    assert all(type(c) is int for p in out for c in p.terms.values())
+
+
+def test_interreduce_takes_packed_terms():
+    r = ring(["x", "y", "z"])
+    gens = [r.parse("x^2 - 1/3*y*z"), r.parse("2*x*y - z^2"), r.parse("y^3 - x")]
+    basis, _ = buchberger_reduced(gens, cofactors=True)
+    packing = r.packing
+    expected = buchberger_reduced(gens)
+    assert _interreduce([packing.terms(g) for g in basis], packing) == expected
+    assert _interreduce(basis) == expected
 
 
 def test_resource_limits_raise():

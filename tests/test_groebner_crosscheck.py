@@ -3,13 +3,14 @@ implementation (sympy), on randomized small ideals over QQ.  sympy is a
 test-only reference; nothing in the package imports it."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from dilatations.groebner import buchberger_reduced
-from dilatations.poly import GREVLEX, LEX, PolyRing, QQ
+from dilatations.poly import GREVLEX, LEX, PolyRing, Polynomial, QQ
 
 from conftest import random_poly
 
@@ -90,3 +91,44 @@ def test_deeper_rational_basis_matches_sympy(seed):
         for e in _sympy_basis(gens, names, "grevlex")
     }
     assert ours == theirs
+
+
+def _random_rational_poly(rng, ring, max_deg=3):
+    """A random polynomial of two or three terms whose coefficients are
+    p/q with q in 1..5, so that non-integral rationals reach the kernel
+    (`random_poly` allows one-term inputs, and at this size pairs of them
+    mostly give monomial or unit ideals)."""
+    terms = {}
+    for _ in range(rng.randint(2, 3)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(ring.nvars)] += 1
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+        terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+    return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+
+def _from_sympy(ring, exprs):
+    syms = sympy.symbols(" ".join(ring.names))
+    out = set()
+    for e in exprs:
+        terms = sympy.Poly(e, *syms, domain="QQ").terms()
+        poly = Polynomial(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+        out.add(str(poly.monic()))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("order_name", ["lex", "grevlex"])
+def test_non_integral_rational_basis_matches_sympy(seed, order_name):
+    rng = random.Random(6100 + seed)
+    names = ["x", "y", "z"][: rng.choice([2, 3])]
+    ring = PolyRing(QQ, names, LEX if order_name == "lex" else GREVLEX)
+    gens = []
+    while len(gens) < 2:
+        p = _random_rational_poly(rng, ring)
+        if not p.is_constant():
+            gens.append(p)
+    assert any(c.denominator > 1 for g in gens for c in g.terms.values())
+    ours = {str(g) for g in buchberger_reduced(gens)}
+    assert ours == _from_sympy(ring, _sympy_basis(gens, names, order_name)), [str(g) for g in gens]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from dilatations.poly import (
     InputError,
     LEX,
     PolyRing,
+    Polynomial,
     QQ,
     ResourceLimitError,
     block_order,
@@ -52,6 +55,37 @@ def test_fp_arithmetic():
     p = r.parse("3*u + 4")
     assert str(p * p) == "4*u^2 + 4*u + 1"
     assert (p - p).is_zero()
+
+
+def test_qq_inverse_is_a_fraction():
+    for a, inv in [(2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (1, Fraction(1)), (Fraction(2, 3), Fraction(3, 2))]:
+        assert QQ.inv(a) == inv and type(QQ.inv(a)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    assert Field(5).inv(2) == 3
+
+
+def test_format_poly_sign_follows_the_field():
+    r = ring(["x", "y"])
+    for one in (1, Fraction(1)):  # an int coefficient over QQ prints like its Fraction
+        p = Polynomial(r, {(1, 0): one, (0, 1): -one, (0, 0): -2 * one})
+        assert format_poly(p) == "x - y - 2"
+        assert format_poly(p, ascending=True) == "-2 - y + x"
+    f5 = PolyRing(Field(5), ["x", "y"])
+    assert format_poly(f5.parse("x - y - 2")) == "x + 4*y + 3"
+    assert format_poly(f5.parse("-x")) == "4*x"
+
+
+def test_packing_holds_integral_rationals_as_ints():
+    r = ring(["x", "y"])
+    p = r.parse("2*x - 1/2*y + 1")
+    terms = r.packing.terms(p)
+    assert sorted(map(type, terms.values()), key=str) == [Fraction, int, int]
+    back = r.packing.poly(terms)
+    assert back == p and all(type(c) is Fraction for c in back.terms.values())
+    f5 = PolyRing(Field(5), ["x"])
+    q = f5.parse("3*x + 1")
+    assert f5.packing.poly(f5.packing.terms(q)).terms == q.terms
 
 
 def test_registry_mismatch_is_error():
