@@ -112,6 +112,14 @@ class AlgebraHom:
         h._well_defined = True
         return h
 
+    @classmethod
+    def by_name(cls, source: PresentedAlgebra, target: PresentedAlgebra, images=()) -> "AlgebraHom":
+        """The map sending each source variable named in `images` (a dict
+        or (name, image) pairs) to its image and every other source
+        variable to the target variable of the same name."""
+        images = dict(images)
+        return cls(source, target, [images[n] if n in images else target.ring.var(n) for n in source.ring.names])
+
     def image_map(self) -> dict:
         return dict(zip(self.source.ring.names, self.images))
 

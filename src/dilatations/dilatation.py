@@ -7,7 +7,9 @@ denominator torsion.  Each distinct dilatation is built once per base
 algebra and shared (see `dilate`).  Every structural identity the
 construction is supposed to satisfy has a verifier here that certifies
 it with explicit maps in both directions; a verifier never reports
-success on a one-sided check.
+success on a one-sided check.  Every certified map is given by the
+images of the variables it moves (`AlgebraHom.by_name`); every other
+variable goes to its namesake.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def _construct(center: MultiCenter) -> tuple:
         )
 
     prime = PresentedAlgebra(ext, sat)
-    iota = AlgebraHom(a, prime, [ext.var(n) for n in a.ring.names])
+    iota = AlgebraHom.by_name(a, prime)
     if not check_hom(iota):
         raise VerificationFinding("structural map failed well-definedness")
     changed = not sat.equals(presat)
@@ -270,7 +272,7 @@ def normalize_center(center: MultiCenter, declared_base: Polynomial | None = Non
     for group in groups:
         if len(group) == 1:
             e, gens = group[0]
-            result.append(Center(IdealHandle(a.ring, gens, a.relations.limits), e))
+            result.append(Center(a.ideal(gens, include_relations=False), e))
             continue
         candidates = [declared_base] if declared_base is not None else [e for e, _ in group]
         collapsed = False
@@ -284,12 +286,12 @@ def normalize_center(center: MultiCenter, declared_base: Polynomial | None = Non
                 merged = []
                 for _, gs in group:
                     merged += [g for g in gs if g not in merged]
-                result.append(Center(IdealHandle(a.ring, merged, a.relations.limits), e))
+                result.append(Center(a.ideal(merged, include_relations=False), e))
                 collapsed = True
                 break
         if not collapsed:
             for e, gens in group:
-                result.append(Center(IdealHandle(a.ring, gens, a.relations.limits), e))
+                result.append(Center(a.ideal(gens, include_relations=False), e))
 
     result.sort(key=lambda c: (str(c.elem), str([str(g) for g in c.ideal.groebner()])))
     return MultiCenter(a, result)
@@ -341,6 +343,18 @@ def _certify_pair(rep: Report, fwd: AlgebraHom, bwd: AlgebraHom, tag: str = "") 
     rep.add(p + "bwd_fwd_identity", maps_equal(bwd.compose(fwd), ids))
 
 
+def _renaming(a: PresentedAlgebra, b: PresentedAlgebra, names: dict) -> tuple[AlgebraHom, AlgebraHom]:
+    """The maps a -> b and b -> a that send each variable n of a named in
+    `names` to names[n] and back, and every other variable to its
+    namesake."""
+    fwd = {}
+    bwd = {}
+    for n, m in names.items():
+        fwd[n] = b.var(m)
+        bwd[m] = a.var(n)
+    return AlgebraHom.by_name(a, b, fwd), AlgebraHom.by_name(b, a, bwd)
+
+
 def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]:
     """Canonical map A[{M_i/a_i}_K] -> A[{M_i/a_i}_I] for K given as
     1-based positions, with surjectivity/injectivity certificates."""
@@ -353,16 +367,11 @@ def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]
     dropped = [i for i in range(1, len(center.centers) + 1) if i not in keep]
 
     ring_i = result_full.algebra.ring
-    # build by source variable order: base names then sub fraction names
-    images = []
-    src_names = sub.algebra.ring.names
-    lookup = {}
+    moved = {}
     for p, i in enumerate(keep):
-        for j, name_k in enumerate(sub.fraction_vars[p]):
-            lookup[name_k] = result_full.fraction_vars[i - 1][j]
-    for n in src_names:
-        images.append(ring_i.var(lookup.get(n, n)))
-    phi = AlgebraHom(sub.algebra, result_full.algebra, images)
+        for name_k, name_i in zip(sub.fraction_vars[p], result_full.fraction_vars[i - 1]):
+            moved[name_k] = ring_i.var(name_i)
+    phi = AlgebraHom.by_name(sub.algebra, result_full.algebra, moved)
     rep.add("well_defined", check_hom(phi))
 
     a = center.algebra
@@ -407,35 +416,18 @@ def monopoly_iso(center: MultiCenter) -> tuple[MultiCenter, tuple[AlgebraHom, Al
     a = center.algebra
     rep = Report("monopoly")
 
+    # one mono generator g_ij * prod_{l != i} a_l per multi generator, in order
     mono_gens = []
-    tags = []  # (center pos, gen pos) per mono generator
     for i, c in enumerate(center.centers, start=1):
         cofactor = center.cofactor(i)
-        for j, g in enumerate(c.ideal.gens, start=1):
+        for g in c.ideal.gens:
             mono_gens.append(g * cofactor)
-            tags.append((i, j))
-    mono = MultiCenter(a, [Center(IdealHandle(a.ring, mono_gens, a.relations.limits), center.product_elem())])
+    mono = MultiCenter(a, [Center(a.ideal(mono_gens, include_relations=False), center.product_elem())])
 
     r_multi = dilate(center)
     r_mono = dilate(mono)
-
-    ring_multi = r_multi.algebra.ring
-    ring_mono = r_mono.algebra.ring
-
-    fwd_images = [ring_multi.var(n) for n in a.ring.names]
-    for m, (i, j) in enumerate(tags):
-        fwd_images.append(ring_multi.var(r_multi.fraction_vars[i - 1][j - 1]))
-    fwd = AlgebraHom(r_mono.algebra, r_multi.algebra, fwd_images)
-
-    back = {}
-    for m, (i, j) in enumerate(tags):
-        back[(i, j)] = r_mono.fraction_vars[0][m]
-    bwd_images = [ring_mono.var(n) for n in a.ring.names]
-    for i, row in enumerate(r_multi.fraction_vars, start=1):
-        for j, _ in enumerate(row, start=1):
-            bwd_images.append(ring_mono.var(back[(i, j)]))
-    bwd = AlgebraHom(r_multi.algebra, r_mono.algebra, bwd_images)
-
+    multi_vars = [n for row in r_multi.fraction_vars for n in row]
+    fwd, bwd = _renaming(r_mono.algebra, r_multi.algebra, dict(zip(r_mono.fraction_vars[0], multi_vars)))
     _certify_pair(rep, fwd, bwd)
     return mono, (fwd, bwd), rep
 
@@ -455,27 +447,17 @@ def two_stage_iso(center: MultiCenter, keep) -> tuple[tuple[AlgebraHom, AlgebraH
     for i in rest:
         c = center.centers[i - 1]
         gens = [g.map_ring(b1.ring) for g in c.ideal.gens]
-        pushed.append(Center(IdealHandle(b1.ring, gens, b1.relations.limits), c.elem.map_ring(b1.ring)))
+        pushed.append(Center(b1.ideal(gens, include_relations=False), c.elem.map_ring(b1.ring)))
     stage2 = dilate(MultiCenter(b1, pushed))
-    b2 = stage2.algebra
-
     oneshot = dilate(center)
-    ring_i = oneshot.algebra.ring
-    ring_2 = b2.ring
 
-    # b2 variable -> one-shot variable
-    to_one = {}
+    # stage fraction variable -> one-shot fraction variable
+    names = {}
     for p, i in enumerate(keep):
-        for j, name in enumerate(stage1.fraction_vars[p]):
-            to_one[name] = oneshot.fraction_vars[i - 1][j]
+        names.update(zip(stage1.fraction_vars[p], oneshot.fraction_vars[i - 1]))
     for q, i in enumerate(rest):
-        for j, name in enumerate(stage2.fraction_vars[q]):
-            to_one[name] = oneshot.fraction_vars[i - 1][j]
-    fwd = AlgebraHom(b2, oneshot.algebra, [ring_i.var(to_one.get(n, n)) for n in ring_2.names])
-
-    to_two = {v: k for k, v in to_one.items()}
-    bwd = AlgebraHom(oneshot.algebra, b2, [ring_2.var(to_two.get(n, n)) for n in ring_i.names])
-
+        names.update(zip(stage2.fraction_vars[q], oneshot.fraction_vars[i - 1]))
+    fwd, bwd = _renaming(stage2.algebra, oneshot.algebra, names)
     _certify_pair(rep, fwd, bwd)
     return (fwd, bwd), rep
 
@@ -491,39 +473,25 @@ def localize_compare(center: MultiCenter) -> Report:
     a_f, zname = a.localize(f)
     aring = a_f.ring
     z = aring.var(zname)
-    vd = result.var_dict()
-
-    def as_fraction(n):
-        """x_ij = g_ij / a_i = g_ij * z * prod_{l != i} a_l in A[1/f]."""
-        i, j = vd[n]
+    # x_ij = g_ij / a_i = g_ij * z * prod_{l != i} a_l in A[1/f]
+    fractions = {}
+    for n, (i, j) in result.var_dict().items():
         g = center.centers[i - 1].ideal.gens[j - 1]
-        return g.map_ring(aring) * z * center.cofactor(i).map_ring(aring)
+        fractions[n] = g.map_ring(aring) * z * center.cofactor(i).map_ring(aring)
 
     all_unit = all(a.ideal(c.ideal.gens).is_unit() for c in center.centers)
     if all_unit:
-        prime_ring = result.algebra.ring
-        fwd_images = [as_fraction(n) if n in vd else aring.var(n) for n in prime_ring.names]
-        fwd = AlgebraHom(result.algebra, a_f, fwd_images)
+        fwd = AlgebraHom.by_name(result.algebra, a_f, fractions)
         inv = result.algebra.one()
         for i in range(1, len(center.centers) + 1):
             inv = inv * result.fraction(i, a.ring.one())
-        bwd_images = [prime_ring.var(n) for n in a.ring.names] + [inv]
-        bwd = AlgebraHom(a_f, result.algebra, bwd_images)
+        bwd = AlgebraHom.by_name(a_f, result.algebra, {zname: inv})
         _certify_pair(rep, fwd, bwd, tag="unit_centers")
 
     # general comparison after inverting f on both sides
     prime_f, wname = result.algebra.localize(f)
-    pring = prime_f.ring
-    fwd = AlgebraHom(a_f, prime_f, [pring.var(n) for n in a.ring.names] + [pring.var(wname)])
-    bwd_images = []
-    for n in pring.names:
-        if n == wname:
-            bwd_images.append(z)
-        elif n in vd:
-            bwd_images.append(as_fraction(n))
-        else:
-            bwd_images.append(aring.var(n))
-    bwd = AlgebraHom(prime_f, a_f, bwd_images)
+    fwd = AlgebraHom.by_name(a_f, prime_f, {zname: prime_f.var(wname)})
+    bwd = AlgebraHom.by_name(prime_f, a_f, {**fractions, wname: z})
     _certify_pair(rep, fwd, bwd, tag="localized")
     return rep
 
@@ -535,7 +503,6 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     keep = sorted(set(keep))
     rest = [i for i in range(1, len(center.centers) + 1) if i not in keep]
     rep = Report("open_immersion")
-    a = center.algebra
 
     for i in rest:
         k = assign.get(i)
@@ -569,42 +536,31 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     lring = loc.ring
 
     # forward: full dilatation -> localized K-dilatation
-    vd = full.var_dict()
-    fwd_images = []
-    for n in full.algebra.ring.names:
-        if n in vd:
-            i, j = vd[n]
-            if i in pos_in_keep:
-                fwd_images.append(lring.var(part.fraction_vars[pos_in_keep[i] - 1][j - 1]))
-            else:
-                k = assign[i]
-                g = center.centers[i - 1].ideal.gens[j - 1]
-                num = part.fraction(pos_in_keep[k], g, in_l=True).map_ring(lring)
-                inv_rest = lring.var(zname)
-                for l in rest:
-                    if l != i:
-                        inv_rest = inv_rest * fracs[l].map_ring(lring)
-                fwd_images.append(num * inv_rest)
+    fwd_images = {}
+    for n, (i, j) in full.var_dict().items():
+        if i in pos_in_keep:
+            fwd_images[n] = lring.var(part.fraction_vars[pos_in_keep[i] - 1][j - 1])
         else:
-            fwd_images.append(lring.var(n))
-    fwd = AlgebraHom(full.algebra, loc, fwd_images)
+            k = assign[i]
+            g = center.centers[i - 1].ideal.gens[j - 1]
+            num = part.fraction(pos_in_keep[k], g, in_l=True).map_ring(lring)
+            inv_rest = lring.var(zname)
+            for l in rest:
+                if l != i:
+                    inv_rest = inv_rest * fracs[l].map_ring(lring)
+            fwd_images[n] = num * inv_rest
+    fwd = AlgebraHom.by_name(full.algebra, loc, fwd_images)
 
     # backward: localized K-dilatation -> full dilatation
-    bwd_images = []
-    fring = full.algebra.ring
-    part_vd = part.var_dict()
-    for n in lring.names:
-        if n == zname:
-            img = full.algebra.one()
-            for i in rest:
-                img = img * full.fraction(i, center.centers[assign[i] - 1].elem, in_l=True)
-            bwd_images.append(img)
-        elif n in part_vd:
-            p, j = part_vd[n]
-            bwd_images.append(fring.var(full.fraction_vars[keep[p - 1] - 1][j - 1]))
-        else:
-            bwd_images.append(fring.var(n))
-    bwd = AlgebraHom(loc, full.algebra, bwd_images)
+    bwd_images = {}
+    for p, i in enumerate(keep):
+        for name_p, name_full in zip(part.fraction_vars[p], full.fraction_vars[i - 1]):
+            bwd_images[name_p] = full.algebra.var(name_full)
+    inv = full.algebra.one()
+    for i in rest:
+        inv = inv * full.fraction(i, center.centers[assign[i] - 1].elem, in_l=True)
+    bwd_images[zname] = inv
+    bwd = AlgebraHom.by_name(loc, full.algebra, bwd_images)
     _certify_pair(rep, fwd, bwd)
     return rep
 
@@ -652,23 +608,16 @@ def center_kernel(result: DilatationResult, extra_report: bool = True) -> tuple[
         return a.ideal([]), rep
 
     prime = result.algebra
-    ring = prime.ring
-    alpha_gens = [ring.var(n) for row in result.fraction_vars for n in row]
+    frac_names = [n for row in result.fraction_vars for n in row]
+    alpha_gens = [prime.var(n) for n in frac_names]
     alpha_gens += [result.push(g) for g in m0.gens]
     alpha_full = prime.ideal(alpha_gens)
 
-    vd = result.var_dict()
-    images = []
-    for n in ring.names:
-        if n in vd:
-            images.append(quot.ring.zero())
-        else:
-            images.append(quot.ring.var(n))
-    phi = AlgebraHom(prime, quot, images)
+    phi = AlgebraHom.by_name(prime, quot, dict.fromkeys(frac_names, quot.zero()))
     rep.add("quotient_map_defined", check_hom(phi))
     beta = hom_kernel(phi)
     rep.add("kernels_agree", alpha_full.equals(beta))
-    return IdealHandle(ring, alpha_gens, prime.relations.limits), rep
+    return prime.ideal(alpha_gens, include_relations=False), rep
 
 
 def iterate_iso(
@@ -689,7 +638,7 @@ def iterate_iso(
         return rep
 
     mk = [
-        Center(IdealHandle(algebra.ring, list(gens), algebra.relations.limits), base ** e)
+        Center(algebra.ideal(gens, include_relations=False), base ** e)
         for gens, e in zip(centers, exponents)
     ]
     first = dilate(MultiCenter(algebra, mk))
@@ -699,9 +648,7 @@ def iterate_iso(
         return rep
 
     b1 = first.algebra
-    qcenter = Center(
-        IdealHandle(b1.ring, kernel.gens, b1.relations.limits), first.push(base) ** t
-    )
+    qcenter = Center(b1.ideal(kernel.gens, include_relations=False), first.push(base) ** t)
     second = dilate(MultiCenter(b1, [qcenter]))
     b2 = second.algebra
 
@@ -709,48 +656,32 @@ def iterate_iso(
         MultiCenter(
             algebra,
             [
-                Center(IdealHandle(algebra.ring, list(gens), algebra.relations.limits), base ** (e + t))
+                Center(algebra.ideal(gens, include_relations=False), base ** (e + t))
                 for gens, e in zip(centers, exponents)
             ],
         )
     )
-    dring = direct.algebra.ring
+    dalg = direct.algebra
 
-    n_frac = sum(len(row) for row in first.fraction_vars)
+    # The kernel's stored generators are the first dilatation's fraction
+    # variables x_ij, then M_0's generators; `second` has one fraction
+    # variable u per generator, and the direct dilatation's y_ij
+    # correspond to the x_ij in order.
     frac_names = [n for row in first.fraction_vars for n in row]
-    vd1, vd2, vd_direct = first.var_dict(), second.var_dict(), direct.var_dict()
-
-    at = base.map_ring(dring) ** t
-    fwd_images = []
-    for n in b2.ring.names:
-        if n in vd1:
-            i, j = vd1[n]
-            fwd_images.append(at * dring.var(direct.fraction_vars[i - 1][j - 1]))
-        elif n in vd2:
-            _, m = vd2[n]
-            if m <= n_frac:
-                i, j = vd1[frac_names[m - 1]]
-                fwd_images.append(dring.var(direct.fraction_vars[i - 1][j - 1]))
-            else:
-                j = m - n_frac
-                fwd_images.append(base.map_ring(dring) ** exponents[0] * dring.var(direct.fraction_vars[0][j - 1]))
-        else:
-            fwd_images.append(dring.var(n))
-    fwd = AlgebraHom(b2, direct.algebra, fwd_images)
-
-    u_for_frac = {}
-    for name, (pos, m) in vd2.items():
-        if m <= n_frac:
-            u_for_frac[frac_names[m - 1]] = name
-    bwd_images = []
-    for n in dring.names:
-        if n in vd_direct:
-            i, j = vd_direct[n]
-            bwd_images.append(b2.ring.var(u_for_frac[first.fraction_vars[i - 1][j - 1]]))
-        else:
-            bwd_images.append(b2.ring.var(n))
-    bwd = AlgebraHom(direct.algebra, b2, bwd_images)
-
+    direct_names = [n for row in direct.fraction_vars for n in row]
+    u_names = second.fraction_vars[0]
+    bt = base.map_ring(dalg.ring) ** t
+    bs0 = base.map_ring(dalg.ring) ** exponents[0]
+    fwd_images = {}
+    bwd_images = {}
+    for x, u, y in zip(frac_names, u_names, direct_names):
+        fwd_images[x] = bt * dalg.var(y)
+        fwd_images[u] = dalg.var(y)
+        bwd_images[y] = b2.var(u)
+    for u, y in zip(u_names[len(frac_names):], direct.fraction_vars[0]):
+        fwd_images[u] = bs0 * dalg.var(y)
+    fwd = AlgebraHom.by_name(b2, dalg, fwd_images)
+    bwd = AlgebraHom.by_name(dalg, b2, bwd_images)
     _certify_pair(rep, fwd, bwd)
     return rep
 
@@ -769,7 +700,7 @@ def base_change_compare(center: MultiCenter, h: AlgebraHom) -> Report:
         b,
         [
             Center(
-                IdealHandle(b.ring, [h.apply(g) for g in c.ideal.gens], b.relations.limits),
+                b.ideal([h.apply(g) for g in c.ideal.gens], include_relations=False),
                 h.apply(c.elem),
             )
             for c in center.centers
@@ -841,13 +772,12 @@ def conic_iso(center: MultiCenter) -> Report:
     uring = a.ring.extend(unames)
     src = PresentedAlgebra(uring, IdealHandle(uring, [p.map_ring(uring) for p in a.relations.gens], a.relations.limits))
 
-    images = [tring.var(n) for n in a.ring.names]
+    images = {}
     for i, c in enumerate(center.centers):
-        lgens = list(c.ideal.gens) + [c.elem]
         ti = tring.var(tnames[i])
-        for g in lgens:
-            images.append(g.map_ring(tring) * ti)
-    phi = AlgebraHom(src, at, images)
+        for n, g in zip(rows[i], list(c.ideal.gens) + [c.elem]):
+            images[n] = g.map_ring(tring) * ti
+    phi = AlgebraHom.by_name(src, at, images)
     rep.add("grading_map_defined", check_hom(phi))
     kernel = hom_kernel(phi)
     conic = PresentedAlgebra(uring, kernel)
@@ -858,58 +788,26 @@ def conic_iso(center: MultiCenter) -> Report:
     lcenter = MultiCenter(
         a,
         [
-            Center(IdealHandle(a.ring, list(c.ideal.gens) + [c.elem], a.relations.limits), c.elem)
+            Center(a.ideal(list(c.ideal.gens) + [c.elem], include_relations=False), c.elem)
             for c in center.centers
         ],
     )
     r_l = dilate(lcenter)
-    lring = r_l.algebra.ring
-
-    fwd_images = []
-    udict = {}
-    for i, row in enumerate(rows, start=1):
-        for j, n in enumerate(row, start=1):
-            udict[n] = (i, j)
-    for n in uring.names:
-        if n in udict:
-            i, j = udict[n]
-            fwd_images.append(lring.var(r_l.fraction_vars[i - 1][j - 1]))
-        else:
-            fwd_images.append(lring.var(n))
-    fwd = AlgebraHom(quot, r_l.algebra, fwd_images)
-    bwd_images = []
-    vd_l = r_l.var_dict()
-    for n in lring.names:
-        if n in vd_l:
-            i, j = vd_l[n]
-            bwd_images.append(uring.var(rows[i - 1][j - 1]))
-        else:
-            bwd_images.append(uring.var(n))
-    bwd = AlgebraHom(r_l.algebra, quot, bwd_images)
+    l_names = [n for row in r_l.fraction_vars for n in row]
+    fwd, bwd = _renaming(quot, r_l.algebra, dict(zip(unames, l_names)))
     _certify_pair(rep, fwd, bwd, tag="conic_vs_L")
 
+    # L_i's last generator a_i goes to a_i / a_i = 1 in the M-dilatation
     r_m = dilate(center)
-    mring = r_m.algebra.ring
-    e_images = []
-    for n in lring.names:
-        if n in vd_l:
-            i, j = vd_l[n]
-            if j <= len(center.centers[i - 1].ideal.gens):
-                e_images.append(mring.var(r_m.fraction_vars[i - 1][j - 1]))
-            else:
-                e_images.append(mring.one())
-        else:
-            e_images.append(mring.var(n))
-    eps = AlgebraHom(r_l.algebra, r_m.algebra, e_images)
-    z_images = []
-    vd_m = r_m.var_dict()
-    for n in mring.names:
-        if n in vd_m:
-            i, j = vd_m[n]
-            z_images.append(lring.var(r_l.fraction_vars[i - 1][j - 1]))
-        else:
-            z_images.append(lring.var(n))
-    zeta = AlgebraHom(r_m.algebra, r_l.algebra, z_images)
+    e_images = {}
+    z_images = {}
+    for row_l, row_m in zip(r_l.fraction_vars, r_m.fraction_vars):
+        for n_l, n_m in zip(row_l, row_m):
+            e_images[n_l] = r_m.algebra.var(n_m)
+            z_images[n_m] = r_l.algebra.var(n_l)
+        e_images[row_l[-1]] = r_m.algebra.one()
+    eps = AlgebraHom.by_name(r_l.algebra, r_m.algebra, e_images)
+    zeta = AlgebraHom.by_name(r_m.algebra, r_l.algebra, z_images)
     _certify_pair(rep, eps, zeta, tag="L_vs_M")
     return rep
 
@@ -931,7 +829,6 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
     rep = Report("universal")
     if not check_hom(chi):
         return FactorResult(None, True, "chi is not well-defined", rep)
-    a = center.algebra
     b = chi.target
 
     for i, c in enumerate(center.centers, start=1):
@@ -950,28 +847,20 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
         rep.add(f"containment_{i}", True)
 
     result = dilate(center)
-    ring = result.algebra.ring
-    images = []
-    images_alt = []
-    vd = result.var_dict()
-    for n in ring.names:
-        if n in vd:
-            i, j = vd[n]
-            c = center.centers[i - 1]
-            bi = chi.apply(c.elem)
-            gi = chi.apply(c.ideal.gens[j - 1])
-            cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
-            images.append(b.nf(cof[0]))
-            cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
-            images_alt.append(b.nf(cof2[-1]))
-        else:
-            idx = a.ring.names.index(n)
-            images.append(chi.images[idx])
-            images_alt.append(chi.images[idx])
-    factored = AlgebraHom(result.algebra, b, images)
+    images = chi.image_map()
+    images_alt = chi.image_map()
+    for n, (i, j) in result.var_dict().items():
+        c = center.centers[i - 1]
+        bi = chi.apply(c.elem)
+        gi = chi.apply(c.ideal.gens[j - 1])
+        cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
+        images[n] = b.nf(cof[0])
+        cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
+        images_alt[n] = b.nf(cof2[-1])
+    factored = AlgebraHom.by_name(result.algebra, b, images)
     rep.add("factor_defined", check_hom(factored))
     rep.add("factors_chi", maps_equal(factored.compose(result.iota), chi))
-    second = AlgebraHom(result.algebra, b, images_alt)
+    second = AlgebraHom.by_name(result.algebra, b, images_alt)
     if check_hom(second):
         rep.add("uniqueness", maps_equal(factored, second))
     else:

@@ -181,20 +181,17 @@ def normal_form(f, basis):
     return _reduce(dict(f), basis)
 
 
-def divide(f: Polynomial, basis, with_quotients: bool = True):
+def divide(f: Polynomial, basis):
     """Divide `f` by a list of polynomials; return (remainder, quotients).
 
     quotients[i] * basis[i] summed plus the remainder reconstructs f
-    exactly, over the nonzero elements of basis (quotients is None when
-    with_quotients is false).
+    exactly, over the nonzero elements of basis.
     """
     table = _table(f, basis)
     packing = table.packing
-    quotients = [{} for _ in table.rows] if with_quotients else None
+    quotients = [{} for _ in table.rows]
     rem = _reduce(packing.terms(f), table, quotients)
-    if quotients is not None:
-        quotients = [packing.poly(q) for q in quotients]
-    return packing.poly(rem), quotients
+    return packing.poly(rem), [packing.poly(q) for q in quotients]
 
 
 def _reduce_tracked(work: dict, row, table: Reducers, rows) -> dict:

@@ -495,7 +495,8 @@ class Polynomial:
         fld = self.ring.field
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = fld.add(res.get(m, fld.zero()), c)
+            old = res.get(m)
+            s = c if old is None else fld.add(old, c)
             if s:
                 res[m] = s
             else:
@@ -509,7 +510,8 @@ class Polynomial:
         fld = self.ring.field
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = fld.sub(res.get(m, fld.zero()), c)
+            old = res.get(m)
+            s = fld.neg(c) if old is None else fld.sub(old, c)
             if s:
                 res[m] = s
             else:
@@ -529,7 +531,9 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = fld.add(res.get(m, fld.zero()), fld.mul(c1, c2))
+                old = res.get(m)
+                c = fld.mul(c1, c2)
+                s = c if old is None else fld.add(old, c)
                 if s:
                     res[m] = s
                 else:
@@ -598,7 +602,8 @@ class Polynomial:
                         raise InputError(f"variable {self.ring.names[i]!r} missing in target ring")
                     e[pos[i]] = x
             me = tuple(e)
-            s = fld.add(res.get(me, fld.zero()), c)
+            old = res.get(me)
+            s = c if old is None else fld.add(old, c)
             if s:
                 res[me] = s
             else:

@@ -58,8 +58,8 @@ def rost_space(data: RostInput) -> DilatationResult:
     center = MultiCenter(
         ast,
         [
-            Center(IdealHandle(ring, [g.map_ring(ring) for g in data.ideal_i.gens], ast.relations.limits), st),
-            Center(IdealHandle(ring, [g.map_ring(ring) for g in data.ideal_j.gens], ast.relations.limits), ring.var(s)),
+            Center(ast.ideal([g.map_ring(ring) for g in data.ideal_i.gens], include_relations=False), st),
+            Center(ast.ideal([g.map_ring(ring) for g in data.ideal_j.gens], include_relations=False), ring.var(s)),
         ],
     )
     return dilate(center)

@@ -119,6 +119,32 @@ def test_composition():
         h1.compose(h2)
 
 
+def test_by_name_sends_unlisted_names_to_their_namesakes():
+    a = algebra(["x", "y", "w"], "x*y - w")
+    b = algebra(["t", "w", "y", "x"], "x*y - w", "t^2")
+    h = AlgebraHom.by_name(a, b)
+    assert h.images == [b.var("x"), b.var("y"), b.var("w")]
+    assert check_hom(h)
+
+
+def test_by_name_listed_names_override_their_namesakes():
+    a = algebra(["x", "y", "w"], "x*y - w")
+    b = PresentedAlgebra(ring(["t", "w", "y", "x"]))
+    h = AlgebraHom.by_name(a, b, {"x": b.parse("x + t"), "w": b.parse("x*y + t*y")})
+    assert [str(f) for f in h.images] == ["t + x", "y", "t*y + y*x"]
+    assert check_hom(h)
+    pairs = AlgebraHom.by_name(a, b, [("y", b.var("t"))])
+    assert pairs.images == [b.var("x"), b.var("t"), b.var("w")]
+
+
+def test_by_name_without_a_namesake_raises():
+    a = PresentedAlgebra(ring(["x", "y"]))
+    b = PresentedAlgebra(ring(["x", "t"]))
+    with pytest.raises(InputError, match="unknown variable 'y'"):
+        AlgebraHom.by_name(a, b)
+    assert AlgebraHom.by_name(a, b, {"y": b.var("t")}).images == [b.var("x"), b.var("t")]
+
+
 def test_localize_matches_hand_built_presentation():
     a = algebra(["z", "x", "y"], "x*y - z^2")
     f = a.parse("x + y")

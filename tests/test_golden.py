@@ -4,6 +4,9 @@
 `instances/demo.dila`.  `golden/name_clash.dila` declares a ring that
 already holds every stem used for a fresh variable, and a base-change
 target that shares its names; its output is `golden/name_clash.machine`.
+`golden/verifiers_clash.dila` runs, over a ring that holds the fresh
+stems as well, the verifiers the other two leave out: `iso iterate`,
+a passing `iso open-immersion` and `universal`.
 How fresh names are chosen, how budgets reach the kernel and how requests
 are scheduled must not change either file.
 """
@@ -20,10 +23,11 @@ ROOT = HERE.parent
 CASES = [
     (ROOT / "instances" / "demo.dila", HERE / "golden" / "demo.machine"),
     (HERE / "golden" / "name_clash.dila", HERE / "golden" / "name_clash.machine"),
+    (HERE / "golden" / "verifiers_clash.dila", HERE / "golden" / "verifiers_clash.machine"),
 ]
 
 
-@pytest.mark.parametrize("instance, expected", CASES, ids=["demo", "name_clash"])
+@pytest.mark.parametrize("instance, expected", CASES, ids=["demo", "name_clash", "verifiers_clash"])
 def test_machine_section_matches_golden(instance, expected, capsys):
     code = cli.main([str(instance), "--machine-only"])
     out = capsys.readouterr().out
