@@ -92,7 +92,7 @@ class PresentedAlgebra:
 class AlgebraHom:
     """A k-algebra map given by images of the source ring variables."""
 
-    __slots__ = ("source", "target", "images", "_well_defined")
+    __slots__ = ("source", "target", "images")
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra, images):
         images = list(images)
@@ -104,13 +104,10 @@ class AlgebraHom:
         self.source = source
         self.target = target
         self.images = images
-        self._well_defined: bool | None = None
 
     @classmethod
     def identity(cls, a: PresentedAlgebra) -> "AlgebraHom":
-        h = cls(a, a, a.ring.gens())
-        h._well_defined = True
-        return h
+        return cls(a, a, a.ring.gens())
 
     @classmethod
     def by_name(cls, source: PresentedAlgebra, target: PresentedAlgebra, images=()) -> "AlgebraHom":
@@ -149,9 +146,7 @@ class AlgebraHom:
 
 def check_hom(h: AlgebraHom) -> bool:
     """True iff every source relation maps into the target relation ideal."""
-    ok = all(h.apply(g).is_zero() for g in h.source.relations.gens)
-    h._well_defined = ok
-    return ok
+    return all(h.apply(g).is_zero() for g in h.source.relations.gens)
 
 
 def maps_equal(h1: AlgebraHom, h2: AlgebraHom) -> bool:

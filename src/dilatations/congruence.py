@@ -22,9 +22,13 @@ them is built, every product checked for membership, in at most
   truncation map finds the class of g - 1 by a dict lookup on its
   canonical image modulo the ambient lattice (`lattice_key`).
 
-Enumeration always goes through the congruence-class parametrization
-g = 1 + p^{v0} m; nothing scans all of M_n(Z/p^N) unless the filtration
-really is trivial.
+Enumeration goes through the parametrization g = 1 + x, one range per
+cell (`_cell_candidates`): cell (i, j) of x runs over the multiples of
+p^v for the largest level v at which the trivial level or some entry's
+shape forces that cell to zero, so the shapes' zero cells are never
+scanned; each candidate still passes the determinant, trace and
+`lattice_key` tests.  The matrix helpers do their arithmetic through the
+ring's `dot`, a sum of products that `LevelRing` reduces once.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .poly import InputError, _is_prime
 from .report import Report
@@ -85,6 +90,10 @@ class LevelRing:
     def neg(self, a):
         return (-a) % self.mod
 
+    def dot(self, xs, ys):
+        """sum x*y over the pairs, reduced once."""
+        return sum(map(operator.mul, xs, ys)) % self.mod
+
     def is_unit(self, a):
         return math.gcd(a, self.mod) == 1
 
@@ -100,42 +109,28 @@ def mat_id(ops, n):
 
 
 def mat_mul(ops, a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = ops.zero
-            for k in range(n):
-                s = ops.add(s, ops.mul(a[i][k], b[k][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    dot = ops.dot
+    return tuple([tuple([dot(row, col) for col in cols]) for row in a])
 
 
 def mat_add(ops, a, b):
-    return tuple(tuple(ops.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(ops.add, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def mat_sub(ops, a, b):
-    return tuple(tuple(ops.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(ops.sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def mat_det(ops, a):
+    """Laplace expansion along the first row: one `dot` of that row with
+    the signed minors."""
     n = len(a)
-    total = ops.zero
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = ops.one
-        for i in range(n):
-            term = ops.mul(term, a[i][perm[i]])
-        total = ops.add(total, term if sign > 0 else ops.neg(term))
-    return total
+    if n == 1:
+        return a[0][0]
+    rest = a[1:]
+    minors = [mat_det(ops, tuple(row[:j] + row[j + 1:] for row in rest)) for j in range(n)]
+    return ops.dot(a[0], [m if j % 2 == 0 else ops.neg(m) for j, m in enumerate(minors)])
 
 
 def mat_inv(ops, a):
@@ -427,6 +422,22 @@ def _trivial_level(filt: FiltrationSpec) -> int:
     return max(levels) if levels else 0
 
 
+def _cell_candidates(filt: FiltrationSpec, ring: LevelRing, v0: int):
+    """Candidate matrices x for the points g = 1 + x: cell (i, j) runs
+    over the multiples of p^max(v0, v), where v is the largest level at
+    which some entry's shape forces that cell to zero.  Every point has
+    such an x; the scalar condition of Z is not a cell range and is left
+    to the callers' `lattice_key` test."""
+    n = filt.group.n
+    levels = [[v0] * n for _ in range(n)]
+    for h, v in filt.entries:
+        for i, j in _shape(h, n)[0]:
+            levels[i][j] = max(levels[i][j], v)
+    cells = [range(0, ring.mod, ring.p**v) for row in levels for v in row]
+    for vals in itertools.product(*cells):
+        yield tuple(vals[i * n:(i + 1) * n] for i in range(n))
+
+
 def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }."""
     spec = filt.group
@@ -434,15 +445,13 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     if max(filt.levels(), default=0) > ring.N:
         raise InputError("filtration level exceeds N")
     v0 = _trivial_level(filt)
-    base = ring.p**v0
-    rest = ring.mod // base
+    rest = ring.mod // ring.p**v0
     count = rest ** (n * n)
     if count > CANDIDATE_BUDGET:
         raise SizeCapError(f"{count} candidate matrices exceed the budget")
     found = []
     other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
-    for vals in itertools.product(range(rest), repeat=n * n):
-        x = tuple(tuple(base * vals[i * n + j] for j in range(n)) for i in range(n))
+    for x in _cell_candidates(filt, ring, v0):
         g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
         if spec.det_ok(ring, g) and not any(lattice_key(other, x, ring.p)):
             found.append(g)
@@ -460,14 +469,12 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
     if max(filt.levels(), default=0) > ring.N:
         raise InputError("filtration level exceeds N")
     v0 = _trivial_level(filt)
-    base = ring.p**v0
-    rest = ring.mod // base
+    rest = ring.mod // ring.p**v0
     if rest ** (n * n) > CANDIDATE_BUDGET:
         raise SizeCapError("lie enumeration exceeds the budget")
     out = []
     other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
-    for vals in itertools.product(range(rest), repeat=n * n):
-        x = tuple(tuple((base * vals[i * n + j]) % ring.mod for j in range(n)) for i in range(n))
+    for x in _cell_candidates(filt, ring, v0):
         if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % ring.mod != 0:
             continue
         if not any(lattice_key(other, x, ring.p)):

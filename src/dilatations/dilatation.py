@@ -585,7 +585,7 @@ def detect_common_base(center: MultiCenter):
     return None
 
 
-def center_kernel(result: DilatationResult, extra_report: bool = True) -> tuple[IdealHandle, Report]:
+def center_kernel(result: DilatationResult) -> tuple[IdealHandle, Report]:
     """Kernel of A' -> A/M_0 computed two ways (fraction-variable ideal vs
     graph elimination) and certified equal.  Requires the single-divisor
     shape and the base to be a non-zero-divisor modulo M_0."""

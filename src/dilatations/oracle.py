@@ -65,25 +65,29 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.gens = list(gens)
-        self._neg = None
 
     @property
     def size(self):
         return len(self.elements)
 
+    @functools.cached_property
+    def minus_one(self):
+        """-1, found once among the sums one + y."""
+        return next(y for y in self.elements if self.add(self.one, y) == self.zero)
+
     def neg(self, x):
-        if self._neg is None:
-            table = {}
-            for a in self.elements:
-                for b in self.elements:
-                    if self.add(a, b) == self.zero:
-                        table[a] = b
-                        break
-            self._neg = table
-        return self._neg[x]
+        """-x = (-1) * x, which holds in any unital ring."""
+        return self.mul(self.minus_one, x)
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
+
+    def dot(self, xs, ys):
+        """sum x*y over the pairs."""
+        total = self.zero
+        for x, y in zip(xs, ys):
+            total = self.add(total, self.mul(x, y))
+        return total
 
     def is_nzd(self, x):
         return all(self.mul(x, y) != self.zero for y in self.elements if y != self.zero)
@@ -321,29 +325,29 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
         ring = FiniteRing(f"{ap.ring}(zero)", [()], lambda a, b: (), lambda a, b: (), (), (), [])
         return ring, {n: () for n in ap.ring.names}
 
-    prod_table = {}
+    # rows[i][j]: the nonzero (k, coeff) of basis_i * basis_j
+    rows = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             m = mono_mul(basis_monos[i], basis_monos[j])
-            prod_table[(i, j)] = poly_to_vec(Polynomial(ap.ring, {m: field.one()}))
+            vec = poly_to_vec(Polynomial(ap.ring, {m: field.one()}))
+            rows[i][j] = rows[j][i] = [(k, c) for k, c in enumerate(vec) if c]
 
     def add(a, b):
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(a, b):
         out = [0] * dim
-        for i, x in enumerate(a):
+        for x, row in zip(a, rows):
             if not x:
                 continue
-            for j, y in enumerate(b):
+            for y, entries in zip(b, row):
                 if not y:
                     continue
-                vec = prod_table[(i, j) if i <= j else (j, i)]
-                c = x * y % p
-                for k, v in enumerate(vec):
-                    if v:
-                        out[k] = (out[k] + c * v) % p
-        return tuple(out)
+                c = x * y
+                for k, v in entries:
+                    out[k] += c * v
+        return tuple(c % p for c in out)
 
     elements = [t for t in itertools.product(range(p), repeat=dim)]
     zero = (0,) * dim
@@ -553,20 +557,21 @@ class SymbolDilatation:
         loc = self.sub.loc
         e, t = loc.e, loc.t
         k = len(center.pairs)
-        a_pow = center.a_power
+        # a^nu and e*m, each computed once; the tests below still
+        # evaluate their products on every call
+        a_pow = functools.lru_cache(maxsize=None)(center.a_power)
+        e_times = functools.lru_cache(maxsize=None)(lambda m: base.mul(e, m))
 
         def equivalent(sym1, sym2):
             (m, nu), (p, lam) = sym1, sym2
-            lhs = base.mul(base.mul(e, m), a_pow(lam))
-            rhs = base.mul(base.mul(e, p), a_pow(nu))
-            return lhs == rhs
+            return base.mul(e_times(m), a_pow(lam)) == base.mul(e_times(p), a_pow(nu))
 
         self.equivalent = equivalent
         inverse = _power_inverses(loc, center)
 
         def value(sym):
             m, nu = sym
-            return base.mul(base.mul(e, m), inverse(nu))
+            return base.mul(e_times(m), inverse(nu))
 
         self.value = value
 

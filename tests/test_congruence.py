@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from dilatations.congruence import (
     expected_trivial_quotient_order,
     group_points,
     lie_points,
+    mat_det,
     mat_id,
     mat_inv,
     mat_mul,
@@ -480,6 +482,70 @@ def test_subgroup_closure_matches_all_pairs_reference(kind, names, ops):
         els = subgroup_elements(spec, name, ops)
         ref = _ref_group_closed(els, mat_id(ops, 2), lambda a, b: _ref_mul_ops(ops, a, b))
         assert verify_subgroup_closure(spec, name, ops) == ref
+
+
+def _ref_det(ops, a):
+    """Leibniz: the signed sum over permutations of products of entries."""
+    n = len(a)
+    total = ops.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = ops.one
+        for i in range(n):
+            term = ops.mul(term, a[i][perm[i]])
+        total = ops.add(total, ops.neg(term) if inversions % 2 else term)
+    return total
+
+
+_MATRIX_RINGS = [LevelRing(2, 1), LevelRing(2, 3), LevelRing(3, 1), LevelRing(3, 2), *_test_rings(2, 2), *_test_rings(3, 1)]
+
+
+@pytest.mark.parametrize("ops", _MATRIX_RINGS, ids=repr)
+def test_matrix_helpers_match_loop_references(ops):
+    rng = random.Random(repr(ops))
+    els = list(ops.elements)
+    for n in range(1, 5):
+        ident = mat_id(ops, n)
+        inverted = 0
+        for _ in range(12):
+            a, b = (tuple(tuple(rng.choice(els) for _ in range(n)) for _ in range(n)) for _ in range(2))
+            assert mat_mul(ops, a, b) == _ref_mul_ops(ops, a, b)
+            det = _ref_det(ops, a)
+            assert mat_det(ops, a) == det
+            if ops.is_unit(det):
+                inv = mat_inv(ops, a)
+                assert _ref_mul_ops(ops, a, inv) == ident == _ref_mul_ops(ops, inv, a)
+                inverted += 1
+        assert inverted
+
+
+# filtrations mixing shapes and levels, level-0 entries among them, for
+# the per-cell candidate ranges against the box reference
+_MIXED_FILTRATIONS = [
+    ("GL", 1, 3, 2, [("e", 0), ("Z", 2)]),
+    ("GL", 2, 2, 3, [("e", 0), ("B", 1), ("Z", 2)]),
+    ("GL", 2, 2, 3, [("e", 1), ("Z", 2), ("T", 3)]),
+    ("GL", 2, 3, 2, [("e", 0), ("T", 1), ("L(1,1)", 2)]),
+    ("GL", 2, 3, 2, [("e", 0), ("L(1,1)", 1), ("B", 2)]),
+    ("SL", 2, 2, 3, [("e", 1), ("B", 0), ("Z", 2)]),
+    ("SL", 2, 2, 3, [("e", 1), ("Z", 2), ("B", 3)]),
+    ("SL", 2, 3, 2, [("e", 0), ("B", 1), ("Z", 2)]),
+    ("SL", 2, 3, 2, [("e", 0), ("Z", 1), ("T", 2)]),
+    ("GL", 3, 2, 1, [("e", 0), ("B", 1)]),
+    ("GL", 3, 2, 1, [("e", 0), ("Z", 1), ("L(2,1)", 0)]),
+    ("GL", 3, 2, 2, [("e", 1), ("L(1,2)", 2), ("Z", 2)]),
+    ("SL", 3, 2, 2, [("e", 1), ("B", 2), ("T", 1)]),
+]
+
+
+@pytest.mark.parametrize("case", _MIXED_FILTRATIONS, ids=_filt_id)
+def test_cell_candidates_match_box_reference(case):
+    kind, n, p, level, entries = case
+    filt = FiltrationSpec(GroupSpec(kind, n), entries)
+    ring_ = LevelRing(p, level)
+    ref_group, ref_lie = _ref_points(filt, ring_)
+    assert group_points(filt, ring_).elements == ref_group
+    assert lie_points(filt, ring_) == ref_lie
 
 
 # ------------------------------------------------------ rejected certificates

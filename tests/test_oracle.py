@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from dilatations.oracle import (
     universal_property_scan,
     zmod,
 )
-from dilatations.poly import Field, InputError, PolyRing
+from dilatations.poly import Field, InputError, PolyRing, Polynomial
 from dilatations.report import VerificationFinding
 
 from conftest import ring
@@ -415,6 +416,47 @@ def test_from_presented_honours_a_cap_above_the_default():
         from_presented(a)
     finite, _ = from_presented(a, 8192)
     assert finite.size == 3**8
+
+
+@pytest.mark.parametrize(
+    "p, names, rels",
+    [(3, ["y"], ["y^4 - y"]), (2, ["u", "v"], ["u^2 - u", "v^2 - v"])],
+)
+def test_presented_product_matches_normal_form(p, names, rels):
+    a = fp_algebra(p, names, *rels)
+    finite, _ = from_presented(a)
+    lms = [g.lm() for g in a.relations.groebner()]
+    monos = sorted(
+        m for m in itertools.product(range(4), repeat=len(names))
+        if not any(all(x >= y for x, y in zip(m, lm)) for lm in lms)
+    )
+    assert finite.size == p ** len(monos)
+
+    def poly(vec):
+        return Polynomial(a.ring, {m: c for m, c in zip(monos, vec) if c})
+
+    def poly_to_vec(f):
+        terms = a.nf(f).terms
+        return tuple(terms.get(m, 0) for m in monos)
+
+    basis = [tuple(int(i == k) for i in range(len(monos))) for k in range(len(monos))]
+    rng = random.Random(p)
+    pairs = list(itertools.product(basis, repeat=2))
+    pairs += [(rng.choice(finite.elements), rng.choice(finite.elements)) for _ in range(100)]
+    for x, y in pairs:
+        assert finite.mul(x, y) == poly_to_vec(poly(x) * poly(y))
+
+
+def test_neg_matches_the_additive_inverse():
+    rings = [
+        zmod(12),
+        galois_extension(4, 2),
+        dual_numbers(4),
+        from_presented(fp_algebra(3, ["y"], "y^4 - y"))[0],
+    ]
+    for r in rings:
+        for x in r.elements:
+            assert r.neg(x) == next(y for y in r.elements if r.add(x, y) == r.zero)
 
 
 def test_ring_axioms_certified_without_sampling(monkeypatch):
