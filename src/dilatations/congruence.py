@@ -27,7 +27,8 @@ cell (`_cell_candidates`): cell (i, j) of x runs over the multiples of
 p^v for the largest level v at which the trivial level or some entry's
 shape forces that cell to zero, so the shapes' zero cells are never
 scanned; each candidate still passes the determinant, trace and
-`lattice_key` tests.  The matrix helpers do their arithmetic through the
+`lattice_key` tests.  `CANDIDATE_BUDGET` bounds the number of these
+candidates, the product of the range lengths.  The matrix helpers do their arithmetic through the
 ring's `dot`, a sum of products that `LevelRing` reduces once.
 """
 
@@ -423,19 +424,21 @@ def _trivial_level(filt: FiltrationSpec) -> int:
 
 
 def _cell_candidates(filt: FiltrationSpec, ring: LevelRing, v0: int):
-    """Candidate matrices x for the points g = 1 + x: cell (i, j) runs
-    over the multiples of p^max(v0, v), where v is the largest level at
-    which some entry's shape forces that cell to zero.  Every point has
-    such an x; the scalar condition of Z is not a cell range and is left
-    to the callers' `lattice_key` test."""
+    """Candidate matrices x for the points g = 1 + x, and their number:
+    cell (i, j) runs over the multiples of p^max(v0, v), where v is the
+    largest level at which some entry's shape forces that cell to zero.
+    Returns (count, candidates), the candidates lazily, so that callers
+    can hold the count against CANDIDATE_BUDGET before any is made.
+    Every point has such an x; the scalar condition of Z is not a cell
+    range and is left to the callers' `lattice_key` test."""
     n = filt.group.n
     levels = [[v0] * n for _ in range(n)]
     for h, v in filt.entries:
         for i, j in _shape(h, n)[0]:
             levels[i][j] = max(levels[i][j], v)
     cells = [range(0, ring.mod, ring.p**v) for row in levels for v in row]
-    for vals in itertools.product(*cells):
-        yield tuple(vals[i * n:(i + 1) * n] for i in range(n))
+    count = math.prod(map(len, cells))
+    return count, (tuple(vals[i * n:(i + 1) * n] for i in range(n)) for vals in itertools.product(*cells))
 
 
 def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
@@ -445,13 +448,12 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     if max(filt.levels(), default=0) > ring.N:
         raise InputError("filtration level exceeds N")
     v0 = _trivial_level(filt)
-    rest = ring.mod // ring.p**v0
-    count = rest ** (n * n)
+    count, candidates = _cell_candidates(filt, ring, v0)
     if count > CANDIDATE_BUDGET:
         raise SizeCapError(f"{count} candidate matrices exceed the budget")
     found = []
     other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
-    for x in _cell_candidates(filt, ring, v0):
+    for x in candidates:
         g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
         if spec.det_ok(ring, g) and not any(lattice_key(other, x, ring.p)):
             found.append(g)
@@ -469,12 +471,12 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
     if max(filt.levels(), default=0) > ring.N:
         raise InputError("filtration level exceeds N")
     v0 = _trivial_level(filt)
-    rest = ring.mod // ring.p**v0
-    if rest ** (n * n) > CANDIDATE_BUDGET:
-        raise SizeCapError("lie enumeration exceeds the budget")
+    count, candidates = _cell_candidates(filt, ring, v0)
+    if count > CANDIDATE_BUDGET:
+        raise SizeCapError(f"lie enumeration exceeds the budget: {count} candidate matrices")
     out = []
     other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
-    for x in _cell_candidates(filt, ring, v0):
+    for x in candidates:
         if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % ring.mod != 0:
             continue
         if not any(lattice_key(other, x, ring.p)):

@@ -86,24 +86,25 @@ class DilatationResult:
     `center` is the caller's own multi-center.  Everything else is
     shared by every result `dilate` returns for an equal center of the
     same base algebra, so treat a result and its parts as immutable.
+
+    `saturation_changed` compares the saturated relations with the
+    presaturation P + (a_i*x_ij - g_ij) when it is read.  The first read
+    builds the presaturation's basis, which the shared handle keeps, so
+    that basis is built at most once per memo entry, and only if asked.
     """
 
-    __slots__ = (
-        "center",
-        "algebra",
-        "iota",
-        "fraction_vars",
-        "presaturation",
-        "saturation_changed",
-    )
+    __slots__ = ("center", "algebra", "iota", "fraction_vars", "presaturation")
 
-    def __init__(self, center, algebra, iota, fraction_vars, presaturation, saturation_changed):
+    def __init__(self, center, algebra, iota, fraction_vars, presaturation):
         self.center = center
         self.algebra = algebra
         self.iota = iota
         self.fraction_vars = fraction_vars
         self.presaturation = presaturation
-        self.saturation_changed = saturation_changed
+
+    @property
+    def saturation_changed(self) -> bool:
+        return not self.algebra.relations.equals(self.presaturation)
 
     @property
     def base(self) -> PresentedAlgebra:
@@ -177,10 +178,10 @@ def dilate(center: MultiCenter) -> DilatationResult:
 
 def _construct(center: MultiCenter) -> tuple:
     """The parts of `dilate`'s result after the center: algebra, iota,
-    fraction variables, presaturation and whether saturation changed it."""
+    fraction variables and presaturation."""
     a = center.algebra
     if not center.centers:
-        return a, AlgebraHom.identity(a), [], a.relations, False
+        return a, AlgebraHom.identity(a), [], a.relations
 
     fresh = iter(a.ring.fresh_names(
         f"x_{i}_{j}" for i, c in enumerate(center.centers, start=1) for j in range(1, len(c.ideal.gens) + 1)
@@ -212,8 +213,7 @@ def _construct(center: MultiCenter) -> tuple:
     iota = AlgebraHom.by_name(a, prime)
     if not check_hom(iota):
         raise VerificationFinding("structural map failed well-definedness")
-    changed = not sat.equals(presat)
-    return prime, iota, names, presat, changed
+    return prime, iota, names, presat
 
 
 # ---------------------------------------------------------------------------

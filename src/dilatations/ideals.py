@@ -4,12 +4,16 @@ elimination and membership, all through the Groebner kernel.
 An IdealHandle keeps its generator list verbatim and caches the reduced
 Groebner basis on first use, with the basis's reducer rows (`Reducers`)
 next to it for every later normal form (one-shot, guarded by a lock, so
-library callers may share handles across threads).  It also carries the
-`Limits` that every Buchberger run on its behalf uses (None means the
-defaults), and each ideal built from it here inherits them; that is the
-only way budgets reach the kernel.  Ideal equality means equality of ideals, not
-of generator lists: reduced bases are canonical, so it is a list
-comparison.
+library callers may share handles across threads).  A saturation,
+intersection or elimination over a grevlex ring arrives with its basis
+already set, because the elimination that computes it holds that basis
+(see `_eliminated`); no Buchberger run is made for it.  A
+handle also carries the `Limits` that every Buchberger run on its behalf
+uses (None means the defaults), and each ideal built from it here
+inherits them; that is the only way budgets reach the kernel, and they
+count only the runs actually made.  Ideal equality means equality of
+ideals, not of generator lists: reduced bases are canonical, so it is a
+list comparison.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ from .poly import GREVLEX, InputError, PolyRing, Polynomial, block_order
 
 
 class IdealHandle:
+    """The ideal of `ring` generated by `gens`.  Its reduced Groebner basis
+    is built on first use and kept, unless the handle came from
+    `_of_reduced` with the basis already known; `limits` budgets the
+    Buchberger runs actually made for it."""
+
     __slots__ = ("ring", "gens", "limits", "_gb", "_reducers", "_lock")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial], limits: Limits | None = None):
@@ -35,6 +44,15 @@ class IdealHandle:
         self._gb = None
         self._reducers = None
         self._lock = threading.Lock()
+
+    @classmethod
+    def _of_reduced(cls, ring: PolyRing, basis: list[Polynomial], limits: Limits | None) -> "IdealHandle":
+        """The ideal generated by `basis`, which must already be its reduced
+        Groebner basis over `ring`: the basis and its rows are set here."""
+        h = cls(ring, basis, limits)
+        h._reducers = Reducers.of(ring, basis)
+        h._gb = list(basis)
+        return h
 
     def groebner(self) -> list[Polynomial]:
         if self._gb is None:
@@ -88,6 +106,25 @@ def _extend_first(ring: PolyRing, stem: str, polys):
     return ext, [p.map_ring(ext) for p in polys]
 
 
+def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits | None) -> IdealHandle:
+    """The elements of `gb` free of its ring's first k variables, over
+    `target`, whose variables are the remaining ones in the same order.
+
+    `gb` is a reduced basis under `block_order(k)`, so these elements are
+    a Groebner basis of the elimination ideal (the elimination theorem).
+    On monomials free of the block, the block order is grevlex on the
+    tail, so over a GREVLEX target each kept element has the same leading
+    monomial and they keep their relative order; they stay monic, and no
+    term of one is divisible by another's leading monomial.  They are
+    therefore exactly the target's unique reduced basis, and the handle
+    carries it.  Under any other target order they only generate.
+    """
+    kept = [g.map_ring(target) for g in gb if min(g.uses_vars(), default=k) >= k]
+    if target.order == GREVLEX:
+        return IdealHandle._of_reduced(target, kept, limits)
+    return IdealHandle(target, kept, limits)
+
+
 def _rabinowitsch_basis(a: IdealHandle, f: Polynomial) -> list[Polynomial]:
     """Reduced basis of A + (1 - z*f) in A[z], z first and eliminated."""
     ext, mapped = _extend_first(a.ring, "_z", a.gens + [f])
@@ -130,9 +167,7 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     one_minus_t = ext.one() - t
     tagged = [t * p for p in mapped[: len(a.gens)]]
     tagged += [one_minus_t * p for p in mapped[len(a.gens) :]]
-    gb = buchberger_reduced(tagged, limits=a.limits)
-    kept = [g.map_ring(ring) for g in gb if 0 not in g.uses_vars()]
-    return a.with_gens(kept)
+    return _eliminated(buchberger_reduced(tagged, limits=a.limits), 1, ring, a.limits)
 
 
 def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
@@ -144,9 +179,7 @@ def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
     if f.is_zero():
         raise InputError("colon by the zero element")
     if saturate:
-        gb = _rabinowitsch_basis(a, f)
-        kept = [g.map_ring(a.ring) for g in gb if 0 not in g.uses_vars()]
-        return a.with_gens(kept)
+        return _eliminated(_rabinowitsch_basis(a, f), 1, a.ring, a.limits)
     meet = intersect(a, a.with_gens([f]))
     quotients = []
     for g in meet.groebner():
@@ -178,15 +211,9 @@ def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
     rest = [n for n in a.ring.names if n not in names]
     perm = PolyRing(a.ring.field, names + rest, block_order(len(names)))
     mapped = [g.map_ring(perm) for g in a.gens]
-    gb = buchberger_reduced(mapped, limits=a.limits)
-    k = len(names)
     keep_order = a.ring.order if a.ring.order.kind != "block" else GREVLEX
     sub = PolyRing(a.ring.field, rest, keep_order)
-    kept = []
-    for g in gb:
-        if all(i >= k for i in g.uses_vars()):
-            kept.append(g.map_ring(sub))
-    return IdealHandle(sub, kept, a.limits)
+    return _eliminated(buchberger_reduced(mapped, limits=a.limits), len(names), sub, a.limits)
 
 
 def membership(query: str, a: IdealHandle, arg) -> bool:

@@ -52,6 +52,56 @@ def test_is_nzd_examples():
     assert zero.is_zero_ring() and is_nzd(zero, zero.var("u"))
 
 
+def _nzd_by_colon(a, f):
+    """Test-local references: P : f = P, and P : f^∞ = P (equivalent,
+    since P ⊆ P : f ⊆ P : f^∞)."""
+    from dilatations.ideals import colon
+
+    return colon(a.relations, f).equals(a.relations), colon(a.relations, f, saturate=True).equals(a.relations)
+
+
+_NZD_CASES = [
+    # (relations, element, expected)
+    ((["x", "y"], "x*y"), "x", False),  # zero-divisor
+    ((["x", "y"], "x*y"), "x + y", True),
+    ((["x", "y"], "x*y", "x^2"), "y + x", False),
+    ((["u"], "u^2"), "u", False),  # nilpotent
+    ((["u", "v"], "u^3", "v^2"), "u*v + u", False),
+    ((["u", "v"], "u^3"), "v + u", True),  # a non-zero-divisor plus a nilpotent
+    ((["x", "y"], "x*y"), "x^2*y - x*y", False),  # in P
+    ((["x", "y"], "x^2 - y^3"), "x^2 - y^3", False),  # a generator of P
+    ((["u"], "1"), "u", True),  # zero ring
+    ((["x", "y"], "1"), "x*y", True),
+    ((["x"],), "x", True),  # nzd in a domain
+    ((["x", "y", "z", "w"], "x*w - y*z"), "x", True),
+    ((["x", "y", "z"], "x*z", "y*z"), "z", False),
+    ((["x", "y", "z"], "x*z", "y*z"), "x + z", True),
+]
+
+
+@pytest.mark.parametrize("case", _NZD_CASES, ids=lambda c: f"{c[0][1:]}-{c[1]}")
+def test_is_nzd_agrees_with_colon_references(case):
+    (names, *rels), text, expected = case
+    a = algebra(names, *rels)
+    f = a.parse(text)
+    assert is_nzd(a, f) == expected
+    assert _nzd_by_colon(a, f) == (expected, expected)
+
+
+@given(st.integers(0, 10**9))
+def test_is_nzd_agrees_with_colon_references_on_random_algebras(seed):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = ring(["x", "y"])
+    a = PresentedAlgebra(r, IdealHandle(r, [p for p in (random_poly(rng, r) for _ in range(2)) if not p.is_zero()]))
+    f = random_poly(rng, r)
+    if f.is_zero():
+        return
+    single, saturated = _nzd_by_colon(a, f)
+    assert is_nzd(a, f) == single == saturated
+
+
 def test_maps_equal_examples():
     b = PresentedAlgebra(ring(["t"]))
     a = PresentedAlgebra(ring(["x"]))

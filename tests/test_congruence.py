@@ -188,6 +188,28 @@ def test_budget_guard():
         group_points(filt, LevelRing(2, 20))
 
 
+def test_budget_counts_cell_candidates_not_the_box(monkeypatch):
+    # L1 of the finite-certify workload: 9 * 9 * 3 * 3 = 729 per-cell
+    # candidates inside a box of 9^4 = 6561
+    from dilatations import congruence
+    from dilatations.oracle import SizeCapError
+
+    ring_ = LevelRing(3, 3)
+    l1 = FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("L(1,1)", 2)])
+    principal = FiltrationSpec(GroupSpec("GL", 2), [("e", 1)])  # 6561 candidates
+    expected_group, expected_lie = group_points(l1, ring_).elements, lie_points(l1, ring_)
+    monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", 1000)
+    assert group_points(l1, ring_).elements == expected_group
+    assert lie_points(l1, ring_) == expected_lie
+    with pytest.raises(SizeCapError, match="^6561 candidate matrices exceed the budget$"):
+        group_points(principal, ring_)
+    with pytest.raises(SizeCapError, match="6561 candidate matrices"):
+        lie_points(principal, ring_)
+    monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", 728)
+    with pytest.raises(SizeCapError, match="^729 candidate"):
+        group_points(l1, ring_)
+
+
 def test_matrix_inverse():
     ops = LevelRing(3, 2)
     g = ((1, 3), (0, 1))

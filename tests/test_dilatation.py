@@ -42,6 +42,30 @@ def mk_center(alg, *pairs):
     return MultiCenter(alg, centers)
 
 
+@pytest.fixture(autouse=True)
+def _saturation_changed_matches_eager_comparison(monkeypatch):
+    """On every dilate in this module, `saturation_changed` (computed when
+    read) equals the comparison of freshly built reduced bases."""
+    from dilatations.groebner import buchberger_reduced
+
+    results = []
+    real = dilatation_module.dilate
+
+    def recording(center):
+        res = real(center)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(dilatation_module, "dilate", recording)
+    monkeypatch.setitem(globals(), "dilate", recording)
+    yield
+    assert all(
+        res.saturation_changed
+        == (buchberger_reduced(res.algebra.relations.gens) != buchberger_reduced(res.presaturation.gens))
+        for res in results
+    )
+
+
 # ---------------------------------------------------------------- normalize
 
 
@@ -160,6 +184,23 @@ def test_dilate_shares_one_build_per_algebra():
     assert r1.presaturation is r2.presaturation and r1.fraction_vars is r2.fraction_vars
     assert len(a.dilatations) == 1
     assert str(r2.fraction(1, a.var("h"))) == "x_1_2"
+
+
+def test_saturation_changed_built_on_demand_once_per_memo_entry(monkeypatch):
+    from dilatations import ideals
+
+    runs = []
+    real = ideals.buchberger_reduced
+    monkeypatch.setattr(ideals, "buchberger_reduced", lambda *a, **k: runs.append(1) or real(*a, **k))
+    cases = [(algebra(["x", "y"], "x*y"), (["x"], "x"), True), (algebra(["a", "g"]), (["g"], "a"), False)]
+    for a, pair, changed in cases:
+        r1, r2 = dilate(mk_center(a, pair)), dilate(mk_center(a, pair))
+        assert r1.presaturation is r2.presaturation
+        before = len(runs)
+        assert r1.saturation_changed is changed  # builds the presaturation's basis
+        assert len(runs) == before + 1
+        assert r2.saturation_changed is changed and r1.saturation_changed is changed
+        assert len(runs) == before + 1
 
 
 def test_dilate_reordered_generators_are_another_key():

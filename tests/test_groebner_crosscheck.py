@@ -132,3 +132,57 @@ def test_non_integral_rational_basis_matches_sympy(seed, order_name):
     assert any(c.denominator > 1 for g in gens for c in g.terms.values())
     ours = {str(g) for g in buchberger_reduced(gens)}
     assert ours == _from_sympy(ring, _sympy_basis(gens, names, order_name)), [str(g) for g in gens]
+
+
+# Saturation and elimination results take over the free-of-block part of
+# their elimination basis as their reduced basis.  sympy reaches the same
+# basis by its own route: a lex basis with the eliminated variable first,
+# its elements free of that variable, and then their grevlex basis.
+
+
+def _sympy_elimination_basis(ring, exprs, drop):
+    syms = sympy.symbols(" ".join([drop] + list(ring.names)))
+    lex = sympy.groebner(exprs, *syms, order="lex").exprs
+    kept = [e for e in lex if syms[0] not in e.free_symbols]
+    if not kept:
+        return set()
+    return _from_sympy(ring, sympy.groebner(kept, *syms[1:], order="grevlex").exprs)
+
+
+def _to_sympy(p):
+    return sympy.sympify(str(p).replace("^", "**"))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_saturation_basis_matches_sympy(seed):
+    from dilatations.ideals import IdealHandle, colon
+
+    rng = random.Random(8200 + seed)
+    ring = PolyRing(QQ, ["x", "y"], GREVLEX)
+    gens = []
+    while len(gens) < 2:
+        p = random_poly(rng, ring, max_deg=3, max_terms=3, coeff_bound=3)
+        if not p.is_constant():
+            gens.append(p)
+    f = ring.parse(rng.choice(["x", "y", "x + y", "x*y", "x - 2", "y^2 + x"]))
+    ours = {str(g) for g in colon(IdealHandle(ring, gens), f, saturate=True).groebner()}
+    z = sympy.Symbol("z")
+    theirs = _sympy_elimination_basis(ring, [_to_sympy(g) for g in gens] + [1 - z * _to_sympy(f)], "z")
+    assert ours == theirs, ([str(g) for g in gens], str(f))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_elimination_basis_matches_sympy(seed):
+    from dilatations.ideals import IdealHandle, eliminate
+
+    # a parametrized plane curve, and on odd seeds one random relation more
+    rng = random.Random(8300 + seed)
+    ring = PolyRing(QQ, ["t", "x", "y"], GREVLEX)
+    a, b = rng.choice([(2, 3), (2, 5), (3, 4), (1, 3), (3, 5)])
+    c, d = rng.randint(0, 3), rng.randint(0, 3)
+    gens = [ring.parse(f"x - t^{a} + {c}*t"), ring.parse(f"y - t^{b} + {d}")]
+    if seed % 2:
+        gens.append(random_poly(rng, ring, max_deg=2, max_terms=3, coeff_bound=3))
+    elim = eliminate(IdealHandle(ring, gens), ["t"])
+    ours = {str(g) for g in elim.groebner()}
+    assert _sympy_elimination_basis(elim.ring, [_to_sympy(g) for g in gens], "t") == ours, [str(g) for g in gens]

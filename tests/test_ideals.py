@@ -246,3 +246,134 @@ def test_dilate_matches_saturation_by_product():
     old = colon(res.presaturation, product, saturate=True)
     assert res.algebra.relations.groebner() == old.groebner()
     assert res.saturation_changed == (not old.equals(res.presaturation))
+
+
+# ------------------------------------------- bases kept from the elimination
+#
+# colon(saturate=True), intersect, eliminate and hom_kernel hand over the
+# part of their elimination basis that is free of the eliminated block.
+# Over a grevlex target that part is the reduced basis itself; under any
+# other order it only generates, and a basis is built on first use.
+
+
+def _counting_buchberger(monkeypatch):
+    """Count the Buchberger runs made through `ideals` from here on."""
+    runs = []
+    real = ideals.buchberger_reduced
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger_reduced", counted)
+    return runs
+
+
+def _elimination_results(order):
+    """(label, handle) for each elimination result of a small corpus over
+    a ring with the given order."""
+    from dilatations.algebras import AlgebraHom, hom_kernel
+
+    r = ring(["x", "y"], order=order)
+    s = ring(["a", "g", "x"], order=order)
+    t = ring(["x", "y", "t"], order=order)
+    u = ring(["x", "t", "s", "u", "v"], order=order)
+    out = [
+        ("intersect x, y", intersect(handle(r, "x"), handle(r, "y"))),
+        ("intersect (x^2, x*y), y", intersect(handle(r, "x^2", "x*y"), handle(r, "y"))),
+        ("intersect unit, x + y", intersect(handle(r, "1"), handle(r, "x + y"))),
+        ("saturate a*x - g", colon(handle(s, "a*x - g"), s.var("a"), saturate=True)),
+        ("saturate a*x, a*g", colon(handle(s, "a*x", "a*g"), s.var("a"), saturate=True)),
+        ("saturate to unit", colon(handle(s, "a"), s.var("a"), saturate=True)),
+        ("saturate by two", saturate(handle(s, "a*x^2 - g*x", "g^2*a"), [s.var("a"), s.var("g")])),
+        ("eliminate parabola", eliminate(handle(t, "x - t", "y - t^2"), ["t"])),
+        ("eliminate unit", eliminate(handle(t, "1"), ["t"])),
+        ("eliminate to zero", eliminate(handle(u, "t*s*u - x", "s*v - x"), ["u", "v"])),
+        ("eliminate two", eliminate(handle(u, "x - t*s", "u - t^2", "v - s^2"), ["t", "s"])),
+    ]
+    cusp_src = PresentedAlgebra(ring(["x", "y"], order=order))
+    line = PresentedAlgebra(ring(["t"]))
+    out.append(("kernel of the cusp", hom_kernel(AlgebraHom(cusp_src, line, [line.parse("t^2"), line.parse("t^3")]))))
+    segre_src = PresentedAlgebra(ring(["x", "y", "z", "w"], order=order))
+    plane = PresentedAlgebra(ring(["s", "t", "u", "v"]))
+    images = [plane.parse(p) for p in ("s*u", "s*v", "t*u", "t*v")]
+    out.append(("kernel of the Segre map", hom_kernel(AlgebraHom(segre_src, plane, images))))
+    fat = PresentedAlgebra(ring(["t"]), IdealHandle(ring(["t"]), [ring(["t"]).parse("t^3")]))
+    out.append(("kernel into t^3 = 0", hom_kernel(AlgebraHom(cusp_src, fat, [fat.var("t"), fat.parse("t^2")]))))
+    return out
+
+
+@pytest.mark.parametrize("order_name", ["grevlex", "lex", "block"])
+def test_elimination_results_carry_their_reduced_basis(monkeypatch, order_name):
+    from dilatations.poly import GREVLEX, LEX, block_order
+
+    order = {"grevlex": GREVLEX, "lex": LEX, "block": block_order(1)}[order_name]
+    for label, h in _elimination_results(order):
+        runs = _counting_buchberger(monkeypatch)
+        basis = h.groebner()
+        # eliminate's target is grevlex also under a block order
+        kept = h.ring.order == GREVLEX
+        assert (len(runs) == 0) == kept, (label, h.ring.order)
+        assert kept == (order_name == "grevlex" or (order_name == "block" and label.startswith("eliminate"))), label
+        assert basis == buchberger_reduced(h.gens), label
+        monkeypatch.undo()
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.sampled_from(["grevlex", "lex"]))
+def test_random_elimination_results_carry_their_reduced_basis(seed, field, order_name):
+    import random as _random
+
+    from dilatations.poly import GREVLEX, LEX
+
+    rng = _random.Random(seed)
+    order = GREVLEX if order_name == "grevlex" else LEX
+    r = ring(["x", "y"], field, order)
+    a = IdealHandle(r, [p for p in (random_poly(rng, r) for _ in range(2)) if not p.is_zero()])
+    b = IdealHandle(r, [p for p in (random_poly(rng, r) for _ in range(2)) if not p.is_zero()])
+    f = random_poly(rng, r, max_deg=1)
+    results = [intersect(a, b)]
+    if not f.is_zero():
+        results.append(colon(a, f, saturate=True))
+    t = ring(["x", "y", "z"], field, order)
+    c = IdealHandle(t, [p for p in (random_poly(rng, t) for _ in range(3)) if not p.is_zero()])
+    results.append(eliminate(c, [rng.choice(t.names)]))
+    for h in results:
+        assert h.groebner() == buchberger_reduced(h.gens)
+
+
+def test_demo_rebuilds_no_basis_it_already_has(monkeypatch):
+    """Over the demo instance, no Buchberger run gets as input the reduced
+    basis an earlier run returned (restricted to the input's variables,
+    since an elimination hands over part of its basis).  A one-generator
+    input forms no pair, so its run is not counted."""
+    import types
+    from pathlib import Path
+
+    from dilatations import cli, groebner
+    from dilatations.oracle import SIZE_CAP
+
+    real = groebner.buchberger_reduced
+    outputs, repeats = [], []
+
+    def recording(gens, limits=None, cofactors=False):
+        gens = [g for g in gens if not g.is_zero()]
+        out = real(gens, limits, cofactors)
+        if cofactors or len(gens) < 2:
+            return out
+        names = set(gens[0].ring.names)
+        key = [str(g) for g in gens]
+        for earlier in outputs:
+            src = earlier[0].ring.names
+            if key == [str(g) for g in earlier if {src[i] for i in g.uses_vars()} <= names]:
+                repeats.append(key)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(groebner, "buchberger_reduced", recording)
+    monkeypatch.setattr(ideals, "buchberger_reduced", recording)
+    inst = cli.parse(str(Path(__file__).resolve().parent.parent / "instances" / "demo.dila"))
+    flags = types.SimpleNamespace(oracle_size_cap=SIZE_CAP, bidegree_bound=4, jobs=1, machine_only=True)
+    for _, args in inst.requests:
+        cli.run_request(inst, args, flags)
+    assert outputs
+    assert repeats == []
