@@ -19,6 +19,20 @@ pairs formed, the basis size and largest degree, and the ring.
 The same loop optionally carries a cofactor track (each basis element
 written over the input generators), which `ideal_cofactors` uses.
 
+The criteria work on exponent fields (`Packing.exps`: a packed
+monomial's exponents alone, an int that divides as the whole int does).
+A new pair (g, h) is keyed by its lcm's exponent fields, g's plus h's
+excess over them (`Packing.excess`), with no prefix sums built.  Its
+full packed lcm (`Packing.expand`) is built only when the pair is
+queued, as its heap key and for its sugar, and when deg g + deg h
+exceeds the degree cap or the field bound 2^32 - 1; only then can the
+lcm trip either, and it is checked there.  The M criterion walks the
+distinct keys in ascending int order: a divisor is never the larger
+int, so every divisor of a key comes before it, and as the keys are
+distinct each divisor is strict.  The B, F and coprime tests compare
+exponent fields.  The pair cap is charged once per update, for the
+pairs up to the one that exceeds it.
+
 Representation: division, normal forms, Buchberger (both modes) and
 interreduction run on packed term dicts, {packed monomial: coefficient}
 (`poly.Packing`: one int per monomial, compared by the monomial order).
@@ -45,10 +59,11 @@ from __future__ import annotations
 
 import heapq
 
-from .poly import InputError, Packing, Polynomial, ResourceLimitError
+from .poly import FIELD_BITS, InputError, Packing, Polynomial, ResourceLimitError
 
 DEFAULT_DEGREE_CAP = 24
 DEFAULT_PAIR_CAP = 200_000
+_FIELD_MAX = (1 << FIELD_BITS) - 1  # the largest value a packed field holds
 
 
 class Limits:
@@ -234,7 +249,8 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     limits = limits or Limits()
     key = ring.order.key
     packing = ring.packing
-    guard, deg, lcm = packing.guard, packing.deg, packing.lcm
+    guard, deg, expand, excess = packing.guard, packing.deg, packing.expand, packing.excess
+    exps, exp_guard = packing.exps, packing.exp_guard
     fld = ring.field
     one = 1
     minus_one = fld.neg(one)
@@ -243,6 +259,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     rows = [] if cofactors else None  # cofactor rows, packed, over gens
     reducer_rows: list = []
     lms: list[int] = []
+    xs: list[int] = []  # the exponent fields of lms
     degs: list[int] = []
     sugar: list[int] = []
     live: list[int] = []  # elements whose leading monomial no later one divides
@@ -272,51 +289,67 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         basis.append(r)
         reducer_rows.append(_row(packing, r))
         lms.append(lm_h)
-        degs.append(deg(lm_h))
+        x_h = lm_h & exps
+        xs.append(x_h)
+        d_h = deg(lm_h)
+        degs.append(d_h)
         sugar.append(s)
+        # the pairs (g, h) for g live, up to the pair cap, each keyed by
+        # the exponent fields of its lcm: g's plus h's excess over them
+        pairs = live
+        if formed + len(live) > limits.pair_cap:
+            pairs = live[: max(limits.pair_cap - formed, 0)]
+        # an lcm has degree at most deg g + deg h, so below this bound it
+        # passes the degree cap and no field reaches its guard bit
+        bound = min(limits.degree_cap, _FIELD_MAX) - d_h
         by_lcm: dict = {}
-        lcm_deg: dict = {}
-        for g in live:
-            formed += 1
-            if formed > limits.pair_cap:
-                raise exceeded(f"pair budget {limits.pair_cap} exceeded")
-            l = lcm(lms[g], lm_h)
-            if l & guard:
-                raise packing.overflow(l)
-            if l not in lcm_deg:
-                lcm_deg[l] = d = deg(l)
-                if d > limits.degree_cap:
-                    raise exceeded(f"degree budget {limits.degree_cap} exceeded (lcm degree {d})")
+        for g in pairs:
+            x = xs[g]
+            l = x + excess(x, x_h)
+            if degs[g] > bound:
+                full = lms[g] + expand(l - x)
+                if full & guard:
+                    raise packing.overflow(full)
+                if deg(full) > limits.degree_cap:
+                    formed += pairs.index(g) + 1
+                    raise exceeded(f"degree budget {limits.degree_cap} exceeded (lcm degree {deg(full)})")
             by_lcm.setdefault(l, []).append(g)
+        formed += len(pairs)
+        if len(pairs) < len(live):
+            formed += 1
+            raise exceeded(f"pair budget {limits.pair_cap} exceeded")
         # B: a queued pair goes when lt(h) divides its lcm and that lcm
         # differs from the lcm of h with each of its two elements
         kept = [
             e for e in heap
             if (e[1] - lm_h) & guard
-            or lcm(lms[e[2]], lm_h) == e[1]
-            or lcm(lms[e[3]], lm_h) == e[1]
+            or (lx := e[1] & exps) == xs[e[2]] + excess(xs[e[2]], x_h)
+            or lx == xs[e[3]] + excess(xs[e[3]], x_h)
         ]
         if len(kept) < len(heap):
             heap[:] = kept
             heapq.heapify(heap)
         # M: a new pair goes when another new pair's lcm strictly divides
-        # its lcm (checking the lcms that M kept suffices, as division is
-        # transitive); F: of the new pairs sharing an lcm one stays, and
-        # none when one of them has coprime leading monomials (its lcm is
-        # their product)
-        minimal: list = []  # (degree, lcm) of the lcms M kept
-        for l in sorted(by_lcm, key=lcm_deg.__getitem__):
-            d = lcm_deg[l]
-            for dm, m in minimal:
-                if dm < d and not (l - m) & guard:
+        # its lcm.  A divisor is never the larger int, and the lcms are
+        # distinct, so in ascending order every divisor of an lcm comes
+        # before it, and checking the lcms that M kept suffices, as
+        # division is transitive.  F: of the new pairs sharing an lcm one
+        # stays, and none when one of them has coprime leading monomials
+        # (its lcm is their product)
+        minimal: list = []  # the lcms M kept
+        for l in sorted(by_lcm):
+            for m in minimal:
+                if not (l - m) & exp_guard:
                     break
             else:
-                minimal.append((d, l))
+                minimal.append(l)
                 group = by_lcm[l]
-                if any(l == lms[g] + lm_h for g in group):
+                if any(l == xs[g] + x_h for g in group):
                     continue
-                ps, g = min((max(sugar[g] + d - degs[g], s + d - degs[h]), g) for g in group)
-                heapq.heappush(heap, (ps, l, g, h))
+                full = expand(l)
+                d = deg(full)
+                ps, g = min((max(sugar[g] + d - degs[g], s + d - d_h), g) for g in group)
+                heapq.heappush(heap, (ps, full, g, h))
         live[:] = [g for g in live if (lms[g] - lm_h) & guard] + [h]
         table = Reducers(packing, [reducer_rows[e] for e in live])
 

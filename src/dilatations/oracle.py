@@ -765,6 +765,12 @@ class HomPlan:
     additive generator; `plus[i][j]` is the position of element i plus
     additive generator j, and `times[j][k]` that of additive generator j
     times ring generator k.
+
+    A ring generator in the additive span of 1 and the earlier ones is
+    not an additive generator, and a hom's image of it follows from
+    theirs: `free` lists the others, and `fixed` maps each such k to a
+    sum giving it, as positions among the additive generators that come
+    from 1 and the listed generators (`firsts`, their sources).
     """
 
     def __init__(self, ring: FiniteRing):
@@ -785,6 +791,34 @@ class HomPlan:
             self.plus.append(row)
         self.one = pos[ring.one]
         self.times = [[pos[ring.mul(g, r)] for r in ring.gens] for g in adds]
+        self.firsts = [src for src in self.sources if isinstance(src, int)]
+        self.free = [src - 1 for src in self.firsts if src]
+        # the span of the first additive generators, breadth-first from
+        # 0: each element as a sum of them, by their positions
+        sums = {ring.zero: ()}
+        order = [ring.zero]
+        for x in order:
+            for j, g in enumerate(adds[: len(self.firsts)]):
+                y = ring.add(x, g)
+                if y not in sums:
+                    sums[y] = sums[x] + (j,)
+                    order.append(y)
+        self.fixed = {k: sums[g] for k, g in enumerate(ring.gens) if k not in self.free}
+
+    def images(self, b: FiniteRing, free_images):
+        """The images of all ring generators, given those of the `free`
+        ones: a fixed generator's is the same sum of the first additive
+        generators' images."""
+        images = [None] * (len(self.free) + len(self.fixed))
+        for k, v in zip(self.free, free_images):
+            images[k] = v
+        firsts = [b.one if src == 0 else images[src - 1] for src in self.firsts]
+        for k, terms in self.fixed.items():
+            v = b.zero
+            for j in terms:
+                v = b.add(v, firsts[j])
+            images[k] = v
+        return images
 
     def extend(self, b: FiniteRing, images):
         """The unital ring hom into b that sends the generators to
@@ -824,14 +858,18 @@ class HomPlan:
 
 
 def enumerate_homs(a: FiniteRing, b: FiniteRing, budget: int = 200_000):
-    """All unital ring homs A -> B: every assignment of generator images
-    is extended and certified along A's hom plan."""
+    """All unital ring homs A -> B, in the order of their generator images
+    in `b.elements`: every assignment of images to the plan's free
+    generators is extended and certified along A's hom plan.  The other
+    generators' images follow from those of 1 and the earlier ones, so
+    no other assignment extends.  The budget counts assignments to every
+    generator."""
     plan = a.hom_plan
     if b.size ** len(a.gens) > budget:
         raise SizeCapError("hom enumeration budget exceeded")
     homs = []
-    for images in itertools.product(b.elements, repeat=len(a.gens)):
-        f = plan.extend(b, images)
+    for free_images in itertools.product(b.elements, repeat=len(plan.free)):
+        f = plan.extend(b, plan.images(b, free_images))
         if f is not None:
             homs.append(f)
     return homs

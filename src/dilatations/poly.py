@@ -220,10 +220,14 @@ class Packing:
     Exponent fields sit at the low end, variable i in field i (lex: in
     field n-1-i, so that e_1 is the most significant); each block's
     prefix-sum fields sit above them, the first block highest.  `guard`
-    has the guard bit of every field set.
+    has the guard bit of every field set; `exps` masks the exponent
+    fields and `exp_guard` holds their guard bits.  A packed monomial's
+    exponent fields alone, `m & exps`, are an int too: one divides
+    another exactly when their difference has no bit of `exp_guard`, and
+    a divisor is never the larger int.
     """
 
-    __slots__ = ("ring", "guard", "_shifts", "_blocks", "_groups", "_deg_shifts", "_exps", "_exp_guards")
+    __slots__ = ("ring", "guard", "exps", "exp_guard", "_shifts", "_blocks", "_groups", "_deg_shifts")
 
     def __init__(self, ring: "PolyRing"):
         n, order = ring.nvars, ring.order
@@ -248,11 +252,12 @@ class Packing:
         if not self._blocks:
             self._deg_shifts = list(self._shifts)
         self.guard = sum(1 << (j * width + FIELD_BITS) for j in range(pos))
-        self._exp_guards = sum(1 << (j * width + FIELD_BITS) for j in range(n))
-        self._exps = sum(((1 << FIELD_BITS) - 1) << j * width for j in range(n))
+        self.exp_guard = sum(1 << (j * width + FIELD_BITS) for j in range(n))
+        self.exps = sum(((1 << FIELD_BITS) - 1) << j * width for j in range(n))
 
-    def _expand(self, d: int) -> int:
-        """Exponent fields only -> the full packed monomial."""
+    def expand(self, d: int) -> int:
+        """Exponent fields only -> the full packed monomial; unchecked:
+        a prefix sum may reach its guard bit, which the caller tests."""
         for low, mask, ones, target in self._groups:
             d += (((d >> low) & mask) * ones & mask) << target
         return d
@@ -266,7 +271,7 @@ class Packing:
         d = 0
         for x, shift in zip(e, self._shifts):
             d |= x << shift
-        return self._expand(d)
+        return self.expand(d)
 
     def unpack(self, m: int) -> Mono:
         mask = (1 << FIELD_BITS) - 1
@@ -280,13 +285,15 @@ class Packing:
             d += (m >> shift) & mask
         return d
 
-    def lcm(self, a: int, b: int) -> int:
-        """Packed lcm of packed a and b; unchecked: a field may reach its
-        guard bit, which the caller tests."""
-        guards = self._exp_guards
-        diff = ((b & self._exps) | guards) - (a & self._exps)
+    def excess(self, a: int, b: int) -> int:
+        """The exponent fields of b's excess over a, max(b_i - a_i, 0) in
+        field i, for packed (or exponent-field) a and b.  The lcm's
+        exponent fields are `(a & exps) + excess(a, b)`, its packed int
+        `a + expand(excess(a, b))`."""
+        guards = self.exp_guard
+        diff = ((b & self.exps) | guards) - (a & self.exps)
         up = diff & guards  # guard bit kept where b's exponent >= a's
-        return a + self._expand(diff & (up - (up >> FIELD_BITS)))
+        return diff & (up - (up >> FIELD_BITS))
 
     def overflow(self, m: int) -> ResourceLimitError:
         """The error for a packed product m with a field past its bound."""

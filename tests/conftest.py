@@ -8,6 +8,9 @@ from hypothesis import settings
 from dilatations.poly import PolyRing, Polynomial, QQ
 
 settings.register_profile("suite", max_examples=40, deadline=None)
+# more examples for the property tests that CI runs a second time, with
+# `--hypothesis-profile ci`; tests that set their own max_examples keep it
+settings.register_profile("ci", max_examples=1000, deadline=None)
 settings.load_profile("suite")
 
 

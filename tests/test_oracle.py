@@ -9,6 +9,7 @@ from dilatations.ideals import IdealHandle
 from dilatations.oracle import (
     FiniteCenter,
     FiniteModule,
+    FiniteRing,
     SizeCapError,
     certify_basis_axioms,
     compare_with_symbolic,
@@ -566,6 +567,45 @@ def _hom_cases():
 def test_enumerate_homs_matches_all_pairs_reference():
     for a, b in _hom_cases():
         assert enumerate_homs(a, b) == _ref_enumerate_homs(a, b), (a, b)
+
+
+def _every_image_enumerate_homs(a, b):
+    """All homs by enumerating an image for every listed generator, each
+    assignment extended along A's hom plan."""
+    homs = []
+    for images in itertools.product(b.elements, repeat=len(a.gens)):
+        f = a.hom_plan.extend(b, images)
+        if f is not None:
+            homs.append(f)
+    return homs
+
+
+def _relisted(a, gens):
+    """a with `gens` as its listed generators."""
+    return FiniteRing(f"{a.label}{gens}", a.elements, a.add, a.mul, a.zero, a.one, gens)
+
+
+def test_enumerate_homs_reads_fixed_generators_off_the_others():
+    u_ring, names = from_presented(fp_algebra(3, ["u", "v"], "u^2", "v^2 - v"))
+    u, v, one = names["u"], names["v"], u_ring.one
+    two_u = u_ring.add(u, u)
+    eps = dual_numbers(4)
+    e = eps.gens[-1]
+    # (listed generators, how many are free): 1 always comes first, so a
+    # listed 1, 2*u, 1 + u, e*e = 0 and v after u + v are fixed
+    relisted = [
+        (_relisted(u_ring, [u, one, v]), 2),
+        (_relisted(u_ring, [u, two_u, v, u_ring.add(one, u)]), 2),
+        (_relisted(u_ring, [one, u, u_ring.add(u, v), v, two_u]), 2),
+        (_relisted(eps, [e, eps.add(e, eps.one), eps.mul(e, e)]), 1),
+        (_relisted(eps, [eps.one, eps.add(eps.one, eps.one), e]), 1),
+    ]
+    assert [len(a.hom_plan.free) for a, _ in relisted] == [n for _, n in relisted]
+    targets = [zmod(m) for m in (1, 2, 3, 4, 6, 9)] + [u_ring, eps]
+    for a in [zmod(6), u_ring, eps] + [a for a, _ in relisted]:
+        # few assignments each, so that the every-image enumeration is quick
+        for b in [b for b in targets if b.size ** len(a.gens) <= 2_000]:
+            assert enumerate_homs(a, b) == _every_image_enumerate_homs(a, b), (a, b)
 
 
 def _ref_subring_closure(r, gens):

@@ -205,7 +205,14 @@ def test_packing_matches_tuple_monomials(case):
     assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
     assert ((pb - pa) & packing.guard == 0) == mono_divides(a, b)
     assert pa + pb == packing.pack(mono_mul(a, b))
-    assert packing.lcm(pa, pb) == packing.pack(mono_lcm(a, b))
+    # exponent fields alone divide as the whole ints do, and a divisor is
+    # never the larger int (the M criterion's order rests on this)
+    xa, xb = pa & packing.exps, pb & packing.exps
+    assert ((xb - xa) & packing.exp_guard == 0) == mono_divides(a, b)
+    assert xa <= xb or not mono_divides(a, b)
+    excess = packing.excess(pa, pb)
+    assert (pa & packing.exps) + excess == packing.pack(mono_lcm(a, b)) & packing.exps
+    assert pa + packing.expand(excess) == packing.pack(mono_lcm(a, b))
     assert packing.unpack(pa) == a and packing.deg(pa) == sum(a)
 
 
