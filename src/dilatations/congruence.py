@@ -256,6 +256,7 @@ def lattice_key(entries, x, p: int) -> tuple:
 def subgroup_elements(spec: GroupSpec, name: str, ops, budget: int = CANDIDATE_BUDGET):
     """Enumerate the catalog subgroup over an arbitrary small ring."""
     n = spec.n
+    _shape(name, n)  # rejects unknown names and Levi shapes that do not fit n
     units = [u for u in ops.elements if ops.is_unit(u)]
     out = []
     if name == "e":
@@ -309,7 +310,6 @@ def subgroup_elements(spec: GroupSpec, name: str, ops, budget: int = CANDIDATE_B
             if spec.det_ok(ops, g) and _invertible(ops, g):
                 out.append(g)
         return out
-    raise InputError(f"unknown catalog subgroup {name!r}")
 
 
 def _invertible(ops, g):

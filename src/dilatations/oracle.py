@@ -15,10 +15,12 @@ triples; subrings of a certified ring need no check.  One span routine,
 closed under multiplication by generators.  One hom plan per source ring
 (`HomPlan`) extends generator images to a map and certifies it on
 additive and ring generators; hom enumeration and the algebra-hom count
-both run on it.  One routine, `symbol_classes`, classes the symbols of
-rings and of modules: it keys each symbol by its value
-e*m*(e*a^nu)^{-1} in e*A and certifies the classes against the literal
-equivalence of the definition.
+both run on it.  One symbol dilatation (`SymbolDilatation`) serves
+modules and rings, a ring being a module over itself: its symbols
+z/a^nu, z in L^nu*M, are classed by `symbol_classes`, which keys each
+by its value e*z*(e*a^nu)^{-1} and certifies the classes against the
+literal equivalence of the definition; each product by e, a^nu or
+(e*a^nu)^{-1} is read from one multiplication map per multiplier.
 
 Witness bound: with e = f^t idempotent (f the product of the a_i), two
 symbols are equivalent iff they are equalized by the single witness
@@ -535,102 +537,8 @@ def symbol_classes(symbols, value, equivalent):
     return reps, class_of, classes
 
 
-def _power_inverses(loc: Localization, center: FiniteCenter):
-    """nu -> (e*a^nu)^{-1} in e*A, each found once."""
-    return functools.lru_cache(maxsize=None)(lambda nu: loc.ring.inverse(loc.map(center.a_power(nu))))
-
-
-class SymbolDilatation:
-    """Fraction-symbol dilatation built from the literal definition.
-
-    Symbols m/a^nu with nu_i <= t and m in L^nu, classed by their value
-    e*m*(e*a^nu)^{-1} in e*A and certified against the literal witness
-    test e*m*a^lambda == e*p*a^nu (`symbol_classes`).  The certified
-    bijection onto the subring construction is part of construction;
-    failure raises VerificationFinding.
-    """
-
-    def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP):
-        self.base = base
-        self.center = center
-        self.sub = dilate_oracle_subring(base, center, cap)
-        loc = self.sub.loc
-        e, t = loc.e, loc.t
-        k = len(center.pairs)
-        # a^nu and e*m, each computed once; the tests below still
-        # evaluate their products on every call
-        a_pow = functools.lru_cache(maxsize=None)(center.a_power)
-        e_times = functools.lru_cache(maxsize=None)(lambda m: base.mul(e, m))
-
-        def equivalent(sym1, sym2):
-            (m, nu), (p, lam) = sym1, sym2
-            return base.mul(e_times(m), a_pow(lam)) == base.mul(e_times(p), a_pow(nu))
-
-        self.equivalent = equivalent
-        inverse = _power_inverses(loc, center)
-
-        def value(sym):
-            m, nu = sym
-            return base.mul(e_times(m), inverse(nu))
-
-        self.value = value
-
-        symbols = []
-        for nu in itertools.product(range(t + 1), repeat=k):
-            for m in base.sorted(center.l_power(nu)):
-                symbols.append((m, nu))
-                if len(symbols) > cap * (t + 1) ** k:
-                    raise SizeCapError("symbol enumeration exceeded cap")
-        reps, self.class_of_symbol, classes = symbol_classes(symbols, value, equivalent)
-        self.reps = reps
-        values = self.values = list(classes)
-        # certified bijection with the subring construction
-        if set(values) != set(self.sub.ring.elements):
-            raise VerificationFinding("fraction classes do not cover the subring dilatation")
-
-        def locate(sym):
-            """Class index of an arbitrary symbol (exponents unbounded)."""
-            ci = classes.get(value(sym))
-            if ci is None or not equivalent(sym, reps[ci]):
-                raise VerificationFinding(f"symbol {sym} matches no class")
-            return ci
-
-        n = len(reps)
-        add_table = [[0] * n for _ in range(n)]
-        mul_table = [[0] * n for _ in range(n)]
-        for i, j in itertools.combinations_with_replacement(range(n), 2):
-            # m/a^nu + p/a^lam = (m*a^lam + p*a^nu)/a^(nu+lam), m/a^nu * p/a^lam = m*p/a^(nu+lam)
-            (m, nu), (p, lam) = reps[i], reps[j]
-            den = tuple(x + y for x, y in zip(nu, lam))
-            num = base.add(base.mul(m, a_pow(lam)), base.mul(p, a_pow(nu)))
-            add_table[i][j] = add_table[j][i] = locate((num, den))
-            mul_table[i][j] = mul_table[j][i] = locate((base.mul(m, p), den))
-        # the value map is injective (one value per class) and onto the
-        # subring dilatation; it respects + and *, so the tables form a
-        # ring isomorphic to that certified subring
-        for i in range(n):
-            for j in range(n):
-                if values[add_table[i][j]] != base.add(values[i], values[j]):
-                    raise VerificationFinding("addition disagrees with the subring dilatation")
-                if values[mul_table[i][j]] != base.mul(values[i], values[j]):
-                    raise VerificationFinding("multiplication disagrees with the subring dilatation")
-        self.ring = FiniteRing(
-            f"{base.label}-fractions",
-            range(n),
-            lambda x, y: add_table[x][y],
-            lambda x, y: mul_table[x][y],
-            locate((base.zero, (0,) * k)),
-            locate((base.one, (0,) * k)),
-            [classes[v] for v in self.sub.ring.gens],
-        )
-
-
-def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
-    return SymbolDilatation(a, c, cap)
-
-
 # ---------------------------------------------------------------------------
-# modules
+# symbol dilatations of modules and rings
 
 
 class FiniteModule:
@@ -688,67 +596,145 @@ class FiniteModule:
         return cls(ring, f"{ring.label} as module", ring.elements, ring.add, ring.mul, ring.zero)
 
 
-class ModuleDilatation:
-    """Module dilatation by symbol enumeration; the result is e*M with the
-    action of the subring dilatation, certified through symbol classes."""
+class SymbolDilatation:
+    """The dilatation M[L/a] of a finite A-module M from the literal
+    definition; the ring case is M = A acting on itself (`module` None).
 
-    def __init__(self, module: FiniteModule, center: FiniteCenter, cap=SIZE_CAP):
-        base = center.ring
-        self.module = module
-        self.center = center
+    Symbols z/a^nu with nu_i <= t and z in L^nu*M are classed by their
+    value e*z*(e*a^nu)^{-1} in e*M and certified against the literal
+    witness test e*a^lambda*z == e*a^nu*w (`symbol_classes`); the values
+    must cover the subring dilatation (ring case) or e*M.  Each product
+    x*c by a fixed multiplier c (e, a^nu, (e*a^nu)^{-1}) is read from a
+    map x -> x*c per multiplier, filled on first use and dropped when
+    the construction ends; x*c is base.mul(x, c), or module.act(c, x).
+
+    The ring case also builds add and mul tables by locating the sum and
+    product symbols of every pair of representatives, and checks the
+    value map against the subring construction on all n x n pairs:
+    `ring` is then isomorphic to that certified subring.  The module
+    case gives `elements` and `result`, e*M with the action of the
+    subring dilatation, on which a^nu acts injectively and
+    L^nu M' = a^nu M' for nu_i <= 2.  Failure raises VerificationFinding.
+    """
+
+    def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP, module: FiniteModule | None = None):
+        self.base, self.center, self.module = base, center, module
         self.sub = dilate_oracle_subring(base, center, cap)
         loc = self.sub.loc
         e, t = loc.e, loc.t
         k = len(center.pairs)
-        a_pow = center.a_power
-        inverse = _power_inverses(loc, center)
+        act = (lambda c, x: base.mul(x, c)) if module is None else module.act
+        maps = {}
 
-        # symbols l*m / a^nu
+        def times(x, c):
+            """x*c, read from the map of the multiplier c."""
+            if maps is None:
+                return act(c, x)
+            row = maps.setdefault(c, {})
+            if x not in row:
+                row[x] = act(c, x)
+            return row[x]
+
+        a_pow = functools.lru_cache(maxsize=None)(center.a_power)
+        inverse = functools.lru_cache(maxsize=None)(lambda nu: loc.ring.inverse(loc.map(a_pow(nu))))
+
         def equivalent(sym1, sym2):
-            (l1, m1, nu), (l2, m2, lam) = sym1, sym2
-            lhs = module.act(base.mul(base.mul(e, l1), a_pow(lam)), m1)
-            rhs = module.act(base.mul(base.mul(e, l2), a_pow(nu)), m2)
-            return lhs == rhs
+            (z, nu), (w, lam) = sym1, sym2
+            return times(times(z, e), a_pow(lam)) == times(times(w, e), a_pow(nu))
 
         def value(sym):
-            l, m, nu = sym
-            return module.act(base.mul(base.mul(e, l), inverse(nu)), m)
+            z, nu = sym
+            return times(times(z, e), inverse(nu))
+
+        self.equivalent, self.value = equivalent, value
 
         symbols = []
         for nu in itertools.product(range(t + 1), repeat=k):
-            for l in base.sorted(center.l_power(nu)):
-                for m in module.elements:
-                    symbols.append((l, m, nu))
+            if module is not None:
+                # L^nu*M is spanned by the products of ideal generators of L^nu with M
+                lm = span({act(g, x) for g in center._l_power(nu)[1] for x in module.elements}, module.add, module.zero)
+                symbols.extend((z, nu) for z in module.sorted(lm))
+            else:  # L^nu*A = L^nu
+                symbols.extend((z, nu) for z in base.sorted(center.l_power(nu)))
+            if len(symbols) > cap * (t + 1) ** k:
+                raise SizeCapError("symbol enumeration exceeded cap")
+        self.reps, self.class_of_symbol, classes = symbol_classes(symbols, value, equivalent)
+        self.values = list(classes)
+        if module is not None:
+            self._module_checks(times, a_pow, k)
+        else:
+            self._ring_tables(times, a_pow, classes, k)
+        maps = None
 
-        _, _, classes = symbol_classes(symbols, value, equivalent)
-        target = {module.act(e, m) for m in module.elements}
-        if set(classes) != target:
+    def _module_checks(self, times, a_pow, k):
+        module, e = self.module, self.sub.loc.e
+        target = {times(m, e) for m in module.elements}
+        if set(self.values) != target:
             raise VerificationFinding("module classes do not cover e*M")
-
         self.elements = module.sorted(target)
+        zero = times(module.zero, e)
         self.result = FiniteModule(
-            self.sub.ring,
-            f"{module.label}-dilatation",
-            self.elements,
-            module.add,
-            module.act,
-            module.act(e, module.zero),
-            verify=False,
+            self.sub.ring, f"{module.label}-dilatation", self.elements, module.add, module.act, zero, verify=False
         )
-
-        # a^nu acts injectively and a^nu M' = L^nu M' for small nu
+        # a^nu acts injectively and a^nu M' = L^nu M' for small nu; M' = e*M
+        # is an A-module, so ideal generators of L^nu span L^nu M'
         for nu in itertools.product(range(3), repeat=k):
-            anu = loc.map(a_pow(nu))
-            image = {module.act(anu, x) for x in self.elements}
+            image = {times(x, a_pow(nu)) for x in self.elements}
             if len(image) != len(self.elements):
                 raise VerificationFinding(f"a^{nu} acts non-injectively on the dilatation")
-            lnu_image = {module.act(base.mul(e, l), x) for l in center.l_power(nu) for x in self.elements}
-            if span(lnu_image, module.add, self.result.zero) != span(image, module.add, self.result.zero):
+            lnu_image = {module.act(g, x) for g in self.center._l_power(nu)[1] for x in self.elements}
+            if span(lnu_image, module.add, zero) != span(image, module.add, zero):
                 raise VerificationFinding(f"L^{nu} M' != a^{nu} M'")
 
+    def _ring_tables(self, times, a_pow, classes, k):
+        base, reps, values, value, equivalent = self.base, self.reps, self.values, self.value, self.equivalent
+        # certified bijection with the subring construction
+        if set(values) != set(self.sub.ring.elements):
+            raise VerificationFinding("fraction classes do not cover the subring dilatation")
 
-def module_dilate_oracle(module: FiniteModule, center: FiniteCenter, cap=SIZE_CAP) -> ModuleDilatation:
-    return ModuleDilatation(module, center, cap)
+        def locate(sym):
+            """Class index of an arbitrary symbol (exponents unbounded)."""
+            ci = classes.get(value(sym))
+            if ci is None or not equivalent(sym, reps[ci]):
+                raise VerificationFinding(f"symbol {sym} matches no class")
+            return ci
+
+        n = len(reps)
+        add_table = [[0] * n for _ in range(n)]
+        mul_table = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            # m/a^nu + p/a^lam = (m*a^lam + p*a^nu)/a^(nu+lam), m/a^nu * p/a^lam = m*p/a^(nu+lam)
+            (m, nu), (p, lam) = reps[i], reps[j]
+            den = tuple(x + y for x, y in zip(nu, lam))
+            num = base.add(times(m, a_pow(lam)), times(p, a_pow(nu)))
+            add_table[i][j] = add_table[j][i] = locate((num, den))
+            mul_table[i][j] = mul_table[j][i] = locate((base.mul(m, p), den))
+        # the value map is injective (one value per class) and onto the
+        # subring dilatation; it respects + and *, so the tables form a
+        # ring isomorphic to that certified subring
+        for i in range(n):
+            for j in range(n):
+                if values[add_table[i][j]] != base.add(values[i], values[j]):
+                    raise VerificationFinding("addition disagrees with the subring dilatation")
+                if values[mul_table[i][j]] != base.mul(values[i], values[j]):
+                    raise VerificationFinding("multiplication disagrees with the subring dilatation")
+        self.ring = FiniteRing(
+            f"{base.label}-fractions",
+            range(n),
+            lambda x, y: add_table[x][y],
+            lambda x, y: mul_table[x][y],
+            locate((base.zero, (0,) * k)),
+            locate((base.one, (0,) * k)),
+            [classes[v] for v in self.sub.ring.gens],
+        )
+
+
+def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
+    return SymbolDilatation(a, c, cap)
+
+
+def module_dilate_oracle(module: FiniteModule, center: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
+    return SymbolDilatation(center.ring, center, cap, module)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +750,8 @@ class HomPlan:
     breadth-first from 0, each reached as an earlier element plus an
     additive generator; `plus[i][j]` is the position of element i plus
     additive generator j, and `times[j][k]` that of additive generator j
-    times ring generator k.
+    times ring generator k.  `early` lists the elements the hom checks
+    read, with those they are reached from, as (i, earlier i, j) in order.
 
     A ring generator in the additive span of 1 and the earlier ones is
     not an additive generator, and a hom's image of it follows from
@@ -780,17 +767,25 @@ class HomPlan:
         self.elements = [ring.zero]
         pos = {ring.zero: 0}
         self.plus = []
-        for x in self.elements:
+        reached_from = [None]
+        for i, x in enumerate(self.elements):
             row = []
-            for g in adds:
+            for j, g in enumerate(adds):
                 y = ring.add(x, g)
                 if y not in pos:
                     pos[y] = len(self.elements)
                     self.elements.append(y)
+                    reached_from.append((i, j))
                 row.append(pos[y])
             self.plus.append(row)
         self.one = pos[ring.one]
         self.times = [[pos[ring.mul(g, r)] for r in ring.gens] for g in adds]
+        early = set()
+        for y in [self.one, *itertools.chain(*self.times)]:
+            while y and y not in early:
+                early.add(y)
+                y = reached_from[y][0]
+        self.early = [(y, *reached_from[y]) for y in sorted(early)]
         self.firsts = [src for src in self.sources if isinstance(src, int)]
         self.free = [src - 1 for src in self.firsts if src]
         # the span of the first additive generators, breadth-first from
@@ -831,7 +826,9 @@ class HomPlan:
         ring generator r_k; g = 1 gives f(r_k) = images[k].  f is then
         additive, so the last check holds for every element in place of
         g, and the y with f(x*y) = f(x)*f(y) for all x form a subring
-        holding the generators.
+        holding the generators.  The first and last checks run first, on
+        the `early` elements, which get the values the additive pass
+        would give them, so most maps that fail are refused before it.
         """
         adds = []
         for src in self.sources:
@@ -841,6 +838,13 @@ class HomPlan:
                 j, k = src
                 adds.append(b.mul(images[k], adds[j]))
         f = [b.zero] + [None] * (len(self.elements) - 1)
+        for y, i, j in self.early:
+            f[y] = b.add(f[i], adds[j])
+        if f[self.one] != b.one:
+            return None
+        for fg, row in zip(adds, self.times):
+            if any(f[y] != b.mul(fg, v) for y, v in zip(row, images)):
+                return None
         for i, row in enumerate(self.plus):
             fx = f[i]
             for y, fg in zip(row, adds):
@@ -849,11 +853,6 @@ class HomPlan:
                     f[y] = v
                 elif f[y] != v:
                     return None
-        if f[self.one] != b.one:
-            return None
-        for fg, row in zip(adds, self.times):
-            if any(f[y] != b.mul(fg, v) for y, v in zip(row, images)):
-                return None
         return dict(zip(self.elements, f))
 
 
@@ -862,10 +861,10 @@ def enumerate_homs(a: FiniteRing, b: FiniteRing, budget: int = 200_000):
     in `b.elements`: every assignment of images to the plan's free
     generators is extended and certified along A's hom plan.  The other
     generators' images follow from those of 1 and the earlier ones, so
-    no other assignment extends.  The budget counts assignments to every
-    generator."""
+    no other assignment extends.  The budget counts the assignments
+    tried, b.size ** len(plan.free)."""
     plan = a.hom_plan
-    if b.size ** len(a.gens) > budget:
+    if b.size ** len(plan.free) > budget:
         raise SizeCapError("hom enumeration budget exceeded")
     homs = []
     for free_images in itertools.product(b.elements, repeat=len(plan.free)):

@@ -380,6 +380,19 @@ request congruence iso FS nosuch
     assert "undeclared filtration 'nosuch'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, k", [("(L(2,1), 1)", "Z"), ("(e, 1)", "L(3)")])
+def test_normalizer_rejects_a_levi_shape_that_does_not_fit(tmp_path, capsys, entry, k):
+    # the subgroup enumeration behind the normalizer check once indexed
+    # past the matrix here and raised IndexError
+    text = f"""
+filtration NT = group SL(2), p=2, N=3, {entry}, (T, 2)
+request congruence normalizer NT K={k}
+"""
+    code, _ = run_cli(tmp_path, text)
+    assert code == 2
+    assert "does not fit n = 2" in capsys.readouterr().err
+
+
 MALFORMED_BASE = """
 ring A = QQ[a, g]
 ideal M in A = (g)

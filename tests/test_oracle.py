@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilatations.algebras import PresentedAlgebra
 from dilatations.dilatation import Center, MultiCenter
@@ -284,8 +285,9 @@ def _quotient_module(base, n):
         (zmod(12), FiniteModule.from_ring(zmod(12)), [([6], 2), ([4], 3)]),
         (zmod(12), _quotient_module(zmod(12), 4), [([2], 2)]),
         (zmod(12), _quotient_module(zmod(12), 6), [([3], 3)]),
+        (zmod(12), _quotient_module(zmod(12), 4), [([6], 3), ([2], 5)]),
     ],
-    ids=["Z6", "Z12", "Z12-on-Z4", "Z12-on-Z6"],
+    ids=["Z6", "Z12", "Z12-on-Z4", "Z12-on-Z6", "Z12-on-Z4-two-centers"],
 )
 def test_module_classes_match_first_match_reference(base, module, pairs):
     center = FiniteCenter.from_gens(base, pairs)
@@ -312,6 +314,182 @@ def test_module_classes_match_first_match_reference(base, module, pairs):
     values = [value(r) for r in reps]
     assert len(set(values)) == len(values)
     assert module_dilate_oracle(module, center).elements == module.sorted(values)
+
+
+def _yc_module():
+    y_ring, var = from_presented(fp_algebra(3, ["y"], "y^4 - y"))
+    y = var["y"]
+    return y_ring, FiniteModule.from_ring(y_ring), [([y], y_ring.add(y, y_ring.one))]
+
+
+MODULE_CASES = {
+    "Z6": lambda: (zmod(6), FiniteModule.from_ring(zmod(6)), [([3], 2)]),
+    "Z12": lambda: (zmod(12), FiniteModule.from_ring(zmod(12)), [([6], 2), ([4], 3)]),
+    "Z12-on-Z4": lambda: (zmod(12), _quotient_module(zmod(12), 4), [([2], 2)]),
+    "Z12-on-Z6": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([3], 3)]),
+    "Z12-on-Z4-two-centers": lambda: (zmod(12), _quotient_module(zmod(12), 4), [([6], 3), ([2], 5)]),
+    "YC": _yc_module,
+}
+
+
+@pytest.mark.parametrize("case", MODULE_CASES)
+def test_module_classes_match_literal_symbol_reference(case):
+    """The module dilatation's symbols z/a^nu, z in L^nu*M, are classed as
+    the first-match scan classes them.  L^nu*M is built here as the
+    additive closure of all products l*m.  (On YC, 81 elements with
+    t = 6, the scan over the triples (l, m, nu) of the test above would
+    take over a minute.)"""
+    base, module, pairs = MODULE_CASES[case]()
+    center = FiniteCenter.from_gens(base, pairs)
+    loc = localize_finite(base, center.product_elem())
+    e, t = loc.e, loc.t
+    nus = list(itertools.product(range(t + 1), repeat=len(pairs)))
+    e_a_pow = {nu: base.mul(e, _ref_a_pow(center, nu)) for nu in nus}
+
+    def equivalent(s1, s2):
+        (z, nu), (w, lam) = s1, s2
+        return module.act(e_a_pow[lam], z) == module.act(e_a_pow[nu], w)
+
+    # L^nu by the definition, from L^(nu - e_i) times L_i
+    l_sets = [center.l_set(i) for i in range(len(pairs))]
+    l_pows = {}
+    for nu in nus:
+        i = next((i for i, v in enumerate(nu) if v), None)
+        if i is None:
+            l_pows[nu] = set(base.elements)
+        else:
+            prev = l_pows[nu[:i] + (nu[i] - 1,) + nu[i + 1 :]]
+            l_pows[nu] = base.ideal_closure({base.mul(x, y) for x in prev for y in l_sets[i]})
+
+    def l_times_m(nu):
+        products = {module.act(l, m) for l in l_pows[nu] for m in module.elements}
+        out, order = {module.zero}, [module.zero]
+        for x in order:
+            for y in products:
+                z = module.add(x, y)
+                if z not in out:
+                    out.add(z)
+                    order.append(z)
+        return out
+
+    symbols = [(z, nu) for nu in nus for z in module.sorted(l_times_m(nu))]
+    reps, class_of = _ref_symbol_reps(symbols, equivalent)
+    md = module_dilate_oracle(module, center)
+    assert md.reps == reps
+    assert md.class_of_symbol == class_of and list(md.class_of_symbol) == list(class_of)
+    assert md.elements == module.sorted(md.values) == module.sorted({module.act(e, m) for m in module.elements})
+
+
+def _value_keyed_fraction_classes(base, center):
+    """The ring's symbol classes with each product computed where it is
+    used: a symbol m/a^nu is keyed by e*m*(e*a^nu)^{-1}, the first symbol
+    of each value represents its class, and sums and products of
+    representatives are located by value.  Returns (reps, class_of,
+    values, add table, mul table)."""
+    loc = localize_finite(base, center.product_elem())
+    k = len(center.pairs)
+
+    def value(m, nu):
+        inv = loc.ring.inverse(loc.map(center.a_power(nu)))
+        return base.mul(base.mul(loc.e, m), inv)
+
+    reps, class_of, classes = [], {}, {}
+    for nu in itertools.product(range(loc.t + 1), repeat=k):
+        for m in base.sorted(center.l_power(nu)):
+            ci = classes.setdefault(value(m, nu), len(reps))
+            if ci == len(reps):
+                reps.append((m, nu))
+            class_of[(m, nu)] = ci
+    n = len(reps)
+    add_table = [[None] * n for _ in range(n)]
+    mul_table = [[None] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        (m, nu), (p, lam) = reps[i], reps[j]
+        den = tuple(x + y for x, y in zip(nu, lam))
+        num = base.add(base.mul(m, center.a_power(lam)), base.mul(p, center.a_power(nu)))
+        add_table[i][j] = classes[value(num, den)]
+        mul_table[i][j] = classes[value(base.mul(m, p), den)]
+    return reps, class_of, list(classes), add_table, mul_table
+
+
+def _value_keyed_module_elements(module, center):
+    """The values l*m/a^nu of all triples with l in L^nu and m in M, sorted."""
+    base = center.ring
+    loc = localize_finite(base, center.product_elem())
+    values = set()
+    for nu in itertools.product(range(loc.t + 1), repeat=len(center.pairs)):
+        inv = loc.ring.inverse(loc.map(center.a_power(nu)))
+        for l in center.l_power(nu):
+            values |= {module.act(base.mul(base.mul(loc.e, l), inv), m) for m in module.elements}
+    return module.sorted(values)
+
+
+@st.composite
+def symbol_cases(draw):
+    """A small base ring, a module over it and up to two center pairs."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        base = zmod(n)
+        d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        module = FiniteModule.from_ring(base) if d == n else _quotient_module(base, d)
+    else:
+        p, deg = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+        base = quotient_ring(p, tuple(draw(st.integers(0, p - 1)) for _ in range(deg)) + (1,))
+        module = FiniteModule.from_ring(base)
+    element = st.sampled_from(base.elements)
+    pairs = draw(st.lists(st.tuples(st.lists(element, min_size=1, max_size=2), element), max_size=2))
+    return base, module, pairs
+
+
+@given(symbol_cases())
+def test_symbol_dilatation_matches_value_keyed_classes(case):
+    base, module, pairs = case
+    center = FiniteCenter.from_gens(base, pairs)
+    fr = dilate_oracle_fractions(base, center)
+    reps, class_of, values, add_table, mul_table = _value_keyed_fraction_classes(base, center)
+    assert (fr.reps, fr.class_of_symbol, fr.values) == (reps, class_of, values)
+    n = len(reps)
+    assert [[fr.ring.add(i, j) for j in range(n)] for i in range(n)] == add_table
+    assert [[fr.ring.mul(i, j) for j in range(n)] for i in range(n)] == mul_table
+    assert module_dilate_oracle(module, center).elements == _value_keyed_module_elements(module, center)
+    # M = A: the module case classes the ring's symbols as the ring case does
+    same = module_dilate_oracle(FiniteModule.from_ring(base), center)
+    assert (same.reps, same.class_of_symbol, same.values) == (fr.reps, fr.class_of_symbol, fr.values)
+
+
+def _counted_yc():
+    """The YC ring and center with a counter on the ring's mul."""
+    y_ring, var = from_presented(fp_algebra(3, ["y"], "y^4 - y"))
+    y = var["y"]
+    calls = [0]
+    mul = y_ring.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    y_ring.mul = counted
+    return y_ring, FiniteCenter.from_gens(y_ring, [([y], y_ring.add(y, y_ring.one))]), calls
+
+
+def test_ring_symbol_dilatation_product_count():
+    # 45,404 products before the multiplication maps (the center not counted)
+    y_ring, center, calls = _counted_yc()
+    calls[0] = 0
+    dilate_oracle_fractions(y_ring, center)
+    assert calls[0] <= 12_000
+
+
+def test_module_symbol_dilatation_product_count():
+    # The module over itself: 610,422 products before the symbols became
+    # z/a^nu with z in L^nu*M and the multiplication maps (711,050 counting
+    # the center and the module's own axiom check, 100,448 products)
+    y_ring, center, calls = _counted_yc()
+    module = FiniteModule.from_ring(y_ring)
+    calls[0] = 0
+    md = module_dilate_oracle(module, center)
+    assert len(md.elements) == 81
+    assert calls[0] <= 5_000
 
 
 def _z6_symbols():
@@ -608,6 +786,28 @@ def test_enumerate_homs_reads_fixed_generators_off_the_others():
             assert enumerate_homs(a, b) == _every_image_enumerate_homs(a, b), (a, b)
 
 
+def test_enumerate_homs_budget_counts_the_assignments_tried():
+    a, names = from_presented(fp_algebra(3, ["u", "v"], "u^2", "v^2 - v"))
+    # listed generators 1, u, v; 1 is fixed, so 81^2 assignments are tried
+    # (81^3 would exceed the default budget of 200,000)
+    assert len(a.gens) == 3 and len(a.hom_plan.free) == 2
+    homs = enumerate_homs(a, a)
+    # A is presented by u and v with u^2 = 0 and v^2 = v, so a hom is a
+    # pair of images (x, y) with x^2 = 0 and y^2 = y; each found map is
+    # checked on all pairs of elements
+    u, v = names["u"], names["v"]
+    pairs = [(x, y) for x in a.elements for y in a.elements if a.mul(x, x) == a.zero and a.mul(y, y) == y]
+    assert [(f[u], f[v]) for f in homs] == pairs
+    for f in homs:
+        assert all(
+            f[a.add(x, y)] == a.add(f[x], f[y]) and f[a.mul(x, y)] == a.mul(f[x], f[y])
+            for x in a.elements
+            for y in a.elements
+        )
+    with pytest.raises(SizeCapError, match="hom enumeration budget exceeded"):
+        enumerate_homs(a, a, budget=a.size**2 - 1)
+
+
 def _ref_subring_closure(r, gens):
     current = {r.zero, r.one, *gens}
     while True:
@@ -853,9 +1053,6 @@ def test_universal_scan_against_dilatation_itself():
     rep = universal_property_scan(base, c, [dil.ring])
     assert rep.ok and len(rep.clauses) == 1
     assert rep.clauses[0][1]
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @given(st.integers(0, 10**9))
