@@ -43,11 +43,11 @@ class PresentedAlgebra:
         return self.relations.is_unit()
 
     def ideal(self, gens, include_relations: bool = True) -> IdealHandle:
-        """An ideal of the quotient, represented in the ambient ring."""
-        gens = list(gens)
+        """An ideal of the quotient, represented in the ambient ring: the
+        relations' generators, then `gens` (`IdealHandle.extended`)."""
         if include_relations:
-            gens = gens + self.relations.gens
-        return IdealHandle(self.ring, gens, self.relations.limits)
+            return self.relations.extended(gens)
+        return IdealHandle(self.ring, list(gens), self.relations.limits)
 
     def quotient(self, extra_gens) -> "PresentedAlgebra":
         return PresentedAlgebra(self.ring, self.ideal(list(extra_gens)))

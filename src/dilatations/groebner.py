@@ -19,6 +19,16 @@ pairs formed, the basis size and largest degree, and the ring.
 The same loop optionally carries a cofactor track (each basis element
 written over the input generators), which `ideal_cofactors` uses.
 
+Known run: a caller that holds a Groebner basis G and wants the basis of
+G + F passes G first with `known=len(G)` (`ideals` does so only for a
+handle whose generators are its reduced basis).  The elements of G enter
+through the same `add` as every other element, unreduced and forming no
+pair among themselves: each such S-pair has a standard representation
+over G already, so it reduces to zero, and the Gebauer-Moeller criteria
+stay sound when such pairs are never formed.  The generators of F are
+then reduced against G and added with the full update, and so is every
+S-pair.  The result is the same unique reduced basis.
+
 The criteria work on exponent fields (`Packing.exps`: a packed
 monomial's exponents alone, an int that divides as the whole int does).
 A new pair (g, h) is keyed by its lcm's exponent fields, g's plus h's
@@ -224,7 +234,7 @@ def _reduce_tracked(work: dict, row, table: Reducers, rows) -> dict:
     return r
 
 
-def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = False):
+def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = False, known: int = 0):
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
     With `cofactors` set, a cofactor row over `gens` rides along with
@@ -232,6 +242,12 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     interreduction: a monic, not necessarily reduced, Groebner basis with
     basis[e] == sum_j rows[e][j] * gens[j] exactly.  Both modes share the
     initial reduction, the pair order, the criteria and the budgets.
+
+    `gens[:known]` must already be a Groebner basis under the ring's
+    order (the known run).  Its elements are added first, in the order
+    below, without the initial reduction and forming no pair among
+    themselves; their cofactor rows are unit rows.  The pair cap counts
+    the pairs formed, so the known run charges it nothing among itself.
 
     Sugar: an input generator's sugar is its total degree (the standard
     choice), a pair's is max(sugar_i + deg t_i, sugar_j + deg t_j) where
@@ -274,8 +290,10 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
             f"largest degree {top}; ring of {ring.nvars} variables, order {ring.order!r}"
         )
 
-    def add(r, row, s):
-        """Keep r (monic) with sugar s and apply the Gebauer-Moeller update."""
+    def add(r, row, s, seed=False):
+        """Keep r (monic) with sugar s and apply the Gebauer-Moeller update;
+        an element of the known run forms no pair, since the live elements
+        are all known ones then."""
         nonlocal formed, table
         lm_h = max(r)
         inv = _inverse(fld, r[lm_h])
@@ -296,9 +314,10 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         sugar.append(s)
         # the pairs (g, h) for g live, up to the pair cap, each keyed by
         # the exponent fields of its lcm: g's plus h's excess over them
-        pairs = live
-        if formed + len(live) > limits.pair_cap:
-            pairs = live[: max(limits.pair_cap - formed, 0)]
+        partners = [] if seed else live
+        pairs = partners
+        if formed + len(partners) > limits.pair_cap:
+            pairs = partners[: max(limits.pair_cap - formed, 0)]
         # an lcm has degree at most deg g + deg h, so below this bound it
         # passes the degree cap and no field reaches its guard bit
         bound = min(limits.degree_cap, _FIELD_MAX) - d_h
@@ -315,7 +334,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
                     raise exceeded(f"degree budget {limits.degree_cap} exceeded (lcm degree {deg(full)})")
             by_lcm.setdefault(l, []).append(g)
         formed += len(pairs)
-        if len(pairs) < len(live):
+        if len(pairs) < len(partners):
             formed += 1
             raise exceeded(f"pair budget {limits.pair_cap} exceeded")
         # B: a queued pair goes when lt(h) divides its lcm and that lcm
@@ -353,16 +372,21 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         live[:] = [g for g in live if (lms[g] - lm_h) & guard] + [h]
         table = Reducers(packing, [reducer_rows[e] for e in live])
 
-    for k in sorted(nonzero, key=lambda k: (key(gens[k].lm()), sorted(gens[k].terms.items()))):
+    # the known run first, then the other generators, each by leading monomial
+    for k in sorted(nonzero, key=lambda k: (k >= known, key(gens[k].lm()), sorted(gens[k].terms.items()))):
         f = packing.terms(gens[k])
-        if rows is None:
-            r, row = normal_form(f, table), None
-        else:
+        row = None
+        if rows is not None:
             row = [{} for _ in gens]
             row[k] = {0: one}
+        if k < known:
+            r = f
+        elif rows is None:
+            r = normal_form(f, table)
+        else:
             r = _reduce_tracked(f, row, table, [rows[e] for e in live])
         if r:
-            add(r, row, gens[k].degree())
+            add(r, row, gens[k].degree(), k < known)
 
     while heap:
         s, l, i, j = heapq.heappop(heap)

@@ -7,8 +7,27 @@ next to it for every later normal form (one-shot, guarded by a lock, so
 library callers may share handles across threads).  A saturation,
 intersection or elimination over a grevlex ring arrives with its basis
 already set, because the elimination that computes it holds that basis
-(see `_eliminated`); no Buchberger run is made for it.  A
-handle also carries the `Limits` that every Buchberger run on its behalf
+(see `_eliminated`); no Buchberger run is made for it.
+
+Seeding: a Buchberger run that extends a basis the run already holds
+starts from it as the kernel's known run (`buchberger_reduced(...,
+known=k)`), so no S-pair inside it is formed again.  The rule depends
+only on how a handle was built, never on what it has cached: a handle
+from `_of_reduced` has generators that are its reduced basis, and
+`_known` counts them; `extended` puts them first and keeps the count.
+A basis that `groebner()` filled in later does not count, so the work
+done never depends on the order of requests.  Three runs use it: the
+Rabinowitsch basis of A + (1 - z*f) (every saturation step after the
+first, and `radical_contains`), the intersection's t*A + (1 - t)*B,
+and the basis of an `extended` handle (the ideal of an algebra: its
+relations, then the extra generators).  The first two move A to a ring
+with one block variable prepended; on monomials free of it,
+`block_order(1)` is grevlex on the tail, so A's known run stays a
+Groebner basis there only when A's ring is grevlex, and in the
+intersection lm(t*g) = t*lm(g) and S(t*g, t*g') = t*S(g, g'), so t*G is
+one as well.
+
+A handle also carries the `Limits` that every Buchberger run on its behalf
 uses (None means the defaults), and each ideal built from it here
 inherits them; that is the only way budgets reach the kernel, and they
 count only the runs actually made.  Ideal equality means equality of
@@ -29,9 +48,10 @@ class IdealHandle:
     """The ideal of `ring` generated by `gens`.  Its reduced Groebner basis
     is built on first use and kept, unless the handle came from
     `_of_reduced` with the basis already known; `limits` budgets the
-    Buchberger runs actually made for it."""
+    Buchberger runs actually made for it.  `gens[:_known]` is a Groebner
+    basis known from how the handle was built (see the module docstring)."""
 
-    __slots__ = ("ring", "gens", "limits", "_gb", "_reducers", "_lock")
+    __slots__ = ("ring", "gens", "limits", "_known", "_gb", "_reducers", "_lock")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial], limits: Limits | None = None):
         gens = list(gens)
@@ -41,6 +61,7 @@ class IdealHandle:
         self.ring = ring
         self.gens = gens
         self.limits = limits
+        self._known = 0
         self._gb = None
         self._reducers = None
         self._lock = threading.Lock()
@@ -50,6 +71,7 @@ class IdealHandle:
         """The ideal generated by `basis`, which must already be its reduced
         Groebner basis over `ring`: the basis and its rows are set here."""
         h = cls(ring, basis, limits)
+        h._known = len(basis)
         h._reducers = Reducers.of(ring, basis)
         h._gb = list(basis)
         return h
@@ -58,7 +80,7 @@ class IdealHandle:
         if self._gb is None:
             with self._lock:
                 if self._gb is None:
-                    gb = buchberger_reduced(self.gens, limits=self.limits)
+                    gb = buchberger_reduced(self.gens, limits=self.limits, known=self._known)
                     self._reducers = Reducers.of(self.ring, gb)
                     self._gb = gb  # last: a reader that sees it sees the rows
         return self._gb
@@ -95,6 +117,13 @@ class IdealHandle:
     def with_gens(self, gens) -> "IdealHandle":
         return IdealHandle(self.ring, list(gens), self.limits)
 
+    def extended(self, gens) -> "IdealHandle":
+        """This ideal plus `gens`, generated by this handle's generators and
+        then `gens`, with this handle's known run."""
+        h = IdealHandle(self.ring, self.gens + list(gens), self.limits)
+        h._known = self._known
+        return h
+
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
@@ -104,6 +133,13 @@ def _extend_first(ring: PolyRing, stem: str, polys):
     given polynomials transported into it."""
     ext = PolyRing(ring.field, (ring.fresh_name(stem),) + ring.names, block_order(1))
     return ext, [p.map_ring(ext) for p in polys]
+
+
+def _known_in_extension(a: IdealHandle) -> int:
+    """The known run of `a`'s generators in `_extend_first`'s ring: all of
+    it over a grevlex ring, where the block order agrees with `a`'s order
+    on monomials free of the new variable, and none otherwise."""
+    return a._known if a.ring.order == GREVLEX else 0
 
 
 def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits | None) -> IdealHandle:
@@ -129,7 +165,8 @@ def _rabinowitsch_basis(a: IdealHandle, f: Polynomial) -> list[Polynomial]:
     """Reduced basis of A + (1 - z*f) in A[z], z first and eliminated."""
     ext, mapped = _extend_first(a.ring, "_z", a.gens + [f])
     z = ext.var(ext.names[0])
-    return buchberger_reduced(mapped[:-1] + [ext.one() - z * mapped[-1]], limits=a.limits)
+    gens = mapped[:-1] + [ext.one() - z * mapped[-1]]
+    return buchberger_reduced(gens, limits=a.limits, known=_known_in_extension(a))
 
 
 def combine(kind: str, a: IdealHandle, b=None) -> IdealHandle:
@@ -167,7 +204,8 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     one_minus_t = ext.one() - t
     tagged = [t * p for p in mapped[: len(a.gens)]]
     tagged += [one_minus_t * p for p in mapped[len(a.gens) :]]
-    return _eliminated(buchberger_reduced(tagged, limits=a.limits), 1, ring, a.limits)
+    gb = buchberger_reduced(tagged, limits=a.limits, known=_known_in_extension(a))
+    return _eliminated(gb, 1, ring, a.limits)
 
 
 def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:

@@ -382,3 +382,39 @@ def test_basis_matches_criterion_free_reference(seed, field, order_name):
     for g, row in zip(basis, rows):
         assert _combination(row, gens) == g
     assert _interreduce(basis) == expected
+
+
+# ------------------------------------------------------------ known run
+
+
+def _assert_seeded_matches_unseeded(gens, known):
+    """The run with `gens[:known]` as its known run against the run
+    without: the same reduced basis, and cofactor rows that rebuild it."""
+    expected = buchberger_reduced(gens)
+    assert buchberger_reduced(gens, known=known) == expected
+    basis, rows = buchberger_reduced(gens, cofactors=True, known=known)
+    for g, row in zip(basis, rows):
+        assert len(row) == len(gens)
+        assert _combination(row, gens) == g
+    assert _interreduce(basis) == expected
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
+def test_seeded_run_matches_unseeded(seed, field):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = ring(["x", "y", "w"], field=field)
+    g = buchberger_reduced([random_poly(rng, r) for _ in range(rng.randint(1, 3))])
+    f = [random_poly(rng, r) for _ in range(rng.randint(1, 2))] + [r.zero()]
+    rng.shuffle(f)
+    _assert_seeded_matches_unseeded(g + f, len(g))
+    # the extension by a first block variable t, where the grevlex basis
+    # G stays a Groebner basis, and so does t*G
+    ext = PolyRing(field, ["t"] + list(r.names), block_order(1))
+    t = ext.var("t")
+    g_ext = [p.map_ring(ext) for p in g]
+    f_ext = [p.map_ring(ext) for p in f]
+    h = next((p for p in f_ext if not p.is_zero()), ext.zero())
+    _assert_seeded_matches_unseeded(g_ext + [ext.one() - t * h], len(g))
+    _assert_seeded_matches_unseeded([t * p for p in g_ext] + [(ext.one() - t) * p for p in f_ext], len(g))

@@ -186,3 +186,32 @@ def test_elimination_basis_matches_sympy(seed):
     elim = eliminate(IdealHandle(ring, gens), ["t"])
     ours = {str(g) for g in elim.groebner()}
     assert _sympy_elimination_basis(elim.ring, [_to_sympy(g) for g in gens], "t") == ours, [str(g) for g in gens]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_saturation_by_two_elements_matches_sympy(seed, monkeypatch):
+    # the second saturation starts from the first one's basis as its
+    # known run; sympy saturates once by the product f*g
+    from dilatations import ideals
+    from dilatations.ideals import IdealHandle, saturate
+
+    real, runs = ideals.buchberger_reduced, []
+
+    def recording(gens, limits=None, cofactors=False, known=0):
+        runs.append(known)
+        return real(gens, limits, cofactors, known)
+
+    monkeypatch.setattr(ideals, "buchberger_reduced", recording)
+    rng = random.Random(8400 + seed)
+    ring = PolyRing(QQ, ["x", "y"], GREVLEX)
+    gens = []
+    while len(gens) < 2:
+        p = random_poly(rng, ring, max_deg=3, max_terms=3, coeff_bound=3)
+        if not p.is_constant():
+            gens.append(p)
+    f, g = (ring.parse(s) for s in rng.sample(["x", "y", "x + y", "x*y", "x - 2", "y^2 + x"], 2))
+    ours = {str(p) for p in saturate(IdealHandle(ring, gens), [f, g]).groebner()}
+    assert runs[0] == 0 and runs[1] > 0
+    z = sympy.Symbol("z")
+    theirs = _sympy_elimination_basis(ring, [_to_sympy(p) for p in gens] + [1 - z * _to_sympy(f * g)], "z")
+    assert ours == theirs, ([str(p) for p in gens], str(f), str(g))

@@ -355,9 +355,10 @@ def test_demo_rebuilds_no_basis_it_already_has(monkeypatch):
     real = groebner.buchberger_reduced
     outputs, repeats = [], []
 
-    def recording(gens, limits=None, cofactors=False):
+    def recording(gens, limits=None, cofactors=False, known=0):
+        known = sum(not g.is_zero() for g in gens[:known])
         gens = [g for g in gens if not g.is_zero()]
-        out = real(gens, limits, cofactors)
+        out = real(gens, limits, cofactors, known)
         if cofactors or len(gens) < 2:
             return out
         names = set(gens[0].ring.names)
@@ -377,3 +378,71 @@ def test_demo_rebuilds_no_basis_it_already_has(monkeypatch):
         cli.run_request(inst, args, flags)
     assert outputs
     assert repeats == []
+
+
+# The Segre quadric with three centers: its two-stage and forget requests
+# share handles whose bases the first of them caches, so seeding on a
+# cached basis would make their work depend on which runs first.
+SEGRE = """ring S = QQ[x, y, z, w]
+rels S = (x*w - y*z)
+ideal SYZW in S = (y, z, w)
+ideal SXZW in S = (x, z, w)
+ideal SXYW in S = (x, y, w)
+center S3 on S = [SYZW / x], [SXZW / y], [SXYW / z]
+request iso two-stage S3 K=1
+request iso forget S3 K=1,2
+"""
+
+
+def _buchberger_work(monkeypatch, path, reverse):
+    """Run an instance's requests, in the file's order or reversed, from a
+    fresh parse; return (normal forms computed inside Buchberger runs,
+    runs given a known run)."""
+    import types
+
+    from dilatations import cli, groebner
+    from dilatations.oracle import SIZE_CAP
+
+    real_nf, real_bb = groebner.normal_form, groebner.buchberger_reduced
+    state = {"depth": 0, "reductions": 0, "seeded": 0}
+
+    def counting_nf(f, basis):
+        state["reductions"] += state["depth"] > 0
+        return real_nf(f, basis)
+
+    def counting_bb(gens, limits=None, cofactors=False, known=0):
+        state["seeded"] += known > 0
+        state["depth"] += 1
+        try:
+            return real_bb(gens, limits, cofactors, known)
+        finally:
+            state["depth"] -= 1
+
+    inst = cli.parse(str(path))
+    flags = types.SimpleNamespace(oracle_size_cap=SIZE_CAP, bidegree_bound=4, jobs=1, machine_only=True)
+    requests = list(reversed(inst.requests)) if reverse else inst.requests
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "normal_form", counting_nf)
+        m.setattr(groebner, "buchberger_reduced", counting_bb)
+        m.setattr(ideals, "buchberger_reduced", counting_bb)
+        for _, args in requests:
+            cli.run_request(inst, args, flags)
+    return state["reductions"], state["seeded"]
+
+
+@pytest.mark.parametrize("instance", ["demo", "segre"])
+def test_buchberger_work_does_not_depend_on_request_order(monkeypatch, tmp_path, instance):
+    """A Buchberger run starts from a known run only when a handle was
+    built with its reduced basis, never because an earlier request cached
+    one, so the requests in reverse order do the same reductions."""
+    from pathlib import Path
+
+    if instance == "demo":
+        path = Path(__file__).resolve().parent.parent / "instances" / "demo.dila"
+    else:
+        path = tmp_path / "segre.dila"
+        path.write_text(SEGRE, encoding="utf-8")
+    forward = _buchberger_work(monkeypatch, path, False)
+    backward = _buchberger_work(monkeypatch, path, True)
+    assert forward[0] == backward[0] > 0, (forward, backward)
+    assert forward[1] > 0 and backward[1] > 0

@@ -194,8 +194,9 @@ def _ref_l_pow(center, nu):
     base = center.ring
     out = base.ideal_closure([base.one])
     for i, n in enumerate(nu):
+        l_i = center.l_set(i)
         for _ in range(n):
-            out = base.ideal_closure({base.mul(x, y) for x in out for y in center.l_set(i)})
+            out = base.ideal_closure({base.mul(x, y) for x in out for y in l_i})
     return out
 
 
