@@ -433,17 +433,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
     if cmd == "universal":
         center = _center(inst, pos[0])
         if pos[1] == "scan":
-            base_ring, var_map = oc.from_presented(center.algebra, flags.oracle_size_cap)
-            fc = oc.FiniteCenter.from_gens(
-                base_ring,
-                [
-                    (
-                        [oc.eval_poly(g, var_map, base_ring) for g in c.ideal.gens],
-                        oc.eval_poly(c.elem, var_map, base_ring),
-                    )
-                    for c in center.centers
-                ],
-            )
+            base_ring, _, fc = oc.finite_center(center, flags.oracle_size_cap)
             catalog = [oc.zmod(n) for n in range(1, 13)]
             rep = oc.universal_property_scan(base_ring, fc, catalog)
             return _report_result("universal_scan", rep)

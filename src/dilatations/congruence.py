@@ -27,9 +27,13 @@ cell (`_cell_candidates`): cell (i, j) of x runs over the multiples of
 p^v for the largest level v at which the trivial level or some entry's
 shape forces that cell to zero, so the shapes' zero cells are never
 scanned; each candidate still passes the determinant, trace and
-`lattice_key` tests.  `CANDIDATE_BUDGET` bounds the number of these
-candidates, the product of the range lengths.  The matrix helpers do their arithmetic through the
-ring's `dot`, a sum of products that `LevelRing` reduces once.
+`lattice_key` tests.  The points of a catalog subgroup over any small
+ring (`subgroup_elements`) come from the same shapes (`_shape`), one
+range per cell of g, with unit diagonals in triangular shapes.
+`CANDIDATE_BUDGET` bounds the number of candidates of either, the
+product of the range lengths.  The matrix helpers do their arithmetic
+through the ring's `dot`, a sum of products that `LevelRing` reduces
+once.
 """
 
 from __future__ import annotations
@@ -156,9 +160,6 @@ def mat_inv(ops, a):
 # ---------------------------------------------------------------------------
 # group catalog
 
-_CATALOG = ("e", "T", "B", "Z", "G")
-
-
 class GroupSpec:
     """GL_n or SL_n with the standard subgroup catalog: trivial e,
     diagonal torus T, upper-triangular Borel B, scalar center Z, block
@@ -197,15 +198,6 @@ def _parse_levi(name: str):
     return sizes if all(s >= 1 for s in sizes) else None
 
 
-def _levi_blocks(sizes):
-    blocks = []
-    start = 0
-    for s in sizes:
-        blocks.append((start, start + s))
-        start += s
-    return blocks
-
-
 @functools.lru_cache(maxsize=None)
 def _shape(name: str, n: int):
     """The Lie shape of a catalog subgroup in n x n matrices: the cells
@@ -225,9 +217,8 @@ def _shape(name: str, n: int):
         raise InputError(f"unknown catalog subgroup {name!r}")
     if sum(sizes) != n:
         raise InputError(f"Levi shape {name} does not fit n = {n}")
-    blocks = _levi_blocks(sizes)
-    inside = {(i, j) for lo, hi in blocks for i in range(lo, hi) for j in range(lo, hi)}
-    return tuple(c for c in cells if c not in inside), False
+    block = [k for k, size in enumerate(sizes) for _ in range(size)]
+    return tuple((i, j) for i, j in cells if block[i] != block[j]), False
 
 
 def lattice_key(entries, x, p: int) -> tuple:
@@ -253,79 +244,57 @@ def lattice_key(entries, x, p: int) -> tuple:
     return tuple(key)
 
 
-def subgroup_elements(spec: GroupSpec, name: str, ops, budget: int = CANDIDATE_BUDGET):
-    """Enumerate the catalog subgroup over an arbitrary small ring."""
+def _budgeted_product(ranges):
+    """itertools.product of the ranges, once the number of tuples it will
+    give, the product of their lengths, is held against CANDIDATE_BUDGET."""
+    count = math.prod(map(len, ranges))
+    if count > CANDIDATE_BUDGET:
+        raise SizeCapError(f"{count} candidate matrices exceed the budget")
+    return itertools.product(*ranges)
+
+
+def subgroup_elements(spec: GroupSpec, name: str, ops):
+    """The points of the catalog subgroup over an arbitrary small ring:
+    the g = 1 + x with x in the shape of `name` (`_shape`) that pass
+    `det_ok`, one range per cell.  A cell the shape forces to zero keeps
+    the identity's entry and a free off-diagonal cell runs over the ring.
+    A free diagonal cell runs over the units when the shape forces every
+    cell below the diagonal to zero, since an upper-triangular matrix is
+    invertible iff its diagonal entries are units, and over the ring
+    otherwise; the scalar flag ties the diagonal cells to one range."""
     n = spec.n
-    _shape(name, n)  # rejects unknown names and Levi shapes that do not fit n
-    units = [u for u in ops.elements if ops.is_unit(u)]
+    zeros, scalar = _shape(name, n)
+    zeros = set(zeros)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    triangular = all(c in zeros for c in cells if c[0] > c[1])
+    diagonal = [u for u in ops.elements if ops.is_unit(u)] if triangular else ops.elements
+    ranges, slot = [], {}
+    for i, j in cells:
+        if (i, j) in zeros:
+            continue
+        if scalar and 0 < i == j:  # the scalar diagonal repeats cell (0, 0)
+            slot[i, j] = slot[0, 0]
+            continue
+        slot[i, j] = len(ranges)
+        ranges.append(diagonal if i == j else ops.elements)
+    # a zero cell reads the identity's entry, appended to each tuple of values
+    fixed = len(ranges)
+    rows = [[slot.get((i, j), fixed + (i == j)) for j in range(n)] for i in range(n)]
     out = []
-    if name == "e":
-        return [mat_id(ops, n)]
-    if name == "Z":
-        for u in units:
-            g = tuple(tuple(u if i == j else ops.zero for j in range(n)) for i in range(n))
-            if spec.det_ok(ops, g):
-                out.append(g)
-        return out
-    if name == "T":
-        for diag in itertools.product(units, repeat=n):
-            g = tuple(tuple(diag[i] if i == j else ops.zero for j in range(n)) for i in range(n))
-            if spec.det_ok(ops, g):
-                out.append(g)
-        return out
-    if name == "B":
-        above = [(i, j) for i in range(n) for j in range(n) if i < j]
-        if len(units) ** n * ops.size ** len(above) > budget:
-            raise SizeCapError("Borel enumeration exceeds budget")
-        for diag in itertools.product(units, repeat=n):
-            for vals in itertools.product(ops.elements, repeat=len(above)):
-                g = [[ops.zero] * n for _ in range(n)]
-                for i in range(n):
-                    g[i][i] = diag[i]
-                for (i, j), v in zip(above, vals):
-                    g[i][j] = v
-                g = tuple(tuple(row) for row in g)
-                if spec.det_ok(ops, g):
-                    out.append(g)
-        return out
-    sizes = _parse_levi(name)
-    if sizes is not None:
-        blocks = _levi_blocks(sizes)
-        slots = [(i, j) for lo, hi in blocks for i in range(lo, hi) for j in range(lo, hi)]
-        if ops.size ** len(slots) > budget:
-            raise SizeCapError("Levi enumeration exceeds budget")
-        for vals in itertools.product(ops.elements, repeat=len(slots)):
-            g = [[ops.zero] * n for _ in range(n)]
-            for (i, j), v in zip(slots, vals):
-                g[i][j] = v
-            g = tuple(tuple(row) for row in g)
-            if spec.det_ok(ops, g) and _invertible(ops, g):
-                out.append(g)
-        return out
-    if name == "G":
-        if ops.size ** (n * n) > budget:
-            raise SizeCapError("full-group enumeration exceeds budget")
-        for vals in itertools.product(ops.elements, repeat=n * n):
-            g = tuple(tuple(vals[i * n + j] for j in range(n)) for i in range(n))
-            if spec.det_ok(ops, g) and _invertible(ops, g):
-                out.append(g)
-        return out
-
-
-def _invertible(ops, g):
-    return ops.is_unit(mat_det(ops, g))
+    for vals in _budgeted_product(ranges):
+        vals += (ops.zero, ops.one)
+        g = tuple([tuple([vals[k] for k in row]) for row in rows])
+        if spec.det_ok(ops, g):
+            out.append(g)
+    return out
 
 
 def subgroup_gens(spec: GroupSpec, name: str, ops):
     """Certified generators of the catalog subgroup over `ops` (see
     EnumeratedGroup.verify_group), or None if its points are not closed."""
-    els = sorted(subgroup_elements(spec, name, ops))
-    sset = set(els)
-    return closure_certificate(els, sset.__contains__, lambda a, b: mat_mul(ops, a, b), mat_id(ops, spec.n))
-
-
-def verify_subgroup_closure(spec: GroupSpec, name: str, ops) -> bool:
-    return subgroup_gens(spec, name, ops) is not None
+    grp = EnumeratedGroup(spec, ops, subgroup_elements(spec, name, ops))
+    grp.verify_group()
+    return grp.gens
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +355,12 @@ def validate_congruent_levels(s, r, n_level: int) -> str | None:
 
 
 class EnumeratedGroup:
+    """A finite set of matrices over `ring`, a `LevelRing` or any ring
+    with the same ops, that contains the identity."""
+
     __slots__ = ("spec", "ring", "elements", "as_set", "gens")
 
-    def __init__(self, spec: GroupSpec, ring: LevelRing, elements):
+    def __init__(self, spec: GroupSpec, ring, elements):
         self.spec = spec
         self.ring = ring
         self.elements = sorted(elements)
@@ -418,41 +390,37 @@ class EnumeratedGroup:
         return self.gens is not None
 
 
-def _trivial_level(filt: FiltrationSpec) -> int:
-    levels = [v for h, v in filt.entries if h == "e"]
-    return max(levels) if levels else 0
+def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
+    """The set-up `group_points` and `lie_points` share: candidate
+    matrices x for the points g = 1 + x, and the entries that their
+    `lattice_key` test still has to check.
 
-
-def _cell_candidates(filt: FiltrationSpec, ring: LevelRing, v0: int):
-    """Candidate matrices x for the points g = 1 + x, and their number:
-    cell (i, j) runs over the multiples of p^max(v0, v), where v is the
-    largest level at which some entry's shape forces that cell to zero.
-    Returns (count, candidates), the candidates lazily, so that callers
-    can hold the count against CANDIDATE_BUDGET before any is made.
-    Every point has such an x; the scalar condition of Z is not a cell
-    range and is left to the callers' `lattice_key` test."""
+    Cell (i, j) runs over the multiples of p^max(v0, v), where v0 is the
+    level of the trivial entries and v the largest level at which some
+    entry's shape forces that cell to zero.  Every point has such an x,
+    and the trivial entries at levels up to v0 hold for all of them; the
+    scalar condition of Z is not a cell range and is left to the key
+    test.  The candidates come lazily, once their number is held against
+    CANDIDATE_BUDGET."""
     n = filt.group.n
+    if max(filt.levels(), default=0) > ring.N:
+        raise InputError("filtration level exceeds N")
+    v0 = max([v for h, v in filt.entries if h == "e"], default=0)
     levels = [[v0] * n for _ in range(n)]
     for h, v in filt.entries:
         for i, j in _shape(h, n)[0]:
             levels[i][j] = max(levels[i][j], v)
     cells = [range(0, ring.mod, ring.p**v) for row in levels for v in row]
-    count = math.prod(map(len, cells))
-    return count, (tuple(vals[i * n:(i + 1) * n] for i in range(n)) for vals in itertools.product(*cells))
+    other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
+    return other, (tuple(vals[i * n:(i + 1) * n] for i in range(n)) for vals in _budgeted_product(cells))
 
 
 def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }."""
     spec = filt.group
     n = spec.n
-    if max(filt.levels(), default=0) > ring.N:
-        raise InputError("filtration level exceeds N")
-    v0 = _trivial_level(filt)
-    count, candidates = _cell_candidates(filt, ring, v0)
-    if count > CANDIDATE_BUDGET:
-        raise SizeCapError(f"{count} candidate matrices exceed the budget")
+    other, candidates = _cell_candidates(filt, ring)
     found = []
-    other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
     for x in candidates:
         g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
         if spec.det_ok(ring, g) and not any(lattice_key(other, x, ring.p)):
@@ -468,14 +436,8 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
     with g = gl_n or sl_n (global trace zero for SL)."""
     spec = filt.group
     n = spec.n
-    if max(filt.levels(), default=0) > ring.N:
-        raise InputError("filtration level exceeds N")
-    v0 = _trivial_level(filt)
-    count, candidates = _cell_candidates(filt, ring, v0)
-    if count > CANDIDATE_BUDGET:
-        raise SizeCapError(f"lie enumeration exceeds the budget: {count} candidate matrices")
+    other, candidates = _cell_candidates(filt, ring)
     out = []
-    other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
     for x in candidates:
         if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % ring.mod != 0:
             continue
@@ -606,27 +568,19 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
                     return f"P_r is not normal in P_s: s = {u}, t = {t}"
         for i, (g, _) in enumerate(g_reps):
             for u in ps.gens:
-                prod_class = g_assign[_locate(ps, mat_mul(ring, g, u))]
+                gu = mat_mul(ring, g, u)
+                if gu not in ps.as_set:
+                    raise InputError("product left the enumerated group")
                 y = mat_add(ring, l_reps[mu[i]][0], l_reps[mu[g_assign[u]]][0])
-                if mu[prod_class] != l_assign[_locate_lie(ls_set, l_assign, y)]:
+                if y not in ls_set:
+                    raise InputError("sum left the Lie lattice")
+                if mu[g_assign[gu]] != l_assign[y]:
                     return f"({g}, {u})"
         return ""
 
     witness = hom_witness()
     rep.add("homomorphism", not witness, witness)
     return rep
-
-
-def _locate(group: EnumeratedGroup, g):
-    if g not in group.as_set:
-        raise InputError("product left the enumerated group")
-    return g
-
-
-def _locate_lie(ls_set, l_assign, y):
-    if y not in ls_set:
-        raise InputError("sum left the Lie lattice")
-    return y
 
 
 def expected_trivial_quotient_order(spec: GroupSpec, s0: int, r0: int, p: int) -> int:

@@ -702,6 +702,10 @@ class SymbolDilatation:
         n = len(reps)
         add_table = [[0] * n for _ in range(n)]
         mul_table = [[0] * n for _ in range(n)]
+        # the value map is injective (one value per class) and onto the
+        # subring dilatation; it respects + and *, so the tables form a
+        # ring isomorphic to that certified subring.  Both tables and the
+        # base ring are commutative, so the pairs i <= j check every pair.
         for i, j in itertools.combinations_with_replacement(range(n), 2):
             # m/a^nu + p/a^lam = (m*a^lam + p*a^nu)/a^(nu+lam), m/a^nu * p/a^lam = m*p/a^(nu+lam)
             (m, nu), (p, lam) = reps[i], reps[j]
@@ -709,15 +713,10 @@ class SymbolDilatation:
             num = base.add(times(m, a_pow(lam)), times(p, a_pow(nu)))
             add_table[i][j] = add_table[j][i] = locate((num, den))
             mul_table[i][j] = mul_table[j][i] = locate((base.mul(m, p), den))
-        # the value map is injective (one value per class) and onto the
-        # subring dilatation; it respects + and *, so the tables form a
-        # ring isomorphic to that certified subring
-        for i in range(n):
-            for j in range(n):
-                if values[add_table[i][j]] != base.add(values[i], values[j]):
-                    raise VerificationFinding("addition disagrees with the subring dilatation")
-                if values[mul_table[i][j]] != base.mul(values[i], values[j]):
-                    raise VerificationFinding("multiplication disagrees with the subring dilatation")
+            if values[add_table[i][j]] != base.add(values[i], values[j]):
+                raise VerificationFinding("addition disagrees with the subring dilatation")
+            if values[mul_table[i][j]] != base.mul(values[i], values[j]):
+                raise VerificationFinding("multiplication disagrees with the subring dilatation")
         self.ring = FiniteRing(
             f"{base.label}-fractions",
             range(n),
@@ -960,16 +959,24 @@ def eval_poly(f, var_values: dict, target: FiniteRing):
     return total
 
 
-def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
-    """Cross-validate the symbolic dilatation of a finite-dimensional Fp
-    algebra against both oracle constructions."""
-    rep = Report("oracle_bridge")
-    base_ring, var_map = from_presented(ap, cap)
+def finite_center(center, cap: int = SIZE_CAP):
+    """A symbolic MultiCenter over a finite-dimensional Fp algebra as
+    (finite ring, var name -> element, FiniteCenter)."""
+    ring, var_map = from_presented(center.algebra, cap)
     fc = FiniteCenter.from_gens(
-        base_ring,
-        [([eval_poly(g, var_map, base_ring) for g in c.ideal.gens], eval_poly(c.elem, var_map, base_ring))
+        ring,
+        [([eval_poly(g, var_map, ring) for g in c.ideal.gens], eval_poly(c.elem, var_map, ring))
          for c in center.centers],
     )
+    return ring, var_map, fc
+
+
+def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
+    """Cross-validate the symbolic dilatation of a finite-dimensional Fp
+    algebra `ap`, the algebra of `center`, against both oracle
+    constructions."""
+    rep = Report("oracle_bridge")
+    base_ring, var_map, fc = finite_center(center, cap)
     fractions = dilate_oracle_fractions(base_ring, fc, cap)
     rep.add("oracle_equivalence", True, "fractions vs subring certified in construction")
     oracle_ring = fractions.sub.ring

@@ -393,6 +393,18 @@ request congruence normalizer NT K={k}
     assert "does not fit n = 2" in capsys.readouterr().err
 
 
+def test_normalizer_holds_the_subgroup_enumeration_to_the_budget(tmp_path, capsys):
+    # the torus of SL(2) over Z/2^20 has (2^19)^2 candidate diagonals; the
+    # subgroup enumeration once ran through all of them without a budget
+    text = """
+filtration NT = group SL(2), p=2, N=20, (e, 20)
+request congruence normalizer NT K=T
+"""
+    code, _ = run_cli(tmp_path, text)
+    assert code == 3
+    assert f"{2**38} candidate matrices exceed the budget" in capsys.readouterr().err
+
+
 MALFORMED_BASE = """
 ring A = QQ[a, g]
 ideal M in A = (g)

@@ -19,9 +19,9 @@ from dilatations.congruence import (
     mat_mul,
     normalizer_check,
     subgroup_elements,
+    subgroup_gens,
     validate_congruent_levels,
     verify_lie_closure,
-    verify_subgroup_closure,
 )
 from dilatations.closure import closure_certificate
 from dilatations.oracle import dual_numbers, galois_extension
@@ -89,9 +89,9 @@ def test_catalog_subgroups_closed():
     spec = GroupSpec("SL", 2)
     ops = LevelRing(2, 2)
     for name in ("e", "T", "B", "Z", "G"):
-        assert verify_subgroup_closure(spec, name, ops)
+        assert subgroup_gens(spec, name, ops) is not None
     spec_gl = GroupSpec("GL", 2)
-    assert verify_subgroup_closure(spec_gl, "L(1,1)", LevelRing(2, 2))
+    assert subgroup_gens(spec_gl, "L(1,1)", LevelRing(2, 2)) is not None
 
 
 def test_levi_equals_torus_for_unit_blocks():
@@ -316,6 +316,13 @@ def _ref_lie_closed(xs, m):
     return True
 
 
+def _ref_levi_block(name, n):
+    """The block of each row and column of the Levi shape `name`."""
+    sizes = [int(t) for t in name[2:-1].split(",")]
+    assert sum(sizes) == n
+    return [k for k in range(len(sizes)) for _ in range(sizes[k])]
+
+
 def _ref_in_shape(name, x, m):
     """x mod m lies in the Lie shape of the catalog subgroup `name`."""
     n = len(x)
@@ -331,10 +338,7 @@ def _ref_in_shape(name, x, m):
     if name == "Z":
         diag = {x[i][i] % m for i in range(n)}
         return len(diag) == 1 and all(x[i][j] % m == 0 for i, j in cells if i != j)
-    sizes = [int(t) for t in name[2:-1].split(",")]
-    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
-    block = [k for k in range(len(sizes)) for _ in range(sizes[k])]
-    assert starts[-1] == n
+    block = _ref_levi_block(name, n)
     return all(x[i][j] % m == 0 for i, j in cells if block[i] != block[j])
 
 
@@ -503,7 +507,7 @@ def test_subgroup_closure_matches_all_pairs_reference(kind, names, ops):
     for name in names:
         els = subgroup_elements(spec, name, ops)
         ref = _ref_group_closed(els, mat_id(ops, 2), lambda a, b: _ref_mul_ops(ops, a, b))
-        assert verify_subgroup_closure(spec, name, ops) == ref
+        assert (subgroup_gens(spec, name, ops) is not None) == ref
 
 
 def _ref_det(ops, a):
@@ -539,6 +543,79 @@ def test_matrix_helpers_match_loop_references(ops):
                 assert _ref_mul_ops(ops, a, inv) == ident == _ref_mul_ops(ops, inv, a)
                 inverted += 1
         assert inverted
+
+
+def _ref_catalog_names(n):
+    """e, T, B, Z, G and the Levi shape of every composition of n."""
+    names = ["e", "T", "B", "Z", "G"]
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        sizes = [1]
+        for cut in cuts:
+            if cut:
+                sizes.append(1)
+            else:
+                sizes[-1] += 1
+        names.append("L(" + ",".join(map(str, sizes)) + ")")
+    return names
+
+
+def _ref_in_subgroup(name, g, ops):
+    """g lies in the catalog subgroup `name` by its written definition:
+    the identity, diagonal, upper triangular, scalar, block diagonal, or
+    any matrix."""
+    n = len(g)
+    zero, one = ops.zero, ops.one
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if name == "G":
+        return True
+    if name == "e":
+        return all(g[i][i] == one for i in range(n)) and all(g[i][j] == zero for i, j in off)
+    if name == "T":
+        return all(g[i][j] == zero for i, j in off)
+    if name == "Z":
+        return all(g[i][j] == zero for i, j in off) and len({g[i][i] for i in range(n)}) == 1
+    if name == "B":
+        return all(g[i][j] == zero for i, j in off if i > j)
+    block = _ref_levi_block(name, n)
+    return all(g[i][j] == zero for i, j in off if block[i] != block[j])
+
+
+@pytest.mark.parametrize("kind", ["GL", "SL"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subgroup_elements_match_literal_reference(kind, n):
+    # every n x n matrix over each ring of _MATRIX_RINGS whose box has at
+    # most 20,000 of them, filtered by determinant and the written
+    # definition of each catalog subgroup
+    spec = GroupSpec(kind, n)
+    rings = [ops for ops in _MATRIX_RINGS if ops.size ** (n * n) <= 20000]
+    assert rings
+    for ops in rings:
+        els = list(ops.elements)
+        units = {u for u in els if any(ops.mul(u, y) == ops.one for y in els)}
+        box = []
+        for vals in itertools.product(els, repeat=n * n):
+            g = tuple(vals[i * n:(i + 1) * n] for i in range(n))
+            det = _ref_det(ops, g)
+            if det == ops.one if kind == "SL" else det in units:
+                box.append(g)
+        for name in _ref_catalog_names(n):
+            ref = sorted(g for g in box if _ref_in_subgroup(name, g, ops))
+            assert sorted(subgroup_elements(spec, name, ops)) == ref, (ops, name)
+
+
+def test_subgroup_budget_is_the_product_of_cell_ranges(monkeypatch):
+    # GL(2) over Z/9, six units: a free diagonal cell of a triangular
+    # shape runs over the units and any other free cell over all 9
+    from dilatations import congruence
+    from dilatations.oracle import SizeCapError
+
+    spec, ops = GroupSpec("GL", 2), LevelRing(3, 2)
+    for name, count in [("e", 1), ("Z", 6), ("T", 36), ("L(1,1)", 36), ("B", 324), ("L(2)", 6561), ("G", 6561)]:
+        monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", count)
+        assert subgroup_elements(spec, name, ops)
+        monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", count - 1)
+        with pytest.raises(SizeCapError, match=f"^{count} candidate matrices exceed the budget$"):
+            subgroup_elements(spec, name, ops)
 
 
 # filtrations mixing shapes and levels, level-0 entries among them, for

@@ -7,8 +7,11 @@ target that shares its names; its output is `golden/name_clash.machine`.
 `golden/verifiers_clash.dila` runs, over a ring that holds the fresh
 stems as well, the verifiers the other two leave out: `iso iterate`,
 a passing `iso open-immersion` and `universal`.
+`golden/catalog.dila` runs `congruence normalizer` with every catalog
+subgroup as K and `congruence points` on one filtration per catalog
+shape; its output is `golden/catalog.machine`.
 How fresh names are chosen, how budgets reach the kernel and how requests
-are scheduled must not change either file.
+are scheduled must not change any of these files.
 """
 
 from pathlib import Path
@@ -24,10 +27,11 @@ CASES = [
     (ROOT / "instances" / "demo.dila", HERE / "golden" / "demo.machine"),
     (HERE / "golden" / "name_clash.dila", HERE / "golden" / "name_clash.machine"),
     (HERE / "golden" / "verifiers_clash.dila", HERE / "golden" / "verifiers_clash.machine"),
+    (HERE / "golden" / "catalog.dila", HERE / "golden" / "catalog.machine"),
 ]
 
 
-@pytest.mark.parametrize("instance, expected", CASES, ids=["demo", "name_clash", "verifiers_clash"])
+@pytest.mark.parametrize("instance, expected", CASES, ids=["demo", "name_clash", "verifiers_clash", "catalog"])
 def test_machine_section_matches_golden(instance, expected, capsys):
     code = cli.main([str(instance), "--machine-only"])
     out = capsys.readouterr().out

@@ -474,11 +474,13 @@ def _counted_yc():
 
 
 def test_ring_symbol_dilatation_product_count():
-    # 45,404 products before the multiplication maps (the center not counted)
+    # 45,404 products before the multiplication maps (the center not
+    # counted), 11,195 while the table check ran over all n x n pairs
+    # and 7,955 with it on the pairs i <= j
     y_ring, center, calls = _counted_yc()
     calls[0] = 0
     dilate_oracle_fractions(y_ring, center)
-    assert calls[0] <= 12_000
+    assert calls[0] <= 8_000
 
 
 def test_module_symbol_dilatation_product_count():
