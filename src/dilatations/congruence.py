@@ -7,20 +7,20 @@ or sl_n.  The congruent-isomorphism check builds both quotients and
 verifies the truncation map g -> g - 1 exhaustively, and any failure is
 reported verbatim as a finding rather than patched.
 
-Every check is exhaustive, and none compares all pairs of elements.
-Each rests on a generator certificate (`closure.closure_certificate`):
-generators are picked greedily and the closure of the identity under
-them is built, every product checked for membership, in at most
-|S|·log2|S| products.
-- Groups: a finite set of invertible matrices that contains 1 and is
-  closed under multiplication is a group, so no inverse is checked.
-- Lie lattices: the additive certificate from 0, then the bracket on
-  pairs of additive generators, since the bracket is bilinear.
-- The congruent isomorphism: normality of P_r is checked on generators
-  of P_s and P_r, and then a map of the quotient groups is a
-  homomorphism once it is additive on (class, generator) pairs.  The
-  truncation map finds the class of g - 1 by a dict lookup on its
-  canonical image modulo the ambient lattice (`lattice_key`).
+Every check is exhaustive, none compares all pairs of elements, and
+each rests on a certificate on generators.
+- Groups and Lie lattices: `closure.closure_certificate` picks
+  generators greedily and builds the closure of the identity under
+  them, every product checked for membership, in at most |S|·log2|S|
+  products.  A finite closed set of invertible matrices that contains 1
+  is a group, so no inverse is checked; the Lie bracket is bilinear, so
+  it is checked on pairs of additive generators.
+- The congruent isomorphism: with g = 1 + x and x in the ambient lattice
+  Λ_s, (1 + x)(1 + y) - 1 = x + y + xy, so the truncation map, read off
+  `lattice_key` modulo Λ_r, is a homomorphism constant on the cosets of
+  P_r once Λ_s·Λ_s ⊆ Λ_r, checked on pairs of lattice generators.  The
+  level hypotheses imply that; the match with the Lie side they do not,
+  and it fails for Z in SL_n with p | n.
 
 Enumeration goes through the parametrization g = 1 + x, one range per
 cell (`_cell_candidates`): cell (i, j) of x runs over the multiples of
@@ -38,6 +38,7 @@ once.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -178,10 +179,6 @@ class GroupSpec:
     def __repr__(self):
         return f"{self.kind}({self.n})"
 
-    @property
-    def lie_dim(self):
-        return self.n * self.n - (1 if self.kind == "SL" else 0)
-
     def det_ok(self, ops, g):
         d = mat_det(ops, g)
         return d == ops.one if self.kind == "SL" else ops.is_unit(d)
@@ -266,8 +263,9 @@ def subgroup_elements(spec: GroupSpec, name: str, ops):
     zeros, scalar = _shape(name, n)
     zeros = set(zeros)
     cells = [(i, j) for i in range(n) for j in range(n)]
-    triangular = all(c in zeros for c in cells if c[0] > c[1])
-    diagonal = [u for u in ops.elements if ops.is_unit(u)] if triangular else ops.elements
+    # the units, only when a free diagonal cell of a triangular shape reads them
+    unit_diagonal = all(c in zeros for c in cells if c[0] > c[1]) and any((i, i) not in zeros for i in range(n))
+    diagonal = [u for u in ops.elements if ops.is_unit(u)] if unit_diagonal else ops.elements
     ranges, slot = [], {}
     for i, j in cells:
         if (i, j) in zeros:
@@ -390,18 +388,11 @@ class EnumeratedGroup:
         return self.gens is not None
 
 
-def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
-    """The set-up `group_points` and `lie_points` share: candidate
-    matrices x for the points g = 1 + x, and the entries that their
-    `lattice_key` test still has to check.
-
-    Cell (i, j) runs over the multiples of p^max(v0, v), where v0 is the
-    level of the trivial entries and v the largest level at which some
-    entry's shape forces that cell to zero.  Every point has such an x,
-    and the trivial entries at levels up to v0 hold for all of them; the
-    scalar condition of Z is not a cell range and is left to the key
-    test.  The candidates come lazily, once their number is held against
-    CANDIDATE_BUDGET."""
+def _cell_levels(filt: FiltrationSpec, ring: LevelRing):
+    """(v0, c): v0 is the level of the trivial entries and c[i][j] the
+    level of cell (i, j) in the ambient lattice that `lattice_key` cuts
+    out, max(v0, the levels at which some entry's shape forces the cell
+    to zero)."""
     n = filt.group.n
     if max(filt.levels(), default=0) > ring.N:
         raise InputError("filtration level exceeds N")
@@ -410,6 +401,21 @@ def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
     for h, v in filt.entries:
         for i, j in _shape(h, n)[0]:
             levels[i][j] = max(levels[i][j], v)
+    return v0, levels
+
+
+def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
+    """The set-up `group_points` and `lie_points` share: candidate
+    matrices x for the points g = 1 + x, and the entries that their
+    `lattice_key` test still has to check.
+
+    Cell (i, j) runs over the multiples of p^c for its level c
+    (`_cell_levels`).  Every point has such an x, and the trivial entries
+    at levels up to v0 hold for all of them; the scalar condition of Z
+    is not a cell range and is left to the key test.  The candidates
+    come lazily, once their number is held against CANDIDATE_BUDGET."""
+    n = filt.group.n
+    v0, levels = _cell_levels(filt, ring)
     cells = [range(0, ring.mod, ring.p**v) for row in levels for v in row]
     other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
     return other, (tuple(vals[i * n:(i + 1) * n] for i in range(n)) for vals in _budgeted_product(cells))
@@ -469,35 +475,66 @@ def verify_lie_closure(xs, ring: LevelRing) -> bool:
 # congruent isomorphism
 
 
-def _cosets(elements, sub_set, combine):
-    """Deterministic coset decomposition: list of (representative, frozenset)."""
-    assigned = {}
-    reps = []
-    for g in elements:
-        if g in assigned:
-            continue
-        coset = frozenset(combine(g, u) for u in sub_set)
-        for x in coset:
-            assigned[x] = len(reps)
-        reps.append((g, coset))
-    return reps, assigned
+def _lattice_generators(filt: FiltrationSpec, ring: LevelRing) -> list:
+    """Additive generators of the ambient lattice
+    { x in gl_n(Z/p^N) : lattice_key(filt.entries, x) = 0 }: p^c·E_ij for
+    each off-diagonal cell at its level c (`_cell_levels`), and on the
+    diagonal p^c·E_ii for each i or, when the largest level z of a Z
+    entry exceeds v0, p^v0·I together with p^z·E_ii for i >= 1."""
+    n, p = filt.group.n, ring.p
+    v0, levels = _cell_levels(filt, ring)
+    z = max([v for h, v in filt.entries if h == "Z"], default=0)
+
+    def spike(cells, v):
+        return tuple(tuple(p**v % ring.mod if (i, j) in cells else 0 for j in range(n)) for i in range(n))
+
+    gens = [spike({(i, j)}, levels[i][j]) for i in range(n) for j in range(n) if i != j]
+    if z > v0:
+        return gens + [spike({(i, i) for i in range(n)}, v0)] + [spike({(i, i)}, z) for i in range(1, n)]
+    return gens + [spike({(i, i)}, levels[i][i]) for i in range(n)]
+
+
+def _product_witness(gens, entries, ring: LevelRing):
+    """The first ordered pair (x, y) of `gens` whose product has a
+    nonzero `lattice_key` over `entries`, or None.  None certifies that
+    the lattice the generators span multiplies into the lattice of
+    `entries`: the product is bilinear and the key additive."""
+    return next(
+        ((x, y) for x, y in itertools.product(gens, repeat=2) if any(lattice_key(entries, mat_mul(ring, x, y), ring.p))),
+        None,
+    )
 
 
 def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     """Congruent isomorphism at finite level: the truncation map
-    g -> g - 1 from group cosets to Lie cosets, verified exhaustively.
+    g -> g - 1 from P_s/P_r to L_s/L_r, verified exhaustively.
 
-    The class of g - 1 is located against the r-level congruence lattice
-    taken inside gl_n (shapes only, no trace condition): for SL_n the
-    trace of g - 1 vanishes only to the order forced by the determinant,
-    so the match is made modulo that ambient lattice; uniqueness of the
-    match is guaranteed by L_s ∩ Λ^gl_r = L_r and is checked, not
-    assumed (a bucket of classes with equal `lattice_key` must hold
-    exactly one); the smoothness of the catalog subgroups that the underlying
-    theory needs is a property of the catalog, not machine-checked.
+    Write g = 1 + x with x in the ambient lattice Λ_s of gl_n, and let
+    μ(g) = lattice_key(r-level entries, x), additive with kernel Λ_r.
+    As (1 + x)(1 + y) - 1 = x + y + xy, μ(gu) = μ(g) + μ(u) on all of
+    P_s once Λ_s·Λ_s ⊆ Λ_r, which is checked on the ordered pairs of
+    generators of Λ_s (`_lattice_generators`, at most n^4 products).
+    Then μ is constant on the cosets of P_r, as μ(P_r) = 0, and each
+    clause is a linear pass: the orders by Lagrange, the Lie classes of
+    key μ(g) as the count of that key over L_s divided by |L_r|, and
+    bijectivity as ker μ = P_r with equal key sets.  Classes are matched
+    modulo the ambient Λ_r, since for SL_n the trace of g - 1 vanishes
+    only to the order the determinant forces; the count checks that the
+    match is unique.
+
+    The level hypotheses imply the certificate, so no other path is
+    kept.  For an entry (H, s_i) split x = x_h + x_f into the cells of
+    the shape of H and those it forces to zero: x_f ≡ 0 mod p^s_i, and
+    both parts ≡ 0 mod p^s_0.  Catalog shapes are closed under products,
+    so x_h·y_h lies in the shape; the cross terms vanish mod p^(s_0+s_i)
+    and x_f·y_f mod p^(2 s_i), and r_i ≤ s_i + s_0 ≤ 2 s_i.  For e,
+    xy ≡ 0 mod p^(2 s_0) and r_0 ≤ 2 s_0.  For Z write x = a·I + p^s_i·f
+    with p^s_0 | a, so xy ≡ ab·I mod p^r_i.  The match with the Lie side
+    rests on the smoothness of the subgroups and is checked, not
+    assumed: Z in SL_n with p | n (μ_n, not smooth) fails `well_defined`,
+    where a scalar g has no Lie class of its key.
     """
     rep = Report("congruent_iso")
-    spec = filt.group
     if filt.names()[0] != "e":
         rep.add("h0_trivial", False, "first filtration entry must be the trivial subgroup")
         return rep
@@ -507,7 +544,6 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
 
     fs = filt.with_levels(list(s))
     fr = filt.with_levels(list(r))
-    n = spec.n
 
     ps = group_points(fs, ring)
     pr = group_points(fr, ring)
@@ -515,77 +551,31 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
         return rep
     ls = lie_points(fs, ring)
     lr = lie_points(fr, ring)
-    ls_set, lr_set = set(ls), set(lr)
-    if not rep.add("lie_inclusion", lr_set <= ls_set, "L_r is not inside L_s"):
+    if not rep.add("lie_inclusion", set(lr) <= set(ls), "L_r is not inside L_s"):
         return rep
     rep.add("lie_closure_s", verify_lie_closure(ls, ring))
 
-    g_reps, g_assign = _cosets(ps.elements, pr.as_set, lambda g, u: mat_mul(ring, g, u))
-    l_reps, l_assign = _cosets(ls, lr_set, lambda x, y: mat_add(ring, x, y))
-    rep.add(
-        "orders_equal",
-        len(g_reps) == len(l_reps),
-        f"|Q_grp| = {len(g_reps)}, |Q_lie| = {len(l_reps)}",
+    # Lagrange: P_r in P_s are certified groups, L_r in L_s lattices
+    q_grp, q_lie = len(ps) // len(pr), len(ls) // len(lr)
+    rep.add("orders_equal", q_grp == q_lie, f"|Q_grp| = {q_grp}, |Q_lie| = {q_lie}")
+
+    mu = functools.partial(lattice_key, fr.entries, p=ring.p)
+    ident = mat_id(ring, filt.group.n)
+    keys = {g: mu(mat_sub(ring, g, ident)) for g in ps.elements}
+    count = collections.Counter(map(mu, ls))
+    bad = _product_witness(_lattice_generators(fs, ring), fr.entries, ring)
+    pair = "" if bad is None else f"x = {bad[0]}, y = {bad[1]}: x·y is not in Λ_r"
+    # constancy on the cosets of P_r rests on the certificate as well
+    witness = next(
+        (f"g = {g}: {count[k] // len(lr)} matching Lie classes" for g, k in keys.items() if count[k] // len(lr) != 1),
+        pair,
     )
-
-    # Lie classes keyed by their image modulo the ambient lattice Λ^gl_r
-    lam_entries = [(h, v) for (h, _), v in zip(filt.entries, r)]
-    buckets = {}
-    for ci, (y, _) in enumerate(l_reps):
-        buckets.setdefault(lattice_key(lam_entries, y, ring.p), []).append(ci)
-    ident = mat_id(ring, n)
-
-    mu = {}
-    well_defined = True
-    witness = ""
-    for g in ps.elements:
-        hits = buckets.get(lattice_key(lam_entries, mat_sub(ring, g, ident), ring.p), [])
-        ci = g_assign[g]
-        if len(hits) != 1:
-            well_defined = False
-            witness = f"g = {g}: {len(hits)} matching Lie classes"
-            break
-        if ci in mu and mu[ci] != hits[0]:
-            well_defined = False
-            witness = f"coset of {g} maps to two distinct Lie classes"
-            break
-        mu[ci] = hits[0]
-    if not rep.add("well_defined", well_defined, witness):
+    if not rep.add("well_defined", not witness, witness):
         return rep
-
-    injective = len(set(mu.values())) == len(mu)
-    rep.add("bijective", injective and len(mu) == len(l_reps), "match map is not a bijection")
-
-    def hom_witness():
-        # P_r is normal iff s t s^-1 lies in P_r for generators s of P_s
-        # and t of P_r; then the cosets form the group Q, and mu is a
-        # homomorphism once mu(q s) = mu(q) + mu(s) for every q in Q and
-        # every generator s (induction on words in the generators).
-        for u in ps.gens:
-            u_inv = mat_inv(ring, u)
-            for t in pr.gens:
-                if mat_mul(ring, mat_mul(ring, u, t), u_inv) not in pr.as_set:
-                    return f"P_r is not normal in P_s: s = {u}, t = {t}"
-        for i, (g, _) in enumerate(g_reps):
-            for u in ps.gens:
-                gu = mat_mul(ring, g, u)
-                if gu not in ps.as_set:
-                    raise InputError("product left the enumerated group")
-                y = mat_add(ring, l_reps[mu[i]][0], l_reps[mu[g_assign[u]]][0])
-                if y not in ls_set:
-                    raise InputError("sum left the Lie lattice")
-                if mu[g_assign[gu]] != l_assign[y]:
-                    return f"({g}, {u})"
-        return ""
-
-    witness = hom_witness()
-    rep.add("homomorphism", not witness, witness)
+    kernel = {g for g, k in keys.items() if not any(k)}
+    rep.add("bijective", kernel == pr.as_set and set(keys.values()) == set(count), "match map is not a bijection")
+    rep.add("homomorphism", not pair, pair)
     return rep
-
-
-def expected_trivial_quotient_order(spec: GroupSpec, s0: int, r0: int, p: int) -> int:
-    """|Q_grp| for the pure principal filtration H = {e}."""
-    return p ** ((r0 - s0) * spec.lie_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -103,30 +103,6 @@ class FiniteRing:
                 return y
         raise InputError(f"{x} is not a unit in {self.label}")
 
-    def nilpotent(self, x):
-        seen = set()
-        p = x
-        while p not in seen:
-            if p == self.zero:
-                return True
-            seen.add(p)
-            p = self.mul(p, x)
-        return False
-
-    def is_reduced(self):
-        return all(not self.nilpotent(x) for x in self.elements if x != self.zero)
-
-    def is_domain(self):
-        if self.size < 2 or self.zero == self.one:
-            return False
-        return all(
-            self.mul(x, y) != self.zero
-            for x in self.elements
-            if x != self.zero
-            for y in self.elements
-            if y != self.zero
-        )
-
     def closed_span(self, todo, multipliers):
         """The additive span of `todo` closed under multiplication by
         `multipliers`: (elements, additive generators, sources).
@@ -919,22 +895,6 @@ def universal_property_scan(a: FiniteRing, center: FiniteCenter, catalog, budget
             )
             if count >= 2:
                 raise VerificationFinding("hom count >= 2 contradicts uniqueness")
-    return rep
-
-
-def preservation_checks(a: FiniteRing, center: FiniteCenter) -> Report:
-    """Reducedness is preserved; over a finite domain with nonzero
-    denominators the dilatation is the base ring itself."""
-    rep = Report("preservation")
-    dil = dilate_oracle_subring(a, center)
-    if a.is_reduced():
-        rep.add("reduced_preserved", dil.ring.is_reduced())
-    else:
-        rep.add("reduced_skipped", True, "base not reduced")
-    if a.is_domain() and all(ai != a.zero for _, ai in center.pairs):
-        same_size = dil.ring.size == a.size
-        bijective = len({dil.struct_map(x) for x in a.elements}) == a.size
-        rep.add("domain_unit_case", same_size and bijective)
     return rep
 
 

@@ -197,14 +197,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
@@ -560,18 +552,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        if not c:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, {m: mul(c, v) for m, v in self.terms.items()})
-
-    def mul_term(self, m: Mono, c: Scalar) -> "Polynomial":
-        if not c:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, {mono_mul(m0, m): mul(c0, c) for m0, c0 in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

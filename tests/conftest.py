@@ -14,6 +14,11 @@ settings.register_profile("ci", max_examples=1000, deadline=None)
 settings.load_profile("suite")
 
 
+def mono_lcm(a, b):
+    """The exponent-wise maximum: a reference for the packed lcm."""
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def ring(names, field=QQ, order=None):
     from dilatations.poly import GREVLEX
 

@@ -8,10 +8,12 @@ from dilatations.congruence import (
     FiltrationSpec,
     GroupSpec,
     LevelRing,
+    _lattice_generators,
+    _product_witness,
     _test_rings,
     congruent_iso_check,
-    expected_trivial_quotient_order,
     group_points,
+    lattice_key,
     lie_points,
     mat_det,
     mat_id,
@@ -145,8 +147,13 @@ def test_congruent_iso_rejects_bad_levels():
     assert not rep.ok
 
 
+def expected_trivial_quotient_order(spec, s0, r0, p):
+    """|Q_grp| = p^{(r0-s0) dim g} for the pure principal filtration H = {e}."""
+    lie_dim = spec.n * spec.n - (1 if spec.kind == "SL" else 0)
+    return p ** ((r0 - s0) * lie_dim)
+
+
 def test_quotient_order_formula():
-    # |Q_grp| = p^{(r0-s0) dim g} for H = {e}
     for spec, p, n_level, s0, r0 in [
         (GroupSpec("SL", 2), 2, 4, 1, 2),
         (GroupSpec("GL", 2), 2, 3, 1, 2),
@@ -493,6 +500,66 @@ def test_congruent_iso_matches_all_pairs_reference(case):
     assert congruent_iso_check(filt, s, r, ring_).clauses == _ref_congruent_iso(filt, s, r, ring_)
 
 
+def test_congruent_iso_fails_for_the_non_smooth_center():
+    # Z in SL(2) at p = 2 is mu_2, which is not smooth: g = 3·1 has
+    # det 9 = 1 mod 8, but g - 1 = 2·1 has trace 4, so no class of sl_2
+    # has its key
+    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("Z", 2)])
+    ring_ = LevelRing(2, 3)
+    rep = congruent_iso_check(filt, [1, 2], [2, 3], ring_)
+    assert [(k, ok) for k, ok, _ in rep.clauses] == [(k, ok) for k, ok, _ in _ref_congruent_iso(filt, [1, 2], [2, 3], ring_)]
+    assert not rep.ok
+    assert rep.failures() == [("well_defined", "g = ((3, 0), (0, 3)): 0 matching Lie classes")]
+
+
+def test_product_certificate_names_the_failing_pair():
+    # r_0 = 3 > 2 s_0: (2)(2) = 4 is not 0 mod 8; the public check refuses
+    # these levels at `level_hypotheses` before it gets there
+    filt = FiltrationSpec(GroupSpec("GL", 1), [("e", 1)])
+    ring_ = LevelRing(2, 3)
+    assert _product_witness(_lattice_generators(filt, ring_), [("e", 3)], ring_) == (((2,),), ((2,),))
+
+
+@pytest.mark.parametrize("kind", ["GL", "SL"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_hypotheses_imply_the_product_certificate(kind, n):
+    # every catalog shape next to the trivial entry, p in {2, 3}, N <= 3
+    # and every (s, r) the hypotheses allow: Λ_s·Λ_s lies in Λ_r
+    checked = 0
+    for p, level, name in itertools.product((2, 3), (1, 2, 3), _ref_catalog_names(n)):
+        ring_ = LevelRing(p, level)
+        filt = FiltrationSpec(GroupSpec(kind, n), [("e", 0), (name, 0)])
+        for s in itertools.product(range(level + 1), repeat=2):
+            for r in itertools.product(range(level + 1), repeat=2):
+                if validate_congruent_levels(list(s), list(r), level) is None:
+                    fs, fr = filt.with_levels(list(s)), filt.with_levels(list(r))
+                    assert _product_witness(_lattice_generators(fs, ring_), fr.entries, ring_) is None, (p, level, name, s, r)
+                    checked += 1
+    assert checked
+
+
+def test_trivial_subgroup_reads_no_units():
+    # every cell of e is fixed, so the unit list is never built
+    class Counting(LevelRing):
+        __slots__ = ("calls",)
+
+        def __init__(self, p, n):
+            super().__init__(p, n)
+            self.calls = 0
+
+        def is_unit(self, a):
+            self.calls += 1
+            return super().is_unit(a)
+
+    ops = Counting(2, 20)
+    assert subgroup_elements(GroupSpec("SL", 2), "e", ops) == [mat_id(ops, 2)]
+    assert ops.calls == 0
+    # a free diagonal cell of a triangular shape does read them
+    ops = Counting(2, 3)
+    assert len(subgroup_elements(GroupSpec("SL", 2), "T", ops)) == 4
+    assert ops.calls == 8
+
+
 @pytest.mark.parametrize(
     "kind, names, ops",
     [
@@ -645,6 +712,30 @@ def test_cell_candidates_match_box_reference(case):
     ref_group, ref_lie = _ref_points(filt, ring_)
     assert group_points(filt, ring_).elements == ref_group
     assert lie_points(filt, ring_) == ref_lie
+
+
+def _additive_span(gens, mod):
+    n = len(gens[0])
+    zero = tuple((0,) * n for _ in range(n))
+    seen, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = _ref_sum(x, g, mod)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("case", [c for c in _FILTRATIONS + _MIXED_FILTRATIONS if c[1] <= 2], ids=_filt_id)
+def test_lattice_generators_span_the_key_kernel(case):
+    kind, n, p, level, entries = case
+    filt = FiltrationSpec(GroupSpec(kind, n), entries)
+    ring_ = LevelRing(p, level)
+    box = itertools.product(itertools.product(range(ring_.mod), repeat=n), repeat=n)
+    kernel = {x for x in box if not any(lattice_key(entries, x, p))}
+    assert _additive_span(_lattice_generators(filt, ring_), ring_.mod) == kernel
 
 
 # ------------------------------------------------------ rejected certificates

@@ -24,11 +24,10 @@ from dilatations.poly import (
     Polynomial,
     QQ,
     block_order,
-    mono_div,
-    mono_lcm,
+    mono_mul,
 )
 
-from conftest import random_poly, ring
+from conftest import mono_lcm, random_poly, ring
 
 
 def test_nf_member_of_ideal():
@@ -324,20 +323,26 @@ def test_budget_error_names_pairs_basis_and_ring():
 # ------------------------------------------------------------ criterion-free reference
 
 
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _times_mono(f, m):
+    """f times the monomial m."""
+    return Polynomial(f.ring, {mono_mul(m0, m): c for m0, c in f.terms.items()})
+
+
 def _textbook_basis(gens):
     """Reduced basis by the textbook loop: every pair of every element,
     first in first out, no criteria and no sugar."""
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         return []
-    one = basis[0].ring.field.one()
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
         l = mono_lcm(basis[i].lm(), basis[j].lm())
-        s = basis[i].mul_term(mono_div(l, basis[i].lm()), one) - basis[j].mul_term(
-            mono_div(l, basis[j].lm()), one
-        )
+        s = _times_mono(basis[i], mono_div(l, basis[i].lm())) - _times_mono(basis[j], mono_div(l, basis[j].lm()))
         r = normal_form(s, basis)
         if not r.is_zero():
             basis.append(r.monic())

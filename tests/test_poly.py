@@ -16,11 +16,10 @@ from dilatations.poly import (
     block_order,
     format_poly,
     mono_divides,
-    mono_lcm,
     mono_mul,
 )
 
-from conftest import random_poly, ring
+from conftest import mono_lcm, random_poly, ring
 
 
 def test_parse_print_roundtrip():
