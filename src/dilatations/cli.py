@@ -448,7 +448,8 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         if cmd == "congruence iso":
             fs, ring_s = _declared(inst.filtrations, "filtration", pos[0])
             fr, ring_r = _declared(inst.filtrations, "filtration", pos[1])
-            if fs.names() != fr.names() or ring_s.mod != ring_r.mod:
+            same_group = (fs.group.kind, fs.group.n) == (fr.group.kind, fr.group.n)
+            if not same_group or fs.names() != fr.names() or ring_s.mod != ring_r.mod:
                 raise InputError("filtrations for iso must share group, names, p and N")
             rep = cg.congruent_iso_check(fs, fs.levels(), fr.levels(), ring_s)
             return _report_result("congruence_iso", rep)

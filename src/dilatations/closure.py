@@ -1,7 +1,9 @@
 """Closure certificates: a finite set is certified closed under an
-associative operation on greedily chosen generators.  The congruence
-checks (groups, Lie lattices) and the finite-ring ideal checks rest on
-it; `span` builds the additive spans of the module dilatation checks.
+associative operation on greedily chosen generators.  The finite-ring
+ideal and module checks rest on it, and so do the catalog subgroups
+over small rings (`congruence.subgroup_gens`); the congruence points
+and Lie lattices are certified on lattice generators instead.  `span`
+builds the additive spans of the module dilatation checks.
 """
 
 from __future__ import annotations

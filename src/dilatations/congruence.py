@@ -9,12 +9,18 @@ reported verbatim as a finding rather than patched.
 
 Every check is exhaustive, none compares all pairs of elements, and
 each rests on a certificate on generators.
-- Groups and Lie lattices: `closure.closure_certificate` picks
-  generators greedily and builds the closure of the identity under
-  them, every product checked for membership, in at most |S|·log2|S|
-  products.  A finite closed set of invertible matrices that contains 1
-  is a group, so no inverse is checked; the Lie bracket is bilinear, so
-  it is checked on pairs of additive generators.
+- Groups and Lie lattices: with g = 1 + x, the group points are the
+  invertible g (of determinant 1 for SL_n) with x in the ambient
+  lattice Λ that `lattice_key` cuts out, and the Lie points are Λ (∩
+  sl_n).  Once Λ·Λ ⊆ Λ, checked on the ordered pairs of additive
+  generators of Λ (`_lattice_closed`, at most n^4 products), the points
+  are closed, as (1 + x)(1 + y) = 1 + (x + y + xy) and det is
+  multiplicative; a finite closed set of invertible matrices that
+  contains 1 is a group, so no inverse is checked.  The Lie points are
+  closed under the bracket, as [x, y] = xy - yx lies in Λ and has trace
+  0.  Catalog subgroups over the small rings of the normalizer check
+  have no such lattice: `closure.closure_certificate` certifies them on
+  greedily picked generators, in at most |S|·log2|S| products.
 - The congruent isomorphism: with g = 1 + x and x in the ambient lattice
   Λ_s, (1 + x)(1 + y) - 1 = x + y + xy, so the truncation map, read off
   `lattice_key` modulo Λ_r, is a homomorphism constant on the cosets of
@@ -118,10 +124,6 @@ def mat_mul(ops, a, b):
     cols = tuple(zip(*b))
     dot = ops.dot
     return tuple([tuple([dot(row, col) for col in cols]) for row in a])
-
-
-def mat_add(ops, a, b):
-    return tuple([tuple(map(ops.add, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def mat_sub(ops, a, b):
@@ -288,11 +290,13 @@ def subgroup_elements(spec: GroupSpec, name: str, ops):
 
 
 def subgroup_gens(spec: GroupSpec, name: str, ops):
-    """Certified generators of the catalog subgroup over `ops` (see
-    EnumeratedGroup.verify_group), or None if its points are not closed."""
-    grp = EnumeratedGroup(spec, ops, subgroup_elements(spec, name, ops))
-    grp.verify_group()
-    return grp.gens
+    """Generators of the catalog subgroup over `ops`, or None if its
+    points are not closed.  No congruence lattice applies over the small
+    rings of the normalizer check, so `closure.closure_certificate`
+    certifies closure: the closure of the identity under greedily picked
+    generators, every product checked for membership."""
+    els = sorted(subgroup_elements(spec, name, ops))
+    return closure_certificate(els, set(els).__contains__, functools.partial(mat_mul, ops), mat_id(ops, spec.n))
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +357,15 @@ def validate_congruent_levels(s, r, n_level: int) -> str | None:
 
 
 class EnumeratedGroup:
-    """A finite set of matrices over `ring`, a `LevelRing` or any ring
-    with the same ops, that contains the identity."""
+    """The sorted points of a finite matrix group over `ring`, which
+    contain the identity."""
 
-    __slots__ = ("spec", "ring", "elements", "as_set", "gens")
+    __slots__ = ("elements", "as_set")
 
     def __init__(self, spec: GroupSpec, ring, elements):
-        self.spec = spec
-        self.ring = ring
         self.elements = sorted(elements)
         self.as_set = set(self.elements)
-        self.gens = None
-        ident = mat_id(ring, spec.n)
-        if ident not in self.as_set:
+        if mat_id(ring, spec.n) not in self.as_set:
             raise InputError("enumerated set misses the identity")
 
     def __len__(self):
@@ -373,19 +373,6 @@ class EnumeratedGroup:
 
     def __contains__(self, g):
         return g in self.as_set
-
-    def verify_group(self) -> bool:
-        """A finite set of invertible matrices that contains 1 and is
-        closed under multiplication is a subgroup (each element has finite
-        order, so its inverse is a power of it).  Closure is certified on
-        generators, which the group keeps in `gens`."""
-        self.gens = closure_certificate(
-            self.elements,
-            self.as_set.__contains__,
-            lambda a, b: mat_mul(self.ring, a, b),
-            mat_id(self.ring, self.spec.n),
-        )
-        return self.gens is not None
 
 
 def _cell_levels(filt: FiltrationSpec, ring: LevelRing):
@@ -422,19 +409,20 @@ def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
 
 
 def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
-    """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }."""
+    """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }, a
+    group once the ambient lattice is closed under products
+    (`_lattice_closed`)."""
     spec = filt.group
     n = spec.n
+    if not _lattice_closed(filt, ring):
+        raise InputError("congruence point set is not a subgroup")
     other, candidates = _cell_candidates(filt, ring)
     found = []
     for x in candidates:
         g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
         if spec.det_ok(ring, g) and not any(lattice_key(other, x, ring.p)):
             found.append(g)
-    grp = EnumeratedGroup(spec, ring, found)
-    if not grp.verify_group():
-        raise InputError("congruence point set is not a subgroup")
-    return grp
+    return EnumeratedGroup(spec, ring, found)
 
 
 def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
@@ -452,27 +440,8 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
     return sorted(out)
 
 
-def verify_lie_closure(xs, ring: LevelRing) -> bool:
-    """xs is a Lie lattice: an additive certificate from 0, then the
-    bracket on pairs of its additive generators, which is exhaustive
-    because the bracket is bi-additive ([b, a] = -[a, b] and [a, a] = 0
-    cover the other pairs)."""
-    if not xs:
-        return False
-    sset = set(xs)
-    n = len(xs[0])
-    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    gens = closure_certificate(xs, sset.__contains__, lambda a, b: mat_add(ring, a, b), zero)
-    if gens is None:
-        return False
-    return all(
-        mat_sub(ring, mat_mul(ring, a, b), mat_mul(ring, b, a)) in sset
-        for a, b in itertools.combinations(gens, 2)
-    )
-
-
 # ---------------------------------------------------------------------------
-# congruent isomorphism
+# lattice certificates
 
 
 def _lattice_generators(filt: FiltrationSpec, ring: LevelRing) -> list:
@@ -503,6 +472,18 @@ def _product_witness(gens, entries, ring: LevelRing):
         ((x, y) for x, y in itertools.product(gens, repeat=2) if any(lattice_key(entries, mat_mul(ring, x, y), ring.p))),
         None,
     )
+
+
+def _lattice_closed(filt: FiltrationSpec, ring: LevelRing) -> bool:
+    """The ambient lattice Λ of `filt` is closed under products, checked
+    on the ordered pairs of its generators.  Then the group points
+    { 1 + x : x in Λ, det_ok } are a group and the Lie points Λ (∩ sl_n)
+    are closed under the bracket (see the module docstring)."""
+    return _product_witness(_lattice_generators(filt, ring), filt.entries, ring) is None
+
+
+# ---------------------------------------------------------------------------
+# congruent isomorphism
 
 
 def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
@@ -553,7 +534,7 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     lr = lie_points(fr, ring)
     if not rep.add("lie_inclusion", set(lr) <= set(ls), "L_r is not inside L_s"):
         return rep
-    rep.add("lie_closure_s", verify_lie_closure(ls, ring))
+    rep.add("lie_closure_s", _lattice_closed(fs, ring))
 
     # Lagrange: P_r in P_s are certified groups, L_r in L_s lattices
     q_grp, q_lie = len(ps) // len(pr), len(ls) // len(lr)
@@ -608,9 +589,9 @@ def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Repo
     rep = Report("normalizer")
     spec = filt.group
 
-    # Checked on generators: K and H commute elementwise iff their
-    # generators do, and k P k^-1 lies in P for every k in K iff k t k^-1
-    # does for generators k of K and t of P.
+    # K and H commute elementwise iff their generators do, and k P k^-1
+    # lies in P for every k in K iff k t k^-1 does for the generators k
+    # of K and every point t of P.
     for idx, (h, v) in enumerate(filt.entries):
         if h == "e" or v == 0:
             rep.add(f"commutes_{idx}", True, "trivial level")
@@ -645,7 +626,7 @@ def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Repo
         (
             f"k = {k}, g = {t}"
             for k in k_gens
-            for t in pts.gens
+            for t in pts.elements
             if mat_mul(ring, mat_mul(ring, k, t), inverses[k]) not in pts.as_set
         ),
         "",

@@ -380,6 +380,20 @@ request congruence iso FS nosuch
     assert "undeclared filtration 'nosuch'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("other", ["GL(2), p=2, N=3, (e, 2)", "SL(3), p=2, N=3, (e, 2)"])
+def test_congruence_iso_rejects_filtrations_of_different_groups(tmp_path, capsys, other):
+    # once only the names and p^N were compared: GL(2) against SL(2)
+    # reported a pass, computed on the GL(2) side alone
+    text = f"""
+filtration FS = group SL(2), p=2, N=3, (e, 1)
+filtration FR = group {other}
+request congruence iso FS FR
+"""
+    code, _ = run_cli(tmp_path, text)
+    assert code == 2
+    assert "must share group" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry, k", [("(L(2,1), 1)", "Z"), ("(e, 1)", "L(3)")])
 def test_normalizer_rejects_a_levi_shape_that_does_not_fit(tmp_path, capsys, entry, k):
     # the subgroup enumeration behind the normalizer check once indexed

@@ -10,8 +10,12 @@ a passing `iso open-immersion` and `universal`.
 `golden/catalog.dila` runs `congruence normalizer` with every catalog
 subgroup as K and `congruence points` on one filtration per catalog
 shape; its output is `golden/catalog.machine`.
-How fresh names are chosen, how budgets reach the kernel and how requests
-are scheduled must not change any of these files.
+`golden/congruence_iso.dila` runs passing `congruence iso` requests on
+GL(3), SL(2), the Levi L(1,1) of GL(2) and the Borel of SL(2); its
+output is `golden/congruence_iso.machine`.
+How fresh names are chosen, how budgets reach the kernel, how requests
+are scheduled and how closure is certified must not change any of these
+files.
 """
 
 from pathlib import Path
@@ -28,10 +32,13 @@ CASES = [
     (HERE / "golden" / "name_clash.dila", HERE / "golden" / "name_clash.machine"),
     (HERE / "golden" / "verifiers_clash.dila", HERE / "golden" / "verifiers_clash.machine"),
     (HERE / "golden" / "catalog.dila", HERE / "golden" / "catalog.machine"),
+    (HERE / "golden" / "congruence_iso.dila", HERE / "golden" / "congruence_iso.machine"),
 ]
 
 
-@pytest.mark.parametrize("instance, expected", CASES, ids=["demo", "name_clash", "verifiers_clash", "catalog"])
+@pytest.mark.parametrize(
+    "instance, expected", CASES, ids=["demo", "name_clash", "verifiers_clash", "catalog", "congruence_iso"]
+)
 def test_machine_section_matches_golden(instance, expected, capsys):
     code = cli.main([str(instance), "--machine-only"])
     out = capsys.readouterr().out
