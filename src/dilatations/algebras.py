@@ -168,6 +168,8 @@ def hom_kernel(h: AlgebraHom) -> IdealHandle:
 
     def to_combined(f: Polynomial, from_tgt: bool) -> Polynomial:
         if from_tgt:
+            # the alias ring has tgt's variable count and order, so tgt's
+            # packed monomials are its own
             return Polynomial(tgt_alias, dict(f.terms)).map_ring(combined)
         return f.map_ring(combined)
 

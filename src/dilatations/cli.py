@@ -253,9 +253,7 @@ def report_poly(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     if f.ring.field.is_rational:
-        key = f.ring.order.key
-        lowest = min(f.terms, key=key)
-        if f.terms[lowest] < 0:
+        if f.terms[min(f.terms)] < 0:
             f = -f
     return format_poly(f, ascending=True)
 
@@ -529,16 +527,12 @@ def main(argv=None) -> int:
     flags = parser.parse_args(argv)
 
     try:
-        inst = parse(flags.instance, Limits(flags.degree_cap, flags.pair_cap))
-    except (ParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        text, code = run(inst, flags)
+        # a monomial past the packed field bound fails while it is parsed
+        text, code = run(parse(flags.instance, Limits(flags.degree_cap, flags.pair_cap)), flags)
     except (ResourceLimitError, oc.SizeCapError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InputError as exc:
+    except (ParseError, OSError, InputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sys.stdout.write(text)

@@ -69,6 +69,14 @@ class MultiCenter:
                 f = f * c.elem
         return f
 
+    def positions(self, indices) -> list[int]:
+        """`indices` as sorted distinct 1-based positions of centers;
+        InputError when one names no center."""
+        keep = sorted(set(indices))
+        if any(i < 1 or i > len(self.centers) for i in keep):
+            raise InputError(f"center indices out of range for {len(self.centers)} centers: {keep}")
+        return keep
+
     def sub(self, indices) -> "MultiCenter":
         """Sub-multi-center for 1-based positions `indices` (order kept)."""
         return MultiCenter(self.algebra, [self.centers[i - 1] for i in indices])
@@ -358,10 +366,8 @@ def _renaming(a: PresentedAlgebra, b: PresentedAlgebra, names: dict) -> tuple[Al
 def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]:
     """Canonical map A[{M_i/a_i}_K] -> A[{M_i/a_i}_I] for K given as
     1-based positions, with surjectivity/injectivity certificates."""
-    keep = sorted(set(keep))
     center = result_full.center
-    if any(i < 1 or i > len(center.centers) for i in keep):
-        raise InputError("forget indices out of range")
+    keep = center.positions(keep)
     rep = Report("forget")
     sub = dilate(center.sub(keep))
     dropped = [i for i in range(1, len(center.centers) + 1) if i not in keep]
@@ -435,9 +441,7 @@ def monopoly_iso(center: MultiCenter) -> tuple[MultiCenter, tuple[AlgebraHom, Al
 def two_stage_iso(center: MultiCenter, keep) -> tuple[tuple[AlgebraHom, AlgebraHom], Report]:
     """Dilate by the K-part, push the remaining centers into the result,
     dilate again, and certify agreement with the one-shot dilatation."""
-    keep = sorted(set(keep))
-    if any(i < 1 or i > len(center.centers) for i in keep):
-        raise InputError("two-stage indices out of range")
+    keep = center.positions(keep)
     rest = [i for i in range(1, len(center.centers) + 1) if i not in keep]
     rep = Report("two_stage")
 
@@ -500,7 +504,7 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     """A[{M_i/a_i}_I] as a localization of the K-dilatation, under the
     hypotheses a_k(i) in L_i and L_i ⊆ L_k(i); hypothesis violations are
     reported before any construction."""
-    keep = sorted(set(keep))
+    keep = center.positions(keep)
     rest = [i for i in range(1, len(center.centers) + 1) if i not in keep]
     rep = Report("open_immersion")
 

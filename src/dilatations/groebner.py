@@ -43,22 +43,23 @@ distinct each divisor is strict.  The B, F and coprime tests compare
 exponent fields.  The pair cap is charged once per update, for the
 pairs up to the one that exceeds it.
 
-Representation: division, normal forms, Buchberger (both modes) and
-interreduction run on packed term dicts, {packed monomial: coefficient}
-(`poly.Packing`: one int per monomial, compared by the monomial order).
-Polynomials with exponent tuples appear only at the public functions'
-arguments and results.  Each basis element is turned once into its
-reducer row (packed leading monomial, inverse leading coefficient,
-negated monic tail): Buchberger builds it when it adds the element, and
-an `ideals.IdealHandle` keeps a `Reducers` table next to its cached
-basis.  A product whose exponent field would reach its guard bit raises
-ResourceLimitError instead of wrapping.
+Representation: a polynomial's terms are already packed,
+{packed monomial: coefficient} (`poly.Packing`: one int per monomial,
+compared by the monomial order), so division, normal forms, Buchberger
+(both modes) and interreduction take them with no repacking, through
+the term update `poly._add_multiple`.  Each basis element is turned once
+into its reducer row (packed leading monomial, inverse leading
+coefficient, negated monic tail): Buchberger builds it when it adds the
+element, and an `ideals.IdealHandle` keeps a `Reducers` table next to
+its cached basis.  A product whose exponent field would reach its guard
+bit raises ResourceLimitError instead of wrapping.
 
 Coefficients: over QQ a coefficient inside the kernel is an int when it
 is integral and a Fraction only otherwise.  `Packing.terms` turns
 integral Fractions into ints and `Packing.poly` turns ints back, so
-every Polynomial the kernel returns carries Fractions only.  Integral
-coefficients, the common case, multiply and add as ints, with no gcd.
+every Polynomial the kernel returns carries Fractions only; this is the
+one conversion at the kernel's boundary.  Integral coefficients, the
+common case, multiply and add as ints, with no gcd.
 An inverse is an int when it is integral, and a Fraction that comes out
 integral becomes an int again where an element gets its reducer row or
 is made monic, not at every term operation.  The arithmetic sequence is
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import heapq
 
-from .poly import FIELD_BITS, InputError, Packing, Polynomial, ResourceLimitError
+from .poly import FIELD_BITS, InputError, Packing, Polynomial, ResourceLimitError, _add_multiple
 
 DEFAULT_DEGREE_CAP = 24
 DEFAULT_PAIR_CAP = 200_000
@@ -134,7 +135,7 @@ class Reducers:
     def of(cls, ring, basis) -> "Reducers":
         """Rows of `basis`, nonzero polynomials over `ring`."""
         packing = ring.packing
-        return cls(packing, [_row(packing, packing.terms(g)) for g in basis])
+        return cls(packing, [_row(packing, g.terms) for g in basis])
 
 
 def _table(f: Polynomial, basis) -> Reducers:
@@ -146,25 +147,6 @@ def _table(f: Polynomial, basis) -> Reducers:
     basis = [g for g in basis if not g.is_zero()]
     _same_ring([f] + basis)
     return Reducers.of(f.ring, basis)
-
-
-def _add_multiple(acc: dict, terms, shift: int, coef, packing: Packing) -> None:
-    """acc += coef * x^shift * terms, in place, on packed terms."""
-    guard, p = packing.guard, packing.ring.field.p
-    for m, c in terms:
-        t = m + shift
-        if t & guard:
-            raise packing.overflow(t)
-        s = c * coef
-        old = acc.get(t)
-        if old is not None:
-            s += old
-        if p:
-            s %= p
-        if s:
-            acc[t] = s
-        else:
-            del acc[t]
 
 
 def _reduce(work: dict, table: Reducers, quotients=None) -> dict:
@@ -263,7 +245,6 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         return ([], []) if cofactors else []
     ring = _same_ring([gens[k] for k in nonzero])
     limits = limits or Limits()
-    key = ring.order.key
     packing = ring.packing
     guard, deg, expand, excess = packing.guard, packing.deg, packing.expand, packing.excess
     exps, exp_guard = packing.exps, packing.exp_guard
@@ -373,7 +354,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         table = Reducers(packing, [reducer_rows[e] for e in live])
 
     # the known run first, then the other generators, each by leading monomial
-    for k in sorted(nonzero, key=lambda k: (k >= known, key(gens[k].lm()), sorted(gens[k].terms.items()))):
+    for k in sorted(nonzero, key=lambda k: (k >= known, gens[k].lm(), sorted(gens[k].terms.items()))):
         f = packing.terms(gens[k])
         row = None
         if rows is not None:

@@ -35,7 +35,7 @@ import itertools
 
 from .closure import Closure, closure_certificate, span
 from .dilatation import dilate
-from .poly import InputError, Polynomial, mono_divides, mono_mul
+from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
 
 SIZE_CAP = 4096
@@ -273,19 +273,18 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
     if any(g.is_one() for g in gb):
         basis_monos = []
     else:
+        packing = ap.ring.packing
         lms = [g.lm() for g in gb]
-        nv = ap.ring.nvars
         bounds = []
-        for i in range(nv):
-            pure = [m[i] for m in lms if all(e == 0 for j, e in enumerate(m) if j != i)]
+        for i in range(ap.ring.nvars):
+            pure = [e[i] for e in map(packing.unpack, lms) if not any(e[:i] + e[i + 1 :])]
             if not pure:
                 raise InputError("relation ideal is not zero-dimensional")
             bounds.append(min(pure))
-        basis_monos = []
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            if not any(mono_divides(lm, exps) for lm in lms):
-                basis_monos.append(exps)
-        basis_monos.sort()
+        # the standard monomials, packed, in the order of their sorted
+        # exponent vectors (the order `product` yields them in)
+        candidates = map(packing.pack, itertools.product(*(range(b) for b in bounds)))
+        basis_monos = [m for m in candidates if all((m - lm) & packing.guard for lm in lms)]
     dim = len(basis_monos)
     if dim and p**dim > cap:
         raise SizeCapError(f"{p}^{dim} elements exceeds cap {cap}")
@@ -307,8 +306,7 @@ def from_presented(ap, cap: int = SIZE_CAP) -> tuple[FiniteRing, dict]:
     rows = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            m = mono_mul(basis_monos[i], basis_monos[j])
-            vec = poly_to_vec(Polynomial(ap.ring, {m: field.one()}))
+            vec = poly_to_vec(Polynomial(ap.ring, {basis_monos[i] + basis_monos[j]: field.one()}))
             rows[i][j] = rows[j][i] = [(k, c) for k, c in enumerate(vec) if c]
 
     def add(a, b):
@@ -905,9 +903,10 @@ def universal_property_scan(a: FiniteRing, center: FiniteCenter, catalog, budget
 def eval_poly(f, var_values: dict, target: FiniteRing):
     """Evaluate an Fp polynomial in a finite ring through scalar action."""
     total = target.zero
+    unpack = f.ring.packing.unpack
     for mono, coeff in sorted(f.terms.items()):
         term = target.one
-        for i, e in enumerate(mono):
+        for i, e in enumerate(unpack(mono)):
             v = var_values[f.ring.names[i]]
             for _ in range(e):
                 term = target.mul(term, v)

@@ -1,24 +1,26 @@
 """Exact multivariate polynomials over QQ or a prime field.
 
-Polynomials are sparse dicts mapping exponent tuples to nonzero field
-scalars.  A monomial is a plain tuple of nonnegative ints over a fixed
-variable registry; the registry (variable name list), the coefficient
+Polynomials are sparse dicts mapping packed monomials to nonzero field
+scalars.  The variable registry (variable name list), the coefficient
 field and the monomial order together form a PolyRing.  All values are
 immutable after construction, so sharing across threads is safe.
 
-Inside the Groebner kernel a monomial is one Python int instead: each
-ring has a `Packing` (built on first use) that packs an exponent tuple
-into a row of fields of FIELD_BITS value bits, each with a guard bit
-above it.  From the most significant end the fields are, for grevlex,
-the prefix sums S_n, S_{n-1}, ..., S_1 (S_k = e_1 + ... + e_k); for
-block(k), the prefix sums of the first k exponents and then those of
-the rest; for lex, none; and then the exponents themselves.  Every
-field is a sum of exponents, so a product is `a + b`, a quotient `b - a`,
-`a` divides `b` exactly when `(b - a) & guard == 0`, and comparing two
-packed ints compares their order keys, so `max` of a term dict is its
-leading monomial.  A field that reaches 2**FIELD_BITS would spill into
-its guard bit: packing such a tuple, or forming such a product, raises
-ResourceLimitError naming the ring, the bound and the value.
+A monomial is one Python int: each ring has a `Packing` (built on first
+use) that packs an exponent vector into a row of fields of FIELD_BITS
+value bits, each with a guard bit above it.  From the most significant
+end the fields are, for grevlex, the prefix sums S_n, S_{n-1}, ..., S_1
+(S_k = e_1 + ... + e_k); for block(k), the prefix sums of the first k
+exponents and then those of the rest; for lex, none; and then the
+exponents themselves.  Every field is a sum of exponents, so a product
+is `a + b`, a quotient `b - a`, `a` divides `b` exactly when
+`(b - a) & guard == 0`, and comparing two packed ints compares the
+monomials in the ring's order: the layout is the only definition of the
+order, `max` of a term dict is its leading monomial, and printing sorts
+ints.  A field that reaches 2**FIELD_BITS would spill into its guard
+bit: packing such an exponent vector, or forming such a product, raises
+ResourceLimitError naming the ring, the bound and the value.  Exponent
+vectors appear only where exponents are read: printing, `PolyRing.var`,
+`map_ring` and `subst` across registries, and `uses_vars`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Union
 
-Mono = tuple  # exponent vector over a ring's registry
 Scalar = Union[Fraction, int]  # Fraction over QQ, int residue over Fp
 
 
@@ -135,10 +136,9 @@ _BLOCK = "block"
 class MonomialOrder:
     """lex, grevlex, or a two-block elimination order.
 
-    A block order eliminates the first `block` variables: exponent vectors
-    are compared by the grevlex key of the leading block first, then the
-    grevlex key of the tail.  Keys sort ascending; bigger key = bigger
-    monomial.
+    A block order eliminates the first `block` variables: monomials are
+    compared by grevlex on the leading block first, then by grevlex on
+    the tail.  The comparison itself is the ring's `Packing`.
     """
 
     __slots__ = ("kind", "block")
@@ -148,19 +148,6 @@ class MonomialOrder:
             raise InputError(f"unknown monomial order {kind!r}")
         self.kind = kind
         self.block = block
-
-    def key(self, e: Mono):
-        if self.kind == _LEX:
-            return e
-        if self.kind == _GREVLEX:
-            return (sum(e), tuple(-x for x in reversed(e)))
-        h, t = e[: self.block], e[self.block :]
-        return (
-            sum(h),
-            tuple(-x for x in reversed(h)),
-            sum(t),
-            tuple(-x for x in reversed(t)),
-        )
 
     def __eq__(self, other):
         return (
@@ -184,21 +171,6 @@ LEX = MonomialOrder(_LEX)
 
 def block_order(k: int) -> MonomialOrder:
     return MonomialOrder(_BLOCK, k)
-
-
-# monomial helpers (exponent tuples)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_deg(a: Mono) -> int:
-    return sum(a)
 
 
 # packed monomials (one int each; see the module docstring)
@@ -254,8 +226,8 @@ class Packing:
             d += (((d >> low) & mask) * ones & mask) << target
         return d
 
-    def pack(self, e: Mono) -> int:
-        """The packed int of exponent tuple e; ResourceLimitError when a
+    def pack(self, e) -> int:
+        """The packed int of exponent vector e; ResourceLimitError when a
         field (an exponent or a block's degree) reaches the bound."""
         top = max([sum(e[s:t]) for s, t in self._blocks] or e, default=0)
         if top >> FIELD_BITS:
@@ -265,9 +237,10 @@ class Packing:
             d |= x << shift
         return self.expand(d)
 
-    def unpack(self, m: int) -> Mono:
+    def unpack(self, m: int) -> tuple:
+        """The exponent vector of packed monomial m."""
         mask = (1 << FIELD_BITS) - 1
-        return tuple((m >> shift) & mask for shift in self._shifts)
+        return tuple([(m >> shift) & mask for shift in self._shifts])
 
     def deg(self, m: int) -> int:
         """Total degree: the sum of the blocks' top fields (lex: of the
@@ -303,19 +276,40 @@ class Packing:
         )
 
     def terms(self, f: "Polynomial") -> dict:
-        """f's packed terms; over QQ an integral coefficient becomes an
-        int, so that the kernel's arithmetic on it takes no gcd (an Fp
-        residue is an int already)."""
-        pack = self.pack
-        return {pack(m): c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
+        """A copy of f's terms for the kernel to work on; over QQ an
+        integral coefficient becomes an int, so that the kernel's
+        arithmetic on it takes no gcd (an Fp residue is an int already)."""
+        if self.ring.field.p is not None:
+            return dict(f.terms)
+        return {m: c.numerator if c.denominator == 1 else c for m, c in f.terms.items()}
 
     def poly(self, terms: dict) -> "Polynomial":
-        """The polynomial of packed terms; over QQ every coefficient
+        """The polynomial of kernel terms; over QQ every coefficient
         leaves as a Fraction."""
-        unpack = self.unpack
         if self.ring.field.p is None:
             terms = {m: Fraction(c) if type(c) is int else c for m, c in terms.items()}
-        return Polynomial(self.ring, {unpack(m): c for m, c in terms.items()})
+        return Polynomial(self.ring, terms)
+
+
+def _add_multiple(acc: dict, terms, shift: int, coef, packing: Packing) -> None:
+    """acc += coef * x^shift * terms, in place, for (packed monomial,
+    coefficient) pairs `terms` and packed `shift`; ResourceLimitError
+    when a product's field reaches its guard bit."""
+    guard, p = packing.guard, packing.ring.field.p
+    for m, c in terms:
+        t = m + shift
+        if t & guard:
+            raise packing.overflow(t)
+        s = c * coef
+        old = acc.get(t)
+        if old is not None:
+            s += old
+        if p:
+            s %= p
+        if s:
+            acc[t] = s
+        else:
+            del acc[t]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ class PolyRing:
             c = self.field.of_int(c)
         if not c:
             return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: c})
 
     def var(self, name: str) -> "Polynomial":
         i = self._index.get(name)
@@ -395,7 +389,7 @@ class PolyRing:
             raise InputError(f"unknown variable {name!r} in {self!r}")
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one()})
+        return Polynomial(self, {self.packing.pack(e): self.field.one()})
 
     def gens(self) -> list:
         return [self.var(n) for n in self.names]
@@ -429,14 +423,14 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial attached to a PolyRing."""
+    """Immutable sparse polynomial attached to a PolyRing: `terms` maps
+    packed monomials (`ring.packing`) to nonzero scalars."""
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._lm = None
 
     # basic structure
 
@@ -444,21 +438,18 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ring.nvars: self.ring.field.one()}
+        return self.terms == {0: self.ring.field.one()}
 
     def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def degree(self) -> int:
-        return max((mono_deg(m) for m in self.terms), default=-1)
+        return max(map(self.ring.packing.deg, self.terms), default=-1)
 
-    def lm(self) -> Mono:
-        if self._lm is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading monomial")
-            key = self.ring.order.key
-            self._lm = max(self.terms, key=key)
-        return self._lm
+    def lm(self) -> int:
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self.terms)
 
     def lc(self) -> Scalar:
         return self.terms[self.lm()]
@@ -474,47 +465,32 @@ class Polynomial:
         return Polynomial(self.ring, {m: mul(inv, c2) for m, c2 in self.terms.items()})
 
     def uses_vars(self) -> set:
-        used = set()
+        """The positions of the variables that occur in some term: the
+        nonzero exponent fields of all monomials or-ed together."""
+        union = 0
         for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
+            union |= m
+        return {i for i, e in enumerate(self.ring.packing.unpack(union)) if e}
 
     # arithmetic
 
-    def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise InputError("polynomials over different registries")
-
-    def __add__(self, other):
+    def _operand(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
+        if self.ring != other.ring:
+            raise InputError("polynomials over different registries")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            old = res.get(m)
-            s = c if old is None else fld.add(old, c)
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
+        _add_multiple(res, other.terms.items(), 0, 1, self.ring.packing)
         return Polynomial(self.ring, res)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
+        other = self._operand(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            old = res.get(m)
-            s = fld.neg(c) if old is None else fld.sub(old, c)
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
+        _add_multiple(res, other.terms.items(), 0, -1, self.ring.packing)
         return Polynomial(self.ring, res)
 
     def __neg__(self):
@@ -522,21 +498,11 @@ class Polynomial:
         return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
+        other = self._operand(other)
         res: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                old = res.get(m)
-                c = fld.mul(c1, c2)
-                s = c if old is None else fld.add(old, c)
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
+        terms = self.terms.items()
+        for m, c in other.terms.items():
+            _add_multiple(res, terms, m, c, self.ring.packing)
         return Polynomial(self.ring, res)
 
     __rmul__ = __mul__
@@ -576,25 +542,17 @@ class Polynomial:
         """
         if target.field != self.ring.field:
             raise InputError("coefficient field mismatch")
-        pos = []
-        for i, n in enumerate(self.ring.names):
-            pos.append(target._index.get(n, -1))
+        pos = [target._index.get(n, -1) for n in self.ring.names]
+        unpack, pack = self.ring.packing.unpack, target.packing.pack
         res: dict = {}
-        fld = target.field
         for m, c in self.terms.items():
             e = [0] * target.nvars
-            for i, x in enumerate(m):
+            for i, x in enumerate(unpack(m)):
                 if x:
                     if pos[i] < 0:
                         raise InputError(f"variable {self.ring.names[i]!r} missing in target ring")
                     e[pos[i]] = x
-            me = tuple(e)
-            old = res.get(me)
-            s = c if old is None else fld.add(old, c)
-            if s:
-                res[me] = s
-            else:
-                res.pop(me, None)
+            res[pack(e)] = c  # distinct variables go to distinct places
         return Polynomial(target, res)
 
     def subst(self, images: dict) -> "Polynomial":
@@ -613,12 +571,13 @@ class Polynomial:
         for n in self.ring.names:
             img = images.get(n)
             var_imgs.append(img if img is not None else target.var(n))
+        unpack = self.ring.packing.unpack
         result = target.zero()
         for m, c in sorted(self.terms.items()):
-            part = Polynomial(target, {(0,) * target.nvars: c})
-            for i, e in enumerate(m):
+            part = Polynomial(target, {0: c})
+            for img, e in zip(var_imgs, unpack(m)):
                 for _ in range(e):
-                    part = part * var_imgs[i]
+                    part = part * img
             result = result + part
         return result
 
@@ -642,16 +601,15 @@ def _format_scalar(c: Scalar) -> str:
 def format_poly(f: Polynomial, ascending: bool = False) -> str:
     if not f.terms:
         return "0"
-    key = f.ring.order.key
-    monos = sorted(f.terms, key=key, reverse=not ascending)
+    unpack = f.ring.packing.unpack
     first = True
     out = []
-    for m in monos:
+    for m in sorted(f.terms, reverse=not ascending):
         c = f.terms[m]
         neg = f.ring.field.p is None and c < 0
         mag = -c if neg else c
         factors = []
-        for i, e in enumerate(m):
+        for i, e in enumerate(unpack(m)):
             if e == 1:
                 factors.append(f.ring.names[i])
             elif e > 1:

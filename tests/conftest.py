@@ -19,6 +19,32 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def order_key(order, e):
+    """The sort key of exponent tuple e under `order`, bigger key = bigger
+    monomial: the tuple itself (lex), or (degree, reversed negated
+    exponents) for grevlex and for each block of a block order.  It is
+    the reference the packed encoding is checked against."""
+    if order.kind == "lex":
+        return tuple(e)
+
+    def grevlex(part):
+        return (sum(part), tuple(-x for x in reversed(part)))
+
+    if order.kind == "grevlex":
+        return grevlex(e)
+    return grevlex(e[: order.block]) + grevlex(e[order.block :])
+
+
+def poly(r, terms):
+    """The polynomial over r with terms {exponent tuple: coefficient}."""
+    return Polynomial(r, {r.packing.pack(m): c for m, c in terms.items()})
+
+
+def exponents(f):
+    """f's terms as {exponent tuple: coefficient}."""
+    return {f.ring.packing.unpack(m): c for m, c in f.terms.items()}
+
+
 def ring(names, field=QQ, order=None):
     from dilatations.poly import GREVLEX
 
@@ -52,7 +78,7 @@ def random_poly(rng: random.Random, r: PolyRing, max_deg=2, max_terms=3, coeff_b
         terms[mono] = r.field.add(terms.get(mono, r.field.zero()), r.field.of_int(c))
         if not terms[mono]:
             del terms[mono]
-    return Polynomial(r, terms)
+    return poly(r, terms)
 
 
 @pytest.fixture

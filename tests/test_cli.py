@@ -143,6 +143,22 @@ request present C
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "declaration",
+    ["elem E in A = x^4294967296", "ideal M in A = (y, x^4294967296)", "hom H : A -> A = (x^4294967296, y)"],
+)
+def test_exponent_past_the_packed_field_fails_while_parsed(tmp_path, capsys, declaration):
+    # no request uses the declaration: the monomial fails as it is read
+    code, out = run_cli(tmp_path, f"ring A = QQ[x, y]\n{declaration}\n")
+    assert code == 3
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "resource limit: exponent or degree sum 4294967296 reaches the packed field bound 2^32 in ring QQ[x, y]"
+    )
+    assert "Traceback" not in err
+
+
 def test_resource_limit_names_the_budget_on_stderr_only(tmp_path, capsys):
     text = """
 ring A = QQ[x, y, z]
@@ -300,6 +316,24 @@ request iso open-immersion C K=1 map=2:1
     code, out = run_cli(tmp_path, text)
     assert code == 0
     assert "open_immersion: pass" in out
+
+
+@pytest.mark.parametrize("options", ["K=3 map=1:3,2:3", "K=0 map=1:0,2:0"])
+def test_open_immersion_positions_out_of_range_exit_two(tmp_path, capsys, options):
+    # K=3 names no center of two, and K=0 would read the last one
+    text = f"""
+ring A = QQ[x, y]
+ideal I in A = (x)
+ideal J in A = (y)
+center C on A = [I / y], [J / x]
+request iso open-immersion C {options}
+"""
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "indices out of range" in err
+    assert "Traceback" not in err
 
 
 def test_demo_instance_runs_clean():

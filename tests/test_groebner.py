@@ -21,13 +21,11 @@ from dilatations.poly import (
     Field,
     InputError,
     PolyRing,
-    Polynomial,
     QQ,
     block_order,
-    mono_mul,
 )
 
-from conftest import mono_lcm, random_poly, ring
+from conftest import exponents, mono_lcm, poly, random_poly, ring
 
 
 def test_nf_member_of_ideal():
@@ -61,7 +59,7 @@ def test_packed_field_overflow_raises():
     # y -> x sends y*x^(bound - 1) to x^bound, whose field reaches its guard bit
     bound = 2**FIELD_BITS
     r = PolyRing(QQ, ["y", "x"], LEX)
-    f = Polynomial(r, {(1, bound - 1): QQ.one()})
+    f = poly(r, {(1, bound - 1): QQ.one()})
     message = rf"{bound} reaches the packed field bound 2\^{FIELD_BITS} in ring QQ\[y, x\], order lex"
     with pytest.raises(ResourceLimitError, match=message):
         normal_form(f, [r.parse("y - x")])
@@ -99,8 +97,8 @@ def test_division_reconstructs():
     gb = buchberger_reduced(basis)
     nf = normal_form(f, gb)
     for g in gb:
-        for m in nf.terms:
-            assert not all(a <= b for a, b in zip(g.lm(), m))
+        for m in exponents(nf):
+            assert not all(a <= b for a, b in zip(r.packing.unpack(g.lm()), m))
 
 
 @given(st.integers(0, 10**9))
@@ -328,8 +326,12 @@ def mono_div(a, b):
 
 
 def _times_mono(f, m):
-    """f times the monomial m."""
-    return Polynomial(f.ring, {mono_mul(m0, m): c for m0, c in f.terms.items()})
+    """f times the monomial of exponent tuple m."""
+    return poly(f.ring, {tuple(x + y for x, y in zip(e, m)): c for e, c in exponents(f).items()})
+
+
+def _lm(f):
+    return f.ring.packing.unpack(f.lm())
 
 
 def _textbook_basis(gens):
@@ -341,8 +343,8 @@ def _textbook_basis(gens):
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
-        l = mono_lcm(basis[i].lm(), basis[j].lm())
-        s = _times_mono(basis[i], mono_div(l, basis[i].lm())) - _times_mono(basis[j], mono_div(l, basis[j].lm()))
+        l = mono_lcm(_lm(basis[i]), _lm(basis[j]))
+        s = _times_mono(basis[i], mono_div(l, _lm(basis[i]))) - _times_mono(basis[j], mono_div(l, _lm(basis[j])))
         r = normal_form(s, basis)
         if not r.is_zero():
             basis.append(r.monic())
@@ -362,7 +364,7 @@ def _random_binomial(rng, r):
         for _ in range(rng.randint(1, 3)):
             e[rng.randrange(r.nvars)] += 1
         terms[tuple(e)] = r.field.of_int(rng.choice([1, -1, 2]))
-    return Polynomial(r, terms)
+    return poly(r, terms)
 
 
 @settings(max_examples=200)

@@ -10,9 +10,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from dilatations.groebner import buchberger_reduced
-from dilatations.poly import GREVLEX, LEX, PolyRing, Polynomial, QQ
+from dilatations.poly import GREVLEX, LEX, PolyRing, QQ
 
-from conftest import random_poly
+from conftest import poly, random_poly
 
 
 def _sympy_basis(polys, names, order):
@@ -105,7 +105,7 @@ def _random_rational_poly(rng, ring, max_deg=3):
             exps[rng.randrange(ring.nvars)] += 1
         c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
-    return Polynomial(ring, {m: c for m, c in terms.items() if c})
+    return poly(ring, {m: c for m, c in terms.items() if c})
 
 
 def _from_sympy(ring, exprs):
@@ -113,8 +113,8 @@ def _from_sympy(ring, exprs):
     out = set()
     for e in exprs:
         terms = sympy.Poly(e, *syms, domain="QQ").terms()
-        poly = Polynomial(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
-        out.add(str(poly.monic()))
+        f = poly(ring, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+        out.add(str(f.monic()))
     return out
 
 

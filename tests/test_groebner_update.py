@@ -25,11 +25,12 @@ from dilatations.groebner import (
     _reduce_tracked,
     _row,
     _same_ring,
-    _add_multiple,
     buchberger_reduced,
     normal_form,
 )
-from dilatations.poly import GREVLEX, LEX, Field, PolyRing, Polynomial, QQ, ResourceLimitError, block_order
+from dilatations.poly import GREVLEX, LEX, Field, PolyRing, QQ, ResourceLimitError, _add_multiple, block_order
+
+from conftest import poly
 
 
 def _reference(gens, limits=None, cofactors=False, heap_ops=heapq):
@@ -42,7 +43,6 @@ def _reference(gens, limits=None, cofactors=False, heap_ops=heapq):
         return ([], []) if cofactors else []
     ring = _same_ring([gens[k] for k in nonzero])
     limits = limits or Limits()
-    key = ring.order.key
     packing = ring.packing
     guard, deg = packing.guard, packing.deg
 
@@ -116,7 +116,7 @@ def _reference(gens, limits=None, cofactors=False, heap_ops=heapq):
         live[:] = [g for g in live if (lms[g] - lm_h) & guard] + [h]
         state["table"] = Reducers(packing, [reducer_rows[e] for e in live])
 
-    for k in sorted(nonzero, key=lambda k: (key(gens[k].lm()), sorted(gens[k].terms.items()))):
+    for k in sorted(nonzero, key=lambda k: (gens[k].lm(), sorted(gens[k].terms.items()))):
         f = packing.terms(gens[k])
         if rows is None:
             r, row = normal_form(f, state["table"]), None
@@ -209,7 +209,7 @@ def _random_binomial(rng, r):
         for _ in range(rng.randint(1, 3)):
             e[rng.randrange(r.nvars)] += 1
         terms[tuple(e)] = r.field.of_int(rng.choice([1, -1, 2]))
-    return Polynomial(r, terms)
+    return poly(r, terms)
 
 
 @given(

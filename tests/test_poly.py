@@ -15,11 +15,17 @@ from dilatations.poly import (
     ResourceLimitError,
     block_order,
     format_poly,
-    mono_divides,
-    mono_mul,
 )
 
-from conftest import mono_lcm, random_poly, ring
+from conftest import exponents, mono_lcm, order_key, poly, random_poly, ring
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
 
 
 def test_parse_print_roundtrip():
@@ -67,7 +73,7 @@ def test_qq_inverse_is_a_fraction():
 def test_format_poly_sign_follows_the_field():
     r = ring(["x", "y"])
     for one in (1, Fraction(1)):  # an int coefficient over QQ prints like its Fraction
-        p = Polynomial(r, {(1, 0): one, (0, 1): -one, (0, 0): -2 * one})
+        p = poly(r, {(1, 0): one, (0, 1): -one, (0, 0): -2 * one})
         assert format_poly(p) == "x - y - 2"
         assert format_poly(p, ascending=True) == "-2 - y + x"
     f5 = PolyRing(Field(5), ["x", "y"])
@@ -97,27 +103,31 @@ def test_grevlex_vs_lex_leading_monomials():
     rg = ring(["x", "y"], order=GREVLEX)
     rl = ring(["x", "y"], order=LEX)
     f = "x + y^2"
-    assert rg.parse(f).lm() == (0, 2)  # y^2 has higher total degree
-    assert rl.parse(f).lm() == (1, 0)  # lex prefers x
+    assert rg.parse(f).lm() == rg.packing.pack((0, 2))  # y^2 has higher total degree
+    assert rl.parse(f).lm() == rl.packing.pack((1, 0))  # lex prefers x
 
 
 def test_block_order_prefers_first_block():
     r = ring(["t", "x", "y"], order=block_order(1))
     f = r.parse("t + x^5")
-    assert f.lm() == (1, 0, 0)
+    assert f.lm() == r.packing.pack((1, 0, 0))
 
 
 def test_order_is_multiplicative():
-    r = ring(["x", "y"], order=GREVLEX)
-    key = r.order.key
+    # a monomial order respects products, so the leading monomial of a
+    # product is the product of the leading monomials
     monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    for a in monos:
-        for b in monos:
-            for c in monos:
-                if key(a) < key(b):
-                    ac = tuple(x + y for x, y in zip(a, c))
-                    bc = tuple(x + y for x, y in zip(b, c))
-                    assert key(ac) < key(bc)
+    for order in (GREVLEX, LEX, block_order(1)):
+        r = ring(["x", "y"], order=order)
+        for a in monos:
+            for b in monos:
+                f = poly(r, {a: QQ.one(), b: QQ.one()}) if a != b else poly(r, {a: QQ.one()})
+                for c in monos:
+                    g = poly(r, {c: QQ.one(), (0, 0): QQ.one()}) if c != (0, 0) else r.one()
+                    assert (f * g).lm() == f.lm() + g.lm()
+                    assert r.packing.unpack((f * g).lm()) == max(
+                        [mono_mul(a, c), mono_mul(b, c), a, b], key=lambda e: order_key(order, e)
+                    )
 
 
 @given(st.integers(0, 10**6), st.integers(1, 10**6))
@@ -200,7 +210,7 @@ def test_packing_matches_tuple_monomials(case):
     r, a, b = case
     packing = r.packing
     pa, pb = packing.pack(a), packing.pack(b)
-    key = r.order.key
+    key = lambda e: order_key(r.order, e)  # noqa: E731
     assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
     assert ((pb - pa) & packing.guard == 0) == mono_divides(a, b)
     assert pa + pb == packing.pack(mono_mul(a, b))
@@ -230,3 +240,138 @@ def test_packing_overflow_raises():
     # a product that reaches a guard bit is caught by one test
     assert (a + a) & lex.packing.guard
     assert not (a + lex.packing.pack((bound // 2 - 1, 0))) & lex.packing.guard
+
+
+# ------------------------------------------------------------ exponent-tuple reference
+#
+# Polynomials as {exponent tuple: coefficient}, with the order given by
+# `order_key`: the representation the packed one replaced, kept here as
+# the reference for its arithmetic, transport and printing.
+
+
+def ref_add(fld, a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        s = fld.add(out.get(m, fld.zero()), c if sign > 0 else fld.neg(c))
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def ref_mul(fld, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out = ref_add(fld, out, {mono_mul(m1, m2): fld.mul(c1, c2)})
+    return out
+
+
+def ref_pow(fld, nvars, a, n):
+    out = {(0,) * nvars: fld.one()}
+    for _ in range(n):
+        out = ref_mul(fld, out, a)
+    return out
+
+
+def ref_map(a, names, target_names):
+    """a over `names` moved to `target_names`; None when a used variable
+    is missing there."""
+    if any(e and n not in target_names for m in a for n, e in zip(names, m)):
+        return None
+    return {tuple(m[names.index(n)] if n in names else 0 for n in target_names): c for m, c in a.items()}
+
+
+def ref_subst(fld, a, images, nvars):
+    out = {}
+    for m, c in a.items():
+        part = {(0,) * nvars: c}
+        for img, e in zip(images, m):
+            part = ref_mul(fld, part, ref_pow(fld, nvars, img, e))
+        out = ref_add(fld, out, part)
+    return out
+
+
+def ref_format(r, a, ascending=False):
+    if not a:
+        return "0"
+    out = []
+    for m in sorted(a, key=lambda e: order_key(r.order, e), reverse=not ascending):
+        c = a[m]
+        neg = r.field.p is None and c < 0
+        mag = -c if neg else c
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(r.names, m) if e]
+        if not factors:
+            body = str(mag)
+        else:
+            body = ("" if mag == 1 else f"{mag}*") + "*".join(factors)
+        sign = ("-" if neg else "") if not out else (" - " if neg else " + ")
+        out.append(sign + body)
+    return "".join(out)
+
+
+REF_ORDERS = [LEX, GREVLEX] + [block_order(k) for k in range(5)]
+
+
+@st.composite
+def ref_terms(draw, r, max_terms=4):
+    """Reference terms over r: up to max_terms monomials of exponents 0-3,
+    with nonzero coefficients (p/q with q <= 3 over QQ)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        m = tuple(draw(st.lists(st.integers(0, 3), min_size=r.nvars, max_size=r.nvars)))
+        if r.field.p is None:
+            c = r.field.of_fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        else:
+            c = r.field.of_int(draw(st.integers(0, r.field.p - 1)))
+        terms = ref_add(r.field, terms, {m: c} if c else {})
+    return terms
+
+
+@given(st.data())
+def test_packed_polynomials_match_tuple_reference(data):
+    draw = data.draw
+    field = draw(st.sampled_from([QQ, Field(5)]))
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    r = PolyRing(field, names, draw(st.sampled_from(REF_ORDERS)))
+    a, b = draw(ref_terms(r)), draw(ref_terms(r))
+    f, g = poly(r, a), poly(r, b)
+
+    assert exponents(f + g) == ref_add(field, a, b)
+    assert exponents(f - g) == ref_add(field, a, b, sign=-1)
+    assert exponents(f * g) == ref_mul(field, a, b)
+    k = draw(st.integers(0, 3))
+    assert exponents(f**k) == ref_pow(field, r.nvars, a, k)
+    assert f.degree() == max(map(sum, a), default=-1)
+    assert f.uses_vars() == {i for m in a for i, e in enumerate(m) if e}
+    if a:
+        assert r.packing.unpack(f.lm()) == max(a, key=lambda e: order_key(r.order, e))
+    for ascending in (False, True):
+        text = format_poly(f, ascending)
+        assert text == ref_format(r, a, ascending)
+        assert r.parse(text) == f
+
+    # transport into an extended, a permuted or a shrunk registry, under
+    # any order
+    kind = draw(st.sampled_from(["extend", "permute", "shrink"]))
+    if kind == "extend":
+        target_names = names + ["w"]
+    elif kind == "permute":
+        target_names = draw(st.permutations(names))
+    else:
+        target_names = [n for n in names if draw(st.booleans())]
+    target = PolyRing(field, target_names, draw(st.sampled_from(REF_ORDERS)))
+    moved = ref_map(a, names, list(target_names))
+    if moved is None:
+        with pytest.raises(InputError):
+            f.map_ring(target)
+    else:
+        assert exponents(f.map_ring(target)) == moved
+
+    # substitution of polynomials over another ring for some variables
+    s = PolyRing(field, ["s"] + names, draw(st.sampled_from(REF_ORDERS)))
+    images = {n: draw(ref_terms(s, max_terms=2)) for n in names if draw(st.booleans())}
+    images.setdefault(names[0], draw(ref_terms(s, max_terms=2)))
+    refs = [images[n] if n in images else {tuple(int(x == n) for x in s.names): field.one()} for n in names]
+    assert exponents(f.subst({n: poly(s, t) for n, t in images.items()})) == ref_subst(field, a, refs, s.nvars)
