@@ -32,14 +32,18 @@ Enumeration goes through the parametrization g = 1 + x, one range per
 cell (`_cell_candidates`): cell (i, j) of x runs over the multiples of
 p^v for the largest level v at which the trivial level or some entry's
 shape forces that cell to zero, so the shapes' zero cells are never
-scanned; each candidate still passes the determinant, trace and
-`lattice_key` tests.  The points of a catalog subgroup over any small
-ring (`subgroup_elements`) come from the same shapes (`_shape`), one
-range per cell of g, with unit diagonals in triangular shapes.
-`CANDIDATE_BUDGET` bounds the number of candidates of either, the
-product of the range lengths.  The matrix helpers do their arithmetic
-through the ring's `dot`, a sum of products that `LevelRing` reduces
-once.
+scanned and no candidate is tested for them again; only the scalar tie
+of a `Z` entry is left to `lattice_key`.  Candidates come row by row:
+`group_points` computes the signed cofactors of the last row once per
+head, the first n - 1 rows, and each candidate's determinant is one
+`dot` of its last row with them, tested by `GroupSpec.det_ok`;
+`lie_points` tests the trace for SL_n.  The points of a catalog
+subgroup over any small ring (`subgroup_elements`) come from the same
+shapes (`_shape`), one range per cell of g, with unit diagonals in
+triangular shapes.  `CANDIDATE_BUDGET` bounds the number of candidates
+of either, the product of the range lengths.  The matrix helpers do
+their arithmetic through the ring's `dot`, a sum of products that
+`LevelRing` reduces once.
 """
 
 from __future__ import annotations
@@ -130,15 +134,21 @@ def mat_sub(ops, a, b):
     return tuple([tuple(map(ops.sub, ra, rb)) for ra, rb in zip(a, b)])
 
 
+def last_row_cofactors(ops, head):
+    """The signed cofactors of the last row of an n x n matrix whose
+    first n - 1 rows are `head`: the matrix's determinant is the `dot`
+    of its last row with them."""
+    n = len(head) + 1
+    minors = [mat_det(ops, tuple(row[:j] + row[j + 1:] for row in head)) for j in range(n)]
+    return [m if (n - 1 + j) % 2 == 0 else ops.neg(m) for j, m in enumerate(minors)]
+
+
 def mat_det(ops, a):
-    """Laplace expansion along the first row: one `dot` of that row with
-    the signed minors."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    rest = a[1:]
-    minors = [mat_det(ops, tuple(row[:j] + row[j + 1:] for row in rest)) for j in range(n)]
-    return ops.dot(a[0], [m if j % 2 == 0 else ops.neg(m) for j, m in enumerate(minors)])
+    """Laplace expansion along the last row (`last_row_cofactors`); the
+    empty matrix has determinant 1."""
+    if len(a) < 2:
+        return a[0][0] if a else ops.one
+    return ops.dot(a[-1], last_row_cofactors(ops, a[:-1]))
 
 
 def mat_inv(ops, a):
@@ -181,8 +191,9 @@ class GroupSpec:
     def __repr__(self):
         return f"{self.kind}({self.n})"
 
-    def det_ok(self, ops, g):
-        d = mat_det(ops, g)
+    def det_ok(self, ops, d):
+        """Whether a matrix of determinant d is a point: d = 1 for SL_n,
+        d a unit for GL_n."""
         return d == ops.one if self.kind == "SL" else ops.is_unit(d)
 
 
@@ -243,13 +254,12 @@ def lattice_key(entries, x, p: int) -> tuple:
     return tuple(key)
 
 
-def _budgeted_product(ranges):
-    """itertools.product of the ranges, once the number of tuples it will
-    give, the product of their lengths, is held against CANDIDATE_BUDGET."""
+def _hold_to_budget(ranges):
+    """SizeCapError when the number of candidates the cell ranges give,
+    the product of their lengths, exceeds CANDIDATE_BUDGET."""
     count = math.prod(map(len, ranges))
     if count > CANDIDATE_BUDGET:
         raise SizeCapError(f"{count} candidate matrices exceed the budget")
-    return itertools.product(*ranges)
 
 
 def subgroup_elements(spec: GroupSpec, name: str, ops):
@@ -280,11 +290,12 @@ def subgroup_elements(spec: GroupSpec, name: str, ops):
     # a zero cell reads the identity's entry, appended to each tuple of values
     fixed = len(ranges)
     rows = [[slot.get((i, j), fixed + (i == j)) for j in range(n)] for i in range(n)]
+    _hold_to_budget(ranges)
     out = []
-    for vals in _budgeted_product(ranges):
+    for vals in itertools.product(*ranges):
         vals += (ops.zero, ops.one)
         g = tuple([tuple([vals[k] for k in row]) for row in rows])
-        if spec.det_ok(ops, g):
+        if spec.det_ok(ops, mat_det(ops, g)):
             out.append(g)
     return out
 
@@ -392,36 +403,52 @@ def _cell_levels(filt: FiltrationSpec, ring: LevelRing):
 
 
 def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
-    """The set-up `group_points` and `lie_points` share: candidate
-    matrices x for the points g = 1 + x, and the entries that their
-    `lattice_key` test still has to check.
+    """The set-up `group_points` and `lie_points` share: the cell ranges
+    of the candidates x for the points g = 1 + x, grouped by row, and the
+    `Z` entries whose scalar tie their `lattice_key` test still checks.
 
     Cell (i, j) runs over the multiples of p^c for its level c
-    (`_cell_levels`).  Every point has such an x, and the trivial entries
-    at levels up to v0 hold for all of them; the scalar condition of Z
-    is not a cell range and is left to the key test.  The candidates
-    come lazily, once their number is held against CANDIDATE_BUDGET."""
-    n = filt.group.n
-    v0, levels = _cell_levels(filt, ring)
-    cells = [range(0, ring.mod, ring.p**v) for row in levels for v in row]
-    other = [(h, v) for h, v in filt.entries if not (h == "e" and v <= v0)]
-    return other, (tuple(vals[i * n:(i + 1) * n] for i in range(n)) for vals in _budgeted_product(cells))
+    (`_cell_levels`), which folds in every cell that the trivial level
+    or some entry's shape forces to zero.  Every point has such an x, and
+    every condition of `lattice_key` holds for all of them but the
+    scalar tie of a `Z` entry, which is not a cell range.  The number of
+    candidates, the product of the range lengths, is held against
+    CANDIDATE_BUDGET."""
+    _, levels = _cell_levels(filt, ring)
+    ranges = [[range(0, ring.mod, ring.p**v) for v in row] for row in levels]
+    _hold_to_budget([r for row in ranges for r in row])
+    return ranges, [(h, v) for h, v in filt.entries if h == "Z"]
 
 
 def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }, a
     group once the ambient lattice is closed under products
-    (`_lattice_closed`)."""
+    (`_lattice_closed`).
+
+    The candidates g = 1 + x come row by row.  For each head, the first
+    n - 1 rows, the signed cofactors of the last row are computed once;
+    each candidate's determinant is then one `dot` of its last row with
+    them.  The `Z` ties are read off g, which has the off-diagonal cells
+    and the diagonal differences of x."""
     spec = filt.group
-    n = spec.n
     if not _lattice_closed(filt, ring):
         raise InputError("congruence point set is not a subgroup")
-    other, candidates = _cell_candidates(filt, ring)
+    ranges, ties = _cell_candidates(filt, ring)
+    mod, p = ring.mod, ring.p
+    rows = [
+        [tuple([(x + (i == j)) % mod for j, x in enumerate(xs)]) for xs in itertools.product(*cells)]
+        for i, cells in enumerate(ranges)
+    ]
+    *head_rows, last = rows
+    det_ok, dot = spec.det_ok, ring.dot
     found = []
-    for x in candidates:
-        g = tuple(tuple((x[i][j] + (i == j)) % ring.mod for j in range(n)) for i in range(n))
-        if spec.det_ok(ring, g) and not any(lattice_key(other, x, ring.p)):
-            found.append(g)
+    for head in itertools.product(*head_rows):
+        cof = last_row_cofactors(ring, head)
+        for row in last:
+            if det_ok(ring, dot(row, cof)):
+                g = head + (row,)
+                if not (ties and any(lattice_key(ties, g, p))):
+                    found.append(g)
     return EnumeratedGroup(spec, ring, found)
 
 
@@ -429,13 +456,13 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
     """{ x in g(Z/p^N) : x = 0 mod p^{v_0}, x mod p^{v_i} in Lie(H_i) },
     with g = gl_n or sl_n (global trace zero for SL)."""
     spec = filt.group
-    n = spec.n
-    other, candidates = _cell_candidates(filt, ring)
+    n, mod, p = spec.n, ring.mod, ring.p
+    ranges, ties = _cell_candidates(filt, ring)
     out = []
-    for x in candidates:
-        if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % ring.mod != 0:
+    for x in itertools.product(*[itertools.product(*cells) for cells in ranges]):
+        if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % mod:
             continue
-        if not any(lattice_key(other, x, ring.p)):
+        if not (ties and any(lattice_key(ties, x, p))):
             out.append(x)
     return sorted(out)
 

@@ -19,12 +19,15 @@ order, `max` of a term dict is its leading monomial, and printing sorts
 ints.  A field that reaches 2**FIELD_BITS would spill into its guard
 bit: packing such an exponent vector, or forming such a product, raises
 ResourceLimitError naming the ring, the bound and the value.  Exponent
-vectors appear only where exponents are read: printing, `PolyRing.var`,
-`map_ring` and `subst` across registries, and `uses_vars`.
+vectors appear only where exponents are read: printing, `subst` across
+registries, `uses_vars`, and `map_ring` for a term of total degree past
+the field bound; below it `map_ring` moves a term as a sum of the
+target's packed variables (`Packing.units`).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -185,13 +188,14 @@ class Packing:
     field n-1-i, so that e_1 is the most significant); each block's
     prefix-sum fields sit above them, the first block highest.  `guard`
     has the guard bit of every field set; `exps` masks the exponent
-    fields and `exp_guard` holds their guard bits.  A packed monomial's
+    fields and `exp_guard` holds their guard bits; `units[i]` is the
+    packed monomial of variable i.  A packed monomial's
     exponent fields alone, `m & exps`, are an int too: one divides
     another exactly when their difference has no bit of `exp_guard`, and
     a divisor is never the larger int.
     """
 
-    __slots__ = ("ring", "guard", "exps", "exp_guard", "_shifts", "_blocks", "_groups", "_deg_shifts")
+    __slots__ = ("ring", "guard", "exps", "exp_guard", "units", "_shifts", "_blocks", "_groups", "_deg_shifts")
 
     def __init__(self, ring: "PolyRing"):
         n, order = ring.nvars, ring.order
@@ -218,6 +222,7 @@ class Packing:
         self.guard = sum(1 << (j * width + FIELD_BITS) for j in range(pos))
         self.exp_guard = sum(1 << (j * width + FIELD_BITS) for j in range(n))
         self.exps = sum(((1 << FIELD_BITS) - 1) << j * width for j in range(n))
+        self.units = [self.expand(1 << shift) for shift in self._shifts]
 
     def expand(self, d: int) -> int:
         """Exponent fields only -> the full packed monomial; unchecked:
@@ -387,9 +392,7 @@ class PolyRing:
         i = self._index.get(name)
         if i is None:
             raise InputError(f"unknown variable {name!r} in {self!r}")
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial(self, {self.packing.pack(e): self.field.one()})
+        return Polynomial(self, {self.packing.units[i]: self.field.one()})
 
     def gens(self) -> list:
         return [self.var(n) for n in self.names]
@@ -481,17 +484,29 @@ class Polynomial:
             raise InputError("polynomials over different registries")
         return other
 
-    def __add__(self, other):
-        other = self._operand(other)
+    def _plus(self, terms) -> "Polynomial":
+        """self plus the (packed monomial, nonzero coefficient) pairs
+        `terms`; unshifted monomials set no guard bit, so none is tested."""
+        p = self.ring.field.p
         res = dict(self.terms)
-        _add_multiple(res, other.terms.items(), 0, 1, self.ring.packing)
+        for m, c in terms:
+            old = res.get(m)
+            if old is not None:
+                c += old
+                if p:
+                    c %= p
+                if not c:
+                    del res[m]
+                    continue
+            res[m] = c
         return Polynomial(self.ring, res)
 
+    def __add__(self, other):
+        return self._plus(self._operand(other).terms.items())
+
     def __sub__(self, other):
-        other = self._operand(other)
-        res = dict(self.terms)
-        _add_multiple(res, other.terms.items(), 0, -1, self.ring.packing)
-        return Polynomial(self.ring, res)
+        neg = self.ring.field.neg
+        return self._plus((m, neg(c)) for m, c in self._operand(other).terms.items())
 
     def __neg__(self):
         neg = self.ring.field.neg
@@ -538,21 +553,37 @@ class Polynomial:
         """Reinterpret in `target`, matching variables by name.
 
         Every variable actually used must exist in the target registry;
-        coefficient fields must agree.
+        coefficient fields must agree.  Every field is a sum of exponents,
+        so a term moves as the sum of its exponents x_i times the target's
+        packed monomials u_i of the same variables.  Below total degree
+        2^FIELD_BITS no target field reaches its guard bit; a term of
+        higher degree (a lex or block source allows one) goes through the
+        target's `pack`, which checks every field.
         """
         if target.field != self.ring.field:
             raise InputError("coefficient field mismatch")
-        pos = [target._index.get(n, -1) for n in self.ring.names]
-        unpack, pack = self.ring.packing.unpack, target.packing.pack
+        src, names = self.ring.packing, self.ring.names
+        used = sorted(self.uses_vars())
+        pos = []
+        for i in used:
+            k = target._index.get(names[i], -1)
+            if k < 0:
+                raise InputError(f"variable {names[i]!r} missing in target ring")
+            pos.append(k)
+        shifts = [src._shifts[i] for i in used]
+        dst = target.packing
+        units = [dst.units[k] for k in pos]
+        mask = (1 << FIELD_BITS) - 1
         res: dict = {}
         for m, c in self.terms.items():
-            e = [0] * target.nvars
-            for i, x in enumerate(unpack(m)):
-                if x:
-                    if pos[i] < 0:
-                        raise InputError(f"variable {self.ring.names[i]!r} missing in target ring")
-                    e[pos[i]] = x
-            res[pack(e)] = c  # distinct variables go to distinct places
+            xs = [(m >> shift) & mask for shift in shifts]
+            if sum(xs) >> FIELD_BITS:
+                e = [0] * target.nvars
+                for k, x in zip(pos, xs):
+                    e[k] = x
+                res[dst.pack(e)] = c
+            else:
+                res[sum(map(operator.mul, xs, units))] = c  # distinct variables go to distinct places
         return Polynomial(target, res)
 
     def subst(self, images: dict) -> "Polynomial":

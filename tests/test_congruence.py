@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from dilatations.congruence import (
     FiltrationSpec,
@@ -349,9 +350,9 @@ def _ref_in_shape(name, x, m):
 
 
 def _ref_points(filt, ring):
-    """Group and Lie points by the 1 + p^{v0} m parametrization and the
-    reference shape predicate."""
-    spec, n, p, mod = filt.group, filt.group.n, ring.p, ring.mod
+    """Group and Lie points by the 1 + p^{v0} m parametrization, the
+    reference shape predicate and the Leibniz determinant."""
+    kind, n, p, mod = filt.group.kind, filt.group.n, ring.p, ring.mod
     v0 = max([v for h, v in filt.entries if h == "e"], default=0)
     group, lie = [], []
     for vals in itertools.product(range(mod // p**v0), repeat=n * n):
@@ -359,9 +360,10 @@ def _ref_points(filt, ring):
         if not all(_ref_in_shape(h, x, p**v) for h, v in filt.entries):
             continue
         g = tuple(tuple((x[i][j] + (i == j)) % mod for j in range(n)) for i in range(n))
-        if spec.det_ok(ring, g):
+        det = _ref_det(ring, g)
+        if det == 1 % mod if kind == "SL" else det % p:
             group.append(g)
-        if spec.kind == "GL" or sum(x[i][i] for i in range(n)) % mod == 0:
+        if kind == "GL" or sum(x[i][i] for i in range(n)) % mod == 0:
             lie.append(x)
     return sorted(group), sorted(lie)
 
@@ -700,6 +702,8 @@ _MIXED_FILTRATIONS = [
     ("GL", 3, 2, 1, [("e", 0), ("Z", 1), ("L(2,1)", 0)]),
     ("GL", 3, 2, 2, [("e", 1), ("L(1,2)", 2), ("Z", 2)]),
     ("SL", 3, 2, 2, [("e", 1), ("B", 2), ("T", 1)]),
+    ("SL", 4, 2, 1, [("e", 0), ("B", 1)]),
+    ("GL", 4, 2, 1, [("e", 0), ("Z", 1)]),
 ]
 
 
@@ -710,6 +714,35 @@ def test_cell_candidates_match_box_reference(case):
     ring_ = LevelRing(p, level)
     ref_group, ref_lie = _ref_points(filt, ring_)
     assert group_points(filt, ring_).elements == ref_group
+    assert lie_points(filt, ring_) == ref_lie
+
+
+@st.composite
+def small_filtration(draw):
+    """GL or SL, n <= 3, p in {2, 3}, N <= 3 and one to three catalog
+    entries at levels up to N, with at most 2^16 matrices in the box of
+    `_ref_points`."""
+    kind, n = draw(st.sampled_from(["GL", "SL"])), draw(st.integers(1, 3))
+    p, level = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    names = _ref_catalog_names(n)
+    entries = draw(st.lists(st.tuples(st.sampled_from(names), st.integers(0, level)), min_size=1, max_size=3))
+    v0 = max([v for h, v in entries if h == "e"], default=0)
+    assume(p ** ((level - v0) * n * n) <= 2**16)
+    return kind, n, p, level, entries
+
+
+@given(small_filtration())
+def test_random_filtrations_match_box_reference(case):
+    kind, n, p, level, entries = case
+    filt = FiltrationSpec(GroupSpec(kind, n), entries)
+    ring_ = LevelRing(p, level)
+    ref_group, ref_lie = _ref_points(filt, ring_)
+    try:
+        assert group_points(filt, ring_).elements == ref_group
+    except InputError:
+        # the lattice certificate refused: the reference points are not closed
+        times = _ref_times(ref_group, ring_.mod)
+        assert not _ref_group_closed(ref_group, mat_id(ring_, n), lambda a, b: _ref_mul(times, a, b))
     assert lie_points(filt, ring_) == ref_lie
 
 

@@ -33,8 +33,10 @@ ALPHABET = "()[],=/^*+-:.0123456789 abgxyzuvMNCDIJQFp_#@"
 OPTION_VALUES = ["", "0", "1", "2", "3", "-1", "x", "1,2", "0,,1", "1:2", "2:1,1:1", "Z", "T"]
 # a filtration's group, p= and N= fields, and its (subgroup, level)
 # entries.  The groups leave out n = 3 and 4: inside the candidate budget
-# SL(3) on demo.dila's N=4 filtration (2^21 candidates) takes minutes to
-# enumerate, and SL(4) on an N=2 filtration (2^16) a minute.
+# SL(3) on demo.dila's N=4 filtration (2^21 candidates) takes 1.4 s to
+# enumerate its group points and 1.3 s its Lie points (Python 3.11 on a
+# 2-vCPU VM), and a congruence request enumerates each twice, too slow
+# for one fuzz example; SL(4) on an N=2 filtration (2^16) takes 0.4 s.
 FILTRATION_FIELDS = [
     (r"(?:GL|SL)\(\d+\)", ["GL(0)", "GL(1)", "SL(1)", "SL(2)", "GL(2)", "GL(5)", "GL(x)", "XL(2)", "GL"]),
     (r"(?<=\b[pN]=)\d+", OPTION_VALUES),

@@ -242,6 +242,25 @@ def test_packing_overflow_raises():
     assert not (a + lex.packing.pack((bound // 2 - 1, 0))) & lex.packing.guard
 
 
+@pytest.mark.parametrize("exps", [(2**31, 2**31), (2**32 - 1, 1), (2**32 - 1, 2**32 - 1)])
+def test_map_ring_past_the_degree_bound(exps):
+    # a lex monomial of total degree >= 2^32: a grevlex target has no
+    # field for it, a lex target keeps it as it is
+    bound = 2**FIELD_BITS
+    source = PolyRing(QQ, ["x", "y"], LEX)
+    f = Polynomial(source, {source.packing.pack(exps): Fraction(3)}) + source.parse("x*y + 1")
+    grevlex = PolyRing(QQ, ["y", "x", "z"])
+    with pytest.raises(ResourceLimitError, match=rf"degree sum {sum(exps)} reaches the packed field bound 2\^{FIELD_BITS} in ring QQ\[y, x, z\]"):
+        f.map_ring(grevlex)
+    assert sum(exps) >= bound
+    lex = PolyRing(QQ, ["z", "y", "x"], LEX)
+    assert exponents(f.map_ring(lex)) == {(0, exps[1], exps[0]): 3, (0, 1, 1): 1, (0, 0, 0): 1}
+    assert f.map_ring(lex).map_ring(source) == f
+    # one below the bound, the sum of packed units moves the term
+    top = Polynomial(source, {source.packing.pack((bound - 1, 0)): Fraction(1)})
+    assert exponents(top.map_ring(grevlex)) == {(0, bound - 1, 0): 1}
+
+
 # ------------------------------------------------------------ exponent-tuple reference
 #
 # Polynomials as {exponent tuple: coefficient}, with the order given by
