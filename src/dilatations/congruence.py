@@ -37,11 +37,12 @@ of a `Z` entry is left to `lattice_key`.  Candidates come row by row:
 `group_points` computes the signed cofactors of the last row once per
 head, the first n - 1 rows, and each candidate's determinant is one
 `dot` of its last row with them, tested by `GroupSpec.det_ok`;
-`lie_points` tests the trace for SL_n.  The points of a catalog
-subgroup over any small ring (`subgroup_elements`) come from the same
-shapes (`_shape`), one range per cell of g, with unit diagonals in
-triangular shapes.  `CANDIDATE_BUDGET` bounds the number of candidates
-of either, the product of the range lengths.  The matrix helpers do
+for SL_n, `lie_points` solves the last diagonal cell from the trace.
+The points of a catalog subgroup over any small ring
+(`subgroup_elements`) come from the same shapes (`_shape`), one range
+per cell of g, with unit diagonals in triangular shapes.
+`CANDIDATE_BUDGET` bounds the number of candidates of either, the
+product of the range lengths.  The matrix helpers do
 their arithmetic through the ring's `dot`, a sum of products that
 `LevelRing` reduces once.
 """
@@ -458,13 +459,20 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
     spec = filt.group
     n, mod, p = spec.n, ring.mod, ring.p
     ranges, ties = _cell_candidates(filt, ring)
-    out = []
-    for x in itertools.product(*[itertools.product(*cells) for cells in ranges]):
-        if spec.kind == "SL" and sum(x[i][i] for i in range(n)) % mod:
-            continue
-        if not (ties and any(lattice_key(ties, x, p))):
-            out.append(x)
-    return sorted(out)
+    rows = [itertools.product(*cells) for cells in ranges]
+    if spec.kind == "SL":
+        # the trace fixes the last diagonal cell modulo p^N given the
+        # other rows: solve for it, and keep it when it lies in its range
+        tails = list(itertools.product(*ranges[-1][:-1]))
+        last_rows = {d: [tail + (d,) for tail in tails] for d in ranges[-1][-1]}
+        xs = (
+            (*head, last)
+            for head in itertools.product(*rows[:-1])
+            for last in last_rows.get(-sum(head[i][i] for i in range(n - 1)) % mod, ())
+        )
+    else:
+        xs = itertools.product(*rows)
+    return sorted(x for x in xs if not (ties and any(lattice_key(ties, x, p))))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,12 @@ modules and rings, a ring being a module over itself: its symbols
 z/a^nu, z in L^nu*M, are classed by `symbol_classes`, which keys each
 by its value e*z*(e*a^nu)^{-1} and certifies the classes against the
 literal equivalence of the definition; each product by e, a^nu or
-(e*a^nu)^{-1} is read from one multiplication map per multiplier.
+(e*a^nu)^{-1} is read from one multiplication map per multiplier.  The
+fraction ring's + and * are carried over from the values: with
+u_nu = (e*a^nu)^{-1}, the identity u_(nu+lam) = u_nu*u_lam, checked on
+the pairs of exponent vectors, makes the value of a literal sum or
+product symbol the sum or product of the values, and equal values make
+symbols equivalent (the lemma of `SymbolDilatation._fraction_ring`).
 
 Witness bound: with e = f^t idempotent (f the product of the a_i), two
 symbols are equivalent iff they are equalized by the single witness
@@ -582,10 +587,12 @@ class SymbolDilatation:
     map x -> x*c per multiplier, filled on first use and dropped when
     the construction ends; x*c is base.mul(x, c), or module.act(c, x).
 
-    The ring case also builds add and mul tables by locating the sum and
-    product symbols of every pair of representatives, and checks the
-    value map against the subring construction on all n x n pairs:
-    `ring` is then isomorphic to that certified subring.  The module
+    The ring case checks u_(nu+lam) = u_nu*u_lam for u_nu = (e*a^nu)^{-1}
+    on the pairs of exponent vectors nu <= lam in [0, t]^k.  By the lemma
+    of `_fraction_ring`, the class of the literal sum (product) symbol of
+    two classes is then the class whose value is the sum (product) of
+    their values, so `ring` computes + and * on the values and is
+    isomorphic to the certified subring the values cover.  The module
     case gives `elements` and `result`, e*M with the action of the
     subring dilatation, on which a^nu acts injectively and
     L^nu M' = a^nu M' for nu_i <= 2.  Failure raises VerificationFinding.
@@ -637,7 +644,7 @@ class SymbolDilatation:
         if module is not None:
             self._module_checks(times, a_pow, k)
         else:
-            self._ring_tables(times, a_pow, classes, k)
+            self._fraction_ring(inverse, classes, k)
         maps = None
 
     def _module_checks(self, times, a_pow, k):
@@ -660,44 +667,48 @@ class SymbolDilatation:
             if span(lnu_image, module.add, zero) != span(image, module.add, zero):
                 raise VerificationFinding(f"L^{nu} M' != a^{nu} M'")
 
-    def _ring_tables(self, times, a_pow, classes, k):
-        base, reps, values, value, equivalent = self.base, self.reps, self.values, self.value, self.equivalent
-        # certified bijection with the subring construction
+    def _fraction_ring(self, inverse, classes, k):
+        """The ring of the classes, with + and * carried over from the
+        values.
+
+        Write u_nu for inverse(nu) = (e*a^nu)^{-1}; `loc.ring.inverse`
+        checks (e*a^nu)*u_nu = e literally, and u_(nu+lam) = u_nu*u_lam
+        is checked here on every pair nu <= lam of exponent vectors in
+        [0, t]^k.  Then, for symbols s1 = z/a^nu and s2 = w/a^lam with
+        any exponents:
+
+        1. value(s1) = value(s2) exactly when e*z*a^lam = e*w*a^nu.
+           Multiply e*z*u_nu = e*w*u_lam by e*a^nu*a^lam for one
+           direction, and e*z*a^lam = e*w*a^nu by u_nu*u_lam for the
+           other.  So a symbol is equivalent to the representative of
+           the class its value keys.
+        2. For representatives i = m/a^nu and j = p/a^lam, the literal
+           sum symbol (m*a^lam + p*a^nu)/a^(nu+lam) has the value
+           e*(m*a^lam + p*a^nu)*u_nu*u_lam = values[i] + values[j], and
+           the literal product symbol m*p/a^(nu+lam) has the value
+           values[i]*values[j].
+
+        The values cover the subring dilatation, which is closed under
+        + and *, so the class of the literal sum is
+        classes[values[i] + values[j]], and that of the product is
+        classes[values[i] * values[j]].  The value map is one value per
+        class and onto the certified subring, so `ring` is isomorphic
+        to it."""
+        base, values, t = self.base, self.values, self.sub.loc.t
         if set(values) != set(self.sub.ring.elements):
             raise VerificationFinding("fraction classes do not cover the subring dilatation")
-
-        def locate(sym):
-            """Class index of an arbitrary symbol (exponents unbounded)."""
-            ci = classes.get(value(sym))
-            if ci is None or not equivalent(sym, reps[ci]):
-                raise VerificationFinding(f"symbol {sym} matches no class")
-            return ci
-
-        n = len(reps)
-        add_table = [[0] * n for _ in range(n)]
-        mul_table = [[0] * n for _ in range(n)]
-        # the value map is injective (one value per class) and onto the
-        # subring dilatation; it respects + and *, so the tables form a
-        # ring isomorphic to that certified subring.  Both tables and the
-        # base ring are commutative, so the pairs i <= j check every pair.
-        for i, j in itertools.combinations_with_replacement(range(n), 2):
-            # m/a^nu + p/a^lam = (m*a^lam + p*a^nu)/a^(nu+lam), m/a^nu * p/a^lam = m*p/a^(nu+lam)
-            (m, nu), (p, lam) = reps[i], reps[j]
+        for nu, lam in itertools.combinations_with_replacement(itertools.product(range(t + 1), repeat=k), 2):
             den = tuple(x + y for x, y in zip(nu, lam))
-            num = base.add(times(m, a_pow(lam)), times(p, a_pow(nu)))
-            add_table[i][j] = add_table[j][i] = locate((num, den))
-            mul_table[i][j] = mul_table[j][i] = locate((base.mul(m, p), den))
-            if values[add_table[i][j]] != base.add(values[i], values[j]):
-                raise VerificationFinding("addition disagrees with the subring dilatation")
-            if values[mul_table[i][j]] != base.mul(values[i], values[j]):
-                raise VerificationFinding("multiplication disagrees with the subring dilatation")
+            if inverse(den) != base.mul(inverse(nu), inverse(lam)):
+                raise VerificationFinding(f"(e*a^{den})^-1 is not (e*a^{nu})^-1 * (e*a^{lam})^-1")
+        nu0 = (0,) * k  # 0/a^0 and 1/a^0 give zero and one
         self.ring = FiniteRing(
             f"{base.label}-fractions",
-            range(n),
-            lambda x, y: add_table[x][y],
-            lambda x, y: mul_table[x][y],
-            locate((base.zero, (0,) * k)),
-            locate((base.one, (0,) * k)),
+            range(len(values)),
+            lambda x, y: classes[base.add(values[x], values[y])],
+            lambda x, y: classes[base.mul(values[x], values[y])],
+            classes[self.value((base.zero, nu0))],
+            classes[self.value((base.one, nu0))],
             [classes[v] for v in self.sub.ring.gens],
         )
 
