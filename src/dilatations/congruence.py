@@ -8,19 +8,19 @@ verifies the truncation map g -> g - 1 exhaustively, and any failure is
 reported verbatim as a finding rather than patched.
 
 Every check is exhaustive, none compares all pairs of elements, and
-each rests on a certificate on generators.
+each rests on a certificate on generators or on a lemma proved here.
 - Groups and Lie lattices: with g = 1 + x, the group points are the
   invertible g (of determinant 1 for SL_n) with x in the ambient
   lattice Λ that `lattice_key` cuts out, and the Lie points are Λ (∩
-  sl_n).  Once Λ·Λ ⊆ Λ, checked on the ordered pairs of additive
-  generators of Λ (`_lattice_closed`, at most n^4 products), the points
-  are closed, as (1 + x)(1 + y) = 1 + (x + y + xy) and det is
-  multiplicative; a finite closed set of invertible matrices that
-  contains 1 is a group, so no inverse is checked.  The Lie points are
-  closed under the bracket, as [x, y] = xy - yx lies in Λ and has trace
-  0.  Catalog subgroups over the small rings of the normalizer check
-  have no such lattice: `closure.closure_certificate` certifies them on
-  greedily picked generators, in at most |S|·log2|S| products.
+  sl_n).  Λ·Λ ⊆ Λ for every catalog filtration (the catalog-closure
+  lemma of `group_points`), so the points are closed, as
+  (1 + x)(1 + y) = 1 + (x + y + xy) and det is multiplicative; a finite
+  closed set of invertible matrices that contains 1 is a group, so no
+  inverse is checked.  The Lie points are closed under the bracket, as
+  [x, y] = xy - yx lies in Λ and has trace 0.  Catalog subgroups over
+  the small rings of the normalizer check have no such lattice:
+  `closure.closure_certificate` certifies them on greedily picked
+  generators, in at most |S|·log2|S| products.
 - The congruent isomorphism: with g = 1 + x and x in the ambient lattice
   Λ_s, (1 + x)(1 + y) - 1 = x + y + xy, so the truncation map, read off
   `lattice_key` modulo Λ_r, is a homomorphism constant on the cosets of
@@ -423,8 +423,23 @@ def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
 
 def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }, a
-    group once the ambient lattice is closed under products
-    (`_lattice_closed`).
+    group because the ambient lattice Λ is closed under products.
+
+    Catalog-closure lemma: for every filtration of catalog entries,
+    Λ·Λ ⊆ Λ.  Λ is cut out by the cell levels c_ij of `_cell_levels` and
+    by the ties x_ii ≡ x_00 mod p^z of each `Z` entry (H, z).  Each
+    catalog shape's free cells are closed under composition: (i, k) and
+    (k, j) free give (i, j) free (none for e, all for G, the diagonal
+    for T and Z, i ≤ j for B, an equivalence relation for a Levi shape).
+    So a cell (i, j) that an entry (H, v) forces to zero has (i, k) or
+    (k, j) forced by H too, and c_ik + c_kj ≥ v; with c ≥ v0 everywhere,
+    c_ik + c_kj ≥ c_ij for all i, k, j.  Each term x_ik·y_kj of (xy)_ij
+    is then divisible by p^c_ij.  For a `Z` entry at level z every
+    off-diagonal cell has level at least z, so the off-diagonal terms of
+    (xy)_ii - (xy)_00 vanish mod p^z, and
+    x_ii·y_ii - x_00·y_00 = (x_ii - x_00)·y_ii + x_00·(y_ii - y_00)
+    does too.  So no product is checked here; a name outside the catalog
+    is refused by `_shape`.
 
     The candidates g = 1 + x come row by row.  For each head, the first
     n - 1 rows, the signed cofactors of the last row are computed once;
@@ -432,8 +447,6 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     them.  The `Z` ties are read off g, which has the off-diagonal cells
     and the diagonal differences of x."""
     spec = filt.group
-    if not _lattice_closed(filt, ring):
-        raise InputError("congruence point set is not a subgroup")
     ranges, ties = _cell_candidates(filt, ring)
     mod, p = ring.mod, ring.p
     rows = [
@@ -509,14 +522,6 @@ def _product_witness(gens, entries, ring: LevelRing):
     )
 
 
-def _lattice_closed(filt: FiltrationSpec, ring: LevelRing) -> bool:
-    """The ambient lattice Λ of `filt` is closed under products, checked
-    on the ordered pairs of its generators.  Then the group points
-    { 1 + x : x in Λ, det_ok } are a group and the Lie points Λ (∩ sl_n)
-    are closed under the bracket (see the module docstring)."""
-    return _product_witness(_lattice_generators(filt, ring), filt.entries, ring) is None
-
-
 # ---------------------------------------------------------------------------
 # congruent isomorphism
 
@@ -569,8 +574,8 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     lr = lie_points(fr, ring)
     if not rep.add("lie_inclusion", set(lr) <= set(ls), "L_r is not inside L_s"):
         return rep
-    # group_points(fs) above raised InputError unless Λ_s is closed under
-    # products, so the Lie points L_s are closed under the bracket
+    # Λ_s is closed under products (the catalog-closure lemma of
+    # `group_points`), so the Lie points L_s are closed under the bracket
     rep.add("lie_closure_s", True)
 
     # Lagrange: P_r in P_s are certified groups, L_r in L_s lattices

@@ -18,14 +18,17 @@ additive and ring generators; hom enumeration and the algebra-hom count
 both run on it.  One symbol dilatation (`SymbolDilatation`) serves
 modules and rings, a ring being a module over itself: its symbols
 z/a^nu, z in L^nu*M, are classed by `symbol_classes`, which keys each
-by its value e*z*(e*a^nu)^{-1} and certifies the classes against the
-literal equivalence of the definition; each product by e, a^nu or
-(e*a^nu)^{-1} is read from one multiplication map per multiplier.  The
-fraction ring's + and * are carried over from the values: with
-u_nu = (e*a^nu)^{-1}, the identity u_(nu+lam) = u_nu*u_lam, checked on
-the pairs of exponent vectors, makes the value of a literal sum or
-product symbol the sum or product of the values, and equal values make
-symbols equivalent (the lemma of `SymbolDilatation._fraction_ring`).
+by its value e*z*(e*a^nu)^{-1} and checks it against the literal
+equivalence of the definition with the representative of its value;
+symbols are equivalent exactly when their values are equal (the lemma
+of `SymbolDilatation`), so distinct values need no check.  Each product
+by e, a^nu or (e*a^nu)^{-1} is read from one multiplication map per
+multiplier, and each L^nu is spanned once, as L^(nu-e_i)*L_i
+(`FiniteCenter._l_power`).  The fraction ring's + and * are carried
+over from the values: with u_nu = (e*a^nu)^{-1}, the identity
+u_(nu+lam) = u_nu*u_lam, checked on the pairs of exponent vectors,
+makes the value of a literal sum or product symbol the sum or product
+of the values (`SymbolDilatation._fraction_ring`).
 
 Witness bound: with e = f^t idempotent (f the product of the a_i), two
 symbols are equivalent iff they are equalized by the single witness
@@ -382,21 +385,36 @@ class FiniteCenter:
         return self.ring.ideal_closure(set(m) | {a})
 
     def l_power(self, nu):
-        """L^nu = prod L_i^{nu_i}, built one factor at a time and memoised."""
+        """L^nu = prod L_i^{nu_i}, built two factors at a time and memoised."""
         return self._l_power(nu)[0]
 
     def _l_power(self, nu):
-        """L^nu and elements that generate it as an ideal.  IJ is generated
-        by the products of generators of I and of J (bilinearity), so
-        each step multiplies the generators kept for L^(nu-e_i) by the
-        additive generators of L_i only."""
+        """L^nu and elements that generate it as an ideal, as the product
+        L^(nu-e_i) * L^(e_i) for the first i with nu_i > 0.  IJ is
+        generated by the products of generators of I and of J
+        (bilinearity), so a product spans the products of the kept
+        generators of its two factors; L^(e_i) = L_i is spanned once,
+        from M_i and a_i.  A factor that is all of A leaves the other
+        unchanged, with no span, and a span that reaches |A| elements is
+        kept as the unit entry (A, generated by 1)."""
         out = self._l_powers.get(nu)
         if out is None:
+            ring, unit = self.ring, self._l_powers[(0,) * len(nu)]
             i = next(j for j, v in enumerate(nu) if v > 0)
-            _, prev = self._l_power(nu[:i] + (nu[i] - 1,) + nu[i + 1:])
-            m, a = self.pairs[i]
-            _, li = self.ring.ideal_span(set(m) | {a})
-            out = self.ring.ideal_span({self.ring.mul(x, y) for x in prev for y in li})
+            e_i = tuple(int(j == i) for j in range(len(nu)))
+            if nu == e_i:
+                m, a = self.pairs[i]
+                out = ring.ideal_span(set(m) | {a})
+            else:
+                prev, li = self._l_power(nu[:i] + (nu[i] - 1,) + nu[i + 1:]), self._l_power(e_i)
+                if prev is unit:
+                    out = li
+                elif li is unit:
+                    out = prev
+                else:
+                    out = ring.ideal_span({ring.mul(x, y) for x in prev[1] for y in li[1]})
+            if len(out[0]) == ring.size:
+                out = unit
             self._l_powers[nu] = out
         return out
 
@@ -492,15 +510,17 @@ def dilate_oracle_subring(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> Oracl
 
 
 def symbol_classes(symbols, value, equivalent):
-    """Class fraction symbols by their value, certified by the literal
-    equivalence.
+    """Class fraction symbols by their value.
 
     Each symbol is keyed by `value(sym)`, and the first symbol with a
     value represents its class, so representatives keep discovery order.
-    Every symbol must be `equivalent` to its representative and no two
-    representatives may be equivalent, else VerificationFinding; for an
-    equivalence relation that makes the classes exactly its classes.
-    Returns (reps, symbol -> class index, value -> class index).
+    Every symbol must be `equivalent` to its representative, else
+    VerificationFinding.  The caller supplies a value map under which
+    equivalent symbols have equal values (for `SymbolDilatation`, the
+    lemma in its docstring), so representatives of distinct values are
+    inequivalent and, for an equivalence relation, the classes are
+    exactly its classes.  Returns (reps, symbol -> class index,
+    value -> class index).
     """
     reps, class_of, classes = [], {}, {}
     for sym in symbols:
@@ -510,9 +530,6 @@ def symbol_classes(symbols, value, equivalent):
         elif not equivalent(sym, reps[ci]):
             raise VerificationFinding(f"symbol {sym} has the value of {reps[ci]} but is not equivalent to it")
         class_of[sym] = ci
-    for r1, r2 in itertools.combinations(reps, 2):
-        if equivalent(r1, r2):
-            raise VerificationFinding(f"symbols {r1} and {r2} are equivalent but have different values")
     return reps, class_of, classes
 
 
@@ -580,22 +597,37 @@ class SymbolDilatation:
     definition; the ring case is M = A acting on itself (`module` None).
 
     Symbols z/a^nu with nu_i <= t and z in L^nu*M are classed by their
-    value e*z*(e*a^nu)^{-1} in e*M and certified against the literal
-    witness test e*a^lambda*z == e*a^nu*w (`symbol_classes`); the values
-    must cover the subring dilatation (ring case) or e*M.  Each product
-    x*c by a fixed multiplier c (e, a^nu, (e*a^nu)^{-1}) is read from a
-    map x -> x*c per multiplier, filled on first use and dropped when
-    the construction ends; x*c is base.mul(x, c), or module.act(c, x).
+    value u_nu*(e*z) in e*M, where u_nu = (e*a^nu)^{-1}, and each is
+    checked against the literal witness test e*a^lam*z == e*a^nu*w with
+    the representative of its value (`symbol_classes`); the values must
+    cover the subring dilatation (ring case) or e*M.  Each product x*c
+    by a fixed multiplier c (e, a^nu, u_nu) is read from a map x -> x*c
+    per multiplier, filled on first use and dropped when the
+    construction ends; x*c is base.mul(x, c), or module.act(c, x).
 
-    The ring case checks u_(nu+lam) = u_nu*u_lam for u_nu = (e*a^nu)^{-1}
-    on the pairs of exponent vectors nu <= lam in [0, t]^k.  By the lemma
-    of `_fraction_ring`, the class of the literal sum (product) symbol of
-    two classes is then the class whose value is the sum (product) of
-    their values, so `ring` computes + and * on the values and is
-    isomorphic to the certified subring the values cover.  The module
-    case gives `elements` and `result`, e*M with the action of the
-    subring dilatation, on which a^nu acts injectively and
-    L^nu M' = a^nu M' for nu_i <= 2.  Failure raises VerificationFinding.
+    Lemma: two symbols s1 = z/a^nu and s2 = w/a^lam are equivalent
+    exactly when they have the same value.  It needs only the literal
+    inverses (e*a^nu)*u_nu = e, which `loc.ring.inverse` checks (u_nu
+    lies in e*A, so u_nu*e = u_nu), and that the action is associative,
+    (r*s).x = r.(s.x), which `FiniteModule._verify` certifies (the ring
+    case is M = A, where . is the certified product).  If
+    u_nu.(e.z) = u_lam.(e.w), act on both sides by e*a^nu*a^lam: as
+    e*a^nu*a^lam*u_nu = e*a^lam, the left side becomes (e*a^lam).z and
+    the right (e*a^nu).w.  If (e*a^lam).z = (e*a^nu).w, act by
+    u_nu*u_lam: as u_nu*u_lam*e*a^lam = u_nu, the left side becomes
+    u_nu.z = u_nu.(e.z) and the right u_lam.w = u_lam.(e.w).  So
+    representatives of distinct values are inequivalent, and the
+    classes of `symbol_classes` are the classes of the definition.
+
+    The ring case checks u_(nu+lam) = u_nu*u_lam on the pairs of
+    exponent vectors nu <= lam in [0, t]^k.  By `_fraction_ring`, the
+    class of the literal sum (product) symbol of two classes is then the
+    class whose value is the sum (product) of their values, so `ring`
+    computes + and * on the values and is isomorphic to the certified
+    subring the values cover.  The module case gives `elements` and
+    `result`, e*M with the action of the subring dilatation, on which
+    a^nu acts injectively and L^nu M' = a^nu M' for nu_i <= 2.  Failure
+    raises VerificationFinding.
     """
 
     def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP, module: FiniteModule | None = None):
@@ -674,19 +706,13 @@ class SymbolDilatation:
         Write u_nu for inverse(nu) = (e*a^nu)^{-1}; `loc.ring.inverse`
         checks (e*a^nu)*u_nu = e literally, and u_(nu+lam) = u_nu*u_lam
         is checked here on every pair nu <= lam of exponent vectors in
-        [0, t]^k.  Then, for symbols s1 = z/a^nu and s2 = w/a^lam with
-        any exponents:
-
-        1. value(s1) = value(s2) exactly when e*z*a^lam = e*w*a^nu.
-           Multiply e*z*u_nu = e*w*u_lam by e*a^nu*a^lam for one
-           direction, and e*z*a^lam = e*w*a^nu by u_nu*u_lam for the
-           other.  So a symbol is equivalent to the representative of
-           the class its value keys.
-        2. For representatives i = m/a^nu and j = p/a^lam, the literal
-           sum symbol (m*a^lam + p*a^nu)/a^(nu+lam) has the value
-           e*(m*a^lam + p*a^nu)*u_nu*u_lam = values[i] + values[j], and
-           the literal product symbol m*p/a^(nu+lam) has the value
-           values[i]*values[j].
+        [0, t]^k.  Then, for representatives i = m/a^nu and
+        j = p/a^lam, the literal sum symbol (m*a^lam + p*a^nu)/a^(nu+lam)
+        has the value e*(m*a^lam + p*a^nu)*u_nu*u_lam =
+        values[i] + values[j], and the literal product symbol
+        m*p/a^(nu+lam) has the value values[i]*values[j].  By the lemma
+        of the class docstring, a symbol's class is the class its value
+        keys.
 
         The values cover the subring dilatation, which is closed under
         + and *, so the class of the literal sum is

@@ -8,7 +8,6 @@ from dilatations.congruence import (
     FiltrationSpec,
     GroupSpec,
     LevelRing,
-    _lattice_closed,
     _lattice_generators,
     _product_witness,
     _test_rings,
@@ -84,7 +83,8 @@ def test_lie_points_sl2_count_and_closure():
     xs = lie_points(filt, ring)
     # x = 2m with tr(2m) = 0 mod 8: 4^4 / 4 choices
     assert len(xs) == 64
-    assert _lattice_closed(filt, ring) and _ref_lie_closed(xs, ring.mod)
+    assert _product_witness(_lattice_generators(filt, ring), filt.entries, ring) is None
+    assert _ref_lie_closed(xs, ring.mod)
 
 
 def test_catalog_subgroups_closed():
@@ -470,13 +470,13 @@ def test_certificates_match_all_pairs_reference(case):
     kind, n, p, level, entries = case
     filt = FiltrationSpec(GroupSpec(kind, n), entries)
     ring_ = LevelRing(p, level)
-    pts = group_points(filt, ring_)  # runs the lattice certificate
+    pts = group_points(filt, ring_)
     xs = lie_points(filt, ring_)
     ref_group, ref_lie = _ref_points(filt, ring_)
     assert pts.elements == ref_group and xs == ref_lie
     times = _ref_times(pts.elements, ring_.mod)
     ident = mat_id(ring_, n)
-    closed = _lattice_closed(filt, ring_)
+    closed = _product_witness(_lattice_generators(filt, ring_), filt.entries, ring_) is None
     assert closed == _ref_group_closed(pts.elements, ident, lambda a, b: _ref_mul(times, a, b))
     assert closed == _ref_lie_closed(xs, ring_.mod)
 
@@ -536,6 +536,28 @@ def test_level_hypotheses_imply_the_product_certificate(kind, n):
                     fs, fr = filt.with_levels(list(s)), filt.with_levels(list(r))
                     assert _product_witness(_lattice_generators(fs, ring_), fr.entries, ring_) is None, (p, level, name, s, r)
                     checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_catalog_filtrations_have_closed_lattices(n):
+    # the catalog-closure lemma of group_points, which checks no product:
+    # Λ·Λ ⊆ Λ on every catalog shape for p in {2, 3} and N <= 3, with
+    # every unordered pair of entries for n <= 3 and every shape next to
+    # the trivial entry for n = 4
+    names = _ref_catalog_names(n)
+    checked = 0
+    for p, level in itertools.product((2, 3), (1, 2, 3)):
+        ring_ = LevelRing(p, level)
+        entries = list(itertools.product(names, range(level + 1)))
+        if n <= 3:
+            filts = itertools.combinations_with_replacement(entries, 2)
+        else:
+            filts = ((("e", v0), entry) for v0 in range(level + 1) for entry in entries)
+        for pair in filts:
+            filt = FiltrationSpec(GroupSpec("GL", n), pair)
+            assert _product_witness(_lattice_generators(filt, ring_), filt.entries, ring_) is None, (p, level, pair)
+            checked += 1
     assert checked
 
 
@@ -737,12 +759,7 @@ def test_random_filtrations_match_box_reference(case):
     filt = FiltrationSpec(GroupSpec(kind, n), entries)
     ring_ = LevelRing(p, level)
     ref_group, ref_lie = _ref_points(filt, ring_)
-    try:
-        assert group_points(filt, ring_).elements == ref_group
-    except InputError:
-        # the lattice certificate refused: the reference points are not closed
-        times = _ref_times(ref_group, ring_.mod)
-        assert not _ref_group_closed(ref_group, mat_id(ring_, n), lambda a, b: _ref_mul(times, a, b))
+    assert group_points(filt, ring_).elements == ref_group
     assert lie_points(filt, ring_) == ref_lie
 
 

@@ -331,6 +331,9 @@ MODULE_CASES = {
     "Z12-on-Z6": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([3], 3)]),
     "Z12-on-Z4-two-centers": lambda: (zmod(12), _quotient_module(zmod(12), 4), [([6], 3), ([2], 5)]),
     "YC": _yc_module,
+    # (4, 5) is all of Z/12, as 5 is a unit: as L_1, and as L_2
+    "Z12-on-Z6-L1-is-A": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([4], 5), ([6], 2)]),
+    "Z12-on-Z6-L2-is-A": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([6], 2), ([4], 5)]),
 }
 
 
@@ -362,6 +365,7 @@ def test_module_classes_match_literal_symbol_reference(case):
         else:
             prev = l_pows[nu[:i] + (nu[i] - 1,) + nu[i + 1 :]]
             l_pows[nu] = base.ideal_closure({base.mul(x, y) for x in prev for y in l_sets[i]})
+        assert center.l_power(nu) == l_pows[nu]
 
     def l_times_m(nu):
         products = {module.act(l, m) for l in l_pows[nu] for m in module.elements}
@@ -516,12 +520,27 @@ def test_symbol_classes_reject_a_symbol_not_equivalent_to_its_representative():
         symbol_classes(symbols, fr.value, lambda s1, s2: s1 == s2)
 
 
-def test_symbol_classes_reject_equivalent_representatives():
-    fr, symbols = _z6_symbols()
-    assert len(fr.reps) > 1
-    # an equivalence coarser than equality of values
-    with pytest.raises(VerificationFinding, match="are equivalent"):
-        symbol_classes(symbols, fr.value, lambda s1, s2: True)
+@pytest.mark.parametrize(
+    "case, as_ring", [("Z6", True), ("YC", True), ("Z12-on-Z4-two-centers", False)], ids=["Z6", "YC", "Z12-on-Z4-two-centers"]
+)
+def test_symbol_representatives_are_pairwise_inequivalent(case, as_ring):
+    # the lemma of SymbolDilatation: symbols of distinct values are
+    # inequivalent, so no two representatives are, by the literal
+    # witness test e*a^lam*z == e*a^nu*w over every pair
+    base, module, pairs = MODULE_CASES[case]()
+    center = FiniteCenter.from_gens(base, pairs)
+    if as_ring:
+        dil, act = dilate_oracle_fractions(base, center), base.mul
+    else:
+        dil, act = module_dilate_oracle(module, center), module.act
+    e = dil.sub.loc.e
+
+    def equivalent(s1, s2):
+        (z, nu), (w, lam) = s1, s2
+        return act(base.mul(e, _ref_a_pow(center, lam)), z) == act(base.mul(e, _ref_a_pow(center, nu)), w)
+
+    assert len(dil.reps) > 1
+    assert not any(equivalent(r1, r2) for r1, r2 in itertools.combinations(dil.reps, 2))
 
 
 # ------------------------------------------------------------- hom scans
