@@ -42,25 +42,29 @@ class PresentedAlgebra:
     def is_zero_ring(self) -> bool:
         return self.relations.is_unit()
 
-    def ideal(self, gens, include_relations: bool = True) -> IdealHandle:
+    def ideal(self, gens) -> IdealHandle:
         """An ideal of the quotient, represented in the ambient ring: the
         relations' generators, then `gens` (`IdealHandle.extended`)."""
-        if include_relations:
-            return self.relations.extended(gens)
-        return IdealHandle(self.ring, list(gens), self.relations.limits)
+        return self.relations.extended(gens)
 
     def quotient(self, extra_gens) -> "PresentedAlgebra":
         return PresentedAlgebra(self.ring, self.ideal(list(extra_gens)))
+
+    def extend(self, names, order=None) -> "PresentedAlgebra":
+        """k[y, names]/(P) over the ring with `names` appended (in `order`,
+        else this ring's): P's generators move over in their order, with
+        the same limits and no known run."""
+        ring = self.ring.extend(names, order)
+        moved = [p.map_ring(ring) for p in self.relations.gens]
+        return PresentedAlgebra(ring, IdealHandle(ring, moved, self.relations.limits))
 
     def localize(self, f: Polynomial) -> tuple["PresentedAlgebra", str]:
         """A[1/f] presented as A[z]/(P, z*f - 1), with z a fresh variable
         appended last; returns the algebra and z's name.  `f` may come
         from any ring whose variables are among A's."""
         zname = self.ring.fresh_name("z")
-        ring = self.ring.extend([zname])
-        rels = [p.map_ring(ring) for p in self.relations.gens]
-        rels.append(ring.var(zname) * f.map_ring(ring) - ring.one())
-        return PresentedAlgebra(ring, IdealHandle(ring, rels, self.relations.limits)), zname
+        ext = self.extend([zname])
+        return ext.quotient([ext.var(zname) * f.map_ring(ext.ring) - ext.one()]), zname
 
     def parse(self, text: str) -> Polynomial:
         return self.ring.parse(text)

@@ -211,6 +211,8 @@ def _parse_line(inst: InstanceFile, line: str) -> None:
         entries = []
         for part in parts[1:]:
             part = part.strip()
+            if part.startswith(("p", "N")) and "=" not in part:
+                raise InputError(f"filtration field {part!r} needs a value after '='")
             if part.startswith("p"):
                 p = int(part.split("=")[1])
             elif part.startswith("N"):

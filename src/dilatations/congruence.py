@@ -44,7 +44,8 @@ per cell of g, with unit diagonals in triangular shapes.
 `CANDIDATE_BUDGET` bounds the number of candidates of either, the
 product of the range lengths.  The matrix helpers do
 their arithmetic through the ring's `dot`, a sum of products that
-`LevelRing` reduces once.
+`LevelRing` reduces once; none of them inverts a matrix, since
+`normalizer_check` tests k·t·k^-1 ∈ P as k·t ∈ P·k.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ LEVEL_CAP = 2**20
 class LevelRing:
     """Z/p^N with p prime, with the ring ops the matrix helpers use.
 
-    Units are found by gcd and inverted by `pow`, so nothing scans the
-    ring: p^N may reach LEVEL_CAP, far above the oracle's SIZE_CAP."""
+    Units are found by gcd, so nothing scans the ring: p^N may reach
+    LEVEL_CAP, far above the oracle's SIZE_CAP.  No element is inverted:
+    the normalizer check tests k·t against P·k."""
 
     __slots__ = ("p", "N", "mod")
 
@@ -114,9 +116,6 @@ class LevelRing:
     def is_unit(self, a):
         return math.gcd(a, self.mod) == 1
 
-    def inverse(self, a):
-        return pow(a, -1, self.mod)
-
 
 # matrix helpers over a ring-ops adapter
 
@@ -150,25 +149,6 @@ def mat_det(ops, a):
     if len(a) < 2:
         return a[0][0] if a else ops.one
     return ops.dot(a[-1], last_row_cofactors(ops, a[:-1]))
-
-
-def mat_inv(ops, a):
-    n = len(a)
-    det = mat_det(ops, a)
-    dinv = ops.inverse(det)
-    if n == 1:
-        return ((dinv,),)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            md = mat_det(ops, tuple(tuple(r) for r in minor))
-            row.append(md if (i + j) % 2 == 0 else ops.neg(md))
-        cof.append(row)
-    return tuple(tuple(ops.mul(cof[j][i], dinv) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +643,13 @@ def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Repo
     k_gens = subgroup_gens(spec, k_name, ring)
     if k_gens is None:
         raise InputError(f"catalog subgroup not closed over {ring!r}")
-    inverses = {k: mat_inv(ring, k) for k in k_gens}
-    witness = next(
-        (
-            f"k = {k}, g = {t}"
-            for k in k_gens
-            for t in pts.elements
-            if mat_mul(ring, mat_mul(ring, k, t), inverses[k]) not in pts.as_set
-        ),
-        "",
-    )
+    # k t k^-1 lies in P iff k t lies in P k = {t' k : t' in P}, so no
+    # inverse is formed
+    witness = ""
+    for k in k_gens:
+        right = {mat_mul(ring, t, k) for t in pts.elements}
+        witness = next((f"k = {k}, g = {t}" for t in pts.elements if mat_mul(ring, k, t) not in right), "")
+        if witness:
+            break
     rep.add("normalizes", not witness, witness)
     return rep

@@ -10,6 +10,13 @@ it with explicit maps in both directions; a verifier never reports
 success on a one-sided check.  Every certified map is given by the
 images of the variables it moves (`AlgebraHom.by_name`); every other
 variable goes to its namesake.
+
+Every presentation over a larger ring (the presaturation, the conic
+algebras, the tensor ideal of base change) is `PresentedAlgebra.extend`
+plus extra relations.  A center over an algebra is `Center.over`.  The
+fraction variables of any centers, flattened row by row, are
+`DilatationResult.names`, and each verifier's name map is a zip of two
+such lists.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from .algebras import AlgebraHom, PresentedAlgebra, check_hom, hom_kernel, is_nzd, maps_equal
 from .groebner import ideal_cofactors
 from .ideals import IdealHandle, saturate
-from .poly import GREVLEX, InputError, PolyRing, Polynomial
+from .poly import GREVLEX, InputError, Polynomial
 from .report import Report, VerificationFinding
 
 
@@ -31,6 +38,12 @@ class Center:
             raise InputError("center ideal and element over different registries")
         self.ideal = ideal
         self.elem = elem
+
+    @classmethod
+    def over(cls, algebra: PresentedAlgebra, gens, elem: Polynomial) -> "Center":
+        """[M, a] with M stored as `gens` in `algebra`'s ring, without its
+        relations, and budgeted by `algebra`'s limits."""
+        return cls(algebra.relations.with_gens(gens), elem)
 
     def __repr__(self):
         return f"[({', '.join(str(g) for g in self.ideal.gens)}) / {self.elem}]"
@@ -89,7 +102,8 @@ class DilatationResult:
     """Presentation of A' = A[{M_i/a_i}] plus the structural map.
 
     fraction_vars[i][j] is the name of the variable representing
-    g_ij / a_i (0-based lists, 1-based names x_<i>_<j>).
+    g_ij / a_i (0-based lists, 1-based names x_<i>_<j>); `names` reads
+    them for any centers.
 
     `center` is the caller's own multi-center.  Everything else is
     shared by every result `dilate` returns for an equal center of the
@@ -121,14 +135,12 @@ class DilatationResult:
     def is_zero_ring(self) -> bool:
         return self.algebra.is_zero_ring()
 
-    def var_dict(self) -> dict:
-        """fraction variable name -> (center position, generator position),
-        both 1-based."""
-        out = {}
-        for i, row in enumerate(self.fraction_vars):
-            for j, name in enumerate(row):
-                out[name] = (i + 1, j + 1)
-        return out
+    def names(self, positions=None) -> list[str]:
+        """The fraction variables of the centers at the 1-based
+        `positions`, in that order (all centers by default), flattened
+        row by row."""
+        rows = self.fraction_vars if positions is None else [self.fraction_vars[i - 1] for i in positions]
+        return [n for row in rows for n in row]
 
     def push(self, f: Polynomial) -> Polynomial:
         """Transport a base-ring element along iota (no reduction)."""
@@ -152,9 +164,9 @@ class DilatationResult:
         ring = self.algebra.ring
         out = ring.zero()
         n_m = len(c.ideal.gens)
-        for j in range(n_m):
+        for j, x in enumerate(self.names([pos])):
             if not cof[j].is_zero():
-                out = out + cof[j].map_ring(ring) * ring.var(self.fraction_vars[pos - 1][j])
+                out = out + cof[j].map_ring(ring) * ring.var(x)
         if in_l and not cof[n_m].is_zero():
             out = out + cof[n_m].map_ring(ring)  # a_i / a_i = 1
         return self.algebra.nf(out)
@@ -191,24 +203,24 @@ def _construct(center: MultiCenter) -> tuple:
     if not center.centers:
         return a, AlgebraHom.identity(a), [], a.relations
 
-    fresh = iter(a.ring.fresh_names(
+    flat = a.ring.fresh_names(
         f"x_{i}_{j}" for i, c in enumerate(center.centers, start=1) for j in range(1, len(c.ideal.gens) + 1)
-    ))
+    )
+    fresh = iter(flat)
     names = [[next(fresh) for _ in c.ideal.gens] for c in center.centers]
-    ext = PolyRing(a.ring.field, a.ring.names + tuple(n for row in names for n in row), GREVLEX)
-
-    rels = [p.map_ring(ext) for p in a.relations.gens]
-    for i, c in enumerate(center.centers):
-        ai = c.elem.map_ring(ext)
-        for j, g in enumerate(c.ideal.gens):
-            rels.append(ai * ext.var(names[i][j]) - g.map_ring(ext))
-    presat = IdealHandle(ext, rels, a.relations.limits)
+    over = a.extend(flat, GREVLEX)
+    ext = over.ring
+    presat = over.ideal(
+        c.elem.map_ring(ext) * ext.var(x) - g.map_ring(ext)
+        for c, row in zip(center.centers, names)
+        for x, g in zip(row, c.ideal.gens)
+    )
 
     f = center.product_elem()
     nilpotent = a.relations.radical_contains(f)
     if f.is_zero():
         # inverting 0 collapses everything; colon by 0 is undefined
-        sat = IdealHandle(ext, [ext.one()], a.relations.limits)
+        sat = presat.with_gens([ext.one()])
     else:
         sat = saturate(presat, [c.elem.map_ring(ext) for c in center.centers])
     if sat.is_unit() != nilpotent:
@@ -280,7 +292,7 @@ def normalize_center(center: MultiCenter, declared_base: Polynomial | None = Non
     for group in groups:
         if len(group) == 1:
             e, gens = group[0]
-            result.append(Center(a.ideal(gens, include_relations=False), e))
+            result.append(Center.over(a, gens, e))
             continue
         candidates = [declared_base] if declared_base is not None else [e for e, _ in group]
         collapsed = False
@@ -294,12 +306,12 @@ def normalize_center(center: MultiCenter, declared_base: Polynomial | None = Non
                 merged = []
                 for _, gs in group:
                     merged += [g for g in gs if g not in merged]
-                result.append(Center(a.ideal(merged, include_relations=False), e))
+                result.append(Center.over(a, merged, e))
                 collapsed = True
                 break
         if not collapsed:
             for e, gens in group:
-                result.append(Center(a.ideal(gens, include_relations=False), e))
+                result.append(Center.over(a, gens, e))
 
     result.sort(key=lambda c: (str(c.elem), str([str(g) for g in c.ideal.groebner()])))
     return MultiCenter(a, result)
@@ -373,10 +385,7 @@ def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]
     dropped = [i for i in range(1, len(center.centers) + 1) if i not in keep]
 
     ring_i = result_full.algebra.ring
-    moved = {}
-    for p, i in enumerate(keep):
-        for name_k, name_i in zip(sub.fraction_vars[p], result_full.fraction_vars[i - 1]):
-            moved[name_k] = ring_i.var(name_i)
+    moved = dict(zip(sub.names(), map(ring_i.var, result_full.names(keep))))
     phi = AlgebraHom.by_name(sub.algebra, result_full.algebra, moved)
     rep.add("well_defined", check_hom(phi))
 
@@ -397,11 +406,10 @@ def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]
         for i in dropped:
             c = center.centers[i - 1]
             cof_gens = [c.elem] + a.relations.gens
-            for j, g in enumerate(c.ideal.gens):
+            for g, x in zip(c.ideal.gens, result_full.names([i])):
                 cof = ideal_cofactors(g, cof_gens, a.relations.limits)
                 w = cof[0].map_ring(ring_i)
-                xvar = ring_i.var(result_full.fraction_vars[i - 1][j])
-                if not result_full.algebra.nf(xvar - w).is_zero():
+                if not result_full.algebra.nf(ring_i.var(x) - w).is_zero():
                     witnesses_ok = False
         rep.add("surjectivity_witnesses", witnesses_ok)
 
@@ -428,12 +436,11 @@ def monopoly_iso(center: MultiCenter) -> tuple[MultiCenter, tuple[AlgebraHom, Al
         cofactor = center.cofactor(i)
         for g in c.ideal.gens:
             mono_gens.append(g * cofactor)
-    mono = MultiCenter(a, [Center(a.ideal(mono_gens, include_relations=False), center.product_elem())])
+    mono = MultiCenter(a, [Center.over(a, mono_gens, center.product_elem())])
 
     r_multi = dilate(center)
     r_mono = dilate(mono)
-    multi_vars = [n for row in r_multi.fraction_vars for n in row]
-    fwd, bwd = _renaming(r_mono.algebra, r_multi.algebra, dict(zip(r_mono.fraction_vars[0], multi_vars)))
+    fwd, bwd = _renaming(r_mono.algebra, r_multi.algebra, dict(zip(r_mono.names(), r_multi.names())))
     _certify_pair(rep, fwd, bwd)
     return mono, (fwd, bwd), rep
 
@@ -450,17 +457,12 @@ def two_stage_iso(center: MultiCenter, keep) -> tuple[tuple[AlgebraHom, AlgebraH
     pushed = []
     for i in rest:
         c = center.centers[i - 1]
-        gens = [g.map_ring(b1.ring) for g in c.ideal.gens]
-        pushed.append(Center(b1.ideal(gens, include_relations=False), c.elem.map_ring(b1.ring)))
+        pushed.append(Center.over(b1, [g.map_ring(b1.ring) for g in c.ideal.gens], c.elem.map_ring(b1.ring)))
     stage2 = dilate(MultiCenter(b1, pushed))
     oneshot = dilate(center)
 
     # stage fraction variable -> one-shot fraction variable
-    names = {}
-    for p, i in enumerate(keep):
-        names.update(zip(stage1.fraction_vars[p], oneshot.fraction_vars[i - 1]))
-    for q, i in enumerate(rest):
-        names.update(zip(stage2.fraction_vars[q], oneshot.fraction_vars[i - 1]))
+    names = dict(zip(stage1.names() + stage2.names(), oneshot.names(keep + rest)))
     fwd, bwd = _renaming(stage2.algebra, oneshot.algebra, names)
     _certify_pair(rep, fwd, bwd)
     return (fwd, bwd), rep
@@ -479,9 +481,9 @@ def localize_compare(center: MultiCenter) -> Report:
     z = aring.var(zname)
     # x_ij = g_ij / a_i = g_ij * z * prod_{l != i} a_l in A[1/f]
     fractions = {}
-    for n, (i, j) in result.var_dict().items():
-        g = center.centers[i - 1].ideal.gens[j - 1]
-        fractions[n] = g.map_ring(aring) * z * center.cofactor(i).map_ring(aring)
+    for i, c in enumerate(center.centers, start=1):
+        for n, g in zip(result.names([i]), c.ideal.gens):
+            fractions[n] = g.map_ring(aring) * z * center.cofactor(i).map_ring(aring)
 
     all_unit = all(a.ideal(c.ideal.gens).is_unit() for c in center.centers)
     if all_unit:
@@ -540,26 +542,19 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     lring = loc.ring
 
     # forward: full dilatation -> localized K-dilatation
-    fwd_images = {}
-    for n, (i, j) in full.var_dict().items():
-        if i in pos_in_keep:
-            fwd_images[n] = lring.var(part.fraction_vars[pos_in_keep[i] - 1][j - 1])
-        else:
-            k = assign[i]
-            g = center.centers[i - 1].ideal.gens[j - 1]
-            num = part.fraction(pos_in_keep[k], g, in_l=True).map_ring(lring)
-            inv_rest = lring.var(zname)
-            for l in rest:
-                if l != i:
-                    inv_rest = inv_rest * fracs[l].map_ring(lring)
+    fwd_images = dict(zip(full.names(keep), map(lring.var, part.names())))
+    for i in rest:
+        inv_rest = lring.var(zname)
+        for l in rest:
+            if l != i:
+                inv_rest = inv_rest * fracs[l].map_ring(lring)
+        for n, g in zip(full.names([i]), center.centers[i - 1].ideal.gens):
+            num = part.fraction(pos_in_keep[assign[i]], g, in_l=True).map_ring(lring)
             fwd_images[n] = num * inv_rest
     fwd = AlgebraHom.by_name(full.algebra, loc, fwd_images)
 
     # backward: localized K-dilatation -> full dilatation
-    bwd_images = {}
-    for p, i in enumerate(keep):
-        for name_p, name_full in zip(part.fraction_vars[p], full.fraction_vars[i - 1]):
-            bwd_images[name_p] = full.algebra.var(name_full)
+    bwd_images = dict(zip(part.names(), map(full.algebra.var, full.names(keep))))
     inv = full.algebra.one()
     for i in rest:
         inv = inv * full.fraction(i, center.centers[assign[i] - 1].elem, in_l=True)
@@ -607,12 +602,12 @@ def center_kernel(result: DilatationResult) -> tuple[IdealHandle, Report]:
     quot = a.quotient(m0.gens)
     if not rep.add("base_nzd_mod_M0", is_nzd(quot, base), f"{base} is a zero divisor mod M_0"):
         return a.ideal([]), rep
-    nested = all(a.ideal(m0.gens).contains_ideal(a.ideal(c.ideal.gens, include_relations=False)) for c in center.centers[1:])
+    nested = all(a.ideal(m0.gens).contains_ideal(c.ideal) for c in center.centers[1:])
     if not rep.add("nested_centers", nested, "M_i ⊄ M_0 for some i"):
         return a.ideal([]), rep
 
     prime = result.algebra
-    frac_names = [n for row in result.fraction_vars for n in row]
+    frac_names = result.names()
     alpha_gens = [prime.var(n) for n in frac_names]
     alpha_gens += [result.push(g) for g in m0.gens]
     alpha_full = prime.ideal(alpha_gens)
@@ -621,7 +616,7 @@ def center_kernel(result: DilatationResult) -> tuple[IdealHandle, Report]:
     rep.add("quotient_map_defined", check_hom(phi))
     beta = hom_kernel(phi)
     rep.add("kernels_agree", alpha_full.equals(beta))
-    return prime.ideal(alpha_gens, include_relations=False), rep
+    return prime.relations.with_gens(alpha_gens), rep
 
 
 def iterate_iso(
@@ -641,10 +636,7 @@ def iterate_iso(
     if not rep.add("t_range", 0 <= t <= s0, f"t = {t} outside [0, {s0}]"):
         return rep
 
-    mk = [
-        Center(algebra.ideal(gens, include_relations=False), base ** e)
-        for gens, e in zip(centers, exponents)
-    ]
+    mk = [Center.over(algebra, gens, base ** e) for gens, e in zip(centers, exponents)]
     first = dilate(MultiCenter(algebra, mk))
     kernel, krep = center_kernel(first)
     rep.merge(krep, prefix="kernel.")
@@ -652,18 +644,12 @@ def iterate_iso(
         return rep
 
     b1 = first.algebra
-    qcenter = Center(b1.ideal(kernel.gens, include_relations=False), first.push(base) ** t)
+    qcenter = Center.over(b1, kernel.gens, first.push(base) ** t)
     second = dilate(MultiCenter(b1, [qcenter]))
     b2 = second.algebra
 
     direct = dilate(
-        MultiCenter(
-            algebra,
-            [
-                Center(algebra.ideal(gens, include_relations=False), base ** (e + t))
-                for gens, e in zip(centers, exponents)
-            ],
-        )
+        MultiCenter(algebra, [Center.over(algebra, gens, base ** (e + t)) for gens, e in zip(centers, exponents)])
     )
     dalg = direct.algebra
 
@@ -671,9 +657,9 @@ def iterate_iso(
     # variables x_ij, then M_0's generators; `second` has one fraction
     # variable u per generator, and the direct dilatation's y_ij
     # correspond to the x_ij in order.
-    frac_names = [n for row in first.fraction_vars for n in row]
-    direct_names = [n for row in direct.fraction_vars for n in row]
-    u_names = second.fraction_vars[0]
+    frac_names = first.names()
+    direct_names = direct.names()
+    u_names = second.names()
     bt = base.map_ring(dalg.ring) ** t
     bs0 = base.map_ring(dalg.ring) ** exponents[0]
     fwd_images = {}
@@ -682,7 +668,7 @@ def iterate_iso(
         fwd_images[x] = bt * dalg.var(y)
         fwd_images[u] = dalg.var(y)
         bwd_images[y] = b2.var(u)
-    for u, y in zip(u_names[len(frac_names):], direct.fraction_vars[0]):
+    for u, y in zip(u_names[len(frac_names):], direct.names([1])):
         fwd_images[u] = bs0 * dalg.var(y)
     fwd = AlgebraHom.by_name(b2, dalg, fwd_images)
     bwd = AlgebraHom.by_name(dalg, b2, bwd_images)
@@ -701,37 +687,23 @@ def base_change_compare(center: MultiCenter, h: AlgebraHom) -> Report:
     b = h.target
 
     pushed = MultiCenter(
-        b,
-        [
-            Center(
-                b.ideal([h.apply(g) for g in c.ideal.gens], include_relations=False),
-                h.apply(c.elem),
-            )
-            for c in center.centers
-        ],
+        b, [Center.over(b, [h.apply(g) for g in c.ideal.gens], h.apply(c.elem)) for c in center.centers]
     )
     direct = dilate(pushed)
     source = dilate(center)
 
-    t_ring = direct.algebra.ring
-    xmap = {}
-    for row_a, row_b in zip(source.fraction_vars, direct.fraction_vars):
-        for na, nb in zip(row_a, row_b):
-            xmap[na] = nb
-    subst = {}
-    for n, img in zip(a.ring.names, h.images):
-        subst[n] = img.map_ring(t_ring)
-    for na, nb in xmap.items():
-        subst[na] = t_ring.var(nb)
-
-    tensor_gens = [p.map_ring(t_ring) for p in b.relations.gens]
-    for g in source.algebra.relations.gens:
-        tensor_gens.append(g.subst(subst))
-    tensor = IdealHandle(t_ring, tensor_gens, b.relations.limits)
+    # B ⊗_A A' over the direct dilatation's ring: B's relations, then the
+    # relations of A', with A -> B through h and each source fraction
+    # variable sent to the direct one
+    over = b.extend(direct.names(), direct.algebra.ring.order)
+    t_ring = over.ring
+    subst = {n: img.map_ring(t_ring) for n, img in zip(a.ring.names, h.images)}
+    subst.update(zip(source.names(), map(t_ring.var, direct.names())))
+    tensor = over.ideal(g.subst(subst) for g in source.algebra.relations.gens)
 
     # dilate(pushed) asserted: a zero ring iff the product is nilpotent in B
     if direct.is_zero_ring():
-        t_sat = IdealHandle(t_ring, [t_ring.one()], b.relations.limits)
+        t_sat = tensor.with_gens([t_ring.one()])
     else:
         t_sat = saturate(tensor, [c.elem.map_ring(t_ring) for c in pushed.centers])
     rep.add("tensor_matches_direct", t_sat.equals(direct.algebra.relations))
@@ -770,11 +742,10 @@ def conic_iso(center: MultiCenter) -> Report:
     tnames = [next(fresh) for _ in range(k)]
     rows = [[next(fresh) for _ in range(len(c.ideal.gens) + 1)] for c in center.centers]
     unames = [n for row in rows for n in row]
-    tring = a.ring.extend(tnames)
-    at = PresentedAlgebra(tring, IdealHandle(tring, [p.map_ring(tring) for p in a.relations.gens], a.relations.limits))
-
-    uring = a.ring.extend(unames)
-    src = PresentedAlgebra(uring, IdealHandle(uring, [p.map_ring(uring) for p in a.relations.gens], a.relations.limits))
+    at = a.extend(tnames)
+    tring = at.ring
+    src = a.extend(unames)
+    uring = src.ring
 
     images = {}
     for i, c in enumerate(center.centers):
@@ -789,26 +760,19 @@ def conic_iso(center: MultiCenter) -> Report:
     rhos = [uring.var(rows[i][-1]) for i in range(k)]
     quot = conic.quotient([r - uring.one() for r in rhos])
 
-    lcenter = MultiCenter(
-        a,
-        [
-            Center(a.ideal(list(c.ideal.gens) + [c.elem], include_relations=False), c.elem)
-            for c in center.centers
-        ],
-    )
+    lcenter = MultiCenter(a, [Center.over(a, list(c.ideal.gens) + [c.elem], c.elem) for c in center.centers])
     r_l = dilate(lcenter)
-    l_names = [n for row in r_l.fraction_vars for n in row]
-    fwd, bwd = _renaming(quot, r_l.algebra, dict(zip(unames, l_names)))
+    fwd, bwd = _renaming(quot, r_l.algebra, dict(zip(unames, r_l.names())))
     _certify_pair(rep, fwd, bwd, tag="conic_vs_L")
 
     # L_i's last generator a_i goes to a_i / a_i = 1 in the M-dilatation
     r_m = dilate(center)
     e_images = {}
     z_images = {}
-    for row_l, row_m in zip(r_l.fraction_vars, r_m.fraction_vars):
-        for n_l, n_m in zip(row_l, row_m):
-            e_images[n_l] = r_m.algebra.var(n_m)
-            z_images[n_m] = r_l.algebra.var(n_l)
+    for i in range(1, k + 1):
+        row_l, row_m = r_l.names([i]), r_m.names([i])
+        e_images.update(zip(row_l, map(r_m.algebra.var, row_m)))
+        z_images.update(zip(row_m, map(r_l.algebra.var, row_l)))
         e_images[row_l[-1]] = r_m.algebra.one()
     eps = AlgebraHom.by_name(r_l.algebra, r_m.algebra, e_images)
     zeta = AlgebraHom.by_name(r_m.algebra, r_l.algebra, z_images)
@@ -853,14 +817,14 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
     result = dilate(center)
     images = chi.image_map()
     images_alt = chi.image_map()
-    for n, (i, j) in result.var_dict().items():
-        c = center.centers[i - 1]
-        bi = chi.apply(c.elem)
-        gi = chi.apply(c.ideal.gens[j - 1])
-        cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
-        images[n] = b.nf(cof[0])
-        cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
-        images_alt[n] = b.nf(cof2[-1])
+    for i, c in enumerate(center.centers, start=1):
+        for n, g in zip(result.names([i]), c.ideal.gens):
+            bi = chi.apply(c.elem)
+            gi = chi.apply(g)
+            cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
+            images[n] = b.nf(cof[0])
+            cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
+            images_alt[n] = b.nf(cof2[-1])
     factored = AlgebraHom.by_name(result.algebra, b, images)
     rep.add("factor_defined", check_hom(factored))
     rep.add("factors_chi", maps_equal(factored.compose(result.iota), chi))

@@ -466,10 +466,6 @@ class Localization:
         return self.parent.mul(self.e, x)
 
 
-def localize_finite(a: FiniteRing, f) -> Localization:
-    return Localization(a, f)
-
-
 # ---------------------------------------------------------------------------
 # oracle dilatations
 
@@ -481,7 +477,7 @@ class OracleDilatation:
     def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP):
         self.base = base
         self.center = center
-        self.loc = localize_finite(base, center.product_elem())
+        self.loc = Localization(base, center.product_elem())
         self.fraction_values = {}
         for i, (m, a) in enumerate(center.pairs):
             inv = self.loc.ring.inverse(self.loc.map(a))
@@ -995,11 +991,9 @@ def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
     images = {}
     for n in ap.ring.names:
         images[n] = fractions.sub.struct_map(var_map[n])
-    vd = sym.var_dict()
-    for name, (i, j) in vd.items():
-        g = center.centers[i - 1].ideal.gens[j - 1]
-        gval = eval_poly(g, var_map, base_ring)
-        images[name] = fractions.sub.fraction_values[(i - 1, gval)]
+    for i, c in enumerate(center.centers, start=1):
+        for name, g in zip(sym.names([i]), c.ideal.gens):
+            images[name] = fractions.sub.fraction_values[(i - 1, eval_poly(g, var_map, base_ring))]
     well_defined = all(
         eval_poly(g, images, oracle_ring) == oracle_ring.zero
         for g in sym.algebra.relations.groebner()

@@ -692,6 +692,8 @@ def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
     n = len(tokens)
 
     def parse_factor(i):
+        if i >= n:
+            raise InputError("polynomial ends after '*'")
         kind, val = tokens[i]
         if kind == "num":
             if "/" in val:

@@ -1,11 +1,12 @@
 """Rost's double deformation space as a double-centered dilatation.
 
 For closed immersions V(J) ⊆ V(I) ⊆ Spec A the space is the dilatation
-of A[s, t] with centers [I·A[s,t] / s·t] and [J·A[s,t] / s].  The
-subalgebra check verifies extensionally, in A[s, t, (st)^{-1}], that
-every bounded bidegree piece I^n J^{m-n} t^{-n} s^{-m} is generated by
-the fractions I/(ts) and J/s, following the three-case decomposition of
-the defining sum (I^k = J^k = A for k < 0).
+of A[s, t] (`PresentedAlgebra.extend`) with centers [I·A[s,t] / s·t]
+and [J·A[s,t] / s] (`Center.over`).  The subalgebra check verifies
+extensionally, in A[s, t, (st)^{-1}], that every bounded bidegree piece
+I^n J^{m-n} t^{-n} s^{-m} is generated by the fractions I/(ts) and
+J/s, following the three-case decomposition of the defining sum
+(I^k = J^k = A for k < 0).
 """
 
 from __future__ import annotations
@@ -36,30 +37,16 @@ class RostInput:
         self.ideal_j = ideal_j
 
 
-def _extended(algebra: PresentedAlgebra):
-    ring = algebra.ring
-    s, t = ring.fresh_names(["s", "t"])
-    ext = ring.extend([s, t])
-    return (
-        PresentedAlgebra(
-            ext,
-            IdealHandle(ext, [p.map_ring(ext) for p in algebra.relations.gens], algebra.relations.limits),
-        ),
-        s,
-        t,
-    )
-
-
 def rost_space(data: RostInput) -> DilatationResult:
     """Dilate A[s, t] at {[I·A[s,t], s·t], [J·A[s,t], s]}."""
-    ast, s, t = _extended(data.algebra)
+    s, t = data.algebra.ring.fresh_names(["s", "t"])
+    ast = data.algebra.extend([s, t])
     ring = ast.ring
-    st = ring.var(s) * ring.var(t)
     center = MultiCenter(
         ast,
         [
-            Center(ast.ideal([g.map_ring(ring) for g in data.ideal_i.gens], include_relations=False), st),
-            Center(ast.ideal([g.map_ring(ring) for g in data.ideal_j.gens], include_relations=False), ring.var(s)),
+            Center.over(ast, [g.map_ring(ring) for g in data.ideal_i.gens], ring.var(s) * ring.var(t)),
+            Center.over(ast, [g.map_ring(ring) for g in data.ideal_j.gens], ring.var(s)),
         ],
     )
     return dilate(center)
@@ -77,7 +64,8 @@ def rost_subalgebra_check(data: RostInput, bound: int = 4) -> Report:
     if bound > 4:
         raise InputError("bidegree bound capped at 4")
     rep = Report("rost_subalgebra")
-    ast, s, t = _extended(data.algebra)
+    s, t = data.algebra.ring.fresh_names(["s", "t"])
+    ast = data.algebra.extend([s, t])
     loc, zname = ast.localize(ast.var(s) * ast.var(t))
     lring = loc.ring
     sv, tv, zv = lring.var(s), lring.var(t), lring.var(zname)

@@ -9,8 +9,9 @@ from dilatations.algebras import (
     is_nzd,
     maps_equal,
 )
+from dilatations.groebner import Limits, buchberger_reduced
 from dilatations.ideals import IdealHandle
-from dilatations.poly import InputError
+from dilatations.poly import GREVLEX, LEX, InputError
 
 from conftest import random_poly, ring
 
@@ -195,6 +196,37 @@ def test_by_name_without_a_namesake_raises():
     assert AlgebraHom.by_name(a, b, {"y": b.var("t")}).images == [b.var("x"), b.var("t")]
 
 
+def test_extend_moves_relations_in_order_and_keeps_limits():
+    r = ring(["x", "y"], order=LEX)
+    limits = Limits(pair_cap=100)
+    rels = [r.parse("y^2 - x"), r.parse("x*y - 1")]
+    a = PresentedAlgebra(r, IdealHandle(r, rels, limits))
+
+    b = a.extend(["s", "t"])
+    assert b.ring == r.extend(["s", "t"])
+    assert b.ring.order == LEX
+    assert b.relations.gens == [p.map_ring(b.ring) for p in rels]
+    assert b.relations.limits is limits
+
+    c = a.extend(["s"], GREVLEX)
+    assert c.ring.names == ("x", "y", "s")
+    assert c.ring.order == GREVLEX
+    assert c.relations.gens == [p.map_ring(c.ring) for p in rels]
+    assert c.relations.limits is limits
+    assert a.relations.gens == rels
+
+
+def test_extend_starts_no_known_run():
+    # relations that are a known reduced basis move over as plain generators
+    r = ring(["x", "y"])
+    basis = buchberger_reduced([r.parse("x^2 - y"), r.parse("x*y - 1")])
+    a = PresentedAlgebra(r, IdealHandle._of_reduced(r, basis, None))
+    b = a.extend(["s"])
+    assert b.relations.gens == [p.map_ring(b.ring) for p in basis]
+    assert b.relations._known == 0
+    assert b.quotient([b.var("s")]).relations._known == 0
+
+
 def test_localize_matches_hand_built_presentation():
     a = algebra(["z", "x", "y"], "x*y - z^2")
     f = a.parse("x + y")
@@ -206,6 +238,10 @@ def test_localize_matches_hand_built_presentation():
     assert loc.ring == lring
     assert loc.relations.gens == rels
     assert loc == PresentedAlgebra(lring, IdealHandle(lring, rels))
+    limited = PresentedAlgebra(a.ring, IdealHandle(a.ring, a.relations.gens, Limits(pair_cap=100)))
+    loc2, _ = limited.localize(f)
+    assert loc2.relations.gens == rels
+    assert loc2.relations.limits is limited.relations.limits
     # f is a unit there: z*f = 1
     assert loc.eq(loc.var(zname) * f.map_ring(lring), loc.one())
 

@@ -414,6 +414,18 @@ request congruence iso FS nosuch
     assert "undeclared filtration 'nosuch'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", ["p", "p=2, N"])
+def test_filtration_field_without_a_value_is_a_parse_error(tmp_path, capsys, fields):
+    # a bare `p` or `N` once raised IndexError out of the parser
+    text = f"""
+filtration G1 = group GL(2), {fields}
+request congruence points G1
+"""
+    code, _ = run_cli(tmp_path, text)
+    assert code == 2
+    assert "needs a value after '='" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("other", ["GL(2), p=2, N=3, (e, 2)", "SL(3), p=2, N=3, (e, 2)"])
 def test_congruence_iso_rejects_filtrations_of_different_groups(tmp_path, capsys, other):
     # once only the names and p^N were compared: GL(2) against SL(2)

@@ -17,7 +17,6 @@ from dilatations.congruence import (
     lie_points,
     mat_det,
     mat_id,
-    mat_inv,
     mat_mul,
     normalizer_check,
     subgroup_elements,
@@ -215,15 +214,6 @@ def test_budget_counts_cell_candidates_not_the_box(monkeypatch):
     monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", 728)
     with pytest.raises(SizeCapError, match="^729 candidate"):
         group_points(l1, ring_)
-
-
-def test_matrix_inverse():
-    ops = LevelRing(3, 2)
-    g = ((1, 3), (0, 1))
-    assert mat_mul(ops, g, mat_inv(ops, g)) == mat_id(ops, 2)
-    g3 = ((1, 2, 0), (0, 1, 5), (0, 0, 1))
-    ops3 = LevelRing(2, 3)
-    assert mat_mul(ops3, g3, mat_inv(ops3, g3)) == mat_id(ops3, 3)
 
 
 def test_level_ring_bounds():
@@ -621,18 +611,10 @@ def test_matrix_helpers_match_loop_references(ops):
     rng = random.Random(repr(ops))
     els = list(ops.elements)
     for n in range(1, 5):
-        ident = mat_id(ops, n)
-        inverted = 0
         for _ in range(12):
             a, b = (tuple(tuple(rng.choice(els) for _ in range(n)) for _ in range(n)) for _ in range(2))
             assert mat_mul(ops, a, b) == _ref_mul_ops(ops, a, b)
-            det = _ref_det(ops, a)
-            assert mat_det(ops, a) == det
-            if ops.is_unit(det):
-                inv = mat_inv(ops, a)
-                assert _ref_mul_ops(ops, a, inv) == ident == _ref_mul_ops(ops, inv, a)
-                inverted += 1
-        assert inverted
+            assert mat_det(ops, a) == _ref_det(ops, a)
 
 
 def _ref_catalog_names(n):
@@ -833,12 +815,15 @@ def _ref_normalizer(filt, k_name, ring_):
             return out + [("main_check_skipped", True)]
     ops = ring_
     pts = group_points(filt, ring_)
+    ks = subgroup_elements(spec, k_name, ops)
+    ident = mat_id(ops, spec.n)
+    inverse = {k: next(x for x in ks if _ref_mul_ops(ops, k, x) == ident) for k in ks}
     out.append(
         (
             "normalizes",
             all(
-                _ref_mul_ops(ops, _ref_mul_ops(ops, k, g), mat_inv(ops, k)) in pts.as_set
-                for k in subgroup_elements(spec, k_name, ops)
+                _ref_mul_ops(ops, _ref_mul_ops(ops, k, g), inverse[k]) in pts.as_set
+                for k in ks
                 for g in pts.elements
             ),
         )

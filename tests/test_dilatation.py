@@ -23,6 +23,7 @@ from dilatations.dilatation import (
     two_stage_iso,
     universal_factor,
 )
+from dilatations.groebner import Limits
 from dilatations.ideals import IdealHandle
 from dilatations.poly import InputError
 
@@ -160,6 +161,25 @@ def test_generation_invariant():
     res = dilate(mk_center(a, (["g", "h"], "a"), (["g"], "a^2")))
     frac = [n for row in res.fraction_vars for n in row]
     assert res.algebra.ring.names == a.ring.names + tuple(frac)
+
+
+def test_names_flatten_the_rows_of_the_given_centers():
+    a = PresentedAlgebra(ring(["a", "b", "g", "h", "x_1_1"]))
+    res = dilate(mk_center(a, (["g", "h"], "a"), (["g"], "b")))
+    assert res.fraction_vars == [["x_1_1_2", "x_1_2"], ["x_2_1"]]
+    assert res.names() == ["x_1_1_2", "x_1_2", "x_2_1"]
+    assert res.names([2]) == ["x_2_1"]
+    assert res.names([2, 1]) == ["x_2_1", "x_1_1_2", "x_1_2"]
+    assert res.names() == list(res.algebra.ring.names[len(a.ring.names):])
+
+
+def test_center_over_carries_the_algebra_limits():
+    r = ring(["a", "g"])
+    a = PresentedAlgebra(r, IdealHandle(r, [r.parse("g^2")], Limits(pair_cap=100)))
+    c = Center.over(a, [a.var("g")], a.var("a"))
+    assert c.ideal.gens == [a.var("g")]
+    assert c.ideal.limits is a.relations.limits
+    assert c.elem == a.var("a")
 
 
 def test_saturation_needed_when_not_regular():

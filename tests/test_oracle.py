@@ -11,6 +11,7 @@ from dilatations.oracle import (
     FiniteCenter,
     FiniteModule,
     FiniteRing,
+    Localization,
     SizeCapError,
     certify_basis_axioms,
     compare_with_symbolic,
@@ -21,7 +22,6 @@ from dilatations.oracle import (
     eval_poly,
     from_presented,
     galois_extension,
-    localize_finite,
     module_dilate_oracle,
     quotient_ring,
     symbol_classes,
@@ -51,18 +51,18 @@ def mk_center(alg, *pairs):
 
 
 def test_localize_z6_at_2():
-    loc = localize_finite(zmod(6), 2)
+    loc = Localization(zmod(6), 2)
     assert loc.e == 4 and sorted(loc.ring.elements) == [0, 2, 4]
     assert loc.map(1) == 4
 
 
 def test_localize_at_one_is_identity():
-    loc = localize_finite(zmod(6), 1)
+    loc = Localization(zmod(6), 1)
     assert loc.e == 1 and len(loc.ring.elements) == 6
 
 
 def test_localize_nilpotent_gives_zero_ring():
-    loc = localize_finite(zmod(4), 2)
+    loc = Localization(zmod(4), 2)
     assert loc.e == 0 and loc.ring.elements == [0]
 
 
@@ -80,7 +80,7 @@ def test_subring_dilatation_z6():
 def test_subring_full_ideal_is_localization():
     c = FiniteCenter.from_gens(zmod(6), [([1], 2)])
     dil = dilate_oracle_subring(zmod(6), c)
-    assert set(dil.ring.elements) == set(localize_finite(zmod(6), 2).ring.elements)
+    assert set(dil.ring.elements) == set(Localization(zmod(6), 2).ring.elements)
 
 
 def test_subring_zero_ring():
@@ -217,7 +217,7 @@ def _ref_symbol_reps(symbols, equivalent):
 def _ref_fractions(base, center):
     """Representatives, classes and add/mul tables of the fraction ring by
     the first-match scan."""
-    loc = localize_finite(base, center.product_elem())
+    loc = Localization(base, center.product_elem())
     e, t, k = loc.e, loc.t, len(center.pairs)
 
     def equivalent(s1, s2):
@@ -293,7 +293,7 @@ def _quotient_module(base, n):
 )
 def test_module_classes_match_first_match_reference(base, module, pairs):
     center = FiniteCenter.from_gens(base, pairs)
-    loc = localize_finite(base, center.product_elem())
+    loc = Localization(base, center.product_elem())
     e, t = loc.e, loc.t
 
     def equivalent(s1, s2):
@@ -346,7 +346,7 @@ def test_module_classes_match_literal_symbol_reference(case):
     take over a minute.)"""
     base, module, pairs = MODULE_CASES[case]()
     center = FiniteCenter.from_gens(base, pairs)
-    loc = localize_finite(base, center.product_elem())
+    loc = Localization(base, center.product_elem())
     e, t = loc.e, loc.t
     nus = list(itertools.product(range(t + 1), repeat=len(pairs)))
     e_a_pow = {nu: base.mul(e, _ref_a_pow(center, nu)) for nu in nus}
@@ -392,7 +392,7 @@ def _value_keyed_fraction_classes(base, center):
     of each value represents its class, and sums and products of
     representatives are located by value.  Returns (reps, class_of,
     values, add table, mul table)."""
-    loc = localize_finite(base, center.product_elem())
+    loc = Localization(base, center.product_elem())
     k = len(center.pairs)
 
     def value(m, nu):
@@ -421,7 +421,7 @@ def _value_keyed_fraction_classes(base, center):
 def _value_keyed_module_elements(module, center):
     """The values l*m/a^nu of all triples with l in L^nu and m in M, sorted."""
     base = center.ring
-    loc = localize_finite(base, center.product_elem())
+    loc = Localization(base, center.product_elem())
     values = set()
     for nu in itertools.product(range(loc.t + 1), repeat=len(center.pairs)):
         inv = loc.ring.inverse(loc.map(center.a_power(nu)))
@@ -1000,8 +1000,8 @@ def test_localize_agrees_with_oracle():
     c = FiniteCenter.from_gens(base, [([6], 2)])
     dil = dilate_oracle_subring(base, c)
     f_in_dil = dil.struct_map(2)
-    loc_dil = localize_finite(dil.ring, f_in_dil)
-    loc_base = localize_finite(base, 2)
+    loc_dil = Localization(dil.ring, f_in_dil)
+    loc_base = Localization(base, 2)
     e = loc_dil.e
     assert {base.mul(e, x) for x in loc_base.ring.elements} == set(loc_dil.ring.elements)
 
@@ -1053,7 +1053,7 @@ def test_open_immersion_agrees_with_oracle():
     d_k = dilate_oracle_subring(base, FiniteCenter(base, [(m1, a)]))
     inv_a = d_k.loc.ring.inverse(d_k.loc.map(a))
     frac = base.mul(d_k.loc.map(g), inv_a)  # the fraction g/a in D_K
-    loc = localize_finite(d_k.ring, frac)
+    loc = Localization(d_k.ring, frac)
     image = {base.mul(loc.e, x) for x in d_i.ring.elements}
     assert image == set(loc.ring.elements)
     assert len(image) == d_i.ring.size

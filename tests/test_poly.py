@@ -39,6 +39,8 @@ def test_parse_rejects_garbage():
     r = ring(["x"])
     with pytest.raises(InputError):
         r.parse("x +")
+    with pytest.raises(InputError, match="ends after"):
+        r.parse("2*x*")  # once an IndexError
     with pytest.raises(InputError):
         r.parse("q")
     with pytest.raises(InputError):
