@@ -10,7 +10,7 @@ from .groebner import (
     ideal_cofactors,
     normal_form,
 )
-from .ideals import IdealHandle, colon, combine, eliminate, intersect, membership
+from .ideals import IdealHandle, colon, combine, eliminate, intersect
 from .algebras import AlgebraHom, PresentedAlgebra, check_hom, hom_kernel, is_nzd, maps_equal
 from .dilatation import (
     Center,
@@ -72,7 +72,6 @@ __all__ = [
     "iterate_iso",
     "localize_compare",
     "maps_equal",
-    "membership",
     "monopoly_iso",
     "normal_form",
     "normalize_center",

@@ -149,9 +149,11 @@ class DilatationResult:
     def fraction(self, pos: int, m: Polynomial, in_l: bool = False) -> Polynomial:
         """The element m / a_pos of A' (pos 1-based).
 
-        Requires m in M_pos (or in L_pos when in_l is set); the expression
-        is extracted by cofactor-tracked division over the stored
-        generator list, so it lands in the span of the fraction variables.
+        Requires m in M_pos (or in L_pos when in_l is set).  Cofactors of
+        m over the stored generator list and the relations
+        (`ideal_cofactors`) write it in the span of the fraction
+        variables; its normal form in A' does not depend on which
+        cofactors are found.
         """
         c = self.center.centers[pos - 1]
         gens = list(c.ideal.gens)
@@ -818,8 +820,8 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
     images = chi.image_map()
     images_alt = chi.image_map()
     for i, c in enumerate(center.centers, start=1):
+        bi = chi.apply(c.elem)
         for n, g in zip(result.names([i]), c.ideal.gens):
-            bi = chi.apply(c.elem)
             gi = chi.apply(g)
             cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
             images[n] = b.nf(cof[0])

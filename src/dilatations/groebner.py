@@ -16,8 +16,8 @@ cap counts every pair formed, dropped ones included, and the degree cap
 checks the lcm of every pair formed and every new leading monomial;
 exceeding either raises ResourceLimitError, which names the cap, the
 pairs formed, the basis size and largest degree, and the ring.
-The same loop optionally carries a cofactor track (each basis element
-written over the input generators), which `ideal_cofactors` uses.
+There is one mode: `ideal_cofactors` writes an element over generators
+by one run of this loop on a tagged ideal (see its docstring).
 
 Known run: a caller that holds a Groebner basis G and wants the basis of
 G + F passes G first with `known=len(G)` (`ideals` does so only for a
@@ -32,8 +32,7 @@ a generator of F is reduced against the live elements before it, seeds
 included.  Letting G enter first instead, before generators of smaller
 leading monomial, swelled the coefficients of the run: on one
 intersection input over QQ it took over 30 times as long as the unseeded
-run, and with cofactors it did not finish in 90 s.  The result is the
-same unique reduced basis.
+run.  The result is the same unique reduced basis.
 
 The criteria work on exponent fields (`Packing.exps`: a packed
 monomial's exponents alone, an int that divides as the whole int does).
@@ -52,7 +51,7 @@ pairs up to the one that exceeds it.
 Representation: a polynomial's terms are already packed,
 {packed monomial: coefficient} (`poly.Packing`: one int per monomial,
 compared by the monomial order), so division, normal forms, Buchberger
-(both modes) and interreduction take them with no repacking, through
+and interreduction take them with no repacking, through
 the term update `poly._add_multiple`.  Each basis element is turned once
 into its reducer row (packed leading monomial, inverse leading
 coefficient, negated monic tail): Buchberger builds it when it adds the
@@ -76,7 +75,7 @@ from __future__ import annotations
 
 import heapq
 
-from .poly import FIELD_BITS, InputError, Packing, Polynomial, ResourceLimitError, _add_multiple
+from .poly import FIELD_BITS, InputError, Packing, PolyRing, Polynomial, ResourceLimitError, _add_multiple, block_order
 
 DEFAULT_DEGREE_CAP = 24
 DEFAULT_PAIR_CAP = 200_000
@@ -207,36 +206,14 @@ def divide(f: Polynomial, basis):
     return packing.poly(rem), [packing.poly(q) for q in quotients]
 
 
-def _reduce_tracked(work: dict, row, table: Reducers, rows) -> dict:
-    """Packed remainder of `work` under the table, with its cofactor row
-    (packed dicts) turned in place into the remainder's: every quotient
-    times the row of its basis element is subtracted."""
-    quotients = [{} for _ in table.rows]
-    r = _reduce(work, table, quotients)
-    packing = table.packing
-    neg = packing.ring.field.neg
-    for q, brow in zip(quotients, rows):
-        for qm, qc in q.items():
-            for acc, c in zip(row, brow):
-                _add_multiple(acc, c.items(), qm, neg(qc), packing)
-    return r
-
-
-def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = False, known: int = 0):
+def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
     """Unique reduced Groebner basis of the ideal generated by `gens`.
-
-    With `cofactors` set, a cofactor row over `gens` rides along with
-    every basis element and (basis, rows) is returned before
-    interreduction: a monic, not necessarily reduced, Groebner basis with
-    basis[e] == sum_j rows[e][j] * gens[j] exactly.  Both modes share the
-    initial reduction, the pair order, the criteria and the budgets.
 
     `gens[:known]` must already be a Groebner basis under the ring's
     order (the known run).  Its elements are added in the order below
     with the other generators, without the initial reduction and
-    forming no pair among themselves; their cofactor rows are unit
-    rows.  The pair cap counts the pairs formed, so the known run
-    charges it nothing among itself.
+    forming no pair among themselves.  The pair cap counts the pairs
+    formed, so the known run charges it nothing among itself.
 
     Sugar: an input generator's sugar is its total degree (the standard
     choice), a pair's is max(sugar_i + deg t_i, sugar_j + deg t_j) where
@@ -249,7 +226,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     gens = list(gens)
     nonzero = [k for k, g in enumerate(gens) if not g.is_zero()]
     if not nonzero:
-        return ([], []) if cofactors else []
+        return []
     ring = _same_ring([gens[k] for k in nonzero])
     limits = limits or Limits()
     packing = ring.packing
@@ -260,7 +237,6 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     minus_one = fld.neg(one)
 
     basis: list[dict] = []  # packed terms, monic
-    rows = [] if cofactors else None  # cofactor rows, packed, over gens
     reducer_rows: list = []
     lms: list[int] = []
     xs: list[int] = []  # the exponent fields of lms
@@ -279,18 +255,14 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
             f"largest degree {top}; ring of {ring.nvars} variables, order {ring.order!r}"
         )
 
-    def add(r, row, s, seed=False):
-        """Keep r (monic) with sugar s and apply the Gebauer-Moeller update;
-        an element of the known run forms no pair with another."""
+    def add(r, s, seed=False):
+        """Keep r (made monic) with sugar s and apply the Gebauer-Moeller
+        update; an element of the known run forms no pair with another."""
         nonlocal formed, table
         lm_h = max(r)
         inv = _inverse(fld, r[lm_h])
         if inv != one:
             r = {m: _integral(fld.mul(inv, c)) for m, c in r.items()}
-            if rows is not None:
-                row = [{m: _integral(fld.mul(inv, c)) for m, c in acc.items()} for acc in row]
-        if rows is not None:
-            rows.append(row)
         h = len(basis)
         basis.append(r)
         reducer_rows.append(_row(packing, r))
@@ -364,18 +336,9 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
     # the generators by leading monomial, the known run among them
     for k in sorted(nonzero, key=lambda k: (gens[k].lm(), sorted(gens[k].terms.items()))):
         f = packing.terms(gens[k])
-        row = None
-        if rows is not None:
-            row = [{} for _ in gens]
-            row[k] = {0: one}
-        if k < known:
-            r = f
-        elif rows is None:
-            r = normal_form(f, table)
-        else:
-            r = _reduce_tracked(f, row, table, [rows[e] for e in live])
+        r = f if k < known else normal_form(f, table)
         if r:
-            add(r, row, gens[k].degree(), k < known)
+            add(r, gens[k].degree(), k < known)
 
     while heap:
         s, l, i, j = heapq.heappop(heap)
@@ -385,35 +348,22 @@ def buchberger_reduced(gens, limits: Limits | None = None, cofactors: bool = Fal
         spoly: dict = {}
         _add_multiple(spoly, reducer_rows[j][2], tj, one, packing)
         _add_multiple(spoly, reducer_rows[i][2], ti, minus_one, packing)
-        if rows is None:
-            r, row = normal_form(spoly, table), None
-        else:
-            row = [{} for _ in gens]
-            for acc, a, b in zip(row, rows[i], rows[j]):
-                _add_multiple(acc, a.items(), ti, one, packing)
-                _add_multiple(acc, b.items(), tj, minus_one, packing)
-            r = _reduce_tracked(spoly, row, table, [rows[e] for e in live])
+        r = normal_form(spoly, table)
         if not r:
             continue
         if deg(max(r)) > limits.degree_cap:
             raise exceeded(f"degree budget {limits.degree_cap} exceeded (new lead degree {deg(max(r))})")
-        add(r, row, s)
+        add(r, s)
 
-    if rows is not None:
-        return [packing.poly(basis[k]) for k in live], [[packing.poly(c) for c in rows[k]] for k in live]
     return _interreduce([basis[k] for k in live], packing)
 
 
-def _interreduce(basis, packing: Packing | None = None):
-    """Minimalize and fully reduce a Groebner basis; sort deterministically.
-
-    `basis` is a list of polynomials, or of packed term dicts over
-    `packing`; the result is a list of polynomials either way."""
+def _interreduce(basis, packing: Packing):
+    """Minimalize and fully reduce a Groebner basis, given as packed term
+    dicts over `packing`; return it as polynomials, sorted
+    deterministically."""
     if not basis:
         return []
-    if packing is None:
-        packing = basis[0].ring.packing
-        basis = [packing.terms(g) for g in basis]
     fld = packing.ring.field
     guard = packing.guard
     polys = sorted(basis, key=max)
@@ -441,15 +391,51 @@ def ideal_cofactors(f: Polynomial, gens, limits: Limits | None = None):
     """Express f as a combination of gens, or None if f is not a member.
 
     Returns coefficients cs with f == sum cs[j] * gens[j], exactly.
+
+    Method: a module Groebner basis written as an ideal with tag
+    variables (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 5).
+    Fresh tags T, e_1..e_s come first, under `block_order(s + 1)`, and
+    one plain run computes the reduced basis G of the ideal I generated
+    by T*g_j - e_j and every tag monomial of degree 2.  T*f is reduced by
+    G: a T term left over means f is not a member, and otherwise the
+    remainder is sum c_j*e_j with f = sum c_j*g_j.
+
+    Proof.  Every generator of I is homogeneous in the tags' degree, so
+    I is, and so is every element the run forms, G included.  I has
+    nothing of tag degree 0, and its part of tag degree 1 is
+    {sum a_j*(T*g_j - e_j) : a_j free of tags}, as the tag monomials
+    reach only degree 2 and up.  So (*) T*f - sum c_j*e_j lies in I
+    exactly when f = sum c_j*g_j.  An element of G whose leading
+    monomial divides a term of tag degree 1 has tag degree 1, so the
+    remainder r of T*f has tag degree 1, and T*f - r lies in I.
+    If r has no T term, it is sum c_j*e_j and (*) gives the cofactors.
+    If f = sum b_j*g_j, then by (*) r is also the remainder of the
+    e-only sum b_j*e_j, as a remainder by a Groebner basis is unique on
+    a class mod I.  The block order compares the tags first, and on
+    single tags its grevlex puts T above every e_j, so every T term is
+    above every e term: an element of G led by an e term has no T term.
+    An e-only polynomial reduces only by such e-led elements and stays
+    e-only, so r has no T term.  Hence a T term in r means f is not a
+    member.
+
+    The tagged run's degrees are one higher than those of `gens` (T*g_j
+    has degree deg g_j + 1), and it is charged to the same `limits`.
     """
-    basis, rows = buchberger_reduced(gens, limits, cofactors=True)
-    r, qs = divide(f, basis)
-    if not r.is_zero():
-        return None
+    gens = list(gens)
     ring = f.ring
-    out = [ring.zero() for _ in gens]
-    for idx, q in enumerate(qs):
-        if not q.is_zero():
-            for j in range(len(gens)):
-                out[j] = out[j] + q * rows[idx][j]
-    return out
+    names = ring.fresh_names(["T"] + [f"e_{j}" for j in range(1, len(gens) + 1)])
+    tagged = PolyRing(ring.field, names + list(ring.names), block_order(len(names)))
+    tags = [tagged.var(n) for n in names]
+    t = tags[0]
+    ideal = [t * g.map_ring(tagged) - e for g, e in zip(gens, tags[1:])]
+    ideal += [u * v for i, u in enumerate(tags) for v in tags[i:]]
+    r = normal_form(t * f.map_ring(tagged), buchberger_reduced(ideal, limits))
+    # each term of r is one tag of degree 1 times a monomial of the ring
+    unpack, pack = tagged.packing.unpack, ring.packing.pack
+    cs = [{} for _ in names]
+    for m, c in r.terms.items():
+        e = unpack(m)
+        cs[e.index(1)][pack(e[len(names):])] = c
+    if cs[0]:
+        return None
+    return [Polynomial(ring, terms) for terms in cs[1:]]

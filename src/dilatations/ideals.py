@@ -253,13 +253,3 @@ def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
     sub = PolyRing(a.ring.field, rest, keep_order)
     return _eliminated(buchberger_reduced(mapped, limits=a.limits), len(names), sub, a.limits)
 
-
-def membership(query: str, a: IdealHandle, arg) -> bool:
-    """Dispatch form: contains(f) | equals(B) | radical_contains(f)."""
-    if query == "contains":
-        return a.contains(arg)
-    if query == "equals":
-        return a.equals(arg)
-    if query == "radical_contains":
-        return a.radical_contains(arg)
-    raise InputError(f"unknown membership query {query!r}")

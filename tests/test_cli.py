@@ -555,9 +555,9 @@ def test_flag_budgets_reach_every_buchberger_call(tmp_path, monkeypatch, line):
     original = groebner.buchberger_reduced
     seen = []
 
-    def recording(gens, limits=None, cofactors=False, known=0):
+    def recording(gens, limits=None, known=0):
         seen.append(limits)
-        return original(gens, limits, cofactors, known)
+        return original(gens, limits, known)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("dilatations") and getattr(module, "buchberger_reduced", None) is original:

@@ -163,9 +163,8 @@ def test_qq_results_carry_fractions_only(texts):
     f = r.parse("x^3 + 2*x*y^2 - 5*y + 7")
     member = gens[0] * r.parse("x + 2") + gens[1] * r.parse("3*y")
     gb = buchberger_reduced(gens)
-    basis, rows = buchberger_reduced(gens, cofactors=True)
     rem, quotients = divide(f, gens)
-    out = gb + basis + [p for row in rows for p in row] + [rem] + quotients
+    out = gb + [rem] + quotients
     out += [normal_form(f, gb), normal_form(f, gens), IdealHandle(r, gens).normal_form(f)]
     out += ideal_cofactors(member, gens)
     assert all(type(c) is Fraction for p in out for c in p.terms.values())
@@ -183,13 +182,15 @@ def test_prime_field_results_carry_ints():
 
 
 def test_interreduce_takes_packed_terms():
+    # a Groebner basis that is neither minimal nor reduced nor monic: the
+    # reduced one, scaled, with multiples and a sum of its elements
     r = ring(["x", "y", "z"])
     gens = [r.parse("x^2 - 1/3*y*z"), r.parse("2*x*y - z^2"), r.parse("y^3 - x")]
-    basis, _ = buchberger_reduced(gens, cofactors=True)
-    packing = r.packing
     expected = buchberger_reduced(gens)
-    assert _interreduce([packing.terms(g) for g in basis], packing) == expected
-    assert _interreduce(basis) == expected
+    basis = [g * r.parse("3") for g in expected] + [r.parse("x") * g for g in expected]
+    basis.append(expected[0] + r.parse("y") * expected[-1])
+    packing = r.packing
+    assert _interreduce([packing.terms(g) for g in reversed(basis)], packing) == expected
 
 
 def test_resource_limits_raise():
@@ -221,40 +222,48 @@ def _combination(coeffs, gens):
     return total
 
 
-@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
-def test_cofactor_track_rebuilds_basis(seed, field):
+def test_ideal_cofactors_over_zero_generators():
+    r = ring(["x"])
+    zeros = [r.zero(), r.zero()]
+    assert ideal_cofactors(r.zero(), zeros) == zeros
+    assert ideal_cofactors(r.one(), zeros) is None
+    assert ideal_cofactors(r.zero(), []) == []
+    assert ideal_cofactors(r.var("x"), []) is None
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.booleans())
+def test_ideal_cofactors_rebuild_member(seed, field, member):
+    """A combination of up to four generators (a zero and a repeat among
+    them) gets cofactors that rebuild it; any other element gets cofactors
+    exactly when the plain basis reduces it to 0."""
     import random as _random
 
     rng = _random.Random(seed)
     r = ring(["x", "y", "z"], field=field)
-    gens = [random_poly(rng, r) for _ in range(rng.randint(1, 3))]
-    gens += [r.zero(), gens[0]]  # a zero and a repeated generator
+    gens = [random_poly(rng, r) for _ in range(rng.randint(1, 2))]
+    gens += [r.zero(), gens[0]]
     rng.shuffle(gens)
-    basis, rows = buchberger_reduced(gens, cofactors=True)
-    assert len(rows) == len(basis)
-    for g, row in zip(basis, rows):
-        assert len(row) == len(gens)
-        assert g.lc() == field.one()
-        assert _combination(row, gens) == g
-    assert _interreduce(basis) == buchberger_reduced(gens)
-
-
-def test_cofactor_track_of_zero_generators():
-    r = ring(["x"])
-    assert buchberger_reduced([r.zero(), r.zero()], cofactors=True) == ([], [])
-
-
-@given(st.integers(0, 10**9))
-def test_ideal_cofactors_rebuild_member(seed):
-    import random as _random
-
-    rng = _random.Random(seed)
-    r = ring(["x", "y"])
-    gens = [random_poly(rng, r) for _ in range(2)] + [r.zero()]
-    f = _combination([random_poly(rng, r, max_deg=1, max_terms=2) for _ in gens], gens)
+    if member:
+        f = _combination([random_poly(rng, r, max_deg=1, max_terms=2) for _ in gens], gens)
+    else:
+        f = random_poly(rng, r)
     cof = ideal_cofactors(f, gens)
-    assert cof is not None and len(cof) == len(gens)
+    assert (cof is not None) == normal_form(f, buchberger_reduced(gens)).is_zero()
+    if cof is not None:
+        assert len(cof) == len(gens)
+        assert _combination(cof, gens) == f
+
+
+def test_ideal_cofactors_on_a_ring_that_holds_the_tag_names():
+    # the tags take fresh names; the ring's own T, e_1, e_2 are variables
+    # like any other, in a lex ring
+    r = ring(["T", "e_1", "e_2", "x"], order=LEX)
+    gens = [r.parse("T*e_1 - x"), r.parse("e_2^2 + T"), r.parse("x")]
+    f = r.parse("e_2") * gens[0] + r.parse("T + x") * gens[1] + r.parse("e_1") * gens[2]
+    cof = ideal_cofactors(f, gens)
+    assert cof is not None and all(c.ring == r for c in cof)
     assert _combination(cof, gens) == f
+    assert ideal_cofactors(r.parse("e_1 + 1"), gens) is None
 
 
 def test_ideal_cofactors_rejects_non_member():
@@ -349,7 +358,8 @@ def _textbook_basis(gens):
         if not r.is_zero():
             basis.append(r.monic())
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _interreduce(basis)
+    packing = basis[0].ring.packing
+    return _interreduce([packing.terms(g) for g in basis], packing)
 
 
 ORDERS = {"lex": LEX, "grevlex": GREVLEX, "block1": block_order(1), "block2": block_order(2)}
@@ -385,10 +395,6 @@ def test_basis_matches_criterion_free_reference(seed, field, order_name):
     # here is equality with the reference, not the default budget
     limits = Limits(degree_cap=64)
     assert buchberger_reduced(gens, limits=limits) == expected
-    basis, rows = buchberger_reduced(gens, cofactors=True, limits=limits)
-    for g, row in zip(basis, rows):
-        assert _combination(row, gens) == g
-    assert _interreduce(basis) == expected
 
 
 # ------------------------------------------------------------ known run
@@ -396,14 +402,8 @@ def test_basis_matches_criterion_free_reference(seed, field, order_name):
 
 def _assert_seeded_matches_unseeded(gens, known):
     """The run with `gens[:known]` as its known run against the run
-    without: the same reduced basis, and cofactor rows that rebuild it."""
-    expected = buchberger_reduced(gens)
-    assert buchberger_reduced(gens, known=known) == expected
-    basis, rows = buchberger_reduced(gens, cofactors=True, known=known)
-    for g, row in zip(basis, rows):
-        assert len(row) == len(gens)
-        assert _combination(row, gens) == g
-    assert _interreduce(basis) == expected
+    without: the same reduced basis."""
+    assert buchberger_reduced(gens, known=known) == buchberger_reduced(gens)
 
 
 @given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))

@@ -197,9 +197,9 @@ def test_saturation_by_two_elements_matches_sympy(seed, monkeypatch):
 
     real, runs = ideals.buchberger_reduced, []
 
-    def recording(gens, limits=None, cofactors=False, known=0):
+    def recording(gens, limits=None, known=0):
         runs.append(known)
-        return real(gens, limits, cofactors, known)
+        return real(gens, limits, known)
 
     monkeypatch.setattr(ideals, "buchberger_reduced", recording)
     rng = random.Random(8400 + seed)

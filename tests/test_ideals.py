@@ -7,7 +7,7 @@ from dilatations import ideals
 from dilatations.algebras import PresentedAlgebra
 from dilatations.dilatation import Center, MultiCenter, dilate
 from dilatations.groebner import Reducers, buchberger_reduced, normal_form
-from dilatations.ideals import IdealHandle, colon, combine, eliminate, intersect, membership, saturate
+from dilatations.ideals import IdealHandle, colon, combine, eliminate, intersect, saturate
 from dilatations.poly import Field, InputError, QQ
 
 from conftest import random_poly, ring
@@ -63,10 +63,10 @@ def test_eliminate_examples():
 
 def test_membership_queries():
     r = ring(["x", "y"])
-    assert membership("contains", handle(r, "x"), r.parse("x*y"))
-    assert membership("radical_contains", handle(ring(["u"]), "u^2"), ring(["u"]).var("u"))
-    assert membership("equals", handle(r, "x", "y"), handle(r, "y", "x + y"))
-    assert not membership("contains", handle(r, "x^2"), r.parse("x"))
+    assert handle(r, "x").contains(r.parse("x*y"))
+    assert handle(ring(["u"]), "u^2").radical_contains(ring(["u"]).var("u"))
+    assert handle(r, "x", "y").equals(handle(r, "y", "x + y"))
+    assert not handle(r, "x^2").contains(r.parse("x"))
 
 
 def test_groebner_cache_thread_safe():
@@ -355,11 +355,11 @@ def test_demo_rebuilds_no_basis_it_already_has(monkeypatch):
     real = groebner.buchberger_reduced
     outputs, repeats = [], []
 
-    def recording(gens, limits=None, cofactors=False, known=0):
+    def recording(gens, limits=None, known=0):
         known = sum(not g.is_zero() for g in gens[:known])
         gens = [g for g in gens if not g.is_zero()]
-        out = real(gens, limits, cofactors, known)
-        if cofactors or len(gens) < 2:
+        out = real(gens, limits, known)
+        if len(gens) < 2:
             return out
         names = set(gens[0].ring.names)
         key = [str(g) for g in gens]
@@ -410,11 +410,11 @@ def _buchberger_work(monkeypatch, path, reverse):
         state["reductions"] += state["depth"] > 0
         return real_nf(f, basis)
 
-    def counting_bb(gens, limits=None, cofactors=False, known=0):
+    def counting_bb(gens, limits=None, known=0):
         state["seeded"] += known > 0
         state["depth"] += 1
         try:
-            return real_bb(gens, limits, cofactors, known)
+            return real_bb(gens, limits, known)
         finally:
             state["depth"] -= 1
 
