@@ -801,8 +801,10 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
         return FactorResult(None, True, "chi is not well-defined", rep)
     b = chi.target
 
+    elems = []  # chi(a_i), one normal form per center
     for i, c in enumerate(center.centers, start=1):
         bi = chi.apply(c.elem)
+        elems.append(bi)
         if not is_nzd(b, bi):
             rep.add(f"nzd_{i}", False, f"chi(a_{i}) is a zero divisor")
             return FactorResult(None, True, f"chi(a_{i}) is a zero divisor in B", rep)
@@ -819,8 +821,7 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
     result = dilate(center)
     images = chi.image_map()
     images_alt = chi.image_map()
-    for i, c in enumerate(center.centers, start=1):
-        bi = chi.apply(c.elem)
+    for i, (c, bi) in enumerate(zip(center.centers, elems), start=1):
         for n, g in zip(result.names([i]), c.ideal.gens):
             gi = chi.apply(g)
             cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)

@@ -19,20 +19,16 @@ pairs formed, the basis size and largest degree, and the ring.
 There is one mode: `ideal_cofactors` writes an element over generators
 by one run of this loop on a tagged ideal (see its docstring).
 
+Entry: every nonzero generator enters as it is, unreduced, in one order
+by leading monomial, through the same `add` as every element the loop
+forms; the Gebauer-Moeller criteria are sound for any element added.
 Known run: a caller that holds a Groebner basis G and wants the basis of
 G + F passes G first with `known=len(G)` (`ideals` does so only for a
 handle whose generators are its reduced basis).  The elements of G (the
-seeds) enter with the generators of F, in one order by leading monomial,
-and through the same `add` as every other element, but unreduced and
-forming no pair among themselves: each such S-pair has a standard
-representation over G already, so it reduces to zero, and the
-Gebauer-Moeller criteria stay sound when such pairs are never formed.
-A seed does form pairs with the live elements that are not seeds, and
-a generator of F is reduced against the live elements before it, seeds
-included.  Letting G enter first instead, before generators of smaller
-leading monomial, swelled the coefficients of the run: on one
-intersection input over QQ it took over 30 times as long as the unseeded
-run.  The result is the same unique reduced basis.
+seeds) then form no pair among themselves: each such S-pair has a
+standard representation over G already, so it reduces to zero, and the
+criteria stay sound when such pairs are never formed.  The result is
+the same unique reduced basis.
 
 The criteria work on exponent fields (`Packing.exps`: a packed
 monomial's exponents alone, an int that divides as the whole int does).
@@ -209,11 +205,11 @@ def divide(f: Polynomial, basis):
 def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
-    `gens[:known]` must already be a Groebner basis under the ring's
-    order (the known run).  Its elements are added in the order below
-    with the other generators, without the initial reduction and
-    forming no pair among themselves.  The pair cap counts the pairs
-    formed, so the known run charges it nothing among itself.
+    Every nonzero generator is added unreduced, in the order of its
+    leading monomial.  `gens[:known]` must already be a Groebner basis
+    under the ring's order (the known run); its elements form no pair
+    among themselves.  The pair cap counts the pairs formed, so the
+    known run charges it nothing among itself.
 
     Sugar: an input generator's sugar is its total degree (the standard
     choice), a pair's is max(sugar_i + deg t_i, sugar_j + deg t_j) where
@@ -335,10 +331,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
 
     # the generators by leading monomial, the known run among them
     for k in sorted(nonzero, key=lambda k: (gens[k].lm(), sorted(gens[k].terms.items()))):
-        f = packing.terms(gens[k])
-        r = f if k < known else normal_form(f, table)
-        if r:
-            add(r, gens[k].degree(), k < known)
+        add(packing.terms(gens[k]), gens[k].degree(), k < known)
 
     while heap:
         s, l, i, j = heapq.heappop(heap)

@@ -39,13 +39,5 @@ class Report:
     def failures(self) -> list[tuple[str, str]]:
         return [(k, d) for k, ok, d in self.clauses if not ok]
 
-    def lines(self) -> list[str]:
-        out = []
-        for key, ok, detail in self.clauses:
-            status = "pass" if ok else "FAIL"
-            suffix = f" [{detail}]" if detail and not ok else ""
-            out.append(f"{self.name}.{key}: {status}{suffix}")
-        return out
-
     def __repr__(self):
         return f"Report({self.name}, ok={self.ok})"

@@ -111,9 +111,7 @@ def _reference(gens, limits=None, heap_ops=heapq):
         state["table"] = Reducers(packing, [reducer_rows[e] for e in live])
 
     for k in sorted(nonzero, key=lambda k: (gens[k].lm(), sorted(gens[k].terms.items()))):
-        r = normal_form(packing.terms(gens[k]), state["table"])
-        if r:
-            add(r, gens[k].degree())
+        add(packing.terms(gens[k]), gens[k].degree())
     while heap:
         s, l, i, j = heap_ops.heappop(heap)
         ti, tj = l - lms[i], l - lms[j]
