@@ -2,8 +2,8 @@
 
 `dilate` builds A[{M_i/a_i}] as an explicit presentation: one fresh
 variable x_i_j per stored generator g_ij of M_i, the relations
-a_i*x_ij - g_ij, and a saturation by each a_i in turn that removes the
-denominator torsion.  Each distinct dilatation is built once per base
+a_i*x_ij - g_ij, and one saturation by every distinct a_i at once that
+removes the denominator torsion.  Each distinct dilatation is built once per base
 algebra and shared (see `dilate`).  Every structural identity the
 construction is supposed to satisfy has a verifier here that certifies
 it with explicit maps in both directions; a verifier never reports
@@ -178,9 +178,9 @@ def dilate(center: MultiCenter) -> DilatationResult:
     """Build the dilatation presentation (Groebner route).
 
     The relation ideal is P + (a_i*x_ij - g_ij) saturated by f = prod a_i,
-    one distinct a_i at a time (I:(fg)^∞ = (I:f^∞):g^∞); when f is
-    nilpotent modulo P the result is the zero ring, and that equivalence
-    is asserted on every build.
+    in one Buchberger run with a Rabinowitsch variable per distinct a_i
+    (`ideals.saturate`); when f is nilpotent modulo P the result is the
+    zero ring, and that equivalence is asserted on every build.
 
     Each dilatation is built once per base algebra and kept in its
     `dilatations`, keyed by the stored generators (verbatim, in order)
@@ -801,29 +801,30 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
         return FactorResult(None, True, "chi is not well-defined", rep)
     b = chi.target
 
-    elems = []  # chi(a_i), one normal form per center
+    kept = []  # per center chi(a_i) and chi(g_ij), one normal form each
     for i, c in enumerate(center.centers, start=1):
         bi = chi.apply(c.elem)
-        elems.append(bi)
         if not is_nzd(b, bi):
             rep.add(f"nzd_{i}", False, f"chi(a_{i}) is a zero divisor")
             return FactorResult(None, True, f"chi(a_{i}) is a zero divisor in B", rep)
         rep.add(f"nzd_{i}", True)
         target = b.ideal([bi])
+        gs = []
         for j, g in enumerate(c.ideal.gens, start=1):
-            if not target.contains(chi.apply(g)):
+            gs.append(chi.apply(g))
+            if not target.contains(gs[-1]):
                 rep.add(f"containment_{i}", False, f"chi(M_{i})B ⊄ chi(a_{i})B at generator {j}")
                 return FactorResult(
                     None, True, f"chi(M_{i})B is not contained in chi(a_{i})B", rep
                 )
         rep.add(f"containment_{i}", True)
+        kept.append((bi, gs))
 
     result = dilate(center)
     images = chi.image_map()
     images_alt = chi.image_map()
-    for i, (c, bi) in enumerate(zip(center.centers, elems), start=1):
-        for n, g in zip(result.names([i]), c.ideal.gens):
-            gi = chi.apply(g)
+    for i, (bi, gs) in enumerate(kept, start=1):
+        for n, gi in zip(result.names([i]), gs):
             cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
             images[n] = b.nf(cof[0])
             cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)

@@ -17,15 +17,14 @@ from `_of_reduced` has generators that are its reduced basis, and
 `_known` counts them; `extended` puts them first and keeps the count.
 A basis that `groebner()` filled in later does not count, so the work
 done never depends on the order of requests.  Three runs use it: the
-Rabinowitsch basis of A + (1 - z*f) (every saturation step after the
-first, and `radical_contains`), the intersection's t*A + (1 - t)*B,
+Rabinowitsch basis of A + (1 - z_1*f_1, ..., 1 - z_k*f_k) (every
+saturation, and `radical_contains`), the intersection's t*A + (1 - t)*B,
 and the basis of an `extended` handle (the ideal of an algebra: its
-relations, then the extra generators).  The first two move A to a ring
-with one block variable prepended; on monomials free of it,
-`block_order(1)` is grevlex on the tail, so A's known run stays a
-Groebner basis there only when A's ring is grevlex, and in the
-intersection lm(t*g) = t*lm(g) and S(t*g, t*g') = t*S(g, g'), so t*G is
-one as well.
+relations, then the extra generators).  The first two prepend a block
+of fresh variables to A's ring; on monomials free of it, the block
+order is grevlex on the tail, so A's known run stays a Groebner basis
+there only when A's ring is grevlex, and in the intersection
+lm(t*g) = t*lm(g) and S(t*g, t*g') = t*S(g, g'), so t*G is one as well.
 
 A handle also carries the `Limits` that every Buchberger run on its behalf
 uses (None means the defaults), and each ideal built from it here
@@ -111,7 +110,7 @@ class IdealHandle:
 
     def radical_contains(self, f: Polynomial) -> bool:
         """f nilpotent modulo the ideal, by the Rabinowitsch trick."""
-        gb = _rabinowitsch_basis(self, f)
+        gb = _rabinowitsch_basis(self, [f])
         return len(gb) == 1 and gb[0].is_one()
 
     def with_gens(self, gens) -> "IdealHandle":
@@ -128,17 +127,17 @@ class IdealHandle:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
 
-def _extend_first(ring: PolyRing, stem: str, polys):
-    """Ring with one fresh variable prepended (block-eliminated) and the
-    given polynomials transported into it."""
-    ext = PolyRing(ring.field, (ring.fresh_name(stem),) + ring.names, block_order(1))
+def _extend_first(ring: PolyRing, stems: list[str], polys):
+    """Ring with one fresh variable per stem prepended (one eliminated
+    block) and the given polynomials transported into it."""
+    ext = PolyRing(ring.field, tuple(ring.fresh_names(stems)) + ring.names, block_order(len(stems)))
     return ext, [p.map_ring(ext) for p in polys]
 
 
 def _known_in_extension(a: IdealHandle) -> int:
     """The known run of `a`'s generators in `_extend_first`'s ring: all of
     it over a grevlex ring, where the block order agrees with `a`'s order
-    on monomials free of the new variable, and none otherwise."""
+    on monomials free of the new variables, and none otherwise."""
     return a._known if a.ring.order == GREVLEX else 0
 
 
@@ -161,11 +160,12 @@ def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits |
     return IdealHandle(target, kept, limits)
 
 
-def _rabinowitsch_basis(a: IdealHandle, f: Polynomial) -> list[Polynomial]:
-    """Reduced basis of A + (1 - z*f) in A[z], z first and eliminated."""
-    ext, mapped = _extend_first(a.ring, "_z", a.gens + [f])
-    z = ext.var(ext.names[0])
-    gens = mapped[:-1] + [ext.one() - z * mapped[-1]]
+def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> list[Polynomial]:
+    """Reduced basis of A + (1 - z_1*f_1, ..., 1 - z_k*f_k) in A[z_1..z_k],
+    one fresh z_i per element f_i, the z block first and eliminated."""
+    k = len(elems)
+    ext, mapped = _extend_first(a.ring, ["_z"] * k, elems + a.gens)
+    gens = mapped[k:] + [ext.one() - ext.var(z) * f for z, f in zip(ext.names, mapped[:k])]
     return buchberger_reduced(gens, limits=a.limits, known=_known_in_extension(a))
 
 
@@ -199,7 +199,7 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     if a.ring != b.ring:
         raise InputError("ideal intersection over different registries")
     ring = a.ring
-    ext, mapped = _extend_first(ring, "_t", a.gens + b.gens)
+    ext, mapped = _extend_first(ring, ["_t"], a.gens + b.gens)
     t = ext.var(ext.names[0])
     one_minus_t = ext.one() - t
     tagged = [t * p for p in mapped[: len(a.gens)]]
@@ -209,15 +209,12 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
 
 
 def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
-    """A : f (single colon) or A : f^∞ (saturation).
-
-    The saturation is computed by eliminating z from A + (1 - z*f); it is
-    idempotent.  The single colon goes through (A ∩ (f)) / f.
-    """
+    """A : f (single colon) or A : f^∞ (saturation, the one-element case
+    of `saturate`).  The single colon goes through (A ∩ (f)) / f."""
     if f.is_zero():
         raise InputError("colon by the zero element")
     if saturate:
-        return _eliminated(_rabinowitsch_basis(a, f), 1, a.ring, a.limits)
+        return _eliminated(_rabinowitsch_basis(a, [f]), 1, a.ring, a.limits)
     meet = intersect(a, a.with_gens([f]))
     quotients = []
     for g in meet.groebner():
@@ -229,15 +226,18 @@ def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
 
 
 def saturate(a: IdealHandle, elems: Iterable[Polynomial]) -> IdealHandle:
-    """A : (f_1*...*f_k)^∞, as (...(A : f_1^∞) : ...) : f_k^∞.
+    """A : (f_1*...*f_k)^∞ from one Rabinowitsch run, with one fresh z_i
+    per distinct f_i (a repeated one adds nothing; a zero one gives (1)).
 
-    One Rabinowitsch saturation per distinct element, in the order given;
-    a repeated element is skipped, since saturation is idempotent.  Many
-    small saturations are far cheaper than one by the product.
+    With F = f_1*...*f_k and J = A + (1 - z_1*f_1, ..., 1 - z_k*f_k), it
+    is J ∩ k[x] (Cox, Little and O'Shea, ch. 4 §4): if F^m*g is in A, g is
+    in J, as z_1*f_1*...*z_k*f_k is 1 modulo J; and z_i -> 1/f_i maps J
+    into A*k[x]_F, so F^m*g is in A for each g in J free of the z's.
     """
-    for f in dict.fromkeys(elems):
-        a = colon(a, f, saturate=True)
-    return a
+    elems = list(dict.fromkeys(elems))
+    if not elems:
+        return a
+    return _eliminated(_rabinowitsch_basis(a, elems), len(elems), a.ring, a.limits)
 
 
 def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:

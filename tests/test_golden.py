@@ -13,6 +13,9 @@ shape; its output is `golden/catalog.machine`.
 `golden/congruence_iso.dila` runs passing `congruence iso` requests on
 GL(3), SL(2), the Levi L(1,1) of GL(2) and the Borel of SL(2); its
 output is `golden/congruence_iso.machine`.
+`golden/segre5.machine` is the output of `instances/segre5.dila`, the
+slowest instance (about 5 s); the CI workflow compares it, this module
+does not.
 How fresh names are chosen, how budgets reach the kernel, how requests
 are scheduled and how closure is certified must not change any of these
 files.

@@ -8,7 +8,7 @@ from dilatations.algebras import PresentedAlgebra
 from dilatations.dilatation import Center, MultiCenter, dilate
 from dilatations.groebner import Reducers, buchberger_reduced, normal_form
 from dilatations.ideals import IdealHandle, colon, combine, eliminate, intersect, saturate
-from dilatations.poly import Field, InputError, QQ
+from dilatations.poly import Field, InputError, QQ, block_order
 
 from conftest import random_poly, ring
 
@@ -214,20 +214,64 @@ def test_saturate_by_factors_matches_product(seed, field):
     assert saturate(a, [f, g, f]).groebner() == colon(a, f * g, saturate=True).groebner()
 
 
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from([QQ, Field(5)]),
+    st.integers(2, 3),
+    st.booleans(),
+)
+def test_saturate_matches_chain_of_single_saturations(seed, field, k, seeded):
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = ring(["x", "y", "z"], field)
+    gens = [p for p in (random_poly(rng, r) for _ in range(3)) if not p.is_zero()]
+    a = IdealHandle._of_reduced(r, buchberger_reduced(gens), None) if seeded else IdealHandle(r, gens)
+    elems = list(dict.fromkeys(p for p in (random_poly(rng, r, max_deg=2) for _ in range(k)) if not p.is_zero()))
+    chain = a
+    for f in elems:
+        chain = colon(chain, f, saturate=True)
+    assert saturate(a, elems).groebner() == chain.groebner()
+
+
+def _saturation_runs(monkeypatch, center):
+    """The block orders of the Buchberger runs that `dilate(center)` makes
+    through `ideals` over a ring holding the fraction variables: the
+    saturations (radical_contains runs over the base ring)."""
+    runs = []
+    real = ideals.buchberger_reduced
+
+    def counted(gens, limits=None, known=0):
+        runs.append(gens[0].ring)
+        return real(gens, limits, known)
+
+    monkeypatch.setattr(ideals, "buchberger_reduced", counted)
+    names = set(dilate(center).presaturation.ring.names)
+    return [s.order for s in runs if s.order.kind == "block" and names < set(s.names)]
+
+
 def test_dilate_saturates_once_per_distinct_denominator(monkeypatch):
     r = ring(["a", "b", "g"])
     alg = PresentedAlgebra(r)
     center = MultiCenter(alg, [Center(handle(r, "g"), r.var("a")), Center(handle(r, "a*g"), r.var("a"))])
-    calls = []
-    real = ideals.colon
+    assert _saturation_runs(monkeypatch, center) == [block_order(1)]
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("saturate", False))
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(ideals, "colon", counted)
-    dilate(center)
-    assert calls == [True]
+def test_dilate_saturates_four_centers_in_one_run(monkeypatch):
+    # the Segre quadric of the wide-dilate workload: four denominators,
+    # one run with four Rabinowitsch variables
+    r = ring(["x", "y", "z", "w"])
+    alg = PresentedAlgebra(r, handle(r, "x*w - y*z"))
+    center = MultiCenter(
+        alg,
+        [
+            Center(handle(r, "y", "z", "w"), r.var("x")),
+            Center(handle(r, "x", "z", "w"), r.var("y")),
+            Center(handle(r, "x", "y", "w"), r.var("z")),
+            Center(handle(r, "x^2", "y^2"), r.var("w")),
+        ],
+    )
+    assert _saturation_runs(monkeypatch, center) == [block_order(4)]
 
 
 def test_dilate_matches_saturation_by_product():
