@@ -10,7 +10,7 @@ from .groebner import (
     ideal_cofactors,
     normal_form,
 )
-from .ideals import IdealHandle, colon, combine, eliminate, intersect
+from .ideals import IdealHandle, colon, eliminate, intersect
 from .algebras import AlgebraHom, PresentedAlgebra, check_hom, hom_kernel, is_nzd, maps_equal
 from .dilatation import (
     Center,
@@ -26,7 +26,6 @@ from .dilatation import (
     iterate_iso,
     localize_compare,
     monopoly_iso,
-    normalize_center,
     open_immersion_iso,
     two_stage_iso,
     universal_factor,
@@ -59,7 +58,6 @@ __all__ = [
     "check_exceptional",
     "check_hom",
     "colon",
-    "combine",
     "conic_iso",
     "detect_common_base",
     "dilate",
@@ -74,7 +72,6 @@ __all__ = [
     "maps_equal",
     "monopoly_iso",
     "normal_form",
-    "normalize_center",
     "open_immersion_iso",
     "rost_space",
     "rost_subalgebra_check",

@@ -8,7 +8,7 @@ uniform (the zero ring is presented by P = (1) and is legal).
 from __future__ import annotations
 
 from .ideals import IdealHandle, colon, eliminate
-from .poly import GREVLEX, InputError, PolyRing, Polynomial
+from .poly import InputError, PolyRing, Polynomial
 
 
 class PresentedAlgebra:
@@ -26,10 +26,6 @@ class PresentedAlgebra:
         self.ring = ring
         self.relations = relations
         self.dilatations = {}
-
-    @classmethod
-    def free(cls, field, names, order=None) -> "PresentedAlgebra":
-        return cls(PolyRing(field, names, order or GREVLEX))
 
     def nf(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -65,9 +61,6 @@ class PresentedAlgebra:
         zname = self.ring.fresh_name("z")
         ext = self.extend([zname])
         return ext.quotient([ext.var(zname) * f.map_ring(ext.ring) - ext.one()]), zname
-
-    def parse(self, text: str) -> Polynomial:
-        return self.ring.parse(text)
 
     def var(self, name: str) -> Polynomial:
         return self.ring.var(name)

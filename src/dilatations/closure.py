@@ -1,9 +1,9 @@
 """Closure certificates: a finite set is certified closed under an
 associative operation on greedily chosen generators.  The finite-ring
-ideal and module checks rest on it, and so do the catalog subgroups
-over small rings (`congruence.subgroup_gens`); the congruence points
-and Lie lattices are certified on lattice generators instead.  `span`
-builds the additive spans of the module dilatation checks.
+ideal checks rest on it, and so do the catalog subgroups over small
+rings (`congruence.subgroup_gens`); the congruence points and Lie
+lattices are certified on lattice generators instead.  `Closure` also
+builds the spans of `FiniteRing.closed_span`.
 """
 
 from __future__ import annotations
@@ -62,12 +62,3 @@ def closure_certificate(elements, member, combine, start):
             return None
     return span.gens
 
-
-def span(gens, combine, start):
-    """The closure of `start` under right-combination with `gens`, as a
-    set: for + from 0 in a finite group, the subgroup they generate."""
-    out = Closure(start, combine)
-    for g in gens:
-        if g not in out.seen:
-            out.extend(g, lambda y: True)
-    return out.seen

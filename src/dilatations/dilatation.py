@@ -239,87 +239,6 @@ def _construct(center: MultiCenter) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# center normalization
-
-
-def _power_of(a: PresentedAlgebra, f: Polynomial, base: Polynomial, cap: int = 32):
-    """Smallest d >= 1 with f == base^d in a, or None."""
-    if a.nf(base).is_constant():
-        return None
-    acc = a.ring.one()
-    for d in range(1, cap + 1):
-        acc = a.nf(acc * base)
-        if a.eq(f, acc):
-            return d
-    return None
-
-
-def normalize_center(center: MultiCenter, declared_base: Polynomial | None = None) -> MultiCenter:
-    """Canonical form of a multi-center, preserving the dilatation.
-
-    Centers sharing one denominator are merged by summing their stored
-    ideals; families over a common base element b with denominators b^d
-    and equal ideals collapse to the maximal exponent.  Stored generator
-    lists are kept verbatim (deduplicated), and the output is sorted by
-    the printed denominator, then the printed reduced basis.
-    """
-    a = center.algebra
-    # merge identical denominators
-    by_elem: list[tuple[Polynomial, list[Polynomial]]] = []
-    for c in center.centers:
-        ae = a.nf(c.elem)
-        for k, (e, gens) in enumerate(by_elem):
-            if a.eq(e, ae):
-                by_elem[k] = (e, gens + [g for g in c.ideal.gens if g not in gens])
-                break
-        else:
-            by_elem.append((ae, list(dict.fromkeys(c.ideal.gens))))
-
-    # collapse power families with equal ideals over a common base
-    groups: list[list[tuple[Polynomial, list[Polynomial]]]] = []
-    handles = [a.ideal(gens) for _, gens in by_elem]
-    used = [False] * len(by_elem)
-    for i in range(len(by_elem)):
-        if used[i]:
-            continue
-        group = [by_elem[i]]
-        used[i] = True
-        for j in range(i + 1, len(by_elem)):
-            if not used[j] and handles[i].equals(handles[j]):
-                group.append(by_elem[j])
-                used[j] = True
-        groups.append(group)
-
-    result: list[Center] = []
-    for group in groups:
-        if len(group) == 1:
-            e, gens = group[0]
-            result.append(Center.over(a, gens, e))
-            continue
-        candidates = [declared_base] if declared_base is not None else [e for e, _ in group]
-        collapsed = False
-        for b in candidates:
-            if b is None:
-                continue
-            exps = [_power_of(a, e, b) for e, _ in group]
-            if all(d is not None for d in exps):
-                keep = max(range(len(group)), key=lambda k: exps[k])
-                e, gens = group[keep]
-                merged = []
-                for _, gs in group:
-                    merged += [g for g in gs if g not in merged]
-                result.append(Center.over(a, merged, e))
-                collapsed = True
-                break
-        if not collapsed:
-            for e, gens in group:
-                result.append(Center.over(a, gens, e))
-
-    result.sort(key=lambda c: (str(c.elem), str([str(g) for g in c.ideal.groebner()])))
-    return MultiCenter(a, result)
-
-
-# ---------------------------------------------------------------------------
 # verifiers
 
 
@@ -564,6 +483,24 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     bwd = AlgebraHom.by_name(loc, full.algebra, bwd_images)
     _certify_pair(rep, fwd, bwd)
     return rep
+
+
+POWER_CAP = 32
+
+
+def _power_of(a: PresentedAlgebra, f: Polynomial, base: Polynomial):
+    """Smallest d in [1, POWER_CAP] with f == base^d in a, or None.
+
+    A higher power reads as no power: over QQ[a, g], the center
+    [g/a], [g/a^33] has no common base, so `iso iterate` on it exits 2."""
+    if a.nf(base).is_constant():
+        return None
+    acc = a.ring.one()
+    for d in range(1, POWER_CAP + 1):
+        acc = a.nf(acc * base)
+        if a.eq(f, acc):
+            return d
+    return None
 
 
 def detect_common_base(center: MultiCenter):

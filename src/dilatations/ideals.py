@@ -1,5 +1,5 @@
-"""Ideal arithmetic: sum/product/power, intersection, colon, saturation,
-elimination and membership, all through the Groebner kernel.
+"""Ideal arithmetic: intersection, colon, saturation, elimination and
+membership, all through the Groebner kernel.
 
 An IdealHandle keeps its generator list verbatim and caches the reduced
 Groebner basis on first use, with the basis's reducer rows (`Reducers`)
@@ -105,9 +105,6 @@ class IdealHandle:
         gb = self.groebner()
         return len(gb) == 1 and gb[0].is_one()
 
-    def is_zero(self) -> bool:
-        return not self.groebner()
-
     def radical_contains(self, f: Polynomial) -> bool:
         """f nilpotent modulo the ideal, by the Rabinowitsch trick."""
         gb = _rabinowitsch_basis(self, [f])
@@ -167,31 +164,6 @@ def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> list[Polynom
     ext, mapped = _extend_first(a.ring, ["_z"] * k, elems + a.gens)
     gens = mapped[k:] + [ext.one() - ext.var(z) * f for z, f in zip(ext.names, mapped[:k])]
     return buchberger_reduced(gens, limits=a.limits, known=_known_in_extension(a))
-
-
-def combine(kind: str, a: IdealHandle, b=None) -> IdealHandle:
-    """Ideal sum, product, or power.
-
-    kind is 'sum', 'product' or 'power'; for 'power', b is the exponent
-    (power(0) is the unit ideal).
-    """
-    if kind == "sum":
-        if a.ring != b.ring:
-            raise InputError("ideal sum over different registries")
-        return a.with_gens(a.gens + b.gens)
-    if kind == "product":
-        if a.ring != b.ring:
-            raise InputError("ideal product over different registries")
-        return a.with_gens([f * g for f in a.gens for g in b.gens])
-    if kind == "power":
-        n = int(b)
-        if n < 0:
-            raise InputError("negative ideal power")
-        result = a.with_gens([a.ring.one()])
-        for _ in range(n):
-            result = combine("product", result, a)
-        return result
-    raise InputError(f"unknown combine kind {kind!r}")
 
 
 def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:

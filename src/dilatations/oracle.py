@@ -15,9 +15,8 @@ triples; subrings of a certified ring need no check.  One span routine,
 closed under multiplication by generators.  One hom plan per source ring
 (`HomPlan`) extends generator images to a map and certifies it on
 additive and ring generators; hom enumeration and the algebra-hom count
-both run on it.  One symbol dilatation (`SymbolDilatation`) serves
-modules and rings, a ring being a module over itself: its symbols
-z/a^nu, z in L^nu*M, are classed by `symbol_classes`, which keys each
+both run on it.  The symbol dilatation (`SymbolDilatation`) classes
+its symbols z/a^nu, z in L^nu, by `symbol_classes`, which keys each
 by its value e*z*(e*a^nu)^{-1} and checks it against the literal
 equivalence of the definition with the representative of its value;
 symbols are equivalent exactly when their values are equal (the lemma
@@ -41,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .closure import Closure, closure_certificate, span
+from .closure import Closure, closure_certificate
 from .dilatation import dilate
 from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
@@ -88,9 +87,6 @@ class FiniteRing:
     def neg(self, x):
         """-x = (-1) * x, which holds in any unital ring."""
         return self.mul(self.minus_one, x)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def dot(self, xs, ys):
         """sum x*y over the pairs."""
@@ -530,118 +526,58 @@ def symbol_classes(symbols, value, equivalent):
 
 
 # ---------------------------------------------------------------------------
-# symbol dilatations of modules and rings
-
-
-class FiniteModule:
-    """Finite abelian group with an A-action; axioms verified on
-    construction."""
-
-    def __init__(self, ring: FiniteRing, label, elements, add, act, zero, verify=True):
-        self.ring = ring
-        self.label = label
-        self.elements = list(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        self.add = add
-        self.act = act
-        self.zero = zero
-        if verify:
-            self._verify()
-
-    def _verify(self):
-        """Exhaustive on generators, for an associative addition.
-
-        + is closed, 0 neutral, and each additive generator h of M
-        commutes and translates injectively, so M is an abelian group.
-        For all r in A and x in M: r*x is in M, (r+g)*x = r*x + g*x for
-        the additive generators g of A, (s*r)*x = s*(r*x) for the ring
-        generators s, and each s acts additively.  Then the r that act
-        additively, and those with (r*t)*x = r*(t*x) for all t, form
-        subrings holding the generators: A -> End(M) is a unital hom.
-        """
-        ring, add, act, els = self.ring, self.add, self.act, self.elements
-        mgens = closure_certificate(els, self.index.__contains__, add, self.zero)
-        if mgens is None or any(add(x, self.zero) != x for x in els) or any(
-            len({add(x, h) for x in els}) != len(els) or any(add(x, h) != add(h, x) for x in els) for h in mgens
-        ):
-            raise VerificationFinding(f"{self.label}: addition broken")
-        _, rgens, _ = ring.closed_span([ring.one], ring.gens)
-        for x in els:
-            if act(ring.one, x) != x:
-                raise VerificationFinding(f"{self.label}: unit action broken")
-            for r in ring.elements:
-                rx = act(r, x)
-                if rx not in self.index:
-                    raise VerificationFinding(f"{self.label}: action not closed")
-                if any(act(ring.add(r, g), x) != add(rx, act(g, x)) for g in rgens):
-                    raise VerificationFinding(f"{self.label}: action not additive")
-                if any(act(ring.mul(s, r), x) != act(s, rx) for s in ring.gens):
-                    raise VerificationFinding(f"{self.label}: action not associative")
-            if any(act(s, add(x, h)) != add(act(s, x), act(s, h)) for s in ring.gens for h in mgens):
-                raise VerificationFinding(f"{self.label}: action not additive")
-
-    def sorted(self, xs):
-        return sorted(xs, key=lambda x: self.index[x])
-
-    @classmethod
-    def from_ring(cls, ring: FiniteRing):
-        return cls(ring, f"{ring.label} as module", ring.elements, ring.add, ring.mul, ring.zero)
+# symbol dilatations
 
 
 class SymbolDilatation:
-    """The dilatation M[L/a] of a finite A-module M from the literal
-    definition; the ring case is M = A acting on itself (`module` None).
+    """The dilatation A[L/a] of a finite ring A from the literal
+    definition, as classes of fraction symbols.
 
-    Symbols z/a^nu with nu_i <= t and z in L^nu*M are classed by their
-    value u_nu*(e*z) in e*M, where u_nu = (e*a^nu)^{-1}, and each is
+    Symbols z/a^nu with nu_i <= t and z in L^nu are classed by their
+    value u_nu*(e*z) in e*A, where u_nu = (e*a^nu)^{-1}, and each is
     checked against the literal witness test e*a^lam*z == e*a^nu*w with
     the representative of its value (`symbol_classes`); the values must
-    cover the subring dilatation (ring case) or e*M.  Each product x*c
-    by a fixed multiplier c (e, a^nu, u_nu) is read from a map x -> x*c
-    per multiplier, filled on first use and dropped when the
-    construction ends; x*c is base.mul(x, c), or module.act(c, x).
+    cover the subring dilatation.  Each product x*c by a fixed
+    multiplier c (e, a^nu, u_nu) is read from a map x -> x*c per
+    multiplier, filled on first use and dropped when the construction
+    ends.
 
     Lemma: two symbols s1 = z/a^nu and s2 = w/a^lam are equivalent
     exactly when they have the same value.  It needs only the literal
     inverses (e*a^nu)*u_nu = e, which `loc.ring.inverse` checks (u_nu
-    lies in e*A, so u_nu*e = u_nu), and that the action is associative,
-    (r*s).x = r.(s.x), which `FiniteModule._verify` certifies (the ring
-    case is M = A, where . is the certified product).  If
-    u_nu.(e.z) = u_lam.(e.w), act on both sides by e*a^nu*a^lam: as
-    e*a^nu*a^lam*u_nu = e*a^lam, the left side becomes (e*a^lam).z and
-    the right (e*a^nu).w.  If (e*a^lam).z = (e*a^nu).w, act by
-    u_nu*u_lam: as u_nu*u_lam*e*a^lam = u_nu, the left side becomes
-    u_nu.z = u_nu.(e.z) and the right u_lam.w = u_lam.(e.w).  So
+    lies in e*A, so u_nu*e = u_nu), and that the product is associative
+    and commutative, which the ring's constructor certifies
+    (`certify_basis_axioms`).  If u_nu*e*z = u_lam*e*w, multiply both
+    sides by e*a^nu*a^lam: as e*a^nu*a^lam*u_nu = e*a^lam, the left side
+    becomes e*a^lam*z and the right e*a^nu*w.  If e*a^lam*z = e*a^nu*w,
+    multiply by u_nu*u_lam: as u_nu*u_lam*e*a^lam = u_nu, the left side
+    becomes u_nu*z = u_nu*e*z and the right u_lam*w = u_lam*e*w.  So
     representatives of distinct values are inequivalent, and the
     classes of `symbol_classes` are the classes of the definition.
 
-    The ring case checks u_(nu+lam) = u_nu*u_lam on the pairs of
+    The construction checks u_(nu+lam) = u_nu*u_lam on the pairs of
     exponent vectors nu <= lam in [0, t]^k.  By `_fraction_ring`, the
     class of the literal sum (product) symbol of two classes is then the
     class whose value is the sum (product) of their values, so `ring`
     computes + and * on the values and is isomorphic to the certified
-    subring the values cover.  The module case gives `elements` and
-    `result`, e*M with the action of the subring dilatation, on which
-    a^nu acts injectively and L^nu M' = a^nu M' for nu_i <= 2.  Failure
-    raises VerificationFinding.
+    subring the values cover.  Failure raises VerificationFinding.
     """
 
-    def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP, module: FiniteModule | None = None):
-        self.base, self.center, self.module = base, center, module
+    def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP):
+        self.base, self.center = base, center
         self.sub = dilate_oracle_subring(base, center, cap)
         loc = self.sub.loc
         e, t = loc.e, loc.t
         k = len(center.pairs)
-        act = (lambda c, x: base.mul(x, c)) if module is None else module.act
         maps = {}
 
         def times(x, c):
             """x*c, read from the map of the multiplier c."""
             if maps is None:
-                return act(c, x)
+                return base.mul(x, c)
             row = maps.setdefault(c, {})
             if x not in row:
-                row[x] = act(c, x)
+                row[x] = base.mul(x, c)
             return row[x]
 
         a_pow = functools.lru_cache(maxsize=None)(center.a_power)
@@ -659,41 +595,13 @@ class SymbolDilatation:
 
         symbols = []
         for nu in itertools.product(range(t + 1), repeat=k):
-            if module is not None:
-                # L^nu*M is spanned by the products of ideal generators of L^nu with M
-                lm = span({act(g, x) for g in center._l_power(nu)[1] for x in module.elements}, module.add, module.zero)
-                symbols.extend((z, nu) for z in module.sorted(lm))
-            else:  # L^nu*A = L^nu
-                symbols.extend((z, nu) for z in base.sorted(center.l_power(nu)))
+            symbols.extend((z, nu) for z in base.sorted(center.l_power(nu)))
             if len(symbols) > cap * (t + 1) ** k:
                 raise SizeCapError("symbol enumeration exceeded cap")
         self.reps, self.class_of_symbol, classes = symbol_classes(symbols, value, equivalent)
         self.values = list(classes)
-        if module is not None:
-            self._module_checks(times, a_pow, k)
-        else:
-            self._fraction_ring(inverse, classes, k)
+        self._fraction_ring(inverse, classes, k)
         maps = None
-
-    def _module_checks(self, times, a_pow, k):
-        module, e = self.module, self.sub.loc.e
-        target = {times(m, e) for m in module.elements}
-        if set(self.values) != target:
-            raise VerificationFinding("module classes do not cover e*M")
-        self.elements = module.sorted(target)
-        zero = times(module.zero, e)
-        self.result = FiniteModule(
-            self.sub.ring, f"{module.label}-dilatation", self.elements, module.add, module.act, zero, verify=False
-        )
-        # a^nu acts injectively and a^nu M' = L^nu M' for small nu; M' = e*M
-        # is an A-module, so ideal generators of L^nu span L^nu M'
-        for nu in itertools.product(range(3), repeat=k):
-            image = {times(x, a_pow(nu)) for x in self.elements}
-            if len(image) != len(self.elements):
-                raise VerificationFinding(f"a^{nu} acts non-injectively on the dilatation")
-            lnu_image = {module.act(g, x) for g in self.center._l_power(nu)[1] for x in self.elements}
-            if span(lnu_image, module.add, zero) != span(image, module.add, zero):
-                raise VerificationFinding(f"L^{nu} M' != a^{nu} M'")
 
     def _fraction_ring(self, inverse, classes, k):
         """The ring of the classes, with + and * carried over from the
@@ -737,10 +645,6 @@ class SymbolDilatation:
 
 def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
     return SymbolDilatation(a, c, cap)
-
-
-def module_dilate_oracle(module: FiniteModule, center: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
-    return SymbolDilatation(center.ring, center, cap, module)
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,6 @@ class Field:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.p is None else (a + b) % self.p
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return a - b if self.p is None else (a - b) % self.p
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b if self.p is None else (a * b) % self.p
 

@@ -9,7 +9,6 @@ from dilatations.dilatation import Center, MultiCenter
 from dilatations.ideals import IdealHandle
 from dilatations.oracle import (
     FiniteCenter,
-    FiniteModule,
     FiniteRing,
     Localization,
     SizeCapError,
@@ -22,7 +21,6 @@ from dilatations.oracle import (
     eval_poly,
     from_presented,
     galois_extension,
-    module_dilate_oracle,
     quotient_ring,
     symbol_classes,
     universal_property_scan,
@@ -147,33 +145,6 @@ def test_exceptional_identities_finite_scale():
         assert lhs == rhs
 
 
-# ------------------------------------------------------------- modules
-
-
-def test_module_dilatation_ring_case():
-    base = zmod(6)
-    c = FiniteCenter.from_gens(base, [([3], 2)])
-    m = FiniteModule.from_ring(base)
-    md = module_dilate_oracle(m, c)
-    assert set(md.elements) == set(dilate_oracle_subring(base, c).ring.elements)
-
-
-def test_module_dilatation_z6_quotient():
-    base = zmod(6)
-    c = FiniteCenter.from_gens(base, [([3], 2)])
-    m = FiniteModule.from_ring(base)
-    md = module_dilate_oracle(m, c)
-    assert len(md.elements) == 3
-
-
-def test_module_dilatation_zero_module():
-    base = zmod(6)
-    c = FiniteCenter.from_gens(base, [([3], 2)])
-    zero = FiniteModule(base, "0", [0], lambda a, b: 0, lambda r, x: 0, 0)
-    md = module_dilate_oracle(zero, c)
-    assert len(md.elements) == 1
-
-
 # ------------------------------------------------------------- symbol classes
 #
 # The reference is the literal first-match scan: a symbol joins the first
@@ -276,75 +247,31 @@ def test_fraction_classes_match_first_match_reference(case):
     assert (fr.ring.zero, fr.ring.one) == (class_of[(base.zero, nu0)], class_of[(base.one, nu0)])
 
 
-def _quotient_module(base, n):
-    return FiniteModule(base, f"Z/{n}", range(n), lambda a, b: (a + b) % n, lambda r, x: r * x % n, 0)
-
-
-@pytest.mark.parametrize(
-    "base, module, pairs",
-    [
-        (zmod(6), FiniteModule.from_ring(zmod(6)), [([3], 2)]),
-        (zmod(12), FiniteModule.from_ring(zmod(12)), [([6], 2), ([4], 3)]),
-        (zmod(12), _quotient_module(zmod(12), 4), [([2], 2)]),
-        (zmod(12), _quotient_module(zmod(12), 6), [([3], 3)]),
-        (zmod(12), _quotient_module(zmod(12), 4), [([6], 3), ([2], 5)]),
-    ],
-    ids=["Z6", "Z12", "Z12-on-Z4", "Z12-on-Z6", "Z12-on-Z4-two-centers"],
-)
-def test_module_classes_match_first_match_reference(base, module, pairs):
-    center = FiniteCenter.from_gens(base, pairs)
-    loc = Localization(base, center.product_elem())
-    e, t = loc.e, loc.t
-
-    def equivalent(s1, s2):
-        (l1, m1, nu), (l2, m2, lam) = s1, s2
-        lhs = module.act(base.mul(base.mul(e, l1), _ref_a_pow(center, lam)), m1)
-        return lhs == module.act(base.mul(base.mul(e, l2), _ref_a_pow(center, nu)), m2)
-
-    def value(sym):
-        l, m, nu = sym
-        inv = next(x for x in loc.ring.elements if base.mul(x, loc.map(_ref_a_pow(center, nu))) == e)
-        return module.act(base.mul(base.mul(e, l), inv), m)
-
-    symbols = [
-        (l, m, nu)
-        for nu in itertools.product(range(t + 1), repeat=len(pairs))
-        for l in base.sorted(_ref_l_pow(center, nu))
-        for m in module.elements
-    ]
-    reps, _ = _ref_symbol_reps(symbols, equivalent)
-    values = [value(r) for r in reps]
-    assert len(set(values)) == len(values)
-    assert module_dilate_oracle(module, center).elements == module.sorted(values)
-
-
-def _yc_module():
+def _yc_center():
     y_ring, var = from_presented(fp_algebra(3, ["y"], "y^4 - y"))
     y = var["y"]
-    return y_ring, FiniteModule.from_ring(y_ring), [([y], y_ring.add(y, y_ring.one))]
+    return y_ring, [([y], y_ring.add(y, y_ring.one))]
 
 
-MODULE_CASES = {
-    "Z6": lambda: (zmod(6), FiniteModule.from_ring(zmod(6)), [([3], 2)]),
-    "Z12": lambda: (zmod(12), FiniteModule.from_ring(zmod(12)), [([6], 2), ([4], 3)]),
-    "Z12-on-Z4": lambda: (zmod(12), _quotient_module(zmod(12), 4), [([2], 2)]),
-    "Z12-on-Z6": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([3], 3)]),
-    "Z12-on-Z4-two-centers": lambda: (zmod(12), _quotient_module(zmod(12), 4), [([6], 3), ([2], 5)]),
-    "YC": _yc_module,
+RING_CASES = {
+    "Z6": lambda: (zmod(6), [([3], 2)]),
+    "Z12": lambda: (zmod(12), [([6], 2), ([4], 3)]),
+    "Z12-M2-a2": lambda: (zmod(12), [([2], 2)]),
+    "Z12-M3-a3": lambda: (zmod(12), [([3], 3)]),
+    "Z12-M6-a3-M2-a5": lambda: (zmod(12), [([6], 3), ([2], 5)]),
+    "YC": _yc_center,
     # (4, 5) is all of Z/12, as 5 is a unit: as L_1, and as L_2
-    "Z12-on-Z6-L1-is-A": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([4], 5), ([6], 2)]),
-    "Z12-on-Z6-L2-is-A": lambda: (zmod(12), _quotient_module(zmod(12), 6), [([6], 2), ([4], 5)]),
+    "Z12-L1-is-A": lambda: (zmod(12), [([4], 5), ([6], 2)]),
+    "Z12-L2-is-A": lambda: (zmod(12), [([6], 2), ([4], 5)]),
 }
 
 
-@pytest.mark.parametrize("case", MODULE_CASES)
-def test_module_classes_match_literal_symbol_reference(case):
-    """The module dilatation's symbols z/a^nu, z in L^nu*M, are classed as
-    the first-match scan classes them.  L^nu*M is built here as the
-    additive closure of all products l*m.  (On YC, 81 elements with
-    t = 6, the scan over the triples (l, m, nu) of the test above would
-    take over a minute.)"""
-    base, module, pairs = MODULE_CASES[case]()
+@pytest.mark.parametrize("case", RING_CASES)
+def test_ring_classes_match_literal_symbol_reference(case):
+    """The symbols z/a^nu, z in L^nu, are classed as the first-match scan
+    classes them, with each L^nu built from its definition, as
+    L^(nu - e_i) times L_i, and compared with `FiniteCenter.l_power`."""
+    base, pairs = RING_CASES[case]()
     center = FiniteCenter.from_gens(base, pairs)
     loc = Localization(base, center.product_elem())
     e, t = loc.e, loc.t
@@ -353,9 +280,8 @@ def test_module_classes_match_literal_symbol_reference(case):
 
     def equivalent(s1, s2):
         (z, nu), (w, lam) = s1, s2
-        return module.act(e_a_pow[lam], z) == module.act(e_a_pow[nu], w)
+        return base.mul(e_a_pow[lam], z) == base.mul(e_a_pow[nu], w)
 
-    # L^nu by the definition, from L^(nu - e_i) times L_i
     l_sets = [center.l_set(i) for i in range(len(pairs))]
     l_pows = {}
     for nu in nus:
@@ -367,23 +293,11 @@ def test_module_classes_match_literal_symbol_reference(case):
             l_pows[nu] = base.ideal_closure({base.mul(x, y) for x in prev for y in l_sets[i]})
         assert center.l_power(nu) == l_pows[nu]
 
-    def l_times_m(nu):
-        products = {module.act(l, m) for l in l_pows[nu] for m in module.elements}
-        out, order = {module.zero}, [module.zero]
-        for x in order:
-            for y in products:
-                z = module.add(x, y)
-                if z not in out:
-                    out.add(z)
-                    order.append(z)
-        return out
-
-    symbols = [(z, nu) for nu in nus for z in module.sorted(l_times_m(nu))]
+    symbols = [(z, nu) for nu in nus for z in base.sorted(l_pows[nu])]
     reps, class_of = _ref_symbol_reps(symbols, equivalent)
-    md = module_dilate_oracle(module, center)
-    assert md.reps == reps
-    assert md.class_of_symbol == class_of and list(md.class_of_symbol) == list(class_of)
-    assert md.elements == module.sorted(md.values) == module.sorted({module.act(e, m) for m in module.elements})
+    fr = dilate_oracle_fractions(base, center)
+    assert fr.reps == reps
+    assert fr.class_of_symbol == class_of and list(fr.class_of_symbol) == list(class_of)
 
 
 def _value_keyed_fraction_classes(base, center):
@@ -418,38 +332,22 @@ def _value_keyed_fraction_classes(base, center):
     return reps, class_of, list(classes), add_table, mul_table
 
 
-def _value_keyed_module_elements(module, center):
-    """The values l*m/a^nu of all triples with l in L^nu and m in M, sorted."""
-    base = center.ring
-    loc = Localization(base, center.product_elem())
-    values = set()
-    for nu in itertools.product(range(loc.t + 1), repeat=len(center.pairs)):
-        inv = loc.ring.inverse(loc.map(center.a_power(nu)))
-        for l in center.l_power(nu):
-            values |= {module.act(base.mul(base.mul(loc.e, l), inv), m) for m in module.elements}
-    return module.sorted(values)
-
-
 @st.composite
 def symbol_cases(draw):
-    """A small base ring, a module over it and up to two center pairs."""
+    """A small base ring and up to two center pairs."""
     if draw(st.booleans()):
-        n = draw(st.integers(1, 12))
-        base = zmod(n)
-        d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-        module = FiniteModule.from_ring(base) if d == n else _quotient_module(base, d)
+        base = zmod(draw(st.integers(1, 12)))
     else:
         p, deg = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
         base = quotient_ring(p, tuple(draw(st.integers(0, p - 1)) for _ in range(deg)) + (1,))
-        module = FiniteModule.from_ring(base)
     element = st.sampled_from(base.elements)
     pairs = draw(st.lists(st.tuples(st.lists(element, min_size=1, max_size=2), element), max_size=2))
-    return base, module, pairs
+    return base, pairs
 
 
 @given(symbol_cases())
 def test_symbol_dilatation_matches_value_keyed_classes(case):
-    base, module, pairs = case
+    base, pairs = case
     center = FiniteCenter.from_gens(base, pairs)
     fr = dilate_oracle_fractions(base, center)
     reps, class_of, values, add_table, mul_table = _value_keyed_fraction_classes(base, center)
@@ -457,10 +355,6 @@ def test_symbol_dilatation_matches_value_keyed_classes(case):
     n = len(reps)
     assert [[fr.ring.add(i, j) for j in range(n)] for i in range(n)] == add_table
     assert [[fr.ring.mul(i, j) for j in range(n)] for i in range(n)] == mul_table
-    assert module_dilate_oracle(module, center).elements == _value_keyed_module_elements(module, center)
-    # M = A: the module case classes the ring's symbols as the ring case does
-    same = module_dilate_oracle(FiniteModule.from_ring(base), center)
-    assert (same.reps, same.class_of_symbol, same.values) == (fr.reps, fr.class_of_symbol, fr.values)
 
 
 def _counted_yc():
@@ -489,18 +383,6 @@ def test_ring_symbol_dilatation_product_count():
     assert calls[0] <= 2_000
 
 
-def test_module_symbol_dilatation_product_count():
-    # The module over itself: 610,422 products before the symbols became
-    # z/a^nu with z in L^nu*M and the multiplication maps (711,050 counting
-    # the center and the module's own axiom check, 100,448 products)
-    y_ring, center, calls = _counted_yc()
-    module = FiniteModule.from_ring(y_ring)
-    calls[0] = 0
-    md = module_dilate_oracle(module, center)
-    assert len(md.elements) == 81
-    assert calls[0] <= 5_000
-
-
 def _z6_symbols():
     fr = dilate_oracle_fractions(zmod(6), FiniteCenter.from_gens(zmod(6), [([3], 2)]))
     return fr, list(fr.class_of_symbol)
@@ -520,24 +402,19 @@ def test_symbol_classes_reject_a_symbol_not_equivalent_to_its_representative():
         symbol_classes(symbols, fr.value, lambda s1, s2: s1 == s2)
 
 
-@pytest.mark.parametrize(
-    "case, as_ring", [("Z6", True), ("YC", True), ("Z12-on-Z4-two-centers", False)], ids=["Z6", "YC", "Z12-on-Z4-two-centers"]
-)
-def test_symbol_representatives_are_pairwise_inequivalent(case, as_ring):
+@pytest.mark.parametrize("case", ["Z6", "YC", "Z12-M6-a3-M2-a5"])
+def test_symbol_representatives_are_pairwise_inequivalent(case):
     # the lemma of SymbolDilatation: symbols of distinct values are
     # inequivalent, so no two representatives are, by the literal
     # witness test e*a^lam*z == e*a^nu*w over every pair
-    base, module, pairs = MODULE_CASES[case]()
+    base, pairs = RING_CASES[case]()
     center = FiniteCenter.from_gens(base, pairs)
-    if as_ring:
-        dil, act = dilate_oracle_fractions(base, center), base.mul
-    else:
-        dil, act = module_dilate_oracle(module, center), module.act
+    dil = dilate_oracle_fractions(base, center)
     e = dil.sub.loc.e
 
     def equivalent(s1, s2):
         (z, nu), (w, lam) = s1, s2
-        return act(base.mul(e, _ref_a_pow(center, lam)), z) == act(base.mul(e, _ref_a_pow(center, nu)), w)
+        return base.mul(base.mul(e, _ref_a_pow(center, lam)), z) == base.mul(base.mul(e, _ref_a_pow(center, nu)), w)
 
     assert len(dil.reps) > 1
     assert not any(equivalent(r1, r2) for r1, r2 in itertools.combinations(dil.reps, 2))
@@ -730,19 +607,6 @@ def test_basis_certificate_rejects_a_bilinear_non_associative_product():
 
     with pytest.raises(VerificationFinding, match="associativity fails"):
         certify_basis_axioms("F2^2", [(1, 0), (0, 1)], mul, (1, 0))
-
-
-def test_module_check_rejects_a_non_unital_action():
-    with pytest.raises(VerificationFinding, match="unit action broken"):
-        FiniteModule(zmod(2), "Z/2", range(2), lambda a, b: (a + b) % 2, lambda r, x: 0, 0)
-
-
-def test_module_check_rejects_a_non_associative_action():
-    # over F2[eps]/(eps^2), eps acting as the identity: unital and additive
-    # in both arguments, but eps*(eps*x) = x while (eps*eps)*x = 0
-    base = dual_numbers(2)
-    with pytest.raises(VerificationFinding, match="action not associative"):
-        FiniteModule(base, "Z/2", range(2), lambda a, b: (a + b) % 2, lambda r, x: (r[0] + r[1]) * x % 2, 0)
 
 
 # The references below keep the earlier definitions: an expression DAG
