@@ -46,11 +46,11 @@ class PresentedAlgebra:
     def quotient(self, extra_gens) -> "PresentedAlgebra":
         return PresentedAlgebra(self.ring, self.ideal(list(extra_gens)))
 
-    def extend(self, names, order=None) -> "PresentedAlgebra":
-        """k[y, names]/(P) over the ring with `names` appended (in `order`,
-        else this ring's): P's generators move over in their order, with
-        the same limits and no known run."""
-        ring = self.ring.extend(names, order)
+    def extend(self, names) -> "PresentedAlgebra":
+        """k[y, names]/(P) over the grevlex ring with `names` appended: P's
+        generators move over in their order, with the same limits and no
+        known run."""
+        ring = self.ring.extend(names)
         moved = [p.map_ring(ring) for p in self.relations.gens]
         return PresentedAlgebra(ring, IdealHandle(ring, moved, self.relations.limits))
 
@@ -156,29 +156,22 @@ def maps_equal(h1: AlgebraHom, h2: AlgebraHom) -> bool:
 def hom_kernel(h: AlgebraHom) -> IdealHandle:
     """Kernel ideal of h in the source ambient ring (contains the source
     relations), computed by eliminating the target block of the graph
-    ideal.  Over a grevlex source the elimination ring is the source ring
-    itself, and the kernel keeps the basis the elimination carries."""
+    ideal.  The elimination's ring is the source ring, and the kernel
+    keeps the basis the elimination carries."""
     src, tgt = h.source.ring, h.target.ring
     alias = src.fresh_names(tgt.names)
     combined = PolyRing(src.field, tuple(alias) + src.names)
-    tgt_alias = PolyRing(tgt.field, alias, tgt.order)
+    # the alias ring has tgt's variable count and order, so tgt's packed
+    # monomials are its own
+    tgt_alias = PolyRing(tgt.field, alias)
 
-    def to_combined(f: Polynomial, from_tgt: bool) -> Polynomial:
-        if from_tgt:
-            # the alias ring has tgt's variable count and order, so tgt's
-            # packed monomials are its own
-            return Polynomial(tgt_alias, dict(f.terms)).map_ring(combined)
-        return f.map_ring(combined)
+    def to_combined(f: Polynomial) -> Polynomial:
+        return Polynomial(tgt_alias, dict(f.terms)).map_ring(combined)
 
-    gens = [to_combined(g, True) for g in h.target.relations.gens]
+    gens = [to_combined(g) for g in h.target.relations.gens]
     for name, img in zip(src.names, h.images):
-        gens.append(combined.var(name) - to_combined(img, True))
-    graph = IdealHandle(combined, gens, h.source.relations.limits)
-    elim = eliminate(graph, alias)
-    if elim.ring == src:
-        return elim
-    kept = [g.map_ring(src) for g in elim.gens]
-    return IdealHandle(src, kept, h.source.relations.limits)
+        gens.append(combined.var(name) - to_combined(img))
+    return eliminate(IdealHandle(combined, gens, h.source.relations.limits), alias)
 
 
 def is_nzd(a: PresentedAlgebra, f: Polynomial) -> bool:

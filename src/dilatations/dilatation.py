@@ -24,7 +24,7 @@ from __future__ import annotations
 from .algebras import AlgebraHom, PresentedAlgebra, check_hom, hom_kernel, is_nzd, maps_equal
 from .groebner import ideal_cofactors
 from .ideals import IdealHandle, saturate
-from .poly import GREVLEX, InputError, Polynomial
+from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
 
 
@@ -210,7 +210,7 @@ def _construct(center: MultiCenter) -> tuple:
     )
     fresh = iter(flat)
     names = [[next(fresh) for _ in c.ideal.gens] for c in center.centers]
-    over = a.extend(flat, GREVLEX)
+    over = a.extend(flat)
     ext = over.ring
     presat = over.ideal(
         c.elem.map_ring(ext) * ext.var(x) - g.map_ring(ext)
@@ -310,29 +310,26 @@ def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]
     phi = AlgebraHom.by_name(sub.algebra, result_full.algebra, moved)
     rep.add("well_defined", check_hom(phi))
 
+    # M_i ⊆ (a_i) for each dropped i, by one cofactor run per generator (None
+    # stops the search); a member's cofactor of a_i witnesses its variable
     a = center.algebra
     surj_hyp = True
-    witnesses_ok = True
+    quotients = []
     for i in dropped:
         c = center.centers[i - 1]
-        target = a.ideal([c.elem])
-        for j, g in enumerate(c.ideal.gens):
-            if not target.contains(g):
-                surj_hyp = False
+        cof_gens = [c.elem] + a.relations.gens
+        for g, x in zip(c.ideal.gens, result_full.names([i])):
+            cof = ideal_cofactors(g, cof_gens, a.relations.limits)
+            surj_hyp = cof is not None
+            if not surj_hyp:
                 break
+            quotients.append((x, cof[0]))
         if not surj_hyp:
             break
     rep.add("surjectivity_hypothesis", surj_hyp, "M_i ⊄ (a_i) for some dropped i")
     if surj_hyp:
-        for i in dropped:
-            c = center.centers[i - 1]
-            cof_gens = [c.elem] + a.relations.gens
-            for g, x in zip(c.ideal.gens, result_full.names([i])):
-                cof = ideal_cofactors(g, cof_gens, a.relations.limits)
-                w = cof[0].map_ring(ring_i)
-                if not result_full.algebra.nf(ring_i.var(x) - w).is_zero():
-                    witnesses_ok = False
-        rep.add("surjectivity_witnesses", witnesses_ok)
+        nf = result_full.algebra.nf
+        rep.add("surjectivity_witnesses", all(nf(ring_i.var(x) - q.map_ring(ring_i)).is_zero() for x, q in quotients))
 
     inj_hyp = all(is_nzd(a, center.centers[i - 1].elem) for i in dropped)
     rep.add("injectivity_hypothesis", inj_hyp, "a_i is a zero divisor for some dropped i")
@@ -634,7 +631,7 @@ def base_change_compare(center: MultiCenter, h: AlgebraHom) -> Report:
     # B ⊗_A A' over the direct dilatation's ring: B's relations, then the
     # relations of A', with A -> B through h and each source fraction
     # variable sent to the direct one
-    over = b.extend(direct.names(), direct.algebra.ring.order)
+    over = b.extend(direct.names())
     t_ring = over.ring
     subst = {n: img.map_ring(t_ring) for n, img in zip(a.ring.names, h.images)}
     subst.update(zip(source.names(), map(t_ring.var, direct.names())))
@@ -738,32 +735,33 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
         return FactorResult(None, True, "chi is not well-defined", rep)
     b = chi.target
 
-    kept = []  # per center chi(a_i) and chi(g_ij), one normal form each
+    kept = []  # per center chi(a_i), chi(g_ij) and the quotients chi(g_ij)/chi(a_i)
     for i, c in enumerate(center.centers, start=1):
         bi = chi.apply(c.elem)
         if not is_nzd(b, bi):
             rep.add(f"nzd_{i}", False, f"chi(a_{i}) is a zero divisor")
             return FactorResult(None, True, f"chi(a_{i}) is a zero divisor in B", rep)
         rep.add(f"nzd_{i}", True)
-        target = b.ideal([bi])
-        gs = []
+        gs, quotients = [], []
         for j, g in enumerate(c.ideal.gens, start=1):
             gs.append(chi.apply(g))
-            if not target.contains(gs[-1]):
+            # the cofactor run is the containment test: None for a non-member
+            cof = ideal_cofactors(gs[-1], [bi] + b.relations.gens, b.relations.limits)
+            if cof is None:
                 rep.add(f"containment_{i}", False, f"chi(M_{i})B ⊄ chi(a_{i})B at generator {j}")
                 return FactorResult(
                     None, True, f"chi(M_{i})B is not contained in chi(a_{i})B", rep
                 )
+            quotients.append(b.nf(cof[0]))
         rep.add(f"containment_{i}", True)
-        kept.append((bi, gs))
+        kept.append((bi, gs, quotients))
 
     result = dilate(center)
     images = chi.image_map()
     images_alt = chi.image_map()
-    for i, (bi, gs) in enumerate(kept, start=1):
-        for n, gi in zip(result.names([i]), gs):
-            cof = ideal_cofactors(gi, [bi] + b.relations.gens, b.relations.limits)
-            images[n] = b.nf(cof[0])
+    for i, (bi, gs, quotients) in enumerate(kept, start=1):
+        for n, gi, q in zip(result.names([i]), gs, quotients):
+            images[n] = q
             cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
             images_alt[n] = b.nf(cof2[-1])
     factored = AlgebraHom.by_name(result.algebra, b, images)

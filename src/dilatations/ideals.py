@@ -5,9 +5,10 @@ An IdealHandle keeps its generator list verbatim and caches the reduced
 Groebner basis on first use, with the basis's reducer rows (`Reducers`)
 next to it for every later normal form (one-shot, guarded by a lock, so
 library callers may share handles across threads).  A saturation,
-intersection or elimination over a grevlex ring arrives with its basis
-already set, because the elimination that computes it holds that basis
-(see `_eliminated`); no Buchberger run is made for it.
+intersection or elimination arrives with its basis already set, because
+the elimination that computes it holds that basis (see `_eliminated`);
+no Buchberger run is made for it.  Every handle is over a grevlex ring;
+block orders appear only in the rings of the eliminations themselves.
 
 Seeding: a Buchberger run that extends a basis the run already holds
 starts from it as the kernel's known run (`buchberger_reduced(...,
@@ -22,9 +23,9 @@ saturation, and `radical_contains`), the intersection's t*A + (1 - t)*B,
 and the basis of an `extended` handle (the ideal of an algebra: its
 relations, then the extra generators).  The first two prepend a block
 of fresh variables to A's ring; on monomials free of it, the block
-order is grevlex on the tail, so A's known run stays a Groebner basis
-there only when A's ring is grevlex, and in the intersection
-lm(t*g) = t*lm(g) and S(t*g, t*g') = t*S(g, g'), so t*G is one as well.
+order is A's grevlex on the tail, so A's known run stays a Groebner
+basis there, and in the intersection lm(t*g) = t*lm(g) and
+S(t*g, t*g') = t*S(g, g'), so t*G is one as well.
 
 A handle also carries the `Limits` that every Buchberger run on its behalf
 uses (None means the defaults), and each ideal built from it here
@@ -48,11 +49,14 @@ class IdealHandle:
     is built on first use and kept, unless the handle came from
     `_of_reduced` with the basis already known; `limits` budgets the
     Buchberger runs actually made for it.  `gens[:_known]` is a Groebner
-    basis known from how the handle was built (see the module docstring)."""
+    basis known from how the handle was built (see the module docstring).
+    `ring` must be grevlex."""
 
     __slots__ = ("ring", "gens", "limits", "_known", "_gb", "_reducers", "_lock")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial], limits: Limits | None = None):
+        if ring.order != GREVLEX:
+            raise InputError(f"ideals are over grevlex rings, not {ring.order!r}")
         gens = list(gens)
         for g in gens:
             if g.ring != ring:
@@ -131,13 +135,6 @@ def _extend_first(ring: PolyRing, stems: list[str], polys):
     return ext, [p.map_ring(ext) for p in polys]
 
 
-def _known_in_extension(a: IdealHandle) -> int:
-    """The known run of `a`'s generators in `_extend_first`'s ring: all of
-    it over a grevlex ring, where the block order agrees with `a`'s order
-    on monomials free of the new variables, and none otherwise."""
-    return a._known if a.ring.order == GREVLEX else 0
-
-
 def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits | None) -> IdealHandle:
     """The elements of `gb` free of its ring's first k variables, over
     `target`, whose variables are the remaining ones in the same order.
@@ -145,16 +142,14 @@ def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits |
     `gb` is a reduced basis under `block_order(k)`, so these elements are
     a Groebner basis of the elimination ideal (the elimination theorem).
     On monomials free of the block, the block order is grevlex on the
-    tail, so over a GREVLEX target each kept element has the same leading
-    monomial and they keep their relative order; they stay monic, and no
-    term of one is divisible by another's leading monomial.  They are
-    therefore exactly the target's unique reduced basis, and the handle
-    carries it.  Under any other target order they only generate.
+    tail, so over the grevlex target each kept element has the same
+    leading monomial and they keep their relative order; they stay monic,
+    and no term of one is divisible by another's leading monomial.  They
+    are therefore exactly the target's unique reduced basis, and the
+    handle carries it.
     """
     kept = [g.map_ring(target) for g in gb if min(g.uses_vars(), default=k) >= k]
-    if target.order == GREVLEX:
-        return IdealHandle._of_reduced(target, kept, limits)
-    return IdealHandle(target, kept, limits)
+    return IdealHandle._of_reduced(target, kept, limits)
 
 
 def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> list[Polynomial]:
@@ -163,7 +158,7 @@ def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> list[Polynom
     k = len(elems)
     ext, mapped = _extend_first(a.ring, ["_z"] * k, elems + a.gens)
     gens = mapped[k:] + [ext.one() - ext.var(z) * f for z, f in zip(ext.names, mapped[:k])]
-    return buchberger_reduced(gens, limits=a.limits, known=_known_in_extension(a))
+    return buchberger_reduced(gens, limits=a.limits, known=a._known)
 
 
 def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
@@ -176,17 +171,14 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     one_minus_t = ext.one() - t
     tagged = [t * p for p in mapped[: len(a.gens)]]
     tagged += [one_minus_t * p for p in mapped[len(a.gens) :]]
-    gb = buchberger_reduced(tagged, limits=a.limits, known=_known_in_extension(a))
+    gb = buchberger_reduced(tagged, limits=a.limits, known=a._known)
     return _eliminated(gb, 1, ring, a.limits)
 
 
-def colon(a: IdealHandle, f: Polynomial, saturate: bool = False) -> IdealHandle:
-    """A : f (single colon) or A : f^∞ (saturation, the one-element case
-    of `saturate`).  The single colon goes through (A ∩ (f)) / f."""
+def colon(a: IdealHandle, f: Polynomial) -> IdealHandle:
+    """A : f, through (A ∩ (f)) / f; `saturate` gives A : f^∞."""
     if f.is_zero():
         raise InputError("colon by the zero element")
-    if saturate:
-        return _eliminated(_rabinowitsch_basis(a, [f]), 1, a.ring, a.limits)
     meet = intersect(a, a.with_gens([f]))
     quotients = []
     for g in meet.groebner():
@@ -221,7 +213,6 @@ def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
     rest = [n for n in a.ring.names if n not in names]
     perm = PolyRing(a.ring.field, names + rest, block_order(len(names)))
     mapped = [g.map_ring(perm) for g in a.gens]
-    keep_order = a.ring.order if a.ring.order.kind != "block" else GREVLEX
-    sub = PolyRing(a.ring.field, rest, keep_order)
+    sub = PolyRing(a.ring.field, rest)
     return _eliminated(buchberger_reduced(mapped, limits=a.limits), len(names), sub, a.limits)
 

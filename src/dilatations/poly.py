@@ -394,8 +394,8 @@ class PolyRing:
     def gens(self) -> list:
         return [self.var(n) for n in self.names]
 
-    def extend(self, extra: Iterable[str], order: MonomialOrder | None = None) -> "PolyRing":
-        return PolyRing(self.field, self.names + tuple(extra), order or self.order)
+    def extend(self, extra: Iterable[str]) -> "PolyRing":
+        return PolyRing(self.field, self.names + tuple(extra), self.order)
 
     def fresh_names(self, stems: Iterable[str]) -> list[str]:
         """One new variable name per stem: the stem itself, else the first

@@ -67,8 +67,8 @@ def rost_subalgebra_check(data: RostInput, bound: int = 4) -> Report:
     |n|, |m| <= bound, one clause `cell_n_m` each: the two sides agree in
     the localization A[s, t, z]/(s·t·z - 1) for every product l.
     """
-    if bound > 4:
-        raise InputError("bidegree bound capped at 4")
+    if not 0 <= bound <= 4:
+        raise InputError(f"bidegree bound {bound} is outside [0, 4]")
     rep = Report("rost_subalgebra")
     s, t = data.algebra.ring.fresh_names(["s", "t"])
     ast = data.algebra.extend([s, t])

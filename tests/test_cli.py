@@ -259,6 +259,24 @@ request rost A I J bound=2
     assert "rost: pass" in out
 
 
+@pytest.mark.parametrize(
+    ("request_line", "flags", "bound"),
+    [("rost A I J bound=-1", (), -1), ("rost A I J", ("--bidegree-bound", "-3"), -3)],
+    ids=["request-bound", "bidegree-bound-flag"],
+)
+def test_rost_negative_bound_exits_two(tmp_path, capsys, request_line, flags, bound):
+    text = f"""
+ring A = QQ[x, y]
+ideal I in A = (x*y)
+ideal J in A = (x, y)
+request {request_line}
+"""
+    code, out = run_cli(tmp_path, text, *flags)
+    assert code == 2
+    assert out == ""
+    assert f"bidegree bound {bound} is outside [0, 4]" in capsys.readouterr().err
+
+
 def test_repeated_request_labels_disambiguated(tmp_path):
     text = """
 ring A = QQ[a, g]

@@ -649,6 +649,22 @@ def test_universal_factor_refusals():
     assert out2.refused and "zero divisor" in out2.reason
 
 
+def test_universal_factor_refuses_at_the_first_non_member():
+    # chi(g) = a^2 lies in (a), chi(h) = a + 1 does not: the refusal
+    # names generator 2 and stops there
+    a = PresentedAlgebra(ring(["a", "g", "h"]))
+    c = mk_center(a, (["g", "h"], "a"), (["g"], "a"))
+    b = PresentedAlgebra(ring(["a"]))
+    chi = AlgebraHom(a, b, [b.var("a"), b.ring.parse("a^2"), b.ring.parse("a + 1")])
+    out = universal_factor(c, chi)
+    assert out.refused and out.hom is None
+    assert out.reason == "chi(M_1)B is not contained in chi(a_1)B"
+    assert out.report.clauses == [
+        ("nzd_1", True, ""),
+        ("containment_1", False, "chi(M_1)B ⊄ chi(a_1)B at generator 2"),
+    ]
+
+
 def test_detect_common_base():
     a = PresentedAlgebra(ring(["a", "b"]))
     c = mk_center(a, (["a"], "a"), (["a"], "a^3"))

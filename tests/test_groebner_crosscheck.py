@@ -155,7 +155,7 @@ def _to_sympy(p):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_saturation_basis_matches_sympy(seed):
-    from dilatations.ideals import IdealHandle, colon
+    from dilatations.ideals import IdealHandle, saturate
 
     rng = random.Random(8200 + seed)
     ring = PolyRing(QQ, ["x", "y"], GREVLEX)
@@ -165,7 +165,7 @@ def test_saturation_basis_matches_sympy(seed):
         if not p.is_constant():
             gens.append(p)
     f = ring.parse(rng.choice(["x", "y", "x + y", "x*y", "x - 2", "y^2 + x"]))
-    ours = {str(g) for g in colon(IdealHandle(ring, gens), f, saturate=True).groebner()}
+    ours = {str(g) for g in saturate(IdealHandle(ring, gens), [f]).groebner()}
     z = sympy.Symbol("z")
     theirs = _sympy_elimination_basis(ring, [_to_sympy(g) for g in gens] + [1 - z * _to_sympy(f)], "z")
     assert ours == theirs, ([str(g) for g in gens], str(f))

@@ -1,14 +1,15 @@
+import re
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dilatations import ideals
-from dilatations.algebras import PresentedAlgebra
+from dilatations.algebras import AlgebraHom, PresentedAlgebra, hom_kernel
 from dilatations.dilatation import Center, MultiCenter, dilate
 from dilatations.groebner import Reducers, buchberger_reduced, normal_form
 from dilatations.ideals import IdealHandle, colon, eliminate, intersect, saturate
-from dilatations.poly import Field, InputError, QQ, block_order
+from dilatations.poly import LEX, Field, InputError, QQ, block_order
 
 from conftest import random_poly, ring
 
@@ -54,10 +55,10 @@ def test_intersect_examples():
 def test_colon_saturation_examples():
     r = ring(["a", "g", "x"])
     regular = handle(r, "a*x - g")
-    assert colon(regular, r.var("a"), saturate=True).equals(regular)
-    sat = colon(handle(r, "a*x", "a*g"), r.var("a"), saturate=True)
+    assert saturate(regular, [r.var("a")]).equals(regular)
+    sat = saturate(handle(r, "a*x", "a*g"), [r.var("a")])
     assert sat.equals(handle(r, "x", "g"))
-    assert colon(handle(r, "a"), r.var("a"), saturate=True).is_unit()
+    assert saturate(handle(r, "a"), [r.var("a")]).is_unit()
 
 
 def test_colon_by_zero_rejected():
@@ -191,8 +192,8 @@ def test_saturation_idempotent(seed):
     f = random_poly(rng, r, max_deg=1)
     if f.is_zero():
         return
-    once = colon(a, f, saturate=True)
-    twice = colon(once, f, saturate=True)
+    once = saturate(a, [f])
+    twice = saturate(once, [f])
     assert once.equals(twice)
 
 
@@ -220,7 +221,7 @@ def test_saturate_by_factors_matches_product(seed, field):
     g = random_poly(rng, r, max_deg=1)
     if f.is_zero() or g.is_zero():
         return
-    assert saturate(a, [f, g, f]).groebner() == colon(a, f * g, saturate=True).groebner()
+    assert saturate(a, [f, g, f]).groebner() == saturate(a, [f * g]).groebner()
 
 
 @given(
@@ -239,7 +240,7 @@ def test_saturate_matches_chain_of_single_saturations(seed, field, k, seeded):
     elems = list(dict.fromkeys(p for p in (random_poly(rng, r, max_deg=2) for _ in range(k)) if not p.is_zero()))
     chain = a
     for f in elems:
-        chain = colon(chain, f, saturate=True)
+        chain = saturate(chain, [f])
     assert saturate(a, elems).groebner() == chain.groebner()
 
 
@@ -296,17 +297,26 @@ def test_dilate_matches_saturation_by_product():
     )
     res = dilate(center)
     product = center.product_elem().map_ring(res.presaturation.ring)
-    old = colon(res.presaturation, product, saturate=True)
+    old = saturate(res.presaturation, [product])
     assert res.algebra.relations.groebner() == old.groebner()
     assert res.saturation_changed == (not old.equals(res.presaturation))
 
 
 # ------------------------------------------- bases kept from the elimination
 #
-# colon(saturate=True), intersect, eliminate and hom_kernel hand over the
-# part of their elimination basis that is free of the eliminated block.
-# Over a grevlex target that part is the reduced basis itself; under any
-# other order it only generates, and a basis is built on first use.
+# saturate, intersect, eliminate and hom_kernel hand over the part of
+# their elimination basis that is free of the eliminated block.  Over the
+# grevlex target that part is the reduced basis itself, so no basis is
+# built on first use.
+
+
+@pytest.mark.parametrize("order", [LEX, block_order(1)], ids=repr)
+def test_ideals_and_presentations_are_over_grevlex_only(order):
+    r = ring(["x", "y"], order=order)
+    with pytest.raises(InputError, match=re.escape(repr(order))):
+        IdealHandle(r, [r.var("x")])
+    with pytest.raises(InputError):
+        PresentedAlgebra(r)
 
 
 def _counting_buchberger(monkeypatch):
@@ -322,32 +332,29 @@ def _counting_buchberger(monkeypatch):
     return runs
 
 
-def _elimination_results(order):
-    """(label, handle) for each elimination result of a small corpus over
-    a ring with the given order."""
-    from dilatations.algebras import AlgebraHom, hom_kernel
-
-    r = ring(["x", "y"], order=order)
-    s = ring(["a", "g", "x"], order=order)
-    t = ring(["x", "y", "t"], order=order)
-    u = ring(["x", "t", "s", "u", "v"], order=order)
+def _elimination_results():
+    """(label, handle) for each elimination result of a small corpus."""
+    r = ring(["x", "y"])
+    s = ring(["a", "g", "x"])
+    t = ring(["x", "y", "t"])
+    u = ring(["x", "t", "s", "u", "v"])
     out = [
         ("intersect x, y", intersect(handle(r, "x"), handle(r, "y"))),
         ("intersect (x^2, x*y), y", intersect(handle(r, "x^2", "x*y"), handle(r, "y"))),
         ("intersect unit, x + y", intersect(handle(r, "1"), handle(r, "x + y"))),
-        ("saturate a*x - g", colon(handle(s, "a*x - g"), s.var("a"), saturate=True)),
-        ("saturate a*x, a*g", colon(handle(s, "a*x", "a*g"), s.var("a"), saturate=True)),
-        ("saturate to unit", colon(handle(s, "a"), s.var("a"), saturate=True)),
+        ("saturate a*x - g", saturate(handle(s, "a*x - g"), [s.var("a")])),
+        ("saturate a*x, a*g", saturate(handle(s, "a*x", "a*g"), [s.var("a")])),
+        ("saturate to unit", saturate(handle(s, "a"), [s.var("a")])),
         ("saturate by two", saturate(handle(s, "a*x^2 - g*x", "g^2*a"), [s.var("a"), s.var("g")])),
         ("eliminate parabola", eliminate(handle(t, "x - t", "y - t^2"), ["t"])),
         ("eliminate unit", eliminate(handle(t, "1"), ["t"])),
         ("eliminate to zero", eliminate(handle(u, "t*s*u - x", "s*v - x"), ["u", "v"])),
         ("eliminate two", eliminate(handle(u, "x - t*s", "u - t^2", "v - s^2"), ["t", "s"])),
     ]
-    cusp_src = PresentedAlgebra(ring(["x", "y"], order=order))
+    cusp_src = PresentedAlgebra(r)
     line = PresentedAlgebra(ring(["t"]))
     out.append(("kernel of the cusp", hom_kernel(AlgebraHom(cusp_src, line, [line.ring.parse("t^2"), line.ring.parse("t^3")]))))
-    segre_src = PresentedAlgebra(ring(["x", "y", "z", "w"], order=order))
+    segre_src = PresentedAlgebra(ring(["x", "y", "z", "w"]))
     plane = PresentedAlgebra(ring(["s", "t", "u", "v"]))
     images = [plane.ring.parse(p) for p in ("s*u", "s*v", "t*u", "t*v")]
     out.append(("kernel of the Segre map", hom_kernel(AlgebraHom(segre_src, plane, images))))
@@ -356,40 +363,34 @@ def _elimination_results(order):
     return out
 
 
-@pytest.mark.parametrize("order_name", ["grevlex", "lex", "block"])
-def test_elimination_results_carry_their_reduced_basis(monkeypatch, order_name):
-    from dilatations.poly import GREVLEX, LEX, block_order
-
-    order = {"grevlex": GREVLEX, "lex": LEX, "block": block_order(1)}[order_name]
-    for label, h in _elimination_results(order):
+def test_elimination_results_carry_their_reduced_basis(monkeypatch):
+    for label, h in _elimination_results():
         runs = _counting_buchberger(monkeypatch)
         basis = h.groebner()
-        # eliminate's target is grevlex also under a block order
-        kept = h.ring.order == GREVLEX
-        assert (len(runs) == 0) == kept, (label, h.ring.order)
-        assert kept == (order_name == "grevlex" or (order_name == "block" and label.startswith("eliminate"))), label
+        assert runs == [], label
         assert basis == buchberger_reduced(h.gens), label
         monkeypatch.undo()
 
 
-@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.sampled_from(["grevlex", "lex"]))
-def test_random_elimination_results_carry_their_reduced_basis(seed, field, order_name):
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
+def test_random_elimination_results_carry_their_reduced_basis(seed, field):
     import random as _random
 
-    from dilatations.poly import GREVLEX, LEX
-
     rng = _random.Random(seed)
-    order = GREVLEX if order_name == "grevlex" else LEX
-    r = ring(["x", "y"], field, order)
+    r = ring(["x", "y"], field)
     a = IdealHandle(r, [p for p in (random_poly(rng, r) for _ in range(2)) if not p.is_zero()])
     b = IdealHandle(r, [p for p in (random_poly(rng, r) for _ in range(2)) if not p.is_zero()])
     f = random_poly(rng, r, max_deg=1)
     results = [intersect(a, b)]
     if not f.is_zero():
-        results.append(colon(a, f, saturate=True))
-    t = ring(["x", "y", "z"], field, order)
+        results.append(saturate(a, [f]))
+    t = ring(["x", "y", "z"], field)
     c = IdealHandle(t, [p for p in (random_poly(rng, t) for _ in range(3)) if not p.is_zero()])
     results.append(eliminate(c, [rng.choice(t.names)]))
+    # the kernel of k[u, v] -> k[x, y]/A sending u, v to random images
+    src = PresentedAlgebra(ring(["u", "v"], field))
+    images = [random_poly(rng, r) for _ in src.ring.names]
+    results.append(hom_kernel(AlgebraHom(src, PresentedAlgebra(r, a), images)))
     for h in results:
         assert h.groebner() == buchberger_reduced(h.gens)
 

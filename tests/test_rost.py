@@ -73,6 +73,13 @@ def test_rost_subalgebra_bound_capped():
         rost_subalgebra_check(data, bound=5)
 
 
+def test_rost_subalgebra_negative_bound_rejected():
+    # a negative bound would check no cell and still pass
+    data = mk(["x", "y"], ["x*y"], ["x", "y"])
+    with pytest.raises(InputError, match=r"bidegree bound -1 is outside \[0, 4\]"):
+        rost_subalgebra_check(data, bound=-1)
+
+
 def test_rost_degenerate_j_equals_i_forget_merge():
     # J = I: the double center over (st, s) obeys the forget law
     data = mk(["x"], ["x"], ["x"])
