@@ -427,7 +427,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
 
     if cmd == "oracle":
         center = _center(inst, pos[0])
-        rep = oc.compare_with_symbolic(center.algebra, center, flags.oracle_size_cap)
+        rep = oc.compare_with_symbolic(center, flags.oracle_size_cap)
         return _report_result("oracle", rep)
 
     if cmd == "universal":

@@ -146,32 +146,30 @@ class DilatationResult:
         """Transport a base-ring element along iota (no reduction)."""
         return f.map_ring(self.algebra.ring)
 
-    def fraction(self, pos: int, m: Polynomial, in_l: bool = False) -> Polynomial:
-        """The element m / a_pos of A' (pos 1-based).
+    def fraction(self, pos: int, ms) -> list[Polynomial]:
+        """The elements m / a_pos of A' for each m in `ms` (pos 1-based).
 
-        Requires m in M_pos (or in L_pos when in_l is set).  Cofactors of
-        m over the stored generator list and the relations
-        (`ideal_cofactors`) write it in the span of the fraction
-        variables; its normal form in A' does not depend on which
-        cofactors are found.
+        Requires each m in L_pos = M_pos + (a_pos).  Cofactors of m over
+        the stored generators, a_pos and the relations, from one
+        `ideal_cofactors` run, write it in the span of the fraction
+        variables and 1 (a_pos / a_pos).  As a_pos is a non-zero-divisor
+        in A', m / a_pos is the one y with a_pos*y = m there, so its
+        normal form does not depend on which cofactors are found.
         """
         c = self.center.centers[pos - 1]
-        gens = list(c.ideal.gens)
-        if in_l:
-            gens.append(c.elem)
-        gens_all = gens + self.base.relations.gens
-        cof = ideal_cofactors(m, gens_all, self.base.relations.limits)
-        if cof is None:
-            raise InputError(f"element {m} is not in the center ideal at position {pos}")
+        ms = list(ms)
+        gens = list(c.ideal.gens) + [c.elem] + self.base.relations.gens
         ring = self.algebra.ring
-        out = ring.zero()
-        n_m = len(c.ideal.gens)
-        for j, x in enumerate(self.names([pos])):
-            if not cof[j].is_zero():
-                out = out + cof[j].map_ring(ring) * ring.var(x)
-        if in_l and not cof[n_m].is_zero():
-            out = out + cof[n_m].map_ring(ring)  # a_i / a_i = 1
-        return self.algebra.nf(out)
+        names = self.names([pos])
+        out = []
+        for m, cof in zip(ms, ideal_cofactors(ms, gens, self.base.relations.limits)):
+            if cof is None:
+                raise InputError(f"element {m} is not in L_{pos} = M_{pos} + (a_{pos})")
+            y = cof[len(names)].map_ring(ring)
+            for q, x in zip(cof, names):
+                y = y + q.map_ring(ring) * ring.var(x)
+            out.append(self.algebra.nf(y))
+        return out
 
 
 def dilate(center: MultiCenter) -> DilatationResult:
@@ -220,11 +218,7 @@ def _construct(center: MultiCenter) -> tuple:
 
     f = center.product_elem()
     nilpotent = a.relations.radical_contains(f)
-    if f.is_zero():
-        # inverting 0 collapses everything; colon by 0 is undefined
-        sat = presat.with_gens([ext.one()])
-    else:
-        sat = saturate(presat, [c.elem.map_ring(ext) for c in center.centers])
+    sat = saturate(presat, [c.elem.map_ring(ext) for c in center.centers])
     if sat.is_unit() != nilpotent:
         raise VerificationFinding(
             "zero-ring criterion mismatch: saturation says "
@@ -310,22 +304,19 @@ def forget_map(result_full: DilatationResult, keep) -> tuple[AlgebraHom, Report]
     phi = AlgebraHom.by_name(sub.algebra, result_full.algebra, moved)
     rep.add("well_defined", check_hom(phi))
 
-    # M_i ⊆ (a_i) for each dropped i, by one cofactor run per generator (None
-    # stops the search); a member's cofactor of a_i witnesses its variable
+    # M_i ⊆ (a_i) for each dropped i, by one cofactor run per center (a
+    # non-member stops the search); a member's cofactor of a_i witnesses
+    # its variable
     a = center.algebra
     surj_hyp = True
     quotients = []
     for i in dropped:
         c = center.centers[i - 1]
-        cof_gens = [c.elem] + a.relations.gens
-        for g, x in zip(c.ideal.gens, result_full.names([i])):
-            cof = ideal_cofactors(g, cof_gens, a.relations.limits)
-            surj_hyp = cof is not None
-            if not surj_hyp:
-                break
-            quotients.append((x, cof[0]))
+        cofs = ideal_cofactors(c.ideal.gens, [c.elem] + a.relations.gens, a.relations.limits)
+        surj_hyp = None not in cofs
         if not surj_hyp:
             break
+        quotients += [(x, cof[0]) for x, cof in zip(result_full.names([i]), cofs)]
     rep.add("surjectivity_hypothesis", surj_hyp, "M_i ⊄ (a_i) for some dropped i")
     if surj_hyp:
         nf = result_full.algebra.nf
@@ -408,7 +399,7 @@ def localize_compare(center: MultiCenter) -> Report:
         fwd = AlgebraHom.by_name(result.algebra, a_f, fractions)
         inv = result.algebra.one()
         for i in range(1, len(center.centers) + 1):
-            inv = inv * result.fraction(i, a.ring.one())
+            inv = inv * result.fraction(i, [a.ring.one()])[0]
         bwd = AlgebraHom.by_name(a_f, result.algebra, {zname: inv})
         _certify_pair(rep, fwd, bwd, tag="unit_centers")
 
@@ -448,10 +439,11 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
     part = dilate(center.sub(keep))
     pos_in_keep = {i: p + 1 for p, i in enumerate(keep)}
 
-    fracs = {}
+    # a_i / a_k(i), then g / a_k(i) for each generator g of M_i
+    fracs, nums = {}, {}
     for i in rest:
-        k = assign[i]
-        fracs[i] = part.fraction(pos_in_keep[k], center.centers[i - 1].elem, in_l=True)
+        c = center.centers[i - 1]
+        fracs[i], *nums[i] = part.fraction(pos_in_keep[assign[i]], [c.elem] + c.ideal.gens)
 
     prod = part.algebra.one()
     for i in rest:
@@ -466,16 +458,15 @@ def open_immersion_iso(center: MultiCenter, keep, assign) -> Report:
         for l in rest:
             if l != i:
                 inv_rest = inv_rest * fracs[l].map_ring(lring)
-        for n, g in zip(full.names([i]), center.centers[i - 1].ideal.gens):
-            num = part.fraction(pos_in_keep[assign[i]], g, in_l=True).map_ring(lring)
-            fwd_images[n] = num * inv_rest
+        for n, num in zip(full.names([i]), nums[i]):
+            fwd_images[n] = num.map_ring(lring) * inv_rest
     fwd = AlgebraHom.by_name(full.algebra, loc, fwd_images)
 
     # backward: localized K-dilatation -> full dilatation
     bwd_images = dict(zip(part.names(), map(full.algebra.var, full.names(keep))))
     inv = full.algebra.one()
     for i in rest:
-        inv = inv * full.fraction(i, center.centers[assign[i] - 1].elem, in_l=True)
+        inv = inv * full.fraction(i, [center.centers[assign[i] - 1].elem])[0]
     bwd_images[zname] = inv
     bwd = AlgebraHom.by_name(loc, full.algebra, bwd_images)
     _certify_pair(rep, fwd, bwd)
@@ -637,11 +628,7 @@ def base_change_compare(center: MultiCenter, h: AlgebraHom) -> Report:
     subst.update(zip(source.names(), map(t_ring.var, direct.names())))
     tensor = over.ideal(g.subst(subst) for g in source.algebra.relations.gens)
 
-    # dilate(pushed) asserted: a zero ring iff the product is nilpotent in B
-    if direct.is_zero_ring():
-        t_sat = tensor.with_gens([t_ring.one()])
-    else:
-        t_sat = saturate(tensor, [c.elem.map_ring(t_ring) for c in pushed.centers])
+    t_sat = saturate(tensor, [c.elem.map_ring(t_ring) for c in pushed.centers])
     rep.add("tensor_matches_direct", t_sat.equals(direct.algebra.relations))
 
     flat_ext = (
@@ -742,28 +729,26 @@ def universal_factor(center: MultiCenter, chi: AlgebraHom) -> FactorResult:
             rep.add(f"nzd_{i}", False, f"chi(a_{i}) is a zero divisor")
             return FactorResult(None, True, f"chi(a_{i}) is a zero divisor in B", rep)
         rep.add(f"nzd_{i}", True)
-        gs, quotients = [], []
-        for j, g in enumerate(c.ideal.gens, start=1):
-            gs.append(chi.apply(g))
-            # the cofactor run is the containment test: None for a non-member
-            cof = ideal_cofactors(gs[-1], [bi] + b.relations.gens, b.relations.limits)
-            if cof is None:
-                rep.add(f"containment_{i}", False, f"chi(M_{i})B ⊄ chi(a_{i})B at generator {j}")
-                return FactorResult(
-                    None, True, f"chi(M_{i})B is not contained in chi(a_{i})B", rep
-                )
-            quotients.append(b.nf(cof[0]))
+        gs = [chi.apply(g) for g in c.ideal.gens]
+        # the cofactor run is the containment test: None for a non-member
+        cofs = ideal_cofactors(gs, [bi] + b.relations.gens, b.relations.limits)
+        if None in cofs:
+            j = cofs.index(None) + 1
+            rep.add(f"containment_{i}", False, f"chi(M_{i})B ⊄ chi(a_{i})B at generator {j}")
+            return FactorResult(
+                None, True, f"chi(M_{i})B is not contained in chi(a_{i})B", rep
+            )
         rep.add(f"containment_{i}", True)
-        kept.append((bi, gs, quotients))
+        kept.append((bi, gs, [b.nf(cof[0]) for cof in cofs]))
 
     result = dilate(center)
     images = chi.image_map()
     images_alt = chi.image_map()
     for i, (bi, gs, quotients) in enumerate(kept, start=1):
-        for n, gi, q in zip(result.names([i]), gs, quotients):
+        cofs = ideal_cofactors(gs, b.relations.gens + [bi], b.relations.limits)
+        for n, q, cof in zip(result.names([i]), quotients, cofs):
             images[n] = q
-            cof2 = ideal_cofactors(gi, b.relations.gens + [bi], b.relations.limits)
-            images_alt[n] = b.nf(cof2[-1])
+            images_alt[n] = b.nf(cof[-1])
     factored = AlgebraHom.by_name(result.algebra, b, images)
     rep.add("factor_defined", check_hom(factored))
     rep.add("factors_chi", maps_equal(factored.compose(result.iota), chi))

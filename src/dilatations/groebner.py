@@ -16,8 +16,9 @@ cap counts every pair formed, dropped ones included, and the degree cap
 checks the lcm of every pair formed and every new leading monomial;
 exceeding either raises ResourceLimitError, which names the cap, the
 pairs formed, the basis size and largest degree, and the ring.
-There is one mode: `ideal_cofactors` writes an element over generators
-by one run of this loop on a tagged ideal (see its docstring).
+There is one mode: `ideal_cofactors` writes a list of elements over a
+generator list by one run of this loop on a tagged ideal of the
+generators, which every element is then reduced by (see its docstring).
 
 Entry: every nonzero generator enters as it is, unreduced, in one order
 by leading monomial, through the same `add` as every element the loop
@@ -380,25 +381,28 @@ def _interreduce(basis, packing: Packing):
     return [packing.poly(g) for g in reduced]
 
 
-def ideal_cofactors(f: Polynomial, gens, limits: Limits | None = None):
-    """Express f as a combination of gens, or None if f is not a member.
+def ideal_cofactors(fs, gens, limits: Limits | None = None):
+    """Express each f in `fs` as a combination of gens, or None if f is
+    not a member.
 
-    Returns coefficients cs with f == sum cs[j] * gens[j], exactly.
+    Returns one entry per f: coefficients cs with
+    f == sum cs[j] * gens[j], exactly, or None.  The tagged basis depends
+    on `gens` alone, so one run serves every f.
 
     Method: a module Groebner basis written as an ideal with tag
     variables (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 5).
     Fresh tags T, e_1..e_s come first, under `block_order(s + 1)`, and
     one plain run computes the reduced basis G of the ideal I generated
-    by T*g_j - e_j and every tag monomial of degree 2.  T*f is reduced by
-    G: a T term left over means f is not a member, and otherwise the
-    remainder is sum c_j*e_j with f = sum c_j*g_j.
+    by T*g_j - e_j and every tag monomial of degree 2.  Each T*f is
+    reduced by G: a T term left over means f is not a member, and
+    otherwise the remainder is sum c_j*e_j with f = sum c_j*g_j.
 
-    Proof.  Every generator of I is homogeneous in the tags' degree, so
-    I is, and so is every element the run forms, G included.  I has
-    nothing of tag degree 0, and its part of tag degree 1 is
-    {sum a_j*(T*g_j - e_j) : a_j free of tags}, as the tag monomials
-    reach only degree 2 and up.  So (*) T*f - sum c_j*e_j lies in I
-    exactly when f = sum c_j*g_j.  An element of G whose leading
+    Proof (for each f).  Every generator of I is homogeneous in the
+    tags' degree, so I is, and so is every element the run forms, G
+    included.  I has nothing of tag degree 0, and its part of tag degree
+    1 is {sum a_j*(T*g_j - e_j) : a_j free of tags}, as the tag
+    monomials reach only degree 2 and up.  So (*) T*f - sum c_j*e_j lies
+    in I exactly when f = sum c_j*g_j.  An element of G whose leading
     monomial divides a term of tag degree 1 has tag degree 1, so the
     remainder r of T*f has tag degree 1, and T*f - r lies in I.
     If r has no T term, it is sum c_j*e_j and (*) gives the cofactors.
@@ -413,22 +417,27 @@ def ideal_cofactors(f: Polynomial, gens, limits: Limits | None = None):
 
     The tagged run's degrees are one higher than those of `gens` (T*g_j
     has degree deg g_j + 1), and it is charged to the same `limits`.
+    An empty `fs` makes no run.
     """
+    fs = list(fs)
+    if not fs:
+        return []
     gens = list(gens)
-    ring = f.ring
+    ring = fs[0].ring
     names = ring.fresh_names(["T"] + [f"e_{j}" for j in range(1, len(gens) + 1)])
     tagged = PolyRing(ring.field, names + list(ring.names), block_order(len(names)))
     tags = [tagged.var(n) for n in names]
     t = tags[0]
     ideal = [t * g.map_ring(tagged) - e for g, e in zip(gens, tags[1:])]
     ideal += [u * v for i, u in enumerate(tags) for v in tags[i:]]
-    r = normal_form(t * f.map_ring(tagged), buchberger_reduced(ideal, limits))
-    # each term of r is one tag of degree 1 times a monomial of the ring
+    table = Reducers.of(tagged, buchberger_reduced(ideal, limits))
+    # each term of a remainder is one tag of degree 1 times a monomial of the ring
     unpack, pack = tagged.packing.unpack, ring.packing.pack
-    cs = [{} for _ in names]
-    for m, c in r.terms.items():
-        e = unpack(m)
-        cs[e.index(1)][pack(e[len(names):])] = c
-    if cs[0]:
-        return None
-    return [Polynomial(ring, terms) for terms in cs[1:]]
+    out = []
+    for f in fs:
+        cs = [{} for _ in names]
+        for m, c in normal_form(t * f.map_ring(tagged), table).terms.items():
+            e = unpack(m)
+            cs[e.index(1)][pack(e[len(names):])] = c
+        out.append(None if cs[0] else [Polynomial(ring, terms) for terms in cs[1:]])
+    return out

@@ -10,15 +10,22 @@ instances.
 Every check is exhaustive.  A ring built from scratch (`zmod`,
 `quotient_ring`, `from_presented`) has a product that is bilinear by
 construction, so `certify_basis_axioms` checks its axioms on basis
-triples; subrings of a certified ring need no check.  One span routine,
-`FiniteRing.closed_span`, builds ideals and subrings: an additive span
-closed under multiplication by generators.  One hom plan per source ring
-(`HomPlan`) extends generator images to a map and certifies it on
-additive and ring generators; hom enumeration and the algebra-hom count
-both run on it.  The symbol dilatation (`SymbolDilatation`) classes
-its symbols z/a^nu, z in L^nu, by `symbol_classes`, which keys each
-by its value e*z*(e*a^nu)^{-1} and checks it against the literal
-equivalence of the definition with the representative of its value;
+triples; subrings of a certified ring need no check.  The size cap
+(`SIZE_CAP`, or the cap given to `from_presented`, `finite_center` and
+`compare_with_symbolic`) is checked only where a ring is enumerated from
+scratch: from a presentation, and in the catalog constructors `zmod` and
+`quotient_ring`.  Every other set the oracle builds lies inside a ring
+it has already enumerated (e*A, the subring closures in it) or is a
+list of at most |A|*(t+1)^k symbols, so it needs no cap of its own.
+One span routine, `FiniteRing.closed_span`, builds ideals and subrings:
+an additive span closed under multiplication by generators.  One hom
+plan per source ring (`HomPlan`) extends generator images to a map and
+certifies it on additive and ring generators; hom enumeration and the
+algebra-hom count both run on it.  The symbol dilatation
+(`SymbolDilatation`) classes its symbols z/a^nu, z in L^nu, by
+`symbol_classes`, which keys each by its value e*z*(e*a^nu)^{-1} and
+checks it against the literal equivalence of the definition with the
+representative of its value;
 symbols are equivalent exactly when their values are equal (the lemma
 of `SymbolDilatation`), so distinct values need no check.  Each product
 by e, a^nu or (e*a^nu)^{-1} is read from one multiplication map per
@@ -145,14 +152,11 @@ class FiniteRing:
     def sorted(self, xs):
         return sorted(xs, key=self._sort_key)
 
-    def subring_closure(self, gens, cap=SIZE_CAP):
+    def subring_closure(self, gens):
         """Closure of {one} ∪ gens under + and *, as a sorted list: the
         span of 1 and gens closed under multiplication by gens holds 1
         and every product of gens, and lies in the subring."""
-        elements = self.closed_span([self.one, *gens], gens)[0]
-        if len(elements) > cap:
-            raise SizeCapError(f"subring closure exceeded cap {cap}")
-        return self.sorted(elements)
+        return self.sorted(self.closed_span([self.one, *gens], gens)[0])
 
     @functools.cached_property
     def hom_plan(self):
@@ -470,7 +474,7 @@ class OracleDilatation:
     """Subring-route dilatation: the closure of e*A and the fractions
     e*m*(e*a_i)^{-1} inside the localization at prod a_i."""
 
-    def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP):
+    def __init__(self, base: FiniteRing, center: FiniteCenter):
         self.base = base
         self.center = center
         self.loc = Localization(base, center.product_elem())
@@ -485,7 +489,7 @@ class OracleDilatation:
         self.ring = FiniteRing(
             f"{base.label}-dilatation",
             # inside e*A, whose order is the base order
-            self.loc.ring.subring_closure(gens, cap),
+            self.loc.ring.subring_closure(gens),
             base.add,
             base.mul,
             base.zero,
@@ -497,8 +501,8 @@ class OracleDilatation:
         return self.loc.map(x)
 
 
-def dilate_oracle_subring(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> OracleDilatation:
-    return OracleDilatation(a, c, cap)
+def dilate_oracle_subring(a: FiniteRing, c: FiniteCenter) -> OracleDilatation:
+    return OracleDilatation(a, c)
 
 
 def symbol_classes(symbols, value, equivalent):
@@ -563,9 +567,9 @@ class SymbolDilatation:
     subring the values cover.  Failure raises VerificationFinding.
     """
 
-    def __init__(self, base: FiniteRing, center: FiniteCenter, cap=SIZE_CAP):
+    def __init__(self, base: FiniteRing, center: FiniteCenter):
         self.base, self.center = base, center
-        self.sub = dilate_oracle_subring(base, center, cap)
+        self.sub = dilate_oracle_subring(base, center)
         loc = self.sub.loc
         e, t = loc.e, loc.t
         k = len(center.pairs)
@@ -596,8 +600,6 @@ class SymbolDilatation:
         symbols = []
         for nu in itertools.product(range(t + 1), repeat=k):
             symbols.extend((z, nu) for z in base.sorted(center.l_power(nu)))
-            if len(symbols) > cap * (t + 1) ** k:
-                raise SizeCapError("symbol enumeration exceeded cap")
         self.reps, self.class_of_symbol, classes = symbol_classes(symbols, value, equivalent)
         self.values = list(classes)
         self._fraction_ring(inverse, classes, k)
@@ -643,8 +645,8 @@ class SymbolDilatation:
         )
 
 
-def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter, cap=SIZE_CAP) -> SymbolDilatation:
-    return SymbolDilatation(a, c, cap)
+def dilate_oracle_fractions(a: FiniteRing, c: FiniteCenter) -> SymbolDilatation:
+    return SymbolDilatation(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +805,7 @@ def count_algebra_homs(dil: OracleDilatation, b: FiniteRing, f: dict) -> int:
     return 0 if dil.ring.hom_plan.extend(b, images) is None else 1
 
 
-def universal_property_scan(a: FiniteRing, center: FiniteCenter, catalog, budget: int = 200_000) -> Report:
+def universal_property_scan(a: FiniteRing, center: FiniteCenter, catalog) -> Report:
     """Check the 0/1 hom-count prediction against every enumerated base
     hom with non-zero-divisor denominators."""
     rep = Report("universal_scan")
@@ -812,7 +814,7 @@ def universal_property_scan(a: FiniteRing, center: FiniteCenter, catalog, budget
         if b.size > 64:
             rep.add(f"catalog_size_{b.label}", False, "catalog ring exceeds 64 elements")
             continue
-        homs = enumerate_homs(a, b, budget)
+        homs = enumerate_homs(a, b)
         for hn, f in enumerate(homs):
             if not all(b.is_nzd(f[ai]) for _, ai in center.pairs):
                 continue
@@ -867,13 +869,14 @@ def finite_center(center, cap: int = SIZE_CAP):
     return ring, var_map, fc
 
 
-def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
-    """Cross-validate the symbolic dilatation of a finite-dimensional Fp
-    algebra `ap`, the algebra of `center`, against both oracle
-    constructions."""
+def compare_with_symbolic(center, cap: int = SIZE_CAP) -> Report:
+    """Cross-validate the symbolic dilatation of `center`, over a
+    finite-dimensional Fp algebra, against both oracle constructions.
+    `cap` bounds the two rings enumerated from presentations: the
+    algebra and the symbolic dilatation."""
     rep = Report("oracle_bridge")
     base_ring, var_map, fc = finite_center(center, cap)
-    fractions = dilate_oracle_fractions(base_ring, fc, cap)
+    fractions = dilate_oracle_fractions(base_ring, fc)
     rep.add("oracle_equivalence", True, "fractions vs subring certified in construction")
     oracle_ring = fractions.sub.ring
 
@@ -893,8 +896,8 @@ def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
 
     # map symbolic generators to oracle values and certify a surjection
     images = {}
-    for n in ap.ring.names:
-        images[n] = fractions.sub.struct_map(var_map[n])
+    for n, v in var_map.items():
+        images[n] = fractions.sub.struct_map(v)
     for i, c in enumerate(center.centers, start=1):
         for name, g in zip(sym.names([i]), c.ideal.gens):
             images[name] = fractions.sub.fraction_values[(i - 1, eval_poly(g, var_map, base_ring))]
@@ -903,7 +906,7 @@ def compare_with_symbolic(ap, center, cap: int = SIZE_CAP) -> Report:
         for g in sym.algebra.relations.groebner()
     )
     rep.add("map_well_defined", well_defined)
-    closure = oracle_ring.subring_closure([images[n] for n in sym.algebra.ring.names], cap)
+    closure = oracle_ring.subring_closure([images[n] for n in sym.algebra.ring.names])
     onto = set(closure) == set(oracle_ring.elements)
     rep.add("surjective", onto)
     return rep

@@ -312,7 +312,7 @@ def test_criterion_8_symbolic_oracle_bridge():
     ok = True
     zero_seen = False
     for alg, center in cases:
-        rep = compare_with_symbolic(alg, center)
+        rep = compare_with_symbolic(center)
         ok = ok and rep.ok
         zero_seen = zero_seen or any(k == "zero_ring_agrees" for k, _, _ in rep.clauses)
     _line(8, "symbolic-oracle bridge", ok and zero_seen and len(cases) >= 5, f"{len(cases)} instances, {time.time()-t0:.1f}s")

@@ -410,6 +410,22 @@ request universal C scan
     assert "universal_scan: pass" in out
 
 
+def test_oracle_size_cap_reaches_the_universal_scan(tmp_path):
+    # 3^8 = 6,561 elements; with M = (1) and a = 1 the dilatation is the
+    # whole ring, which once met the default cap inside the scan although
+    # the flag had raised it
+    text = """
+ring U = Fp(3)[u, v]
+rels U = (u^4, v^2)
+ideal M in U = (1)
+center C on U = [M / 1]
+request universal C scan
+"""
+    code, out = run_cli(tmp_path, text, "--oracle-size-cap", "8192")
+    assert code == 0
+    assert "universal_scan: pass" in out
+
+
 def test_base_change_rejects_undeclared_hom(tmp_path, capsys):
     text = """
 ring A = QQ[a, g]

@@ -74,7 +74,7 @@ def test_dilate_regular_presentation():
     res = dilate(mk_center(a, (["g"], "a")))
     assert [str(g) for g in res.algebra.relations.groebner()] == ["a*x_1_1 - g"]
     assert not res.saturation_changed
-    assert str(res.fraction(1, a.var("g"))) == "x_1_1"
+    assert str(res.fraction(1, [a.var("g")])[0]) == "x_1_1"
 
 
 def test_dilate_localization_case():
@@ -164,7 +164,7 @@ def test_dilate_shares_one_build_per_algebra():
     assert r1.algebra is r2.algebra and r1.iota is r2.iota
     assert r1.presaturation is r2.presaturation and r1.fraction_vars is r2.fraction_vars
     assert len(a.dilatations) == 1
-    assert str(r2.fraction(1, a.var("h"))) == "x_1_2"
+    assert str(r2.fraction(1, [a.var("h")])[0]) == "x_1_2"
 
 
 def test_saturation_changed_built_on_demand_once_per_memo_entry(monkeypatch):
@@ -191,8 +191,8 @@ def test_dilate_reordered_generators_are_another_key():
     r2 = dilate(mk_center(a, (["h", "g"], "a")))
     assert r1.algebra is not r2.algebra
     assert len(a.dilatations) == 2
-    assert str(r1.fraction(1, a.var("g"))) == "x_1_1"
-    assert str(r2.fraction(1, a.var("g"))) == "x_1_2"
+    assert str(r1.fraction(1, [a.var("g")])[0]) == "x_1_1"
+    assert str(r2.fraction(1, [a.var("g")])[0]) == "x_1_2"
 
 
 def test_verifiers_build_each_dilatation_once(monkeypatch):
@@ -575,6 +575,20 @@ def test_base_change_to_nilpotent_target():
     assert rep.ok  # both sides become the zero ring
 
 
+def test_base_change_on_a_nilpotent_denominator():
+    # a^2 = 0 in A: the source and the direct dilatation are zero rings,
+    # and the tensor ideal is saturated, not assumed to be (1)
+    a = algebra(["a", "g"], "a^2")
+    c = mk_center(a, (["g"], "a"))
+    assert dilate(c).is_zero_ring()
+    b = algebra(["a", "g", "w"], "a^2")
+    h = AlgebraHom(a, b, [b.var("a"), b.var("g")])
+    for hom in (AlgebraHom.identity(a), h):
+        rep = base_change_compare(c, hom)
+        assert rep.ok
+        assert [k for k, _, _ in rep.clauses] == ["hom_defined", "tensor_matches_direct", "flat_no_torsion"]
+
+
 def test_base_change_two_centers():
     a = PresentedAlgebra(ring(["a", "b", "g"]))
     c = mk_center(a, (["g"], "a"), (["g"], "b"))
@@ -665,6 +679,51 @@ def test_universal_factor_refuses_at_the_first_non_member():
     ]
 
 
+def _count_cofactor_runs(monkeypatch):
+    runs = []
+    run = dilatation_module.ideal_cofactors
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(dilatation_module, "ideal_cofactors", counted)
+    return runs
+
+
+def test_one_cofactor_run_per_generator_list(monkeypatch):
+    # universal_factor: one run over [chi(a)] + rels and one over
+    # rels + [chi(a)] per center; forget_map: one over [a_i] + rels per
+    # dropped center, whatever the number of generators
+    runs = _count_cofactor_runs(monkeypatch)
+    a = PresentedAlgebra(ring(["a", "g", "h", "k"]))
+    b = PresentedAlgebra(ring(["a"]))
+    chi = AlgebraHom(a, b, [b.ring.parse(t) for t in ["a", "a^2", "a^3", "2*a"]])
+    out = universal_factor(mk_center(a, (["g", "h", "k"], "a")), chi)
+    assert len(runs) == 2
+    assert not out.refused and out.reason == ""
+    assert out.report.clauses == [
+        ("nzd_1", True, ""),
+        ("containment_1", True, ""),
+        ("factor_defined", True, ""),
+        ("factors_chi", True, ""),
+        ("uniqueness", True, ""),
+    ]
+    assert [str(f) for f in out.hom.images] == ["a", "a^2", "a^3", "2*a", "a", "a^2", "2"]
+
+    runs.clear()
+    full = dilate(mk_center(a, (["g"], "a"), (["a*g", "a*h", "a*k"], "a")))
+    _, rep = forget_map(full, [1])
+    assert len(runs) == 1
+    assert rep.clauses == [
+        ("well_defined", True, ""),
+        ("surjectivity_hypothesis", True, "M_i ⊄ (a_i) for some dropped i"),
+        ("surjectivity_witnesses", True, ""),
+        ("injectivity_hypothesis", True, "a_i is a zero divisor for some dropped i"),
+        ("kernel_trivial", True, ""),
+    ]
+
+
 def test_detect_common_base():
     a = PresentedAlgebra(ring(["a", "b"]))
     c = mk_center(a, (["a"], "a"), (["a"], "a^3"))
@@ -695,9 +754,10 @@ def test_fraction_relations_hold_in_presentation():
 def test_fraction_requires_membership():
     a = PresentedAlgebra(ring(["a", "g"]))
     res = dilate(mk_center(a, (["g"], "a")))
+    # over L_1 = (g, a): a / a = 1, and 1 is not in L_1
+    assert [str(f) for f in res.fraction(1, [a.var("a"), a.var("g")])] == ["1", "x_1_1"]
     with pytest.raises(InputError):
-        res.fraction(1, a.var("a"))
-    assert str(res.fraction(1, a.var("a"), in_l=True)) == "1"
+        res.fraction(1, [a.var("g"), a.ring.one()])
 
 
 def test_same_denominator_centers_dilate_as_their_sum():

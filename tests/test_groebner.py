@@ -2,7 +2,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dilatations.groebner import (
     Limits,
@@ -171,7 +171,7 @@ def test_qq_results_carry_fractions_only(texts):
     rem, quotients = divide(f, gens)
     out = gb + [rem] + quotients
     out += [normal_form(f, gb), normal_form(f, gens), IdealHandle(r, gens).normal_form(f)]
-    out += ideal_cofactors(member, gens)
+    out += ideal_cofactors([member], gens)[0]
     assert all(type(c) is Fraction for p in out for c in p.terms.values())
     assert any(c.denominator == 1 for p in out for c in p.terms.values())
     assert rem + sum((q * g for q, g in zip(quotients, gens)), r.zero()) == f
@@ -211,13 +211,13 @@ def test_cofactors_express_membership():
     r = ring(["x", "y"])
     gens = [r.parse("x^2 - y"), r.parse("x*y - 1")]
     f = (r.parse("y + 3") * gens[0] + r.parse("x") * gens[1])
-    cof = ideal_cofactors(f, gens)
+    cof, outside = ideal_cofactors([f, r.parse("x")], gens)
     assert cof is not None
     total = r.zero()
     for c, g in zip(cof, gens):
         total = total + c * g
     assert total == f
-    assert ideal_cofactors(r.parse("x"), gens) is None
+    assert outside is None
 
 
 def _combination(coeffs, gens):
@@ -230,17 +230,27 @@ def _combination(coeffs, gens):
 def test_ideal_cofactors_over_zero_generators():
     r = ring(["x"])
     zeros = [r.zero(), r.zero()]
-    assert ideal_cofactors(r.zero(), zeros) == zeros
-    assert ideal_cofactors(r.one(), zeros) is None
-    assert ideal_cofactors(r.zero(), []) == []
-    assert ideal_cofactors(r.var("x"), []) is None
+    assert ideal_cofactors([r.zero(), r.one()], zeros) == [zeros, None]
+    assert ideal_cofactors([r.zero(), r.var("x")], []) == [[], None]
 
 
-@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.booleans())
-def test_ideal_cofactors_rebuild_member(seed, field, member):
-    """A combination of up to four generators (a zero and a repeat among
-    them) gets cofactors that rebuild it; any other element gets cofactors
-    exactly when the plain basis reduces it to 0."""
+def test_ideal_cofactors_of_no_elements_makes_no_run(monkeypatch):
+    import dilatations.groebner as gb
+
+    runs = []
+    monkeypatch.setattr(gb, "buchberger_reduced", lambda *args, **kw: runs.append(args))
+    r = ring(["x"])
+    assert ideal_cofactors([], [r.var("x")]) == []
+    assert runs == []
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
+def test_ideal_cofactors_rebuild_member(seed, field):
+    """One call on a list over up to four generators (a zero and a repeat
+    among them): each of up to three combinations gets cofactors that
+    rebuild it, a random element gets cofactors exactly when the plain
+    basis reduces it to 0, and a non-member of the proper ideal, at a
+    random place in the list, gets None."""
     import random as _random
 
     rng = _random.Random(seed)
@@ -248,15 +258,31 @@ def test_ideal_cofactors_rebuild_member(seed, field, member):
     gens = [random_poly(rng, r) for _ in range(rng.randint(1, 2))]
     gens += [r.zero(), gens[0]]
     rng.shuffle(gens)
-    if member:
-        f = _combination([random_poly(rng, r, max_deg=1, max_terms=2) for _ in gens], gens)
-    else:
-        f = random_poly(rng, r)
-    cof = ideal_cofactors(f, gens)
-    assert (cof is not None) == normal_form(f, buchberger_reduced(gens)).is_zero()
-    if cof is not None:
-        assert len(cof) == len(gens)
-        assert _combination(cof, gens) == f
+    basis = buchberger_reduced(gens)
+    assume(not normal_form(r.one(), basis).is_zero())
+    fs = [
+        _combination([random_poly(rng, r, max_deg=1, max_terms=2) for _ in gens], gens)
+        for _ in range(rng.randint(1, 3))
+    ]
+    other = random_poly(rng, r)
+    fs.append(other)
+    # a nonzero remainder is not a member; 1 is not one of a proper ideal
+    outside = normal_form(random_poly(rng, r), basis)
+    if outside.is_zero():
+        outside = r.one()
+    at = rng.randint(0, len(fs))
+    fs.insert(at, outside)
+    cofs = ideal_cofactors(fs, gens)
+    assert len(cofs) == len(fs)
+    assert cofs[at] is None
+    del fs[at], cofs[at]
+    assert (cofs[-1] is not None) == normal_form(other, basis).is_zero()
+    for f, cof in zip(fs, cofs):
+        if f is not other:
+            assert cof is not None
+        if cof is not None:
+            assert len(cof) == len(gens)
+            assert _combination(cof, gens) == f
 
 
 def test_ideal_cofactors_on_a_ring_that_holds_the_tag_names():
@@ -265,16 +291,16 @@ def test_ideal_cofactors_on_a_ring_that_holds_the_tag_names():
     r = ring(["T", "e_1", "e_2", "x"], order=LEX)
     gens = [r.parse("T*e_1 - x"), r.parse("e_2^2 + T"), r.parse("x")]
     f = r.parse("e_2") * gens[0] + r.parse("T + x") * gens[1] + r.parse("e_1") * gens[2]
-    cof = ideal_cofactors(f, gens)
+    cof, outside = ideal_cofactors([f, r.parse("e_1 + 1")], gens)
     assert cof is not None and all(c.ring == r for c in cof)
     assert _combination(cof, gens) == f
-    assert ideal_cofactors(r.parse("e_1 + 1"), gens) is None
+    assert outside is None
 
 
 def test_ideal_cofactors_rejects_non_member():
     r = ring(["x", "y"])
     gens = [r.parse("x^2 - y"), r.parse("x*y - 1"), r.parse("x^2 - y")]
-    assert ideal_cofactors(r.parse("x + y"), gens) is None
+    assert ideal_cofactors([r.parse("x + y")], gens) == [None]
 
 
 def test_ideal_cofactors_respects_limits():
@@ -282,9 +308,9 @@ def test_ideal_cofactors_respects_limits():
     gens = [r.parse("x^2 + y*z"), r.parse("y^3 - x*z"), r.parse("z^3 - x*y")]
     f = r.parse("x") * gens[0]
     with pytest.raises(ResourceLimitError):
-        ideal_cofactors(f, gens, Limits(pair_cap=1))
+        ideal_cofactors([f], gens, Limits(pair_cap=1))
     with pytest.raises(ResourceLimitError):
-        ideal_cofactors(f, gens, Limits(degree_cap=2))
+        ideal_cofactors([f], gens, Limits(degree_cap=2))
 
 
 # ------------------------------------------------------------ budgets
