@@ -2,7 +2,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dilatations.groebner import (
     Limits,
@@ -248,9 +248,10 @@ def test_ideal_cofactors_of_no_elements_makes_no_run(monkeypatch):
 def test_ideal_cofactors_rebuild_member(seed, field):
     """One call on a list over up to four generators (a zero and a repeat
     among them): each of up to three combinations gets cofactors that
-    rebuild it, a random element gets cofactors exactly when the plain
-    basis reduces it to 0, and a non-member of the proper ideal, at a
-    random place in the list, gets None."""
+    rebuild it, and a random element gets cofactors exactly when the plain
+    basis reduces it to 0. At a random place in the list sits a non-member,
+    which gets None, when the generators make a proper ideal, and 1, which
+    gets cofactors, when they make the unit ideal."""
     import random as _random
 
     rng = _random.Random(seed)
@@ -259,26 +260,27 @@ def test_ideal_cofactors_rebuild_member(seed, field):
     gens += [r.zero(), gens[0]]
     rng.shuffle(gens)
     basis = buchberger_reduced(gens)
-    assume(not normal_form(r.one(), basis).is_zero())
+    proper = not normal_form(r.one(), basis).is_zero()
     fs = [
         _combination([random_poly(rng, r, max_deg=1, max_terms=2) for _ in gens], gens)
         for _ in range(rng.randint(1, 3))
     ]
     other = random_poly(rng, r)
     fs.append(other)
-    # a nonzero remainder is not a member; 1 is not one of a proper ideal
-    outside = normal_form(random_poly(rng, r), basis)
+    # a nonzero remainder is not a member; 1 is one exactly of the unit ideal
+    outside = normal_form(random_poly(rng, r), basis) if proper else r.one()
     if outside.is_zero():
         outside = r.one()
     at = rng.randint(0, len(fs))
     fs.insert(at, outside)
     cofs = ideal_cofactors(fs, gens)
     assert len(cofs) == len(fs)
-    assert cofs[at] is None
-    del fs[at], cofs[at]
-    assert (cofs[-1] is not None) == normal_form(other, basis).is_zero()
-    for f, cof in zip(fs, cofs):
-        if f is not other:
+    for i, (f, cof) in enumerate(zip(fs, cofs)):
+        if i == at:
+            assert (cof is None) == proper
+        elif f is other:
+            assert (cof is not None) == normal_form(other, basis).is_zero()
+        else:
             assert cof is not None
         if cof is not None:
             assert len(cof) == len(gens)
