@@ -17,8 +17,9 @@ section and a machine section of sorted `key: value` lines; exit codes:
 0 all certificates pass, 1 a verification failed, 2 parse error,
 3 resource limit.
 
-`parse` checks every request's argument count and integer values, so a
-malformed request exits 2 before any request runs.  Requests run one
+`parse` checks every request's argument count, option keys and integer
+values, and every filtration's levels and subgroup names, so a malformed
+request or filtration exits 2 before any request runs.  Requests run one
 after another, in declaration order; `--jobs N` is accepted and ignored.  The Groebner budgets `--degree-cap` and
 `--pair-cap` are one `Limits` value that `parse` gives to every declared
 ring and ideal; each ideal derived from them carries it on, so the run
@@ -77,7 +78,7 @@ class InstanceFile:
         self.elems: dict[str, tuple[str, Polynomial]] = {}
         self.centers: dict[str, tuple[str, MultiCenter]] = {}
         self.homs: dict[str, AlgebraHom] = {}
-        self.filtrations: dict[str, tuple[cg.FiltrationSpec, cg.LevelRing]] = {}
+        self.filtrations: dict[str, cg.FiltrationSpec] = {}
         self.requests: list[tuple[int, list[str]]] = []
 
 
@@ -224,10 +225,7 @@ def _parse_line(inst: InstanceFile, line: str) -> None:
                 entries.append((em.group(1), int(em.group(2))))
         if p is None or n_level is None:
             raise InputError("filtration needs p=<prime> and N=<level>")
-        inst.filtrations[name.strip()] = (
-            cg.FiltrationSpec(spec_g, entries),
-            cg.LevelRing(p, n_level),
-        )
+        inst.filtrations[name.strip()] = cg.FiltrationSpec(spec_g, cg.LevelRing(p, n_level), entries)
     elif head == "request":
         args = rest.split()
         _request_args(args)
@@ -294,7 +292,16 @@ def _int_arg(args, key: str, text) -> int:
         raise _request_error(args, f"{key} value {text!r} is not an integer") from None
 
 
-def _index_map(args, text: str) -> dict[int, int]:
+def _int_list(args, key: str, text: str) -> list[int]:
+    """The `K=i,j,...` centers a verifier keeps."""
+    return [_int_arg(args, key, x) for x in text.split(",")]
+
+
+def _text_arg(args, key: str, text: str) -> str:
+    return text
+
+
+def _index_map(args, key: str, text: str) -> dict[int, int]:
     """The `map=i:k,...` assignment of open-immersion."""
     assign = {}
     for pair in text.split(","):
@@ -302,38 +309,40 @@ def _index_map(args, text: str) -> dict[int, int]:
             i, sep, k = pair.partition(":")
             if not sep:
                 raise _request_error(args, f"map entry {pair!r} is not of the form i:k")
-            assign[_int_arg(args, "map", i)] = _int_arg(args, "map", k)
+            assign[_int_arg(args, key, i)] = _int_arg(args, key, k)
     return assign
 
 
-# every request: its command words -> (its positional arguments, its
-# integer-valued `key=value` options)
+# every request: its command words -> (its positional arguments, every
+# `key=value` option it takes, each with the parser of its value)
 _REQUESTS = {
-    "present": (("center",), ()),
-    "check": (("center",), ()),
-    "iso monopoly": (("center",), ()),
-    "iso two-stage": (("center",), ("K",)),
-    "iso localize": (("center",), ()),
-    "iso open-immersion": (("center",), ("K", "map")),
-    "iso iterate": (("center",), ("t",)),
-    "iso conic": (("center",), ()),
-    "iso base-change": (("center", "hom"), ()),
-    "iso forget": (("center",), ("K",)),
-    "oracle": (("center",), ()),
-    "universal": (("center", "hom or `scan`"), ()),
-    "congruence iso": (("filtration S", "filtration R"), ()),
-    "congruence points": (("filtration",), ()),
-    "congruence normalizer": (("filtration",), ()),
-    "rost": (("ring", "ideal I", "ideal J"), ("bound",)),
+    "present": (("center",), {}),
+    "check": (("center",), {}),
+    "iso monopoly": (("center",), {}),
+    "iso two-stage": (("center",), {"K": _int_list}),
+    "iso localize": (("center",), {}),
+    "iso open-immersion": (("center",), {"K": _int_list, "map": _index_map}),
+    "iso iterate": (("center",), {"t": _int_arg}),
+    "iso conic": (("center",), {}),
+    "iso base-change": (("center", "hom"), {}),
+    "iso forget": (("center",), {"K": _int_list}),
+    "oracle": (("center",), {}),
+    "universal": (("center", "hom or `scan`"), {}),
+    "congruence iso": (("filtration S", "filtration R"), {}),
+    "congruence points": (("filtration",), {}),
+    "congruence normalizer": (("filtration",), {"K": _text_arg}),
+    "rost": (("ring", "ideal I", "ideal J"), {"bound": _int_arg}),
 }
 
 
 def _request_args(args) -> tuple[str, list[str], dict]:
     """(command, positional arguments, options) of a request, with its
-    argument count and integer values checked: `parse` calls it on every
-    request line, so a malformed request fails before any request runs.
-    Integer options are parsed (`K` to a list, `map` to a dict); other
-    options stay text."""
+    argument count, its option keys and its integer values checked:
+    `parse` calls it on every request line, so a malformed request fails
+    before any request runs.  An option the request does not take, or
+    one given twice, is refused; `t` and `bound` are parsed to ints, an
+    iso's `K` to a list and `map` to a dict, the normalizer's `K` stays
+    text."""
     if not args:
         raise _request_error(args, "missing command")
     cmd = args[0]
@@ -345,21 +354,18 @@ def _request_args(args) -> tuple[str, list[str], dict]:
         cmd = f"{cmd} {args[1]}"
     elif cmd not in _REQUESTS:
         raise InputError(f"unknown request {cmd!r}")
-    names, ints = _REQUESTS[cmd]
+    names, parsers = _REQUESTS[cmd]
     rest = args[len(cmd.split()):]
     pos = [a for a in rest if "=" not in a]
     if len(pos) < len(names):
         raise _request_error(args, f"missing {names[len(pos)]}")
-    opts = dict(a.split("=", 1) for a in rest if "=" in a)
-    for key in ints:
+    opts = {}
+    for key, _, text in (a.partition("=") for a in rest if "=" in a):
+        if key not in parsers:
+            raise _request_error(args, f"unknown option {key!r}")
         if key in opts:
-            text = opts[key]
-            if key == "map":
-                opts[key] = _index_map(args, text)
-            elif key == "K":
-                opts[key] = [_int_arg(args, key, x) for x in text.split(",")]
-            else:
-                opts[key] = _int_arg(args, key, text)
+            raise _request_error(args, f"repeated option {key!r}")
+        opts[key] = parsers[key](args, key, text)
     return cmd, pos, opts
 
 
@@ -445,18 +451,13 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
         return _report_result("universal", out.report)
 
     if cmd.startswith("congruence "):
+        filt = _declared(inst.filtrations, "filtration", pos[0])
         if cmd == "congruence iso":
-            fs, ring_s = _declared(inst.filtrations, "filtration", pos[0])
-            fr, ring_r = _declared(inst.filtrations, "filtration", pos[1])
-            same_group = (fs.group.kind, fs.group.n) == (fr.group.kind, fr.group.n)
-            if not same_group or fs.names() != fr.names() or ring_s.mod != ring_r.mod:
-                raise InputError("filtrations for iso must share group, names, p and N")
-            rep = cg.congruent_iso_check(fs, fs.levels(), fr.levels(), ring_s)
-            return _report_result("congruence_iso", rep)
+            fr = _declared(inst.filtrations, "filtration", pos[1])
+            return _report_result("congruence_iso", cg.congruent_iso_check(filt, fr))
         if cmd == "congruence points":
-            filt, ring = _declared(inst.filtrations, "filtration", pos[0])
-            pts = cg.group_points(filt, ring)
-            lie = cg.lie_points(filt, ring)
+            pts = cg.group_points(filt)
+            lie = cg.lie_points(filt)
             machine = {
                 "congruence_points.group_order": str(len(pts)),
                 "congruence_points.lie_order": str(len(lie)),
@@ -467,8 +468,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
                 [f"points: |group| = {len(pts)}, |lie| = {len(lie)}"],
                 True,
             )
-        filt, ring = _declared(inst.filtrations, "filtration", pos[0])
-        rep = cg.normalizer_check(filt, opts.get("K", "Z"), ring)
+        rep = cg.normalizer_check(filt, opts.get("K", "Z"))
         hypothesis_failed = any(
             k.startswith("commutes") and not ok for k, ok, _ in rep.clauses
         )
@@ -486,7 +486,7 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
     _, j_ideal = _declared(inst.ideals, "ideal", pos[2])
     data = RostInput(alg, i_ideal, j_ideal)
     res = rost_space(data)
-    rep = rost_subalgebra_check(data, opts.get("bound", flags.bidegree_bound))
+    rep = rost_subalgebra_check(data, **opts)
     rels = ", ".join(report_poly(g) for g in res.algebra.relations.groebner())
     return _report_result("rost", rep, {"rost.relations": rels})
 
@@ -523,7 +523,6 @@ def main(argv=None) -> int:
     parser.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
     parser.add_argument("--pair-cap", type=int, default=DEFAULT_PAIR_CAP)
     parser.add_argument("--oracle-size-cap", type=int, default=oc.SIZE_CAP)
-    parser.add_argument("--bidegree-bound", type=int, default=4)
     parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored: requests run in order")
     parser.add_argument("--machine-only", action="store_true")
     flags = parser.parse_args(argv)

@@ -7,6 +7,10 @@ or sl_n.  The congruent-isomorphism check builds both quotients and
 verifies the truncation map g -> g - 1 exhaustively, and any failure is
 reported verbatim as a finding rather than patched.
 
+A filtration (`FiltrationSpec`) carries its Z/p^N, a `LevelRing`, and is
+checked when built, so every check takes filtrations alone.  `LevelRing`
+is the module's one Z/p^N, the normalizer's plain test ring included.
+
 Every check is exhaustive, none compares all pairs of elements, and
 each rests on a certificate on generators or on a lemma proved here.
 - Groups and Lie lattices: with g = 1 + x, the group points are the
@@ -59,7 +63,7 @@ import operator
 from .poly import InputError, _is_prime
 from .report import Report
 from .closure import closure_certificate
-from .oracle import SizeCapError, dual_numbers, galois_extension, zmod
+from .oracle import SizeCapError, dual_numbers, galois_extension
 
 CANDIDATE_BUDGET = 2**22
 LEVEL_CAP = 2**20
@@ -296,19 +300,25 @@ def subgroup_gens(spec: GroupSpec, name: str, ops):
 
 
 class FiltrationSpec:
-    """Pairs (catalog name, level); the first entry is the trivial
-    subgroup for the congruent-isomorphism checks."""
+    """Pairs (catalog name, level) over Z/p^N (`ring`); the first entry
+    is the trivial subgroup for the congruent-isomorphism checks.  Each
+    entry is checked here, so that no check meets a malformed one: its
+    level lies in [0, N] and its name is a shape (`_shape`) of size n."""
 
-    __slots__ = ("group", "entries")
+    __slots__ = ("group", "ring", "entries")
 
-    def __init__(self, group: GroupSpec, entries):
+    def __init__(self, group: GroupSpec, ring: LevelRing, entries):
         entries = [(str(h), int(v)) for h, v in entries]
         if not entries:
             raise InputError("empty filtration")
         for h, v in entries:
             if v < 0:
                 raise InputError("negative level")
+            if v > ring.N:
+                raise InputError("filtration level exceeds N")
+            _shape(h, group.n)
         self.group = group
+        self.ring = ring
         self.entries = entries
 
     def levels(self):
@@ -317,22 +327,15 @@ class FiltrationSpec:
     def names(self):
         return [h for h, _ in self.entries]
 
-    def with_levels(self, levels):
-        if len(levels) != len(self.entries):
-            raise InputError("level vector length mismatch")
-        return FiltrationSpec(self.group, [(h, v) for (h, _), v in zip(self.entries, levels)])
-
     def __repr__(self):
         inner = ", ".join(f"({h}, {v})" for h, v in self.entries)
-        return f"Filtration[{self.group}; {inner}]"
+        return f"Filtration[{self.group} over {self.ring}; {inner}]"
 
 
-def validate_congruent_levels(s, r, n_level: int) -> str | None:
+def validate_congruent_levels(s, r) -> str | None:
     """Level hypotheses for the congruent isomorphism: s_i >= s_0,
-    r_i >= r_0, r_i >= s_i, r_i - s_i <= s_0, max r_i <= N.  Returns a
-    violation message or None."""
-    if len(s) != len(r):
-        return "level vectors differ in length"
+    r_i >= r_0, r_i >= s_i, r_i - s_i <= s_0; r_i <= N holds for every
+    filtration.  Returns a violation message or None."""
     s0, r0 = s[0], r[0]
     for i, (si, ri) in enumerate(zip(s, r)):
         if si < s0:
@@ -343,8 +346,6 @@ def validate_congruent_levels(s, r, n_level: int) -> str | None:
             return f"r_{i} < s_{i}"
         if ri - si > s0:
             return f"r_{i} - s_{i} > s_0"
-        if ri > n_level:
-            return f"r_{i} > N"
     return None
 
 
@@ -367,14 +368,12 @@ class EnumeratedGroup:
         return g in self.as_set
 
 
-def _cell_levels(filt: FiltrationSpec, ring: LevelRing):
+def _cell_levels(filt: FiltrationSpec):
     """(v0, c): v0 is the level of the trivial entries and c[i][j] the
     level of cell (i, j) in the ambient lattice that `lattice_key` cuts
     out, max(v0, the levels at which some entry's shape forces the cell
     to zero)."""
     n = filt.group.n
-    if max(filt.levels(), default=0) > ring.N:
-        raise InputError("filtration level exceeds N")
     v0 = max([v for h, v in filt.entries if h == "e"], default=0)
     levels = [[v0] * n for _ in range(n)]
     for h, v in filt.entries:
@@ -383,7 +382,7 @@ def _cell_levels(filt: FiltrationSpec, ring: LevelRing):
     return v0, levels
 
 
-def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
+def _cell_candidates(filt: FiltrationSpec):
     """The set-up `group_points` and `lie_points` share: the cell ranges
     of the candidates x for the points g = 1 + x, grouped by row, and the
     `Z` entries whose scalar tie their `lattice_key` test still checks.
@@ -395,13 +394,14 @@ def _cell_candidates(filt: FiltrationSpec, ring: LevelRing):
     scalar tie of a `Z` entry, which is not a cell range.  The number of
     candidates, the product of the range lengths, is held against
     CANDIDATE_BUDGET."""
-    _, levels = _cell_levels(filt, ring)
+    ring = filt.ring
+    _, levels = _cell_levels(filt)
     ranges = [[range(0, ring.mod, ring.p**v) for v in row] for row in levels]
     _hold_to_budget([r for row in ranges for r in row])
     return ranges, [(h, v) for h, v in filt.entries if h == "Z"]
 
 
-def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
+def group_points(filt: FiltrationSpec) -> EnumeratedGroup:
     """{ g in G(Z/p^N) : g mod p^{v_i} in H_i(Z/p^{v_i}) for all i }, a
     group because the ambient lattice Λ is closed under products.
 
@@ -419,15 +419,15 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     (xy)_ii - (xy)_00 vanish mod p^z, and
     x_ii·y_ii - x_00·y_00 = (x_ii - x_00)·y_ii + x_00·(y_ii - y_00)
     does too.  So no product is checked here; a name outside the catalog
-    is refused by `_shape`.
+    is refused when the filtration is built.
 
     The candidates g = 1 + x come row by row.  For each head, the first
     n - 1 rows, the signed cofactors of the last row are computed once;
     each candidate's determinant is then one `dot` of its last row with
     them.  The `Z` ties are read off g, which has the off-diagonal cells
     and the diagonal differences of x."""
-    spec = filt.group
-    ranges, ties = _cell_candidates(filt, ring)
+    spec, ring = filt.group, filt.ring
+    ranges, ties = _cell_candidates(filt)
     mod, p = ring.mod, ring.p
     rows = [
         [tuple([(x + (i == j)) % mod for j, x in enumerate(xs)]) for xs in itertools.product(*cells)]
@@ -446,12 +446,12 @@ def group_points(filt: FiltrationSpec, ring: LevelRing) -> EnumeratedGroup:
     return EnumeratedGroup(spec, ring, found)
 
 
-def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
+def lie_points(filt: FiltrationSpec) -> list:
     """{ x in g(Z/p^N) : x = 0 mod p^{v_0}, x mod p^{v_i} in Lie(H_i) },
     with g = gl_n or sl_n (global trace zero for SL)."""
-    spec = filt.group
+    spec, ring = filt.group, filt.ring
     n, mod, p = spec.n, ring.mod, ring.p
-    ranges, ties = _cell_candidates(filt, ring)
+    ranges, ties = _cell_candidates(filt)
     rows = [itertools.product(*cells) for cells in ranges]
     if spec.kind == "SL":
         # the trace fixes the last diagonal cell modulo p^N given the
@@ -472,14 +472,14 @@ def lie_points(filt: FiltrationSpec, ring: LevelRing) -> list:
 # lattice certificates
 
 
-def _lattice_generators(filt: FiltrationSpec, ring: LevelRing) -> list:
+def _lattice_generators(filt: FiltrationSpec) -> list:
     """Additive generators of the ambient lattice
     { x in gl_n(Z/p^N) : lattice_key(filt.entries, x) = 0 }: p^c·E_ij for
     each off-diagonal cell at its level c (`_cell_levels`), and on the
     diagonal p^c·E_ii for each i or, when the largest level z of a Z
     entry exceeds v0, p^v0·I together with p^z·E_ii for i >= 1."""
-    n, p = filt.group.n, ring.p
-    v0, levels = _cell_levels(filt, ring)
+    n, ring, p = filt.group.n, filt.ring, filt.ring.p
+    v0, levels = _cell_levels(filt)
     z = max([v for h, v in filt.entries if h == "Z"], default=0)
 
     def spike(cells, v):
@@ -506,9 +506,10 @@ def _product_witness(gens, entries, ring: LevelRing):
 # congruent isomorphism
 
 
-def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
+def congruent_iso_check(fs: FiltrationSpec, fr: FiltrationSpec) -> Report:
     """Congruent isomorphism at finite level: the truncation map
-    g -> g - 1 from P_s/P_r to L_s/L_r, verified exhaustively.
+    g -> g - 1 from P_s/P_r to L_s/L_r, verified exhaustively, for `fs`
+    and `fr` with levels s and r, which must share group, names and p^N.
 
     Write g = 1 + x with x in the ambient lattice Λ_s of gl_n, and let
     μ(g) = lattice_key(r-level entries, x), additive with kernel Λ_r.
@@ -535,23 +536,24 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     assumed: Z in SL_n with p | n (μ_n, not smooth) fails `well_defined`,
     where a scalar g has no Lie class of its key.
     """
+    same_group = (fs.group.kind, fs.group.n) == (fr.group.kind, fr.group.n)
+    if not same_group or fs.names() != fr.names() or fs.ring.mod != fr.ring.mod:
+        raise InputError("filtrations for iso must share group, names, p and N")
+    ring = fs.ring
     rep = Report("congruent_iso")
-    if filt.names()[0] != "e":
+    if fs.names()[0] != "e":
         rep.add("h0_trivial", False, "first filtration entry must be the trivial subgroup")
         return rep
-    violation = validate_congruent_levels(list(s), list(r), ring.N)
+    violation = validate_congruent_levels(fs.levels(), fr.levels())
     if not rep.add("level_hypotheses", violation is None, violation or ""):
         return rep
 
-    fs = filt.with_levels(list(s))
-    fr = filt.with_levels(list(r))
-
-    ps = group_points(fs, ring)
-    pr = group_points(fr, ring)
+    ps = group_points(fs)
+    pr = group_points(fr)
     if not rep.add("group_inclusion", pr.as_set <= ps.as_set, "P_r is not inside P_s"):
         return rep
-    ls = lie_points(fs, ring)
-    lr = lie_points(fr, ring)
+    ls = lie_points(fs)
+    lr = lie_points(fr)
     if not rep.add("lie_inclusion", set(lr) <= set(ls), "L_r is not inside L_s"):
         return rep
     # Λ_s is closed under products (the catalog-closure lemma of
@@ -563,10 +565,10 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
     rep.add("orders_equal", q_grp == q_lie, f"|Q_grp| = {q_grp}, |Q_lie| = {q_lie}")
 
     mu = functools.partial(lattice_key, fr.entries, p=ring.p)
-    ident = mat_id(ring, filt.group.n)
+    ident = mat_id(ring, fs.group.n)
     keys = {g: mu(mat_sub(ring, g, ident)) for g in ps.elements}
     count = collections.Counter(map(mu, ls))
-    bad = _product_witness(_lattice_generators(fs, ring), fr.entries, ring)
+    bad = _product_witness(_lattice_generators(fs), fr.entries, ring)
     pair = "" if bad is None else f"x = {bad[0]}, y = {bad[1]}: x·y is not in Λ_r"
     # constancy on the cosets of P_r rests on the certificate as well
     witness = next(
@@ -587,12 +589,12 @@ def congruent_iso_check(filt: FiltrationSpec, s, r, ring: LevelRing) -> Report:
 
 def _test_rings(p: int, level: int):
     """Point suppliers for the commutation hypothesis at one level: the
-    base ring, a quadratic extension, and dual numbers.  Plain
-    Z/p^level-points can be degenerate (a split torus has no non-scalar
-    points over Z/2), so scheme-level non-commutation is witnessed on the
-    small extensions."""
+    base ring, a quadratic extension, and dual numbers, the extensions
+    when they fit SIZE_CAP.  Plain Z/p^level-points can be degenerate (a
+    split torus has no non-scalar points over Z/2), so scheme-level
+    non-commutation is witnessed on the small extensions."""
     m = p**level
-    rings = [zmod(m)]
+    rings = [LevelRing(p, level)]
     try:
         rings.append(galois_extension(m, p))
     except SizeCapError:
@@ -604,12 +606,12 @@ def _test_rings(p: int, level: int):
     return rings
 
 
-def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Report:
+def normalizer_check(filt: FiltrationSpec, k_name: str) -> Report:
     """K normalizes the dilated group points when K commutes with every
     H_i at its level; the commutation hypothesis is verified exhaustively
     first and its failure skips the main check."""
     rep = Report("normalizer")
-    spec = filt.group
+    spec, ring = filt.group, filt.ring
 
     # K and H commute elementwise iff their generators do, and k P k^-1
     # lies in P for every k in K iff k t k^-1 does for the generators k
@@ -639,7 +641,7 @@ def normalizer_check(filt: FiltrationSpec, k_name: str, ring: LevelRing) -> Repo
             rep.add("main_check_skipped", True, "hypothesis failed; normalization criterion does not apply")
             return rep
 
-    pts = group_points(filt, ring)
+    pts = group_points(filt)
     k_gens = subgroup_gens(spec, k_name, ring)
     if k_gens is None:
         raise InputError(f"catalog subgroup not closed over {ring!r}")

@@ -53,6 +53,7 @@ from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
 
 SIZE_CAP = 4096
+HOM_BUDGET = 200_000
 
 
 class SizeCapError(RuntimeError):
@@ -768,15 +769,15 @@ class HomPlan:
         return dict(zip(self.elements, f))
 
 
-def enumerate_homs(a: FiniteRing, b: FiniteRing, budget: int = 200_000):
+def enumerate_homs(a: FiniteRing, b: FiniteRing):
     """All unital ring homs A -> B, in the order of their generator images
     in `b.elements`: every assignment of images to the plan's free
     generators is extended and certified along A's hom plan.  The other
     generators' images follow from those of 1 and the earlier ones, so
-    no other assignment extends.  The budget counts the assignments
+    no other assignment extends.  HOM_BUDGET bounds the assignments
     tried, b.size ** len(plan.free)."""
     plan = a.hom_plan
-    if b.size ** len(plan.free) > budget:
+    if b.size ** len(plan.free) > HOM_BUDGET:
         raise SizeCapError("hom enumeration budget exceeded")
     homs = []
     for free_images in itertools.product(b.elements, repeat=len(plan.free)):

@@ -319,34 +319,34 @@ def test_criterion_8_symbolic_oracle_bridge():
 
 
 def test_criterion_9_congruent_isomorphisms():
+    def pair(kind, n, ring_, names, s, r):
+        return tuple(FiltrationSpec(GroupSpec(kind, n), ring_, zip(names, levels)) for levels in (s, r))
+
     instances = [
-        ("GL1 p3", FiltrationSpec(GroupSpec("GL", 1), [("e", 1)]), [1], [2], LevelRing(3, 3)),
-        ("SL2 principal", FiltrationSpec(GroupSpec("SL", 2), [("e", 1)]), [1], [2], LevelRing(2, 4)),
-        ("SL2 mixed", FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("T", 2)]), [1, 2], [2, 3], LevelRing(2, 4)),
-        ("GL2 Levi", FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("L(1,1)", 2)]), [1, 2], [2, 3], LevelRing(3, 3)),
+        ("GL1 p3", pair("GL", 1, LevelRing(3, 3), ["e"], [1], [2])),
+        ("SL2 principal", pair("SL", 2, LevelRing(2, 4), ["e"], [1], [2])),
+        ("SL2 mixed", pair("SL", 2, LevelRing(2, 4), ["e", "T"], [1, 2], [2, 3])),
+        ("GL2 Levi", pair("GL", 2, LevelRing(3, 3), ["e", "L(1,1)"], [1, 2], [2, 3])),
     ]
     ok = True
     details = []
-    for label, filt, s, r, ring_ in instances:
+    for label, (fs, fr) in instances:
         t0 = time.time()
-        rep = congruent_iso_check(filt, s, r, ring_)
+        rep = congruent_iso_check(fs, fr)
         elapsed = time.time() - t0
         ok = ok and rep.ok and elapsed < 120
         details.append(f"{label} {elapsed:.0f}s")
         if label == "SL2 principal":
-            ps = group_points(filt.with_levels([1]), ring_)
-            pr = group_points(filt.with_levels([2]), ring_)
-            ok = ok and len(ps) // len(pr) == 8
+            ok = ok and len(group_points(fs)) // len(group_points(fr)) == 8
     _line(9, "congruent isomorphisms", ok, "; ".join(details))
 
 
 def test_criterion_10_normalizer_suite():
-    filt = FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("T", 2)])
-    ring_ = LevelRing(2, 3)
-    rep_scal = normalizer_check(filt, "Z", ring_)
-    rep_torus = normalizer_check(filt, "T", ring_)
-    bad = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("T", 1)])
-    rep_bad = normalizer_check(bad, "G", LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 2), LevelRing(2, 3), [("e", 1), ("T", 2)])
+    rep_scal = normalizer_check(filt, "Z")
+    rep_torus = normalizer_check(filt, "T")
+    bad = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 3), [("e", 1), ("T", 1)])
+    rep_bad = normalizer_check(bad, "G")
     d = {k: ok for k, ok, _ in rep_bad.clauses}
     hypothesis_reported = d.get("commutes_1") is False and d.get("main_check_skipped") is True
     _line(10, "normalizer suite", rep_scal.ok and rep_torus.ok and hypothesis_reported)

@@ -259,19 +259,15 @@ request rost A I J bound=2
     assert "rost: pass" in out
 
 
-@pytest.mark.parametrize(
-    ("request_line", "flags", "bound"),
-    [("rost A I J bound=-1", (), -1), ("rost A I J", ("--bidegree-bound", "-3"), -3)],
-    ids=["request-bound", "bidegree-bound-flag"],
-)
-def test_rost_negative_bound_exits_two(tmp_path, capsys, request_line, flags, bound):
+@pytest.mark.parametrize(("request_line", "bound"), [("rost A I J bound=-1", -1)], ids=["request-bound"])
+def test_rost_negative_bound_exits_two(tmp_path, capsys, request_line, bound):
     text = f"""
 ring A = QQ[x, y]
 ideal I in A = (x*y)
 ideal J in A = (x, y)
 request {request_line}
 """
-    code, out = run_cli(tmp_path, text, *flags)
+    code, out = run_cli(tmp_path, text)
     assert code == 2
     assert out == ""
     assert f"bidegree bound {bound} is outside [0, 4]" in capsys.readouterr().err
@@ -487,6 +483,39 @@ request congruence normalizer NT K={k}
     assert "does not fit n = 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("(e, 3)", "filtration level exceeds N"),
+        ("(e, 1), (Q, 1)", "unknown catalog subgroup 'Q'"),
+        ("(e, 1), (L(1,2), 1)", "Levi shape L(1,2) does not fit n = 2"),
+    ],
+)
+def test_malformed_filtration_exits_two_unrequested(tmp_path, capsys, entries, message):
+    # a filtration was once checked only when a request enumerated it, so
+    # these exited 0
+    text = f"""
+filtration G = group GL(1), p=3, N=3, (e, 1)
+filtration F = group GL(2), p=2, N=2, {entries}
+request congruence points G
+"""
+    code, out = run_cli(tmp_path, text)
+    assert code == 2 and out == ""
+    assert f"line 3: {message}" in capsys.readouterr().err
+
+
+def test_normalizer_tests_commutation_over_the_level_ring(tmp_path, capsys):
+    # Z/2^13 has 8192 elements, past the oracle's SIZE_CAP: the plain
+    # test ring was once the oracle's Z/n, and this exited 3
+    text = """
+filtration F = group GL(1), p=2, N=13, (e, 1), (T, 13)
+request congruence normalizer F K=Z
+"""
+    code, out = run_cli(tmp_path, text)
+    assert code == 0, capsys.readouterr().err
+    assert "normalizer: pass" in out
+
+
 def test_normalizer_holds_the_subgroup_enumeration_to_the_budget(tmp_path, capsys):
     # the torus of SL(2) over Z/2^20 has (2^19)^2 candidate diagonals; the
     # subgroup enumeration once ran through all of them without a budget
@@ -541,7 +570,16 @@ def test_malformed_request_exits_two_without_traceback(tmp_path, request_line):
 
 @pytest.mark.parametrize(
     "request_line",
-    ["iso iterate D t=x", "rost A M N bound=y", "iso two-stage K=1", "congruence points"],
+    [
+        "iso iterate D t=x",
+        "rost A M N bound=y",
+        "iso two-stage K=1",
+        "congruence points",
+        # an unknown option once ran at the default bound, a repeated one
+        # kept its last value
+        "rost A M N bund=-1",
+        "iso two-stage C K=1 K=2",
+    ],
 )
 def test_malformed_request_fails_at_parse(tmp_path, request_line):
     path = tmp_path / "instance.dila"

@@ -24,27 +24,32 @@ from dilatations.congruence import (
     validate_congruent_levels,
 )
 from dilatations.closure import closure_certificate
-from dilatations.oracle import dual_numbers, galois_extension
+from dilatations.oracle import dual_numbers, galois_extension, zmod
 from dilatations.poly import InputError
 
 
+def _relevel(filt, levels):
+    """`filt` with the same entries at other levels."""
+    return FiltrationSpec(filt.group, filt.ring, zip(filt.names(), levels))
+
+
 def test_gl1_classical_filtration():
-    filt = FiltrationSpec(GroupSpec("GL", 1), [("e", 1)])
-    pts = group_points(filt, LevelRing(3, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("e", 1)])
+    pts = group_points(filt)
     assert len(pts) == 9
     assert sorted(g[0][0] for g in pts.elements) == [1, 4, 7, 10, 13, 16, 19, 22, 25]
 
 
 def test_sl2_principal_level():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1)])
-    pts = group_points(filt, LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 3), [("e", 1)])
+    pts = group_points(filt)
     # kernel of SL_2(Z/8) -> SL_2(Z/2): 384 / 6
     assert len(pts) == 64
 
 
 def test_sl2_mixed_filtration_points():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("T", 2)])
-    pts = group_points(filt, LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 3), [("e", 1), ("T", 2)])
+    pts = group_points(filt)
     for g in pts.elements:
         assert g[0][1] % 4 == 0 and g[1][0] % 4 == 0
         assert (g[0][0] - 1) % 2 == 0 and (g[1][1] - 1) % 2 == 0
@@ -55,34 +60,34 @@ def test_group_points_intersection_formula():
     # points = intersection of the mono-centered point sets
     ring = LevelRing(2, 3)
     spec = GroupSpec("SL", 2)
-    both = group_points(FiltrationSpec(spec, [("e", 1), ("T", 2)]), ring)
-    only_e = group_points(FiltrationSpec(spec, [("e", 1)]), ring)
-    only_t = group_points(FiltrationSpec(spec, [("e", 1), ("T", 2)]), ring)
-    t_side = group_points(FiltrationSpec(spec, [("e", 0), ("T", 2)]), ring)
+    both = group_points(FiltrationSpec(spec, ring, [("e", 1), ("T", 2)]))
+    only_e = group_points(FiltrationSpec(spec, ring, [("e", 1)]))
+    only_t = group_points(FiltrationSpec(spec, ring, [("e", 1), ("T", 2)]))
+    t_side = group_points(FiltrationSpec(spec, ring, [("e", 0), ("T", 2)]))
     assert both.as_set == only_e.as_set & t_side.as_set
 
 
 def test_group_points_monotone_in_levels():
     ring = LevelRing(2, 3)
     spec = GroupSpec("SL", 2)
-    lo = group_points(FiltrationSpec(spec, [("e", 1), ("T", 1)]), ring)
-    hi = group_points(FiltrationSpec(spec, [("e", 2), ("T", 3)]), ring)
+    lo = group_points(FiltrationSpec(spec, ring, [("e", 1), ("T", 1)]))
+    hi = group_points(FiltrationSpec(spec, ring, [("e", 2), ("T", 3)]))
     assert hi.as_set <= lo.as_set
 
 
 def test_lie_points_gl1():
-    filt = FiltrationSpec(GroupSpec("GL", 1), [("e", 1)])
-    xs = lie_points(filt, LevelRing(3, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("e", 1)])
+    xs = lie_points(filt)
     assert sorted(x[0][0] for x in xs) == [0, 3, 6, 9, 12, 15, 18, 21, 24]
 
 
 def test_lie_points_sl2_count_and_closure():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1)])
     ring = LevelRing(2, 3)
-    xs = lie_points(filt, ring)
+    filt = FiltrationSpec(GroupSpec("SL", 2), ring, [("e", 1)])
+    xs = lie_points(filt)
     # x = 2m with tr(2m) = 0 mod 8: 4^4 / 4 choices
     assert len(xs) == 64
-    assert _product_witness(_lattice_generators(filt, ring), filt.entries, ring) is None
+    assert _product_witness(_lattice_generators(filt), filt.entries, ring) is None
     assert _ref_lie_closed(xs, ring.mod)
 
 
@@ -104,45 +109,65 @@ def test_levi_equals_torus_for_unit_blocks():
 
 
 def test_validate_congruent_levels():
-    assert validate_congruent_levels([1, 2], [2, 3], 4) is None
-    assert validate_congruent_levels([1], [3], 4) is not None  # r - s > s_0
-    assert validate_congruent_levels([1, 1], [2, 3], 4) is not None  # r_1 - s_1 > s_0
-    assert validate_congruent_levels([1], [2], 1) is not None  # r > N
+    assert validate_congruent_levels([1, 2], [2, 3]) is None
+    assert validate_congruent_levels([1], [3]) is not None  # r - s > s_0
+    assert validate_congruent_levels([1, 1], [2, 3]) is not None  # r_1 - s_1 > s_0
+    # r > N: no filtration carries such a level
+    with pytest.raises(InputError, match="filtration level exceeds N"):
+        FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 1), [("e", 2)])
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        FiltrationSpec(GroupSpec("SL", 1), LevelRing(3, 3), [("e", 2)]),
+        FiltrationSpec(GroupSpec("GL", 2), LevelRing(3, 3), [("e", 2)]),
+        FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("e", 2), ("T", 2)]),
+        FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("Z", 2)]),
+        FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 2), [("e", 2)]),
+        FiltrationSpec(GroupSpec("GL", 1), LevelRing(2, 3), [("e", 2)]),
+    ],
+    ids=["kind", "size", "length", "names", "level", "prime"],
+)
+def test_congruent_iso_refuses_filtrations_that_differ(other):
+    # the check once lived in the CLI alone
+    fs = FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("e", 1)])
+    for pair in [(fs, other), (other, fs)]:
+        with pytest.raises(InputError, match="^filtrations for iso must share group, names, p and N$"):
+            congruent_iso_check(*pair)
 
 
 def test_congruent_iso_gl1():
-    filt = FiltrationSpec(GroupSpec("GL", 1), [("e", 1)])
-    rep = congruent_iso_check(filt, [1], [2], LevelRing(3, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("e", 1)])
+    rep = congruent_iso_check(filt, _relevel(filt, [2]))
     assert rep.ok
     orders = [d for k, _, d in rep.clauses if k == "orders_equal"][0]
     assert "3" in orders
 
 
 def test_congruent_iso_sl2_quotient_eight():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1)])
-    ring = LevelRing(2, 4)
-    ps = group_points(filt.with_levels([1]), ring)
-    pr = group_points(filt.with_levels([2]), ring)
-    assert len(ps) // len(pr) == 8
-    rep = congruent_iso_check(filt, [1], [2], ring)
+    fs = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 4), [("e", 1)])
+    fr = _relevel(fs, [2])
+    assert len(group_points(fs)) // len(group_points(fr)) == 8
+    rep = congruent_iso_check(fs, fr)
     assert rep.ok
 
 
 def test_congruent_iso_mixed_sl2():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("T", 2)])
-    rep = congruent_iso_check(filt, [1, 2], [2, 3], LevelRing(2, 4))
+    filt = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 4), [("e", 1), ("T", 2)])
+    rep = congruent_iso_check(filt, _relevel(filt, [2, 3]))
     assert rep.ok
 
 
 def test_congruent_iso_gl2_levi():
-    filt = FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("L(1,1)", 2)])
-    rep = congruent_iso_check(filt, [1, 2], [2, 3], LevelRing(3, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 2), LevelRing(3, 3), [("e", 1), ("L(1,1)", 2)])
+    rep = congruent_iso_check(filt, _relevel(filt, [2, 3]))
     assert rep.ok
 
 
 def test_congruent_iso_rejects_bad_levels():
-    filt = FiltrationSpec(GroupSpec("GL", 1), [("e", 1)])
-    rep = congruent_iso_check(filt, [1], [3], LevelRing(3, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 1), LevelRing(3, 3), [("e", 1)])
+    rep = congruent_iso_check(filt, _relevel(filt, [3]))
     assert not rep.ok
 
 
@@ -159,39 +184,38 @@ def test_quotient_order_formula():
         (GroupSpec("SL", 2), 3, 3, 1, 2),
         (GroupSpec("GL", 1), 3, 3, 1, 2),
     ]:
-        ring = LevelRing(p, n_level)
-        filt = FiltrationSpec(spec, [("e", s0)])
-        ps = group_points(filt, ring)
-        pr = group_points(filt.with_levels([r0]), ring)
+        filt = FiltrationSpec(spec, LevelRing(p, n_level), [("e", s0)])
+        ps = group_points(filt)
+        pr = group_points(_relevel(filt, [r0]))
         assert len(ps) // len(pr) == expected_trivial_quotient_order(spec, s0, r0, p)
 
 
 def test_normalizer_scalar_center():
-    filt = FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("T", 2)])
-    rep = normalizer_check(filt, "Z", LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 2), LevelRing(2, 3), [("e", 1), ("T", 2)])
+    rep = normalizer_check(filt, "Z")
     assert rep.ok
 
 
 def test_normalizer_torus_torus():
-    filt = FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("T", 2)])
-    rep = normalizer_check(filt, "T", LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("GL", 2), LevelRing(2, 3), [("e", 1), ("T", 2)])
+    rep = normalizer_check(filt, "T")
     assert rep.ok
 
 
 def test_normalizer_sl2_vs_torus_hypothesis_fails():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("T", 1)])
-    rep = normalizer_check(filt, "G", LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 3), [("e", 1), ("T", 1)])
+    rep = normalizer_check(filt, "G")
     d = {k: ok for k, ok, _ in rep.clauses}
     assert d["commutes_1"] is False
     assert d["main_check_skipped"] is True
 
 
 def test_budget_guard():
-    filt = FiltrationSpec(GroupSpec("GL", 2), [("G", 1)])
+    filt = FiltrationSpec(GroupSpec("GL", 2), LevelRing(2, 20), [("G", 1)])
     from dilatations.oracle import SizeCapError
 
     with pytest.raises(SizeCapError):
-        group_points(filt, LevelRing(2, 20))
+        group_points(filt)
 
 
 def test_budget_counts_cell_candidates_not_the_box(monkeypatch):
@@ -201,19 +225,19 @@ def test_budget_counts_cell_candidates_not_the_box(monkeypatch):
     from dilatations.oracle import SizeCapError
 
     ring_ = LevelRing(3, 3)
-    l1 = FiltrationSpec(GroupSpec("GL", 2), [("e", 1), ("L(1,1)", 2)])
-    principal = FiltrationSpec(GroupSpec("GL", 2), [("e", 1)])  # 6561 candidates
-    expected_group, expected_lie = group_points(l1, ring_).elements, lie_points(l1, ring_)
+    l1 = FiltrationSpec(GroupSpec("GL", 2), ring_, [("e", 1), ("L(1,1)", 2)])
+    principal = FiltrationSpec(GroupSpec("GL", 2), ring_, [("e", 1)])  # 6561 candidates
+    expected_group, expected_lie = group_points(l1).elements, lie_points(l1)
     monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", 1000)
-    assert group_points(l1, ring_).elements == expected_group
-    assert lie_points(l1, ring_) == expected_lie
+    assert group_points(l1).elements == expected_group
+    assert lie_points(l1) == expected_lie
     with pytest.raises(SizeCapError, match="^6561 candidate matrices exceed the budget$"):
-        group_points(principal, ring_)
+        group_points(principal)
     with pytest.raises(SizeCapError, match="6561 candidate matrices"):
-        lie_points(principal, ring_)
+        lie_points(principal)
     monkeypatch.setattr(congruence, "CANDIDATE_BUDGET", 728)
     with pytest.raises(SizeCapError, match="^729 candidate"):
-        group_points(l1, ring_)
+        group_points(l1)
 
 
 def test_level_ring_bounds():
@@ -225,31 +249,29 @@ def test_level_ring_bounds():
 
 
 def test_congruent_iso_borel_odd_characteristic():
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("B", 2)])
-    rep = congruent_iso_check(filt, [1, 2], [2, 3], LevelRing(3, 3))
+    filt = FiltrationSpec(GroupSpec("SL", 2), LevelRing(3, 3), [("e", 1), ("B", 2)])
+    rep = congruent_iso_check(filt, _relevel(filt, [2, 3]))
     assert rep.ok
 
 
 def test_full_group_order_sanity():
     # |SL_2(Z/8)| = 2^6 * |SL_2(F_2)| = 384, via the trivial filtration
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 0)])
-    pts = group_points(filt, LevelRing(2, 3))
+    filt = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 3), [("e", 0)])
+    pts = group_points(filt)
     assert len(pts) == 384
 
 
 def test_gl3_points_and_iso():
-    ring_ = LevelRing(2, 2)
-    filt = FiltrationSpec(GroupSpec("GL", 3), [("e", 1)])
-    pts = group_points(filt, ring_)
+    filt = FiltrationSpec(GroupSpec("GL", 3), LevelRing(2, 2), [("e", 1)])
+    pts = group_points(filt)
     assert len(pts) == 2**9  # principal congruence kernel mod 4
-    rep = congruent_iso_check(filt, [1], [2], ring_)
+    rep = congruent_iso_check(filt, _relevel(filt, [2]))
     assert rep.ok
 
 
 def test_gl3_levi_points():
-    ring_ = LevelRing(2, 2)
-    filt = FiltrationSpec(GroupSpec("GL", 3), [("e", 1), ("L(2,1)", 2)])
-    pts = group_points(filt, ring_)
+    filt = FiltrationSpec(GroupSpec("GL", 3), LevelRing(2, 2), [("e", 1), ("L(2,1)", 2)])
+    pts = group_points(filt)
     for g in pts.elements:
         assert g[0][2] % 4 == 0 and g[1][2] % 4 == 0
         assert g[2][0] % 4 == 0 and g[2][1] % 4 == 0
@@ -339,9 +361,10 @@ def _ref_in_shape(name, x, m):
     return all(x[i][j] % m == 0 for i, j in cells if block[i] != block[j])
 
 
-def _ref_points(filt, ring):
+def _ref_points(filt):
     """Group and Lie points by the 1 + p^{v0} m parametrization, the
     reference shape predicate and the Leibniz determinant."""
+    ring = filt.ring
     kind, n, p, mod = filt.group.kind, filt.group.n, ring.p, ring.mod
     v0 = max([v for h, v in filt.entries if h == "e"], default=0)
     group, lie = [], []
@@ -358,23 +381,24 @@ def _ref_points(filt, ring):
     return sorted(group), sorted(lie)
 
 
-def _ref_congruent_iso(filt, s, r, ring):
+def _ref_congruent_iso(fs, fr):
     """The congruent-isomorphism report, every check over all pairs."""
+    ring, r = fs.ring, fr.levels()
     clauses = []
 
     def add(key, ok, detail=""):
         clauses.append((key, bool(ok), detail))
         return ok
 
-    if filt.names()[0] != "e":
+    if fs.names()[0] != "e":
         add("h0_trivial", False, "first filtration entry must be the trivial subgroup")
         return clauses
-    violation = validate_congruent_levels(list(s), list(r), ring.N)
+    violation = validate_congruent_levels(fs.levels(), r)
     if not add("level_hypotheses", violation is None, violation or ""):
         return clauses
     mod = ring.mod
-    ps, ls = _ref_points(filt.with_levels(list(s)), ring)
-    pr, lr = _ref_points(filt.with_levels(list(r)), ring)
+    ps, ls = _ref_points(fs)
+    pr, lr = _ref_points(fr)
     ps_set, pr_set, ls_set, lr_set = set(ps), set(pr), set(ls), set(lr)
     if not add("group_inclusion", pr_set <= ps_set, "P_r is not inside P_s"):
         return clauses
@@ -396,8 +420,8 @@ def _ref_congruent_iso(filt, s, r, ring):
     l_reps, l_assign = cosets(ls, lr, lambda x, y: _ref_sum(x, y, mod))
     add("orders_equal", len(g_reps) == len(l_reps), f"|Q_grp| = {len(g_reps)}, |Q_lie| = {len(l_reps)}")
 
-    lam = [(h, v) for (h, _), v in zip(filt.entries, r)]
-    ident = mat_id(ring, filt.group.n)
+    lam = fr.entries
+    ident = mat_id(ring, fs.group.n)
     mu = {}
     for g in ps:
         x = tuple(tuple((a - b) % mod for a, b in zip(r1, r2)) for r1, r2 in zip(g, ident))
@@ -458,15 +482,15 @@ def _filt_id(case):
 @pytest.mark.parametrize("case", _FILTRATIONS, ids=_filt_id)
 def test_certificates_match_all_pairs_reference(case):
     kind, n, p, level, entries = case
-    filt = FiltrationSpec(GroupSpec(kind, n), entries)
     ring_ = LevelRing(p, level)
-    pts = group_points(filt, ring_)
-    xs = lie_points(filt, ring_)
-    ref_group, ref_lie = _ref_points(filt, ring_)
+    filt = FiltrationSpec(GroupSpec(kind, n), ring_, entries)
+    pts = group_points(filt)
+    xs = lie_points(filt)
+    ref_group, ref_lie = _ref_points(filt)
     assert pts.elements == ref_group and xs == ref_lie
     times = _ref_times(pts.elements, ring_.mod)
     ident = mat_id(ring_, n)
-    closed = _product_witness(_lattice_generators(filt, ring_), filt.entries, ring_) is None
+    closed = _product_witness(_lattice_generators(filt), filt.entries, ring_) is None
     assert closed == _ref_group_closed(pts.elements, ident, lambda a, b: _ref_mul(times, a, b))
     assert closed == _ref_lie_closed(xs, ring_.mod)
 
@@ -486,19 +510,19 @@ _ISOS = [
 @pytest.mark.parametrize("case", _ISOS, ids=lambda c: _filt_id(c[:5]) + f"-s{c[5]}-r{c[6]}")
 def test_congruent_iso_matches_all_pairs_reference(case):
     kind, n, p, level, entries, s, r = case
-    filt = FiltrationSpec(GroupSpec(kind, n), entries)
-    ring_ = LevelRing(p, level)
-    assert congruent_iso_check(filt, s, r, ring_).clauses == _ref_congruent_iso(filt, s, r, ring_)
+    filt = FiltrationSpec(GroupSpec(kind, n), LevelRing(p, level), entries)
+    fs, fr = _relevel(filt, s), _relevel(filt, r)
+    assert congruent_iso_check(fs, fr).clauses == _ref_congruent_iso(fs, fr)
 
 
 def test_congruent_iso_fails_for_the_non_smooth_center():
     # Z in SL(2) at p = 2 is mu_2, which is not smooth: g = 3·1 has
     # det 9 = 1 mod 8, but g - 1 = 2·1 has trace 4, so no class of sl_2
     # has its key
-    filt = FiltrationSpec(GroupSpec("SL", 2), [("e", 1), ("Z", 2)])
-    ring_ = LevelRing(2, 3)
-    rep = congruent_iso_check(filt, [1, 2], [2, 3], ring_)
-    assert [(k, ok) for k, ok, _ in rep.clauses] == [(k, ok) for k, ok, _ in _ref_congruent_iso(filt, [1, 2], [2, 3], ring_)]
+    fs = FiltrationSpec(GroupSpec("SL", 2), LevelRing(2, 3), [("e", 1), ("Z", 2)])
+    fr = _relevel(fs, [2, 3])
+    rep = congruent_iso_check(fs, fr)
+    assert [(k, ok) for k, ok, _ in rep.clauses] == [(k, ok) for k, ok, _ in _ref_congruent_iso(fs, fr)]
     assert not rep.ok
     assert rep.failures() == [("well_defined", "g = ((3, 0), (0, 3)): 0 matching Lie classes")]
 
@@ -506,9 +530,9 @@ def test_congruent_iso_fails_for_the_non_smooth_center():
 def test_product_certificate_names_the_failing_pair():
     # r_0 = 3 > 2 s_0: (2)(2) = 4 is not 0 mod 8; the public check refuses
     # these levels at `level_hypotheses` before it gets there
-    filt = FiltrationSpec(GroupSpec("GL", 1), [("e", 1)])
     ring_ = LevelRing(2, 3)
-    assert _product_witness(_lattice_generators(filt, ring_), [("e", 3)], ring_) == (((2,),), ((2,),))
+    filt = FiltrationSpec(GroupSpec("GL", 1), ring_, [("e", 1)])
+    assert _product_witness(_lattice_generators(filt), [("e", 3)], ring_) == (((2,),), ((2,),))
 
 
 @pytest.mark.parametrize("kind", ["GL", "SL"])
@@ -519,12 +543,12 @@ def test_level_hypotheses_imply_the_product_certificate(kind, n):
     checked = 0
     for p, level, name in itertools.product((2, 3), (1, 2, 3), _ref_catalog_names(n)):
         ring_ = LevelRing(p, level)
-        filt = FiltrationSpec(GroupSpec(kind, n), [("e", 0), (name, 0)])
+        filt = FiltrationSpec(GroupSpec(kind, n), ring_, [("e", 0), (name, 0)])
         for s in itertools.product(range(level + 1), repeat=2):
             for r in itertools.product(range(level + 1), repeat=2):
-                if validate_congruent_levels(list(s), list(r), level) is None:
-                    fs, fr = filt.with_levels(list(s)), filt.with_levels(list(r))
-                    assert _product_witness(_lattice_generators(fs, ring_), fr.entries, ring_) is None, (p, level, name, s, r)
+                if validate_congruent_levels(s, r) is None:
+                    fs, fr = _relevel(filt, s), _relevel(filt, r)
+                    assert _product_witness(_lattice_generators(fs), fr.entries, ring_) is None, (p, level, name, s, r)
                     checked += 1
     assert checked
 
@@ -545,8 +569,8 @@ def test_catalog_filtrations_have_closed_lattices(n):
         else:
             filts = ((("e", v0), entry) for v0 in range(level + 1) for entry in entries)
         for pair in filts:
-            filt = FiltrationSpec(GroupSpec("GL", n), pair)
-            assert _product_witness(_lattice_generators(filt, ring_), filt.entries, ring_) is None, (p, level, pair)
+            filt = FiltrationSpec(GroupSpec("GL", n), ring_, pair)
+            assert _product_witness(_lattice_generators(filt), filt.entries, ring_) is None, (p, level, pair)
             checked += 1
     assert checked
 
@@ -603,7 +627,19 @@ def _ref_det(ops, a):
     return total
 
 
-_MATRIX_RINGS = [LevelRing(2, 1), LevelRing(2, 3), LevelRing(3, 1), LevelRing(3, 2), *_test_rings(2, 2), *_test_rings(3, 1)]
+# level rings, the normalizer's test rings (those at p = 3, level 1 after
+# their base ring, LevelRing(3, 1), listed first) and the oracle's Z/n:
+# the helpers take any ring-ops adapter
+_MATRIX_RINGS = [
+    LevelRing(2, 1),
+    LevelRing(2, 3),
+    LevelRing(3, 1),
+    LevelRing(3, 2),
+    *_test_rings(2, 2),
+    *_test_rings(3, 1)[1:],
+    zmod(4),
+    zmod(3),
+]
 
 
 @pytest.mark.parametrize("ops", _MATRIX_RINGS, ids=repr)
@@ -714,11 +750,10 @@ _MIXED_FILTRATIONS = [
 @pytest.mark.parametrize("case", _MIXED_FILTRATIONS, ids=_filt_id)
 def test_cell_candidates_match_box_reference(case):
     kind, n, p, level, entries = case
-    filt = FiltrationSpec(GroupSpec(kind, n), entries)
-    ring_ = LevelRing(p, level)
-    ref_group, ref_lie = _ref_points(filt, ring_)
-    assert group_points(filt, ring_).elements == ref_group
-    assert lie_points(filt, ring_) == ref_lie
+    filt = FiltrationSpec(GroupSpec(kind, n), LevelRing(p, level), entries)
+    ref_group, ref_lie = _ref_points(filt)
+    assert group_points(filt).elements == ref_group
+    assert lie_points(filt) == ref_lie
 
 
 @st.composite
@@ -738,11 +773,10 @@ def small_filtration(draw):
 @given(small_filtration())
 def test_random_filtrations_match_box_reference(case):
     kind, n, p, level, entries = case
-    filt = FiltrationSpec(GroupSpec(kind, n), entries)
-    ring_ = LevelRing(p, level)
-    ref_group, ref_lie = _ref_points(filt, ring_)
-    assert group_points(filt, ring_).elements == ref_group
-    assert lie_points(filt, ring_) == ref_lie
+    filt = FiltrationSpec(GroupSpec(kind, n), LevelRing(p, level), entries)
+    ref_group, ref_lie = _ref_points(filt)
+    assert group_points(filt).elements == ref_group
+    assert lie_points(filt) == ref_lie
 
 
 def _additive_span(gens, mod):
@@ -765,11 +799,11 @@ def _additive_span(gens, mod):
 @pytest.mark.parametrize("case", _FILTRATIONS + _MIXED_FILTRATIONS, ids=_filt_id)
 def test_lattice_generators_span_the_key_kernel(case):
     kind, n, p, level, entries = case
-    filt = FiltrationSpec(GroupSpec(kind, n), entries)
     ring_ = LevelRing(p, level)
+    filt = FiltrationSpec(GroupSpec(kind, n), ring_, entries)
     box = itertools.product(itertools.product(range(ring_.mod), repeat=n), repeat=n)
     kernel = {x for x in box if not any(lattice_key(entries, x, p))}
-    assert _additive_span(_lattice_generators(filt, ring_), ring_.mod) == kernel
+    assert _additive_span(_lattice_generators(filt), ring_.mod) == kernel
 
 
 # ------------------------------------------------------ rejected certificates
@@ -778,7 +812,7 @@ def test_lattice_generators_span_the_key_kernel(case):
 def test_group_with_one_element_removed_is_rejected():
     # the greedy closure that `subgroup_gens` rests on
     ring_ = LevelRing(3, 3)
-    pts = group_points(FiltrationSpec(GroupSpec("GL", 2), [("e", 1)]), ring_)
+    pts = group_points(FiltrationSpec(GroupSpec("GL", 2), ring_, [("e", 1)]))
     assert len(pts) > 1024
     ident = mat_id(ring_, 2)
     for k in (1, len(pts) // 2, len(pts) - 1):
@@ -797,9 +831,9 @@ def test_closure_certificate():
     assert closure_certificate([2, 4, 6], {2, 4, 6}.__contains__, add8, 0) is None
 
 
-def _ref_normalizer(filt, k_name, ring_):
+def _ref_normalizer(filt, k_name):
     """(clause, verdict) pairs of the normalizer check, over all pairs."""
-    spec, out = filt.group, []
+    spec, ring_, out = filt.group, filt.ring, []
     for idx, (h, v) in enumerate(filt.entries):
         if h == "e" or v == 0:
             out.append((f"commutes_{idx}", True))
@@ -814,7 +848,7 @@ def _ref_normalizer(filt, k_name, ring_):
         if not ok:
             return out + [("main_check_skipped", True)]
     ops = ring_
-    pts = group_points(filt, ring_)
+    pts = group_points(filt)
     ks = subgroup_elements(spec, k_name, ops)
     ident = mat_id(ops, spec.n)
     inverse = {k: next(x for x in ks if _ref_mul_ops(ops, k, x) == ident) for k in ks}
@@ -841,7 +875,6 @@ def _ref_normalizer(filt, k_name, ring_):
     ],
 )
 def test_normalizer_matches_all_pairs_reference(kind, level, entries, k_name):
-    filt = FiltrationSpec(GroupSpec(kind, 2), entries)
-    ring_ = LevelRing(2, level)
-    rep = normalizer_check(filt, k_name, ring_)
-    assert [(k, ok) for k, ok, _ in rep.clauses] == _ref_normalizer(filt, k_name, ring_)
+    filt = FiltrationSpec(GroupSpec(kind, 2), LevelRing(2, level), entries)
+    rep = normalizer_check(filt, k_name)
+    assert [(k, ok) for k, ok, _ in rep.clauses] == _ref_normalizer(filt, k_name)

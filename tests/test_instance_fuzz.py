@@ -43,7 +43,7 @@ FILTRATION_FIELDS = [
     (r"(?<=\()[\w(),]+?(?=, \d+\))", ["e", "T", "B", "Z", "G", "L(1,1)", "L(2,1)", "L(3)", "Q", ""]),
     (r"(?<=, )\d+(?=\))", ["0", "1", "2", "3", "9", "x", ""]),
 ]
-SMALL_BUDGETS = ["--degree-cap", "8", "--pair-cap", "400", "--oracle-size-cap", "64", "--bidegree-bound", "1"]
+SMALL_BUDGETS = ["--degree-cap", "8", "--pair-cap", "400", "--oracle-size-cap", "64"]
 
 
 @st.composite

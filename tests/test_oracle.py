@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilatations import oracle
 from dilatations.algebras import PresentedAlgebra
 from dilatations.dilatation import Center, MultiCenter
 from dilatations.ideals import IdealHandle
@@ -711,7 +712,7 @@ def test_enumerate_homs_reads_fixed_generators_off_the_others():
             assert enumerate_homs(a, b) == _every_image_enumerate_homs(a, b), (a, b)
 
 
-def test_enumerate_homs_budget_counts_the_assignments_tried():
+def test_enumerate_homs_budget_counts_the_assignments_tried(monkeypatch):
     a, names = from_presented(fp_algebra(3, ["u", "v"], "u^2", "v^2 - v"))
     # listed generators 1, u, v; 1 is fixed, so 81^2 assignments are tried
     # (81^3 would exceed the default budget of 200,000)
@@ -729,8 +730,15 @@ def test_enumerate_homs_budget_counts_the_assignments_tried():
             for x in a.elements
             for y in a.elements
         )
+    # 64^3 = 262,144 assignments: u, v and w of Fp(2)[u, v, w]/(u^2, v^2, w^2)
+    # are free generators, each sent to any element of Z/64
+    cube, _ = from_presented(fp_algebra(2, ["u", "v", "w"], "u^2", "v^2", "w^2"))
+    assert len(cube.hom_plan.free) == 3 and 64**3 > oracle.HOM_BUDGET
     with pytest.raises(SizeCapError, match="hom enumeration budget exceeded"):
-        enumerate_homs(a, a, budget=a.size**2 - 1)
+        enumerate_homs(cube, zmod(64))
+    monkeypatch.setattr(oracle, "HOM_BUDGET", a.size**2 - 1)
+    with pytest.raises(SizeCapError, match="hom enumeration budget exceeded"):
+        enumerate_homs(a, a)
 
 
 def _ref_subring_closure(r, gens):
