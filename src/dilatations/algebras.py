@@ -155,23 +155,51 @@ def maps_equal(h1: AlgebraHom, h2: AlgebraHom) -> bool:
 
 def hom_kernel(h: AlgebraHom) -> IdealHandle:
     """Kernel ideal of h in the source ambient ring (contains the source
-    relations), computed by eliminating the target block of the graph
-    ideal.  The elimination's ring is the source ring, and the kernel
-    keeps the basis the elimination carries."""
+    relations), computed by eliminating the unshared target variables
+    from the graph ideal.  The elimination's ring is the source ring, and
+    the kernel keeps the basis the elimination carries.
+
+    A source variable s whose image is exactly a target variable t (one
+    term, coefficient 1, and the first such s for that t) shares t: t is
+    renamed to s, and s gets no graph generator.  Every other target
+    variable gets a fresh alias, and the aliases alone form the
+    eliminated block (empty when every target variable is shared).  With
+    T' the renamed target variables, Q the target relations and s - φ(s)
+    the generators of the unshared source variables, both moved to
+    k[S ∪ T'], the map k[S ∪ T] -> k[S ∪ T'] renaming each shared t to
+    its s is onto and fixes k[S], and its kernel, generated by the
+    t - s, lies in the full graph ideal.  So
+    k[S ∪ T']/(Q + (s - φ(s))) ≅ k[S ∪ T]/(Q + (s - φ(s)) for all s)
+    ≅ k[T]/Q, and the ideal's intersection with k[S] is ker φ.  That
+    ideal is unique, and so is its reduced basis.
+    """
     src, tgt = h.source.ring, h.target.ring
-    alias = src.fresh_names(tgt.names)
-    combined = PolyRing(src.field, tuple(alias) + src.names)
-    # the alias ring has tgt's variable count and order, so tgt's packed
+    unit_index = {u: i for i, u in enumerate(tgt.packing.units)}
+    renamed = [None] * tgt.nvars
+    graph = []
+    for name, img in zip(src.names, h.images):
+        if len(img.terms) == 1:
+            (m, c), = img.terms.items()
+            i = unit_index.get(m)
+            if i is not None and c == 1 and renamed[i] is None:
+                renamed[i] = name
+                continue
+        graph.append((name, img))
+    block = src.fresh_names([n for n, r in zip(tgt.names, renamed) if r is None])
+    alias = iter(block)
+    renamed = [r or next(alias) for r in renamed]
+    combined = PolyRing(src.field, tuple(block) + src.names)
+    # the renamed ring has tgt's variable count and order, so tgt's packed
     # monomials are its own
-    tgt_alias = PolyRing(tgt.field, alias)
+    tgt_renamed = PolyRing(tgt.field, renamed)
 
     def to_combined(f: Polynomial) -> Polynomial:
-        return Polynomial(tgt_alias, dict(f.terms)).map_ring(combined)
+        return Polynomial(tgt_renamed, dict(f.terms)).map_ring(combined)
 
     gens = [to_combined(g) for g in h.target.relations.gens]
-    for name, img in zip(src.names, h.images):
+    for name, img in graph:
         gens.append(combined.var(name) - to_combined(img))
-    return eliminate(IdealHandle(combined, gens, h.source.relations.limits), alias)
+    return eliminate(IdealHandle(combined, gens, h.source.relations.limits), block)
 
 
 def is_nzd(a: PresentedAlgebra, f: Polynomial) -> bool:

@@ -55,7 +55,7 @@ from .groebner import DEFAULT_DEGREE_CAP, DEFAULT_PAIR_CAP, Limits, ResourceLimi
 from .ideals import IdealHandle
 from .poly import Field, InputError, PolyRing, Polynomial, QQ, format_poly
 from .report import Report
-from .rost import RostInput, rost_space, rost_subalgebra_check
+from .rost import RostInput, check_bound, rost_space, rost_subalgebra_check
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -297,6 +297,14 @@ def _int_list(args, key: str, text: str) -> list[int]:
     return [_int_arg(args, key, x) for x in text.split(",")]
 
 
+def _bound_arg(args, key: str, text: str) -> int:
+    """The `bound=` of rost, an integer in [0, 4]."""
+    try:
+        return check_bound(_int_arg(args, key, text))
+    except InputError as exc:
+        raise _request_error(args, str(exc)) from None
+
+
 def _text_arg(args, key: str, text: str) -> str:
     return text
 
@@ -331,7 +339,7 @@ _REQUESTS = {
     "congruence iso": (("filtration S", "filtration R"), {}),
     "congruence points": (("filtration",), {}),
     "congruence normalizer": (("filtration",), {"K": _text_arg}),
-    "rost": (("ring", "ideal I", "ideal J"), {"bound": _int_arg}),
+    "rost": (("ring", "ideal I", "ideal J"), {"bound": _bound_arg}),
 }
 
 
@@ -340,9 +348,9 @@ def _request_args(args) -> tuple[str, list[str], dict]:
     argument count, its option keys and its integer values checked:
     `parse` calls it on every request line, so a malformed request fails
     before any request runs.  An option the request does not take, or
-    one given twice, is refused; `t` and `bound` are parsed to ints, an
-    iso's `K` to a list and `map` to a dict, the normalizer's `K` stays
-    text."""
+    one given twice, is refused; `t` and `bound` are parsed to ints
+    (`bound` must lie in [0, 4]), an iso's `K` to a list and `map` to a
+    dict, the normalizer's `K` stays text."""
     if not args:
         raise _request_error(args, "missing command")
     cmd = args[0]

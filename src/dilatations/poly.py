@@ -19,10 +19,11 @@ order, `max` of a term dict is its leading monomial, and printing sorts
 ints.  A field that reaches 2**FIELD_BITS would spill into its guard
 bit: packing such an exponent vector, or forming such a product, raises
 ResourceLimitError naming the ring, the bound and the value.  Exponent
-vectors appear only where exponents are read: printing, `subst` across
-registries, `uses_vars`, and `map_ring` for a term of total degree past
-the field bound; below it `map_ring` moves a term as a sum of the
-target's packed variables (`Packing.units`).
+vectors appear only where exponents are read: printing, `uses_vars`,
+and `map_ring` for a term of total degree past the field bound; below it
+`map_ring` moves a term as a sum of the target's packed variables
+(`Packing.units`), and `subst` moves one as a sum of its single-term
+images' packed monomials.
 """
 
 from __future__ import annotations
@@ -588,6 +589,16 @@ class Polynomial:
 
         `images` maps variable names to polynomials over one common target
         ring; unmapped variables must exist there by name.
+
+        One pass over the terms into one dict.  A single-term image
+        c·x^p of a variable with exponent e contributes e·p to the term's
+        packed monomial and c^e to its coefficient; a multi-term (or zero)
+        image enters as its e-th power, computed once per call and
+        multiplied in by `_add_multiple`.  Every target field is a sum of
+        exponents, so none exceeds the total degree of the term's image
+        (the sum of e times each image's degree): a term whose image has
+        total degree 2^FIELD_BITS or more raises ResourceLimitError before
+        anything is packed, and below that no field reaches its guard bit.
         """
         target = None
         for v in images.values():
@@ -595,19 +606,49 @@ class Polynomial:
             break
         if target is None:
             raise InputError("empty substitution")
-        var_imgs = []
-        for n in self.ring.names:
-            img = images.get(n)
-            var_imgs.append(img if img is not None else target.var(n))
-        unpack = self.ring.packing.unpack
-        result = target.zero()
-        for m, c in sorted(self.terms.items()):
-            part = Polynomial(target, {0: c})
-            for img, e in zip(var_imgs, unpack(m)):
-                for _ in range(e):
-                    part = part * img
-            result = result + part
-        return result
+        var_imgs = [images[n] if n in images else target.var(n) for n in self.ring.names]
+        used = sorted(self.uses_vars())
+        if any(var_imgs[i].ring != target for i in used):
+            raise InputError("polynomials over different registries")
+        dst, p = target.packing, target.field.p
+        mask = (1 << FIELD_BITS) - 1
+        shifts = [self.ring.packing._shifts[i] for i in used]
+        degs = [max(var_imgs[i].degree(), 0) for i in used]
+        powers: dict = {}
+        res: dict = {}
+        for m, c in self.terms.items():
+            exps = [(m >> shift) & mask for shift in shifts]
+            deg = sum(map(operator.mul, exps, degs))
+            if deg >> FIELD_BITS:
+                raise dst._overflow(deg)
+            mono, rest = 0, None
+            for i, e in zip(used, exps):
+                if not e:
+                    continue
+                img = var_imgs[i]
+                if len(img.terms) != 1:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = img**e
+                    rest = power if rest is None else rest * power
+                    continue
+                (mi, ci), = img.terms.items()
+                mono += e * mi
+                if ci != 1:
+                    c = c * ci**e if p is None else c * pow(ci, e, p) % p
+            if rest is not None:
+                _add_multiple(res, rest.terms.items(), mono, c, dst)
+                continue
+            old = res.get(mono)
+            if old is not None:
+                c += old
+                if p:
+                    c %= p
+                if not c:
+                    del res[mono]
+                    continue
+            res[mono] = c
+        return Polynomial(target, res)
 
     # printing
 

@@ -52,6 +52,15 @@ def rost_space(data: RostInput) -> DilatationResult:
     return dilate(center)
 
 
+def check_bound(bound: int) -> int:
+    """`bound` when it lies in [0, 4], else InputError.  The CLI checks a
+    `bound=` option with it at parse, `rost_subalgebra_check` for library
+    callers."""
+    if not 0 <= bound <= 4:
+        raise InputError(f"bidegree bound {bound} is outside [0, 4]")
+    return bound
+
+
 def rost_subalgebra_check(data: RostInput, bound: int = 4) -> Report:
     """Bounded-bidegree verification of the generated-subalgebra claim.
 
@@ -67,8 +76,7 @@ def rost_subalgebra_check(data: RostInput, bound: int = 4) -> Report:
     |n|, |m| <= bound, one clause `cell_n_m` each: the two sides agree in
     the localization A[s, t, z]/(s·t·z - 1) for every product l.
     """
-    if not 0 <= bound <= 4:
-        raise InputError(f"bidegree bound {bound} is outside [0, 4]")
+    check_bound(bound)
     rep = Report("rost_subalgebra")
     s, t = data.algebra.ring.fresh_names(["s", "t"])
     ast = data.algebra.extend([s, t])

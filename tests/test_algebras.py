@@ -10,8 +10,8 @@ from dilatations.algebras import (
     maps_equal,
 )
 from dilatations.groebner import Limits, buchberger_reduced
-from dilatations.ideals import IdealHandle
-from dilatations.poly import GREVLEX, InputError
+from dilatations.ideals import IdealHandle, eliminate
+from dilatations.poly import GREVLEX, QQ, Field, InputError, PolyRing, Polynomial
 
 from conftest import random_poly, ring
 
@@ -247,3 +247,109 @@ def test_localize_takes_element_of_a_subring():
     loc, zname = a.localize(base.var("a"))
     assert loc.ring.names == ("a", "x", zname)
     assert loc.relations.gens[-1] == loc.ring.parse(f"{zname}*a - 1")
+
+
+# ------------------------------------------------- kernels by shared variables
+
+
+def _kernel_by_aliasing_every_target_variable(h):
+    """Test-local reference: the graph ideal with a fresh alias for every
+    target variable and a generator s - φ(s) for every source variable,
+    the whole alias block eliminated."""
+    src, tgt = h.source.ring, h.target.ring
+    alias = src.fresh_names(tgt.names)
+    combined = PolyRing(src.field, tuple(alias) + src.names)
+    tgt_alias = PolyRing(tgt.field, alias)
+
+    def to_combined(f):
+        return Polynomial(tgt_alias, dict(f.terms)).map_ring(combined)
+
+    gens = [to_combined(g) for g in h.target.relations.gens]
+    gens += [combined.var(n) - to_combined(img) for n, img in zip(src.names, h.images)]
+    return eliminate(IdealHandle(combined, gens, h.source.relations.limits), alias)
+
+
+@st.composite
+def _small_poly(draw, r, max_terms=2):
+    """Up to max_terms terms of degree <= 2, small nonzero coefficients."""
+    f = r.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        m = r.one()
+        for _ in range(draw(st.integers(0, 2))):
+            m = m * r.var(draw(st.sampled_from(r.names)))
+        f = f + m * draw(st.sampled_from([1, 2, -1, 3]))
+    return f
+
+
+@st.composite
+def _mixed_maps(draw):
+    """A map from a free algebra on a few of x, y, z to k[target]/Q, the
+    target's names drawn from x, y, z, t (so namesakes, renamings and
+    swaps all occur), each image a target variable, a scaled one, or a
+    small polynomial; two source variables may share one target
+    variable."""
+    field = draw(st.sampled_from([QQ, Field(5)]))
+    src_names = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True))
+    tgt_names = draw(st.lists(st.sampled_from(["x", "y", "z", "t"]), min_size=1, max_size=3, unique=True))
+    r = ring(tgt_names, field)
+    rels = [draw(_small_poly(r)) for _ in range(draw(st.integers(0, 2)))]
+    target = PresentedAlgebra(r, IdealHandle(r, [g for g in rels if not g.is_zero()]))
+    images = []
+    for _ in src_names:
+        kind = draw(st.sampled_from(["variable", "variable", "scaled", "polynomial"]))
+        v = r.var(draw(st.sampled_from(tgt_names)))
+        if kind == "variable":
+            images.append(v)
+        elif kind == "scaled":
+            images.append(v * draw(st.sampled_from([2, 3])))
+        else:
+            images.append(draw(_small_poly(r)))
+    return AlgebraHom(PresentedAlgebra(ring(src_names, field)), target, images)
+
+
+@given(_mixed_maps())
+def test_shared_variable_kernel_matches_all_alias_reference(h):
+    assert hom_kernel(h).groebner() == _kernel_by_aliasing_every_target_variable(h).groebner()
+
+
+def _eliminated_blocks(monkeypatch):
+    """The variable blocks that `hom_kernel` hands to `eliminate`, in call order."""
+    blocks = []
+
+    def recording(a, names):
+        blocks.append(list(names))
+        return eliminate(a, names)
+
+    monkeypatch.setattr("dilatations.algebras.eliminate", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_kernel_of_a_map_renaming_every_target_variable_eliminates_nothing(monkeypatch, field):
+    blocks = _eliminated_blocks(monkeypatch)
+    # the quotient shape: the fraction variable u goes to 0, the base
+    # variables to their namesakes
+    r = ring(["x", "y"], field)
+    base = PresentedAlgebra(r, IdealHandle(r, [r.parse("x*y - 1")]))
+    prime = PresentedAlgebra(ring(["x", "y", "u"], field))
+    quotient = AlgebraHom.by_name(prime, base, {"u": base.zero()})
+    # a swap x <-> y
+    free = PresentedAlgebra(ring(["x", "y"], field))
+    swap = AlgebraHom(free, base, [base.var("y"), base.var("x")])
+    kernels = [hom_kernel(h).groebner() for h in (quotient, swap)]
+    assert blocks == [[], []]
+    assert kernels == [_kernel_by_aliasing_every_target_variable(h).groebner() for h in (quotient, swap)]
+    assert kernels == [[prime.ring.parse("x*y - 1"), prime.var("u")], [r.parse("x*y - 1")]]
+
+
+def test_kernel_aliases_scaled_and_repeated_images(monkeypatch):
+    blocks = _eliminated_blocks(monkeypatch)
+    b = PresentedAlgebra(ring(["t", "s"]))
+    a = PresentedAlgebra(ring(["x", "y", "w"]))
+    # x shares t; y (a second preimage of t) and w (t scaled) do not, and
+    # s, no variable's image, is the one aliased
+    h = AlgebraHom(a, b, [b.var("t"), b.var("t"), b.ring.parse("2*t")])
+    kernel = hom_kernel(h).groebner()
+    assert blocks == [["s"]]
+    assert [str(g) for g in kernel] == ["x - 1/2*w", "y - 1/2*w"]
+    assert kernel == _kernel_by_aliasing_every_target_variable(h).groebner()

@@ -579,6 +579,9 @@ def test_malformed_request_exits_two_without_traceback(tmp_path, request_line):
         # kept its last value
         "rost A M N bund=-1",
         "iso two-stage C K=1 K=2",
+        # a bound outside [0, 4] was refused only when the request ran
+        "rost X I J bound=9",
+        "rost X I J bound=-1",
     ],
 )
 def test_malformed_request_fails_at_parse(tmp_path, request_line):

@@ -172,6 +172,29 @@ def test_subst():
     f = r.parse("x^2 + y")
     img = f.subst({"x": t.parse("t"), "y": t.parse("t^3")})
     assert str(img) == "t^3 + t^2"
+    # a used image over another registry is refused, single-term or not
+    for y_img in ("u", "u + 1"):
+        with pytest.raises(InputError, match="different registries"):
+            f.subst({"x": t.parse("t"), "y": ring(["u"]).parse(y_img)})
+
+
+def test_subst_past_the_degree_bound_raises():
+    r = ring(["x"])
+    t = ring(["y"])
+    huge = t.var("y") ** 2**31
+    assert huge.degree() == 2**31
+    with pytest.raises(ResourceLimitError, match=rf"degree sum {2**32} reaches the packed field bound 2\^{FIELD_BITS} in ring QQ\[y\]"):
+        r.parse("x^2").subst({"x": huge})
+    assert r.parse("x").subst({"x": huge}) == huge
+
+
+def test_subst_scaled_single_term_image_over_fp():
+    f5 = Field(5)
+    r, t = ring(["x", "y"], f5), ring(["s", "u"], f5)
+    # (3*s^2)^3 * 2 = 54*s^6 = 4*s^6 mod 5; y stays u*s
+    img = r.parse("2*x^3 + x*y").subst({"x": t.parse("3*s^2"), "y": t.parse("u*s")})
+    assert img == t.parse("4*s^6 + 3*u*s^3")
+    assert str(img) == "4*s^6 + 3*s^3*u"
 
 
 def test_fresh_name_disambiguation():
