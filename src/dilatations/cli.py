@@ -464,18 +464,12 @@ def run_request(inst: InstanceFile, args: list[str], flags) -> RequestResult:
             fr = _declared(inst.filtrations, "filtration", pos[1])
             return _report_result("congruence_iso", cg.congruent_iso_check(filt, fr))
         if cmd == "congruence points":
-            pts = cg.group_points(filt)
-            lie = cg.lie_points(filt)
+            group, lie = cg.point_orders(filt)
             machine = {
-                "congruence_points.group_order": str(len(pts)),
-                "congruence_points.lie_order": str(len(lie)),
+                "congruence_points.group_order": str(group),
+                "congruence_points.lie_order": str(lie),
             }
-            return RequestResult(
-                "congruence_points",
-                machine,
-                [f"points: |group| = {len(pts)}, |lie| = {len(lie)}"],
-                True,
-            )
+            return RequestResult("congruence_points", machine, [f"points: |group| = {group}, |lie| = {lie}"], True)
         rep = cg.normalizer_check(filt, opts.get("K", "Z"))
         hypothesis_failed = any(
             k.startswith("commutes") and not ok for k, ok, _ in rep.clauses

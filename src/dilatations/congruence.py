@@ -3,8 +3,8 @@
 Group points of a dilatation of GL_n / SL_n along a filtration
 (H_i, v_i) are the matrices g over Z/p^N with g mod p^{v_i} in
 H_i(Z/p^{v_i}); Lie points are the matching congruence lattices in gl_n
-or sl_n.  The congruent-isomorphism check builds both quotients and
-verifies the truncation map g -> g - 1 exhaustively, and any failure is
+or sl_n.  The congruent-isomorphism check verifies the truncation map
+g -> g - 1 between the two quotients exhaustively, and any failure is
 reported verbatim as a finding rather than patched.
 
 A filtration (`FiltrationSpec`) carries its Z/p^N, a `LevelRing`, and is
@@ -30,7 +30,15 @@ each rests on a certificate on generators or on a lemma proved here.
   `lattice_key` modulo Λ_r, is a homomorphism constant on the cosets of
   P_r once Λ_s·Λ_s ⊆ Λ_r, checked on pairs of lattice generators.  The
   level hypotheses imply that; the match with the Lie side they do not,
-  and it fails for Z in SL_n with p | n.
+  and it fails for Z in SL_n with p | n.  Both inclusions are one
+  certificate, Λ_r ⊆ Λ_s, checked on the generators of Λ_r.
+- GL_n with v0 ≥ 1, at any level: every x in Λ is ≡ 0 mod p, so
+  1 + x is invertible, P = 1 + Λ and L = Λ, and |Λ| is the product of the
+  orders of its generators (the lemma of `point_orders`).  There
+  `congruent_iso_check` and `point_orders` enumerate nothing: every
+  clause is a statement about Λ_s and Λ_r, checked on generators.  SL_n,
+  whose determinant image has no such argument yet, and GL_n with v0 = 0
+  are enumerated.
 
 Enumeration goes through the parametrization g = 1 + x, one range per
 cell (`_cell_candidates`): cell (i, j) of x runs over the multiples of
@@ -46,10 +54,11 @@ The points of a catalog subgroup over any small ring
 (`subgroup_elements`) come from the same shapes (`_shape`), one range
 per cell of g, with unit diagonals in triangular shapes.
 `CANDIDATE_BUDGET` bounds the number of candidates of either, the
-product of the range lengths.  The matrix helpers do
-their arithmetic through the ring's `dot`, a sum of products that
-`LevelRing` reduces once; none of them inverts a matrix, since
-`normalizer_check` tests k·t·k^-1 ∈ P as k·t ∈ P·k.
+product of the range lengths, so it caps the level only where points
+are enumerated.  The matrix helpers do their arithmetic through the
+ring's `dot`, a sum of products that `LevelRing` reduces once; none of
+them inverts a matrix, since `normalizer_check` tests k·t·k^-1 ∈ P as
+k·t ∈ P·k.
 """
 
 from __future__ import annotations
@@ -502,6 +511,46 @@ def _product_witness(gens, entries, ring: LevelRing):
     )
 
 
+def _lattice_order(gens, ring: LevelRing) -> int:
+    """|Λ| for the triangular basis `gens` of Λ (`_lattice_generators`):
+    the product of the generators' additive orders.  The order of a
+    matrix over Z/p^N is p^N over the gcd of p^N and its entries, so
+    p^c·E has order p^(N-c), and 1 when c = N, where it is zero."""
+    return math.prod(ring.mod // math.gcd(ring.mod, *itertools.chain.from_iterable(x)) for x in gens)
+
+
+def _units_lattice(filt: FiltrationSpec) -> bool:
+    """Whether `filt` is GL_n with v0 >= 1, where P = 1 + Λ and L = Λ
+    (the lemma of `point_orders`)."""
+    return filt.group.kind == "GL" and _cell_levels(filt)[0] >= 1
+
+
+def point_orders(filt: FiltrationSpec) -> tuple[int, int]:
+    """(|P|, |L|), the orders of the group and Lie points of `filt`.
+
+    Lemma.  For GL_n with v0 = `_cell_levels(filt)[0]` >= 1, P = 1 + Λ
+    and L = Λ, and |P| = |L| = |Λ| is the product of the additive orders
+    of the generators `_lattice_generators` lists.
+    Proof.  Every cell level is at least v0 >= 1, so every x in Λ is
+    ≡ 0 mod p and det(1 + x) ≡ det(1) = 1 mod p, a unit: 1 + x lies in
+    GL_n(Z/p^N).  The group points of GL_n are the invertible g with
+    g - 1 in Λ, so P = 1 + Λ, and the Lie points of gl_n are Λ itself;
+    x -> 1 + x is a bijection.  The generators are a triangular basis
+    of Λ: each off-diagonal p^c·E_ij is the one generator nonzero on its
+    cell; on the diagonal each p^c·E_ii is, or p^v0·I is the one nonzero
+    on cell (0, 0) and p^z·E_ii the only other one on cell (i, i).  So a
+    sum of multiples of them is zero only when each term is, reading the
+    cells in that order: Λ is the direct sum of the cyclic groups they
+    generate, and |Λ| is the product of their orders (`_lattice_order`).
+
+    Elsewhere, for SL_n, whose determinant image has no such argument
+    yet, and for GL_n with v0 = 0, the points are enumerated."""
+    if _units_lattice(filt):
+        order = _lattice_order(_lattice_generators(filt), filt.ring)
+        return order, order
+    return len(group_points(filt)), len(lie_points(filt))
+
+
 # ---------------------------------------------------------------------------
 # congruent isomorphism
 
@@ -516,16 +565,33 @@ def congruent_iso_check(fs: FiltrationSpec, fr: FiltrationSpec) -> Report:
     As (1 + x)(1 + y) - 1 = x + y + xy, μ(gu) = μ(g) + μ(u) on all of
     P_s once Λ_s·Λ_s ⊆ Λ_r, which is checked on the ordered pairs of
     generators of Λ_s (`_lattice_generators`, at most n^4 products).
-    Then μ is constant on the cosets of P_r, as μ(P_r) = 0, and each
-    clause is a linear pass: the orders by Lagrange, the Lie classes of
-    key μ(g) as the count of that key over L_s divided by |L_r|, and
-    bijectivity as ker μ = P_r with equal key sets.  Classes are matched
-    modulo the ambient Λ_r, since for SL_n the trace of g - 1 vanishes
-    only to the order the determinant forces; the count checks that the
-    match is unique.
+    Then μ is constant on the cosets of P_r, as μ(P_r) = 0.
 
-    The level hypotheses imply the certificate, so no other path is
-    kept.  For an entry (H, s_i) split x = x_h + x_f into the cells of
+    Both inclusions are one certificate: every generator of Λ_r has a
+    zero key over the s-level entries, so Λ_r ⊆ Λ_s.  It is sound, as
+    the points are the g = 1 + x (of determinant 1 for SL_n) with x in
+    Λ, and the Lie points Λ (∩ sl_n), so Λ_r ⊆ Λ_s gives P_r ⊆ P_s and
+    L_r ⊆ L_s.  No verdict changes, because the level hypotheses,
+    checked first, force Λ_r ⊆ Λ_s: r_i ≥ s_i for every entry, and a
+    key that vanishes modulo p^r_i vanishes modulo p^s_i.
+
+    For GL_n with v0 ≥ 1 nothing is enumerated.  By the lemma of
+    `point_orders` P = 1 + Λ and L = Λ on both sides (v0 only grows from
+    s to r), so the orders are |Λ_s|/|Λ_r| on both sides; μ on P_s is the
+    key map on L_s = Λ_s, whose fibres are the cosets of Λ_r, so every
+    key has exactly one Lie class and μ is well defined once the product
+    certificate holds; and ker μ = 1 + Λ_r = P_r with equal key sets, so
+    it is bijective.
+    Elsewhere (SL_n, and GL_n with v0 = 0) P_s, P_r, L_s and L_r are
+    enumerated and each clause is a linear pass: the orders by Lagrange,
+    the Lie classes of key μ(g) as the count of that key over L_s divided
+    by |L_r|, and bijectivity as ker μ = P_r with equal key sets.
+    Classes are matched modulo the ambient Λ_r, since for SL_n the trace
+    of g - 1 vanishes only to the order the determinant forces; the
+    count checks that the match is unique.
+
+    The level hypotheses imply the product certificate, so no other path
+    is kept.  For an entry (H, s_i) split x = x_h + x_f into the cells of
     the shape of H and those it forces to zero: x_f ≡ 0 mod p^s_i, and
     both parts ≡ 0 mod p^s_0.  Catalog shapes are closed under products,
     so x_h·y_h lies in the shape; the cross terms vanish mod p^(s_0+s_i)
@@ -548,37 +614,42 @@ def congruent_iso_check(fs: FiltrationSpec, fr: FiltrationSpec) -> Report:
     if not rep.add("level_hypotheses", violation is None, violation or ""):
         return rep
 
-    ps = group_points(fs)
-    pr = group_points(fr)
-    if not rep.add("group_inclusion", pr.as_set <= ps.as_set, "P_r is not inside P_s"):
+    gens_r = _lattice_generators(fr)
+    inside = not any(any(lattice_key(fs.entries, x, ring.p)) for x in gens_r)
+    if not rep.add("group_inclusion", inside, "P_r is not inside P_s"):
         return rep
-    ls = lie_points(fs)
-    lr = lie_points(fr)
-    if not rep.add("lie_inclusion", set(lr) <= set(ls), "L_r is not inside L_s"):
+    if not rep.add("lie_inclusion", inside, "L_r is not inside L_s"):
         return rep
     # Λ_s is closed under products (the catalog-closure lemma of
     # `group_points`), so the Lie points L_s are closed under the bracket
     rep.add("lie_closure_s", True)
 
-    # Lagrange: P_r in P_s are certified groups, L_r in L_s lattices
-    q_grp, q_lie = len(ps) // len(pr), len(ls) // len(lr)
-    rep.add("orders_equal", q_grp == q_lie, f"|Q_grp| = {q_grp}, |Q_lie| = {q_lie}")
-
-    mu = functools.partial(lattice_key, fr.entries, p=ring.p)
-    ident = mat_id(ring, fs.group.n)
-    keys = {g: mu(mat_sub(ring, g, ident)) for g in ps.elements}
-    count = collections.Counter(map(mu, ls))
-    bad = _product_witness(_lattice_generators(fs), fr.entries, ring)
+    gens_s = _lattice_generators(fs)
+    bad = _product_witness(gens_s, fr.entries, ring)
     pair = "" if bad is None else f"x = {bad[0]}, y = {bad[1]}: x·y is not in Λ_r"
-    # constancy on the cosets of P_r rests on the certificate as well
-    witness = next(
-        (f"g = {g}: {count[k] // len(lr)} matching Lie classes" for g, k in keys.items() if count[k] // len(lr) != 1),
-        pair,
-    )
+    if _units_lattice(fs):
+        q_grp = q_lie = _lattice_order(gens_s, ring) // _lattice_order(gens_r, ring)
+        witness, bijective = pair, True
+    else:
+        ps, pr = group_points(fs), group_points(fr)
+        ls, lr = lie_points(fs), lie_points(fr)
+        # Lagrange: P_r in P_s are certified groups, L_r in L_s lattices
+        q_grp, q_lie = len(ps) // len(pr), len(ls) // len(lr)
+        mu = functools.partial(lattice_key, fr.entries, p=ring.p)
+        ident = mat_id(ring, fs.group.n)
+        keys = {g: mu(mat_sub(ring, g, ident)) for g in ps.elements}
+        count = collections.Counter(map(mu, ls))
+        # constancy on the cosets of P_r rests on the certificate as well
+        witness = next(
+            (f"g = {g}: {count[k] // len(lr)} matching Lie classes" for g, k in keys.items() if count[k] // len(lr) != 1),
+            pair,
+        )
+        kernel = {g for g, k in keys.items() if not any(k)}
+        bijective = kernel == pr.as_set and set(keys.values()) == set(count)
+    rep.add("orders_equal", q_grp == q_lie, f"|Q_grp| = {q_grp}, |Q_lie| = {q_lie}")
     if not rep.add("well_defined", not witness, witness):
         return rep
-    kernel = {g for g, k in keys.items() if not any(k)}
-    rep.add("bijective", kernel == pr.as_set and set(keys.values()) == set(count), "match map is not a bijection")
+    rep.add("bijective", bijective, "match map is not a bijection")
     rep.add("homomorphism", not pair, pair)
     return rep
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -19,10 +20,12 @@ from dilatations.congruence import (
     mat_id,
     mat_mul,
     normalizer_check,
+    point_orders,
     subgroup_elements,
     subgroup_gens,
     validate_congruent_levels,
 )
+from dilatations import cli
 from dilatations.closure import closure_certificate
 from dilatations.oracle import dual_numbers, galois_extension, zmod
 from dilatations.poly import InputError
@@ -504,6 +507,8 @@ _ISOS = [
     ("GL", 2, 3, 3, [("e", 1), ("L(1,1)", 2)], [1, 2], [2, 3]),
     ("SL", 2, 3, 3, [("e", 1), ("B", 2)], [1, 2], [2, 3]),
     ("GL", 3, 2, 2, [("e", 1)], [1], [2]),
+    ("GL", 2, 2, 3, [("e", 1), ("Z", 2)], [1, 2], [2, 3]),
+    ("GL", 2, 2, 3, [("e", 1), ("B", 2)], [1, 2], [2, 3]),
 ]
 
 
@@ -513,6 +518,82 @@ def test_congruent_iso_matches_all_pairs_reference(case):
     filt = FiltrationSpec(GroupSpec(kind, n), LevelRing(p, level), entries)
     fs, fr = _relevel(filt, s), _relevel(filt, r)
     assert congruent_iso_check(fs, fr).clauses == _ref_congruent_iso(fs, fr)
+
+
+def _ref_lattice_order(n, p, level, entries):
+    """|Λ| counted cell by cell with the reference shape predicate: an
+    off-diagonal cell runs over the multiples of p^c, c the largest of v0
+    and the levels at which an entry's shape forces it to zero; x_00 over
+    the multiples of p^v0, and every other diagonal cell over x_00 plus
+    the multiples of p^z, z the largest of v0 and the levels of Z."""
+    v0 = max([v for h, v in entries if h == "e"], default=0)
+    z = max([v0] + [v for h, v in entries if h == "Z"])
+    order = p ** (level - v0) * p ** ((level - z) * (n - 1))
+    for i, j in itertools.permutations(range(n), 2):
+        spike = tuple(tuple(int((a, b) == (i, j)) for b in range(n)) for a in range(n))
+        c = max([v0] + [v for h, v in entries if not _ref_in_shape(h, spike, p**v)])
+        order *= p ** (level - c)
+    return order
+
+
+@st.composite
+def small_iso(draw):
+    """A filtration and two level vectors s, r that the level hypotheses
+    allow: GL or SL, n <= 3, p in {2, 3}, N <= 3, the trivial entry and
+    up to two catalog entries, with s_0 so close to N that the box of
+    `_ref_points` has at most 2^8 matrices."""
+    kind, n = draw(st.sampled_from(["GL", "SL"])), draw(st.integers(1, 3))
+    p, level = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    names = ["e"] + draw(st.lists(st.sampled_from(_ref_catalog_names(n)), max_size=2))
+    gap = max(k for k in range(level + 1) if p ** (k * n * n) <= 2**8)
+    s0 = level - draw(st.integers(0, gap))
+    s = [s0] + [draw(st.integers(s0, level)) for _ in names[1:]]
+    r0 = draw(st.integers(s0, min(level, 2 * s0)))
+    r = [r0] + [draw(st.integers(max(si, r0), min(level, si + s0))) for si in s[1:]]
+    return kind, n, p, level, list(zip(names, s)), s, r
+
+
+@given(small_iso())
+def test_random_congruent_isos_match_all_pairs_reference(case):
+    # both routes: GL with v0 >= 1 certified on lattice generators, and SL
+    # or GL with v0 = 0 enumerated
+    kind, n, p, level, entries, s, r = case
+    filt = FiltrationSpec(GroupSpec(kind, n), LevelRing(p, level), entries)
+    fs, fr = _relevel(filt, s), _relevel(filt, r)
+    got, ref = congruent_iso_check(fs, fr).clauses, _ref_congruent_iso(fs, fr)
+    if ("well_defined", False, "") in ref:
+        # Z in SL_n with p | n: the reference names no witness
+        got, ref = [c[:2] for c in got], [c[:2] for c in ref]
+    assert got == ref
+    for f in (fs, fr):
+        group, lie = _ref_points(f)
+        assert point_orders(f) == (len(group), len(lie))
+        if kind == "GL":
+            # the Lie points of GL are Λ: the count the golden orders rest on
+            assert _ref_lattice_order(n, p, level, f.entries) == len(lie)
+
+
+def test_gl_levels_golden_orders_count_cell_by_cell():
+    # the GL levels of golden/congruence_gl_levels.dila lie far above the
+    # enumeration budget; their orders are pinned by an independent count
+    golden = Path(__file__).parent / "golden" / "congruence_gl_levels"
+    inst = cli.parse(str(golden.with_suffix(".dila")))
+    machine = dict(line.split(": ") for line in golden.with_suffix(".machine").read_text().splitlines())
+    points = isos = 0
+    for _, args in inst.requests:
+        filts = [inst.filtrations[name] for name in args[2:]]
+        orders = [_ref_lattice_order(f.group.n, f.ring.p, f.ring.N, f.entries) for f in filts]
+        if args[1] == "points":
+            points += 1
+            tag = "" if points == 1 else f"#{points}"
+            assert machine[f"congruence_points.group_order{tag}"] == str(orders[0])
+            assert machine[f"congruence_points.lie_order{tag}"] == str(orders[0])
+        else:
+            isos += 1
+            q = orders[0] // orders[1]
+            assert ("orders_equal", True, f"|Q_grp| = {q}, |Q_lie| = {q}") in congruent_iso_check(*filts).clauses
+    assert (points, isos) == (5, 3)
+    assert max(int(v) for k, v in machine.items() if k.startswith("congruence_points.")) > 2**128
 
 
 def test_congruent_iso_fails_for_the_non_smooth_center():
