@@ -53,8 +53,18 @@ the term update `poly._add_multiple`.  Each basis element is turned once
 into its reducer row (packed leading monomial, inverse leading
 coefficient, negated monic tail): Buchberger builds it when it adds the
 element, and an `ideals.IdealHandle` keeps a `Reducers` table next to
-its cached basis.  A product whose exponent field would reach its guard
-bit raises ResourceLimitError instead of wrapping.
+its cached basis.  A table carries the division loop's memo: for each
+monomial looked up, the index of the first row whose leading monomial
+divides it, or how many rows it has tried in vain, so a monomial the
+table has answered is not scanned again and a scan resumes after the
+rows already tried.  Rows are only appended, which keeps every entry
+true, so the loop picks the divisor a full scan in row order picks, and
+remainders, quotients and bases are what they would be without it.
+Buchberger appends each new element's row to its table and builds a
+new table, with an empty memo, only when live elements drop out;
+interreduction grows one table; a handle's table keeps its memo across
+every normal form taken against it.  A product whose exponent field
+would reach its guard bit raises ResourceLimitError instead of wrapping.
 
 Coefficients: over QQ a coefficient inside the kernel is an int when it
 is integral and a Fraction only otherwise.  `Packing.terms` turns
@@ -124,14 +134,31 @@ def _row(packing: Packing, terms: dict):
 
 
 class Reducers:
-    """The reducer rows of a basis, in basis order, built once per basis."""
+    """The reducer rows of a basis, in basis order, and the division
+    loop's memo `first`.
 
-    __slots__ = ("packing", "rows", "lms")
+    For each packed monomial m that `_reduce` has looked up, `first[m]`
+    is the index of the first row whose leading monomial divides m, or
+    ~s when none of the first s rows does.  The loop reads it before it
+    scans and tries only the rows after s, so it picks the divisor a
+    full scan in row order picks: the memo changes no remainder,
+    quotient or basis.  Rows are only ever appended (`append`), which
+    keeps every entry true; a table whose rows change otherwise is a new
+    table, with an empty memo.
+    """
+
+    __slots__ = ("packing", "rows", "lms", "first")
 
     def __init__(self, packing: Packing, rows: list):
         self.packing = packing
         self.rows = rows
         self.lms = [row[0] for row in rows]
+        self.first: dict[int, int] = {}
+
+    def append(self, row) -> None:
+        """Add a row after the others; the memo stays valid."""
+        self.rows.append(row)
+        self.lms.append(row[0])
 
     @classmethod
     def of(cls, ring, basis) -> "Reducers":
@@ -154,21 +181,31 @@ def _table(f: Polynomial, basis) -> Reducers:
 def _reduce(work: dict, table: Reducers, quotients=None) -> dict:
     """The division loop: reduce the packed term dict `work` (consumed) by
     the table's rows; return the packed remainder, terms descending.  With
-    `quotients` (one dict per row) record each quotient term there."""
+    `quotients` (one dict per row) record each quotient term there.  Each
+    term goes to the first row whose leading monomial divides it, found
+    through the table's memo (see `Reducers`)."""
     packing = table.packing
     guard, mul = packing.guard, packing.ring.field.mul
-    lms, rows = table.lms, table.rows
+    lms, rows, first = table.lms, table.rows, table.first
+    n = len(lms)
     rem = {}
     while work:
         m = max(work)
         c = work.pop(m)
-        for k, lm in enumerate(lms):
-            q = m - lm
-            if not q & guard:
-                break
+        k = first.get(m, -1)
+        if k >= 0:
+            q = m - lms[k]
         else:
-            rem[m] = c
-            continue
+            # the rows before ~k are known not to divide m
+            for k in range(~k, n):
+                q = m - lms[k]
+                if not q & guard:
+                    first[m] = k
+                    break
+            else:
+                first[m] = ~n
+                rem[m] = c
+                continue
         if quotients is not None:
             quotients[k][q] = mul(c, rows[k][1])
         _add_multiple(work, rows[k][2], q, c, packing)
@@ -279,10 +316,15 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
         # an lcm has degree at most deg g + deg h, so below this bound it
         # passes the degree cap and no field reaches its guard bit
         bound = min(limits.degree_cap, _FIELD_MAX) - d_h
+        # `Packing.excess(x, x_h)` inline, with h's half computed once: its
+        # masks by `exps` are no-ops here, as both are exponent fields
+        h_guarded = x_h | exp_guard
         by_lcm: dict = {}
         for g in pairs:
             x = xs[g]
-            l = x + excess(x, x_h)
+            diff = h_guarded - x
+            up = diff & exp_guard
+            l = x + (diff & (up - (up >> FIELD_BITS)))
             if degs[g] > bound:
                 full = lms[g] + expand(l - x)
                 if full & guard:
@@ -327,8 +369,14 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
                 d = deg(full)
                 ps, g = min((max(sugar[g] + d - degs[g], s + d - d_h), g) for g in group)
                 heapq.heappush(heap, (ps, full, g, h))
-        live[:] = [g for g in live if (lms[g] - lm_h) & guard] + [h]
-        table = Reducers(packing, [reducer_rows[e] for e in live])
+        # the table grows in place, keeping its memo, unless h's leading
+        # monomial divides a live one, which then drops out
+        kept_live = [g for g in live if (lms[g] - lm_h) & guard]
+        if len(kept_live) < len(live):
+            live[:] = kept_live
+            table = Reducers(packing, [reducer_rows[e] for e in live])
+        live.append(h)
+        table.append(reducer_rows[h])
 
     # the generators by leading monomial, the known run among them
     for k in sorted(nonzero, key=lambda k: (gens[k].lm(), sorted(gens[k].terms.items()))):
@@ -370,12 +418,12 @@ def _interreduce(basis, packing: Packing):
     # smaller leading monomial, an earlier element's, can divide it; each
     # element is reduced by the reduced elements before it, and its
     # leading monomial, which none of theirs divides, stays
-    rows, reduced = [], []
+    table, reduced = Reducers(packing, []), []
     for g in keep:
-        r = normal_form(g, Reducers(packing, rows))
+        r = normal_form(g, table)
         inv = _inverse(fld, r[max(r)])
         r = {m: fld.mul(inv, c) for m, c in r.items()}
-        rows.append(_row(packing, r))
+        table.append(_row(packing, r))
         reduced.append(r)
     reduced.reverse()
     return [packing.poly(g) for g in reduced]

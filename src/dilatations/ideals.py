@@ -4,7 +4,11 @@ membership, all through the Groebner kernel.
 An IdealHandle keeps its generator list verbatim and caches the reduced
 Groebner basis on first use, with the basis's reducer rows (`Reducers`)
 next to it for every later normal form (one-shot, guarded by a lock, so
-library callers may share handles across threads).  A saturation,
+library callers may share handles across threads).  The table keeps the
+division loop's memo of first divisors across every normal form taken
+against the handle.  Threads that share a handle may write it at once
+without a lock: the rows never change, so each write stores the one
+value that its monomial and the rows determine.  A saturation,
 intersection or elimination arrives with its basis already set, because
 the elimination that computes it holds that basis (see `_eliminated`);
 no Buchberger run is made for it.  Every handle is over a grevlex ring;

@@ -266,6 +266,63 @@ def test_check_exceptional_clauses():
     assert "declared_nzd_image" in keys
 
 
+_CONE_AND_SEGRE = """ring Q = QQ[x, y, z]
+rels Q = (x*y - z^2)
+ideal QYZ in Q = (y, z)
+ideal QXZ in Q = (x, z)
+center Q1 on Q = [QYZ / x]
+center Q2 on Q = [QYZ / x], [QXZ / y]
+ring S = QQ[x, y, z, w]
+rels S = (x*w - y*z)
+ideal SYZW in S = (y, z, w)
+ideal SXZW in S = (x, z, w)
+ideal SXYW in S = (x, y, w)
+center S3 on S = [SYZW / x], [SXZW / y], [SXYW / z]
+"""
+
+
+def _divisor_ideals_by_two_bases(res):
+    """Each divisor_ideal_i verdict with its failure detail, by comparing
+    the reduced bases of (a_i)A' and L_iA'."""
+    prime = res.algebra
+    out = []
+    for i, c in enumerate(res.center.centers, start=1):
+        ai = res.push(c.elem)
+        lhs = prime.ideal([ai])
+        rhs = prime.ideal([res.push(g) for g in c.ideal.gens] + [ai])
+        lb, rb = lhs.groebner(), rhs.groebner()
+        out.append((lb == rb, f"(a_{i})A' vs L_{i}A': {[str(g) for g in lb]} vs {[str(g) for g in rb]}"))
+    return out
+
+
+def test_divisor_ideal_clause_matches_two_basis_equality(tmp_path):
+    """divisor_ideal_i, decided by membership in the one basis of (a_i)A',
+    gives the verdict of the two-basis equality on the centers of the
+    demo instance, the quadric cone and the Segre quadric, and on the
+    same results with each M_i enlarged by every variable, where it
+    fails; a failure keeps its detail."""
+    from pathlib import Path
+
+    from dilatations.dilatation import DilatationResult
+
+    (tmp_path / "cone_segre.dila").write_text(_CONE_AND_SEGRE, encoding="utf-8")
+    paths = [Path(__file__).resolve().parent.parent / "instances" / "demo.dila", tmp_path / "cone_segre.dila"]
+    verdicts = []
+    for path in paths:
+        for _, center in cli.parse(str(path)).centers.values():
+            res = dilate(center)
+            variables = [center.algebra.ring.var(n) for n in center.algebra.ring.names]
+            enlarged = MultiCenter(
+                center.algebra, [Center(c.ideal.with_gens(c.ideal.gens + variables), c.elem) for c in center.centers]
+            )
+            for r in (res, DilatationResult(enlarged, res.algebra, res.iota, res.fraction_vars, res.presaturation)):
+                clauses = {k: (ok, d) for k, ok, d in check_exceptional(r).clauses}
+                for i, (ok, detail) in enumerate(_divisor_ideals_by_two_bases(r), start=1):
+                    assert clauses[f"divisor_ideal_{i}"] == (ok, "" if ok else detail)
+                    verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
 def test_check_exceptional_vacuous_on_empty_center():
     a = PresentedAlgebra(ring(["x"]))
     rep = check_exceptional(dilate(MultiCenter(a, [])))

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dilatations.groebner import (
     Limits,
+    Reducers,
     ResourceLimitError,
     _interreduce,
     buchberger_reduced,
@@ -462,3 +463,49 @@ def test_seeded_run_matches_unseeded(seed, field):
     h = next((p for p in f_ext if not p.is_zero()), ext.zero())
     _assert_seeded_matches_unseeded(g_ext + [ext.one() - t * h], len(g))
     _assert_seeded_matches_unseeded([t * p for p in g_ext] + [(ext.one() - t) * p for p in f_ext], len(g))
+
+
+# ------------------------------------------------------------ division memo
+
+
+def _assert_memo_matches_scan(table):
+    """Every entry of the table's memo against a linear scan of its rows
+    by exponent tuples: the first dividing row, or none among the first
+    ~entry rows."""
+    unpack = table.packing.unpack
+    lms = [unpack(lm) for lm in table.lms]
+    for m, k in table.first.items():
+        e = unpack(m)
+        divides = [all(a <= b for a, b in zip(lm, e)) for lm in lms]
+        if k >= 0:
+            assert divides.index(True) == k
+        else:
+            assert ~k <= len(lms) and not any(divides[:~k])
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.sampled_from(["grevlex", "lex", "block2"]))
+def test_first_divisor_memo_matches_fresh_scan(seed, field, order_name):
+    """A table reused across calls, and a table grown by appends between
+    calls, give every remainder and quotient that a fresh table per call
+    gives, and their memos agree with a linear scan."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    r = PolyRing(field, ["x", "y", "z", "w"], ORDERS[order_name])
+    basis = [g for g in (random_poly(rng, r) for _ in range(rng.randint(1, 6))) if not g.is_zero()]
+    reused = Reducers.of(r, basis)
+    grown, rows, nonzero = Reducers(r.packing, []), 0, 0
+    for _ in range(rng.randint(2, 10)):
+        if rows < len(basis) and rng.random() < 0.5:
+            grown.append(Reducers.of(r, [basis[rows]]).rows[0])
+            rows += 1
+        f = random_poly(rng, r, max_deg=4, max_terms=5)
+        nonzero += not f.is_zero()
+        for table, prefix in ((reused, basis), (grown, basis[:rows])):
+            if rng.random() < 0.5:
+                assert normal_form(f, table) == normal_form(f, prefix)
+            else:
+                assert divide(f, table) == divide(f, prefix)
+    for table in (reused, grown):
+        _assert_memo_matches_scan(table)
+    assert bool(reused.first) == (nonzero > 0)

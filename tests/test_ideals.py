@@ -147,6 +147,12 @@ def test_reducer_table_built_once_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in ts)
     assert all(o == expected + [nf.is_zero() for nf in expected] for o in outs)
     assert len(builds) == 1 and len(tables) == 1
+    # the memo the threads wrote at once names each monomial's first divisor
+    lms, guard = h._reducers.lms, r.packing.guard
+    assert h._reducers.first
+    for m, k in h._reducers.first.items():
+        divisors = [j for j, lm in enumerate(lms) if not (m - lm) & guard]
+        assert k == (divisors[0] if divisors else ~len(lms))
 
 
 @given(st.integers(0, 10**9))
