@@ -48,11 +48,19 @@ class PresentedAlgebra:
 
     def extend(self, names) -> "PresentedAlgebra":
         """k[y, names]/(P) over the grevlex ring with `names` appended: P's
-        generators move over in their order, with the same limits and no
-        known run."""
+        generators move over in their order, with the same limits and the
+        same known run.
+
+        Grevlex on k[y, names] restricted to k[y] is grevlex on k[y]: two
+        monomials free of the names have the same degree and differ first,
+        from the right, at a variable of y.  So every leading monomial, S-
+        polynomial and division step of the known run is what it was, and
+        a Groebner (or reduced) basis of k[y] stays one in k[y, names]."""
         ring = self.ring.extend(names)
-        moved = [p.map_ring(ring) for p in self.relations.gens]
-        return PresentedAlgebra(ring, IdealHandle(ring, moved, self.relations.limits))
+        rels = self.relations
+        moved = IdealHandle(ring, [p.map_ring(ring) for p in rels.gens], rels.limits)
+        moved._known = rels._known
+        return PresentedAlgebra(ring, moved)
 
     def localize(self, f: Polynomial) -> tuple["PresentedAlgebra", str]:
         """A[1/f] presented as A[z]/(P, z*f - 1), with z a fresh variable

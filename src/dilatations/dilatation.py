@@ -3,7 +3,12 @@
 `dilate` builds A[{M_i/a_i}] as an explicit presentation: one fresh
 variable x_i_j per stored generator g_ij of M_i, the relations
 a_i*x_ij - g_ij, and one saturation by every distinct a_i at once that
-removes the denominator torsion.  Each distinct dilatation is built once per base
+removes the denominator torsion.  It reaches that ideal as the kernel of
+the fraction map k[y, x] -> A_f (f = prod a_i), x_ij -> g_ij/a_i: the
+localization's basis first, then the fractions x_ij - z_i*g_ij started
+from it (`ideals.fraction_kernel`), the same ideal as
+x - z*g = x*(1 - z*a) + z*(a*x - g) and a*x - g = a*(x - z*g) -
+g*(1 - z*a).  Each distinct dilatation is built once per base
 algebra and shared (see `dilate`).  Every structural identity the
 construction is supposed to satisfy has a verifier here that certifies
 it with explicit maps in both directions; a verifier never reports
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraHom, PresentedAlgebra, check_hom, hom_kernel, is_nzd, maps_equal
 from .groebner import ideal_cofactors
-from .ideals import IdealHandle, saturate
+from .ideals import IdealHandle, fraction_kernel, saturate
 from .poly import InputError, Polynomial
 from .report import Report, VerificationFinding
 
@@ -176,9 +181,18 @@ def dilate(center: MultiCenter) -> DilatationResult:
     """Build the dilatation presentation (Groebner route).
 
     The relation ideal is P + (a_i*x_ij - g_ij) saturated by f = prod a_i,
-    in one Buchberger run with a Rabinowitsch variable per distinct a_i
-    (`ideals.saturate`); when f is nilpotent modulo P the result is the
-    zero ring, and that equivalence is asserted on every build.
+    the kernel of k[y, x] -> A_f, x_ij -> g_ij/a_i, built in two
+    Buchberger runs with a Rabinowitsch variable z_i per distinct a_i
+    (`ideals.fraction_kernel`): the reduced basis of the localization
+    P + (1 - z_i*a_i), then that basis, as the known run, plus the
+    x_ij - z_i*g_ij, keeping the part free of the z's.  Both runs
+    generate the ideal that one saturating run of P + (a_i*x_ij - g_ij)
+    + (1 - z_i*a_i) would, since
+        x - z*g = x*(1 - z*a) + z*(a*x - g),
+        a*x - g = a*(x - z*g) - g*(1 - z*a),
+    so the reduced basis is the same.  When f is nilpotent modulo P the
+    result is the zero ring, and that equivalence is asserted on every
+    build against `radical_contains(f)`, a run of its own.
 
     Each dilatation is built once per base algebra and kept in its
     `dilatations`, keyed by the stored generators (verbatim, in order)
@@ -218,7 +232,13 @@ def _construct(center: MultiCenter) -> tuple:
 
     f = center.product_elem()
     nilpotent = a.relations.radical_contains(f)
-    sat = saturate(presat, [c.elem.map_ring(ext) for c in center.centers])
+    denominators = [c.elem.map_ring(ext) for c in center.centers]
+    fractions = [
+        (x, g.map_ring(ext), d)
+        for c, d, row in zip(center.centers, denominators, names)
+        for x, g in zip(row, c.ideal.gens)
+    ]
+    sat = fraction_kernel(over.relations, denominators, fractions)
     if sat.is_unit() != nilpotent:
         raise VerificationFinding(
             "zero-ring criterion mismatch: saturation says "

@@ -25,7 +25,8 @@ by leading monomial, through the same `add` as every element the loop
 forms; the Gebauer-Moeller criteria are sound for any element added.
 Known run: a caller that holds a Groebner basis G and wants the basis of
 G + F passes G first with `known=len(G)` (`ideals` does so only for a
-handle whose generators are its reduced basis).  The elements of G (the
+handle whose generators are its reduced basis, and for the basis of a
+localization that it has just built).  The elements of G (the
 seeds) then form no pair among themselves: each such S-pair has a
 standard representation over G already, so it reduces to zero, and the
 criteria stay sound when such pairs are never formed.  The result is
@@ -264,7 +265,7 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
     ring = _same_ring([gens[k] for k in nonzero])
     limits = limits or Limits()
     packing = ring.packing
-    guard, deg, expand, excess = packing.guard, packing.deg, packing.expand, packing.excess
+    guard, deg, expand = packing.guard, packing.deg, packing.expand
     exps, exp_guard = packing.exps, packing.exp_guard
     fld = ring.field
     one = 1
@@ -338,13 +339,20 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
             formed += 1
             raise exceeded(f"pair budget {limits.pair_cap} exceeded")
         # B: a queued pair goes when lt(h) divides its lcm and that lcm
-        # differs from the lcm of h with each of its two elements
-        kept = [
-            e for e in heap
-            if (e[1] - lm_h) & guard
-            or (lx := e[1] & exps) == xs[e[2]] + excess(xs[e[2]], x_h)
-            or lx == xs[e[3]] + excess(xs[e[3]], x_h)
-        ]
+        # differs from the lcm of h with each of its two elements (the
+        # lcm's exponent fields inline, as for the new pairs above)
+        kept = []
+        for e in heap:
+            if (e[1] - lm_h) & guard:
+                kept.append(e)
+                continue
+            lx = e[1] & exps
+            for x in (xs[e[2]], xs[e[3]]):
+                diff = h_guarded - x
+                up = diff & exp_guard
+                if lx == x + (diff & (up - (up >> FIELD_BITS))):
+                    kept.append(e)
+                    break
         if len(kept) < len(heap):
             heap[:] = kept
             heapq.heapify(heap)

@@ -1,5 +1,6 @@
-"""Ideal arithmetic: intersection, colon, saturation, elimination and
-membership, all through the Groebner kernel.
+"""Ideal arithmetic: intersection, colon, saturation, the fraction
+kernel of a dilatation, elimination and membership, all through the
+Groebner kernel.
 
 An IdealHandle keeps its generator list verbatim and caches the reduced
 Groebner basis on first use, with the basis's reducer rows (`Reducers`)
@@ -19,16 +20,20 @@ starts from it as the kernel's known run (`buchberger_reduced(...,
 known=k)`), so no S-pair inside it is formed again.  The rule depends
 only on how a handle was built, never on what it has cached: a handle
 from `_of_reduced` has generators that are its reduced basis, and
-`_known` counts them; `extended` puts them first and keeps the count.
-A basis that `groebner()` filled in later does not count, so the work
-done never depends on the order of requests.  Three runs use it: the
-Rabinowitsch basis of A + (1 - z_1*f_1, ..., 1 - z_k*f_k) (every
-saturation, and `radical_contains`), the intersection's t*A + (1 - t)*B,
-and the basis of an `extended` handle (the ideal of an algebra: its
-relations, then the extra generators).  The first two prepend a block
-of fresh variables to A's ring; on monomials free of it, the block
-order is A's grevlex on the tail, so A's known run stays a Groebner
-basis there, and in the intersection lm(t*g) = t*lm(g) and
+`_known` counts them; `extended` puts them first and keeps the count,
+and so does `algebras.PresentedAlgebra.extend`, whose ring appends
+variables to a grevlex ring.  A basis that `groebner()` filled in later
+does not count, so the work done never depends on the order of
+requests.  Four runs use it: the Rabinowitsch basis of A + (1 - z_1*f_1,
+..., 1 - z_k*f_k) (every saturation, `radical_contains`, and the
+localization run of `fraction_kernel`), the intersection's
+t*A + (1 - t)*B, the basis of an `extended` handle (the ideal of an
+algebra: its relations, then the extra generators), and the second run
+of `fraction_kernel`, which starts from the localization's reduced basis
+that its first run has just built.  The first two prepend a block of
+fresh variables to A's ring; on monomials free of it, the block order
+is A's grevlex on the tail, so A's known run stays a Groebner basis
+there, and in the intersection lm(t*g) = t*lm(g) and
 S(t*g, t*g') = t*S(g, g'), so t*G is one as well.
 
 A handle also carries the `Limits` that every Buchberger run on its behalf
@@ -115,7 +120,7 @@ class IdealHandle:
 
     def radical_contains(self, f: Polynomial) -> bool:
         """f nilpotent modulo the ideal, by the Rabinowitsch trick."""
-        gb = _rabinowitsch_basis(self, [f])
+        _, gb = _rabinowitsch_basis(self, [f])
         return len(gb) == 1 and gb[0].is_one()
 
     def with_gens(self, gens) -> "IdealHandle":
@@ -156,13 +161,14 @@ def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits |
     return IdealHandle._of_reduced(target, kept, limits)
 
 
-def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> list[Polynomial]:
-    """Reduced basis of A + (1 - z_1*f_1, ..., 1 - z_k*f_k) in A[z_1..z_k],
-    one fresh z_i per element f_i, the z block first and eliminated."""
+def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> tuple[PolyRing, list[Polynomial]]:
+    """The ring A[z_1..z_k], one fresh z_i per element f_i, the z block
+    first and eliminated, and the reduced basis of A + (1 - z_1*f_1, ...,
+    1 - z_k*f_k) there."""
     k = len(elems)
     ext, mapped = _extend_first(a.ring, ["_z"] * k, elems + a.gens)
     gens = mapped[k:] + [ext.one() - ext.var(z) * f for z, f in zip(ext.names, mapped[:k])]
-    return buchberger_reduced(gens, limits=a.limits, known=a._known)
+    return ext, buchberger_reduced(gens, limits=a.limits, known=a._known)
 
 
 def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
@@ -184,9 +190,10 @@ def colon(a: IdealHandle, f: Polynomial) -> IdealHandle:
     if f.is_zero():
         raise InputError("colon by the zero element")
     meet = intersect(a, a.with_gens([f]))
+    by_f = Reducers.of(a.ring, [f])
     quotients = []
     for g in meet.groebner():
-        r, qs = divide(g, [f])
+        r, qs = divide(g, by_f)
         if not r.is_zero():
             raise InputError("intersection element not divisible in colon computation")
         quotients.append(qs[0])
@@ -205,7 +212,34 @@ def saturate(a: IdealHandle, elems: Iterable[Polynomial]) -> IdealHandle:
     elems = list(dict.fromkeys(elems))
     if not elems:
         return a
-    return _eliminated(_rabinowitsch_basis(a, elems), len(elems), a.ring, a.limits)
+    _, gb = _rabinowitsch_basis(a, elems)
+    return _eliminated(gb, len(elems), a.ring, a.limits)
+
+
+def fraction_kernel(rels: IdealHandle, elems: Iterable[Polynomial], fractions) -> IdealHandle:
+    """(rels + (f*x - g for (x, g, f) in fractions)) : (f_1*...*f_k)^∞,
+    for `elems` f_1..f_k and `fractions` triples (name of a variable x of
+    rels's ring, numerator g, denominator f among `elems`); equal to
+    `saturate` of that ideal by `elems`.  When rels, the g and the f are
+    free of the x's, it is the kernel of the map to the localization
+    (k[y]/rels)_F, F = f_1*...*f_k, that sends each x to g/f.
+
+    Two runs, each with one fresh z_i per distinct f_i.  The first is the
+    localization, the reduced basis G of L = rels + (1 - z_i*f_i)
+    (`_rabinowitsch_basis`).  The second adds x - z_i*g to G with G as its
+    known run, and the elements free of the z's are the result
+    (`_eliminated`).  The ideal is the one `saturate` eliminates from, as
+    x - z*g = x*(1 - z*f) + z*(f*x - g) and f*x - g = f*(x - z*g) -
+    g*(1 - z*f), so the reduced basis is the same.
+    """
+    elems = list(dict.fromkeys(elems))
+    if not elems:
+        return rels
+    ext, local = _rabinowitsch_basis(rels, elems)
+    z = {f: ext.var(name) for f, name in zip(elems, ext.names)}
+    gens = local + [ext.var(x) - z[f] * g.map_ring(ext) for x, g, f in fractions]
+    gb = buchberger_reduced(gens, limits=rels.limits, known=len(local))
+    return _eliminated(gb, len(elems), rels.ring, rels.limits)
 
 
 def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:

@@ -211,15 +211,27 @@ def test_extend_moves_relations_in_order_and_keeps_limits():
     assert a.relations.gens == rels
 
 
-def test_extend_starts_no_known_run():
-    # relations that are a known reduced basis move over as plain generators
+def test_extend_keeps_known_run():
+    # relations that are a known reduced basis move over with their known
+    # run, which is still the reduced basis over the extended ring
     r = ring(["x", "y"])
     basis = buchberger_reduced([r.parse("x^2 - y"), r.parse("x*y - 1")])
     a = PresentedAlgebra(r, IdealHandle._of_reduced(r, basis, None))
     b = a.extend(["s"])
     assert b.relations.gens == [p.map_ring(b.ring) for p in basis]
-    assert b.relations._known == 0
-    assert b.quotient([b.var("s")]).relations._known == 0
+    assert b.relations._known == len(basis)
+    assert b.relations.groebner() == buchberger_reduced(b.relations.gens)
+    q = b.quotient([b.var("s") * b.var("x") - b.one()])
+    assert q.relations._known == len(basis)
+    assert q.relations.groebner() == buchberger_reduced(q.relations.gens)
+    # a handle with no known run moves over with none
+    c = PresentedAlgebra(r, IdealHandle(r, basis)).extend(["s"])
+    assert c.relations._known == 0
+    # an extension of a partly known handle keeps its count, and its basis
+    # is a fresh run's
+    d = q.extend(["t"])
+    assert d.relations._known == len(basis)
+    assert d.relations.groebner() == buchberger_reduced(d.relations.gens)
 
 
 def test_localize_matches_hand_built_presentation():

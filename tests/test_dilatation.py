@@ -1,6 +1,8 @@
+import random as _random
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dilatations.dilatation as dilatation_module
 from dilatations import cli
@@ -23,10 +25,10 @@ from dilatations.dilatation import (
     universal_factor,
 )
 from dilatations.groebner import Limits
-from dilatations.ideals import IdealHandle
-from dilatations.poly import InputError
+from dilatations.ideals import IdealHandle, saturate
+from dilatations.poly import Field, InputError, QQ
 
-from conftest import ring
+from conftest import random_poly, ring
 
 
 def algebra(names, *rels):
@@ -840,6 +842,56 @@ def test_same_denominator_centers_dilate_as_their_sum():
     rep = Report("merge_iso")
     _certify_pair(rep, fwd, bwd)
     assert rep.ok
+
+
+def _random_center(rng, algebra, denominators):
+    """A center over `algebra`: 0 to 2 random generators and a denominator
+    drawn from `denominators`, so that centers repeat one."""
+    return Center.over(algebra, _random_polys(rng, algebra.ring, 2), rng.choice(denominators))
+
+
+def _random_polys(rng, r, most):
+    """0 to `most` nonzero random polynomials of degree at most 2 over r."""
+    polys = (random_poly(rng, r, max_deg=2, max_terms=2) for _ in range(rng.randint(0, most)))
+    return [p for p in polys if not p.is_zero()]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from([QQ, Field(5)]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_dilate_matches_saturation_of_presaturation(seed, field, k, nilpotent, over_dilatation):
+    # the two-run fraction kernel against P + (a_i*x_ij - g_ij) saturated
+    # by every denominator in one run, from the presaturation's generators
+    # with no known run
+    rng = _random.Random(seed)
+    r = ring(["a", "b", "c"], field)
+    rels = _random_polys(rng, r, 3)
+    if nilpotent:
+        rels.append(r.parse("c^2"))
+    alg = PresentedAlgebra(r, IdealHandle(r, rels))
+    if over_dilatation:
+        # relations that are a known reduced basis, moved by `extend`
+        first = dilate(MultiCenter(alg, [_random_center(rng, alg, [alg.var("a"), alg.var("b") + alg.one()])]))
+        alg = first.algebra
+        assert alg.relations._known == len(alg.relations.gens)
+    pool = [alg.var("a"), alg.var("b"), alg.var("a") + alg.var("b")]
+    if nilpotent:
+        pool.append(alg.var("c"))
+    centers = [_random_center(rng, alg, pool) for _ in range(k)]
+    if nilpotent:
+        centers[-1] = Center.over(alg, centers[-1].ideal.gens, alg.var("c"))
+    res = dilate(MultiCenter(alg, centers))
+    ext = res.algebra.ring
+    presat = IdealHandle(ext, res.presaturation.gens)
+    sat = saturate(presat, [c.elem.map_ring(ext) for c in centers])
+    assert res.algebra.relations.groebner() == sat.groebner()
+    if nilpotent:
+        assert res.is_zero_ring()
 
 
 def test_combine_registry_mismatch():
