@@ -31,6 +31,13 @@ seeds) then form no pair among themselves: each such S-pair has a
 standard representation over G already, so it reduces to zero, and the
 criteria stay sound when such pairs are never formed.  The result is
 the same unique reduced basis.
+Dropped block: an elimination under `block_order(k)` keeps only the
+elements of the reduced basis free of the first k variables, so it
+passes `drop=k`, and the loop interreduces and converts only the live
+elements whose leading monomial is free of the block; they are exactly
+the block-free part of the reduced basis, in its order (see
+`buchberger_reduced`).  The pairs, reductions and the elements kept are
+those of the run without it.
 
 The criteria work on exponent fields (`Packing.exps`: a packed
 monomial's exponents alone, an int that divides as the whole int does).
@@ -241,7 +248,7 @@ def divide(f: Polynomial, basis):
     return packing.poly(rem), [packing.poly(q) for q in quotients]
 
 
-def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
+def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0, drop: int = 0):
     """Unique reduced Groebner basis of the ideal generated by `gens`.
 
     Every nonzero generator is added unreduced, in the order of its
@@ -249,6 +256,18 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
     under the ring's order (the known run); its elements form no pair
     among themselves.  The pair cap counts the pairs formed, so the
     known run charges it nothing among itself.
+
+    With `drop=k` (the ring's order must be `block_order(k)`) only the
+    elements of the reduced basis free of the first k variables are
+    returned, in the same order: the elimination ideal's reduced basis
+    (Cox, Little & O'Shea, ch. 3).  Only the live elements whose leading
+    monomial has zero exponent fields on the block are interreduced and
+    converted.  They interreduce alone: under the block order a term with
+    a block variable is above every block-free one, so an element with a
+    block-free leading monomial is block-free in every term; and a
+    divisor of a block-free monomial is block-free, so neither the
+    minimalization nor the reduction of such an element meets a leading
+    monomial with a block variable.
 
     Sugar: an input generator's sugar is its total degree (the standard
     choice), a pair's is max(sugar_i + deg t_i, sugar_j + deg t_j) where
@@ -263,6 +282,8 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
     if not nonzero:
         return []
     ring = _same_ring([gens[k] for k in nonzero])
+    if drop and ring.order != block_order(drop):
+        raise InputError(f"dropping {drop} variables needs block({drop}), not {ring.order!r}")
     limits = limits or Limits()
     packing = ring.packing
     guard, deg, expand = packing.guard, packing.deg, packing.expand
@@ -405,7 +426,8 @@ def buchberger_reduced(gens, limits: Limits | None = None, known: int = 0):
             raise exceeded(f"degree budget {limits.degree_cap} exceeded (new lead degree {deg(max(r))})")
         add(r, s)
 
-    return _interreduce([basis[k] for k in live], packing)
+    block = (1 << drop * (FIELD_BITS + 1)) - 1  # the block's exponent fields
+    return _interreduce([basis[k] for k in live if not lms[k] & block], packing)
 
 
 def _interreduce(basis, packing: Packing):

@@ -15,6 +15,17 @@ the elimination that computes it holds that basis (see `_eliminated`);
 no Buchberger run is made for it.  Every handle is over a grevlex ring;
 block orders appear only in the rings of the eliminations themselves.
 
+Eliminations: each one (`intersect`, `saturate`, `eliminate`, the
+second run of `fraction_kernel`, and `radical_contains`, which asks
+only whether the result is (1)) prepends a block of k fresh variables
+under `block_order(k)` and asks the kernel for the block-free part of
+the reduced basis alone (`buchberger_reduced(..., drop=k)`); the rest
+is neither interreduced nor converted.  Terms cross between a grevlex
+ring and its block extension by one bit shift (`_shift`): a block-free
+monomial's packed int is the grevlex int moved up k fields, so
+`_extend_first` moves a term by `m << shift` and `_eliminated` moves it
+back by `m >> shift`, with no exponent vector built.
+
 Seeding: a Buchberger run that extends a basis the run already holds
 starts from it as the kernel's known run (`buchberger_reduced(...,
 known=k)`), so no S-pair inside it is formed again.  The rule depends
@@ -50,7 +61,7 @@ import threading
 from typing import Iterable
 
 from .groebner import Limits, Reducers, buchberger_reduced, divide, normal_form
-from .poly import GREVLEX, InputError, PolyRing, Polynomial, block_order
+from .poly import FIELD_BITS, GREVLEX, InputError, PolyRing, Polynomial, block_order
 
 
 class IdealHandle:
@@ -119,7 +130,10 @@ class IdealHandle:
         return len(gb) == 1 and gb[0].is_one()
 
     def radical_contains(self, f: Polynomial) -> bool:
-        """f nilpotent modulo the ideal, by the Rabinowitsch trick."""
+        """f nilpotent modulo the ideal, by the Rabinowitsch trick: A + (1 -
+        z*f) is (1).  Its run keeps only the z-free part of the reduced
+        basis, which is [1] exactly when the whole basis is, as 1 is
+        z-free and lies in no other reduced basis."""
         _, gb = _rabinowitsch_basis(self, [f])
         return len(gb) == 1 and gb[0].is_one()
 
@@ -137,38 +151,82 @@ class IdealHandle:
         return f"Ideal({', '.join(str(g) for g in self.gens)})"
 
 
+def _shift(block: PolyRing, tail: PolyRing) -> int:
+    """The bit shift that moves a monomial of `tail` to `block` (`m <<
+    shift`) and a monomial of `block` free of its block back (`m >>
+    shift`): k*(FIELD_BITS + 1) for k = block's block size.
+
+    `tail` must be grevlex on (y_1..y_n) and `block` `block_order(k)` on
+    (z_1..z_k, y_1..y_n) over the same field; InputError names both rings
+    otherwise.  In `block`'s packing (`poly.Packing`) the z exponents sit
+    in fields 0..k-1, the exponent of y_i in field k+i-1, the tail's
+    prefix sums in fields k+n..k+2n-1 and the block's in fields
+    k+2n..2k+2n-1.  In `tail`'s, y_i sits in field i-1 and the same
+    prefix sums in fields n..2n-1.  So a z-free monomial's int is the
+    tail int moved up k fields: its z fields and the block's prefix sums
+    are 0, and every other field holds the same value.
+    """
+    k = block.order.block
+    if (block.field, block.order, block.names[k:], tail.order) != (tail.field, block_order(k), tail.names, GREVLEX):
+        raise InputError(
+            f"no shift between {tail!r} under {tail.order!r} and {block!r} under {block.order!r}"
+        )
+    return k * (FIELD_BITS + 1)
+
+
+def _lifted(polys, tail: PolyRing, block: PolyRing, shift: int) -> list[Polynomial]:
+    """Polynomials over `tail` moved into `block` by `shift` (see `_shift`)."""
+    out = []
+    for p in polys:
+        if p.ring is not tail and p.ring != tail:
+            raise InputError(f"polynomial over {p.ring!r} where {tail!r} is expected")
+        out.append(Polynomial(block, {m << shift: c for m, c in p.terms.items()}))
+    return out
+
+
 def _extend_first(ring: PolyRing, stems: list[str], polys):
     """Ring with one fresh variable per stem prepended (one eliminated
-    block) and the given polynomials transported into it."""
+    block) and the given polynomials over `ring`, which must be grevlex,
+    transported into it.  Each term moves by one left shift of k fields:
+    its y exponents and the tail's prefix sums keep their values k fields
+    higher, and the z fields and the block's prefix sums are 0 (see
+    `_shift`)."""
     ext = PolyRing(ring.field, tuple(ring.fresh_names(stems)) + ring.names, block_order(len(stems)))
-    return ext, [p.map_ring(ext) for p in polys]
+    return ext, _lifted(polys, ring, ext, _shift(ext, ring))
 
 
-def _eliminated(gb: list[Polynomial], k: int, target: PolyRing, limits: Limits | None) -> IdealHandle:
-    """The elements of `gb` free of its ring's first k variables, over
-    `target`, whose variables are the remaining ones in the same order.
+def _eliminated(gb: list[Polynomial], ring: PolyRing, target: PolyRing, limits: Limits | None) -> IdealHandle:
+    """`gb`, the reduced basis over `ring` (`block_order(k)`) of an ideal
+    with its block-free elements only (`buchberger_reduced(...,
+    drop=k)`), as a handle over `target`, the grevlex ring of `ring`'s
+    remaining variables in the same order.
 
-    `gb` is a reduced basis under `block_order(k)`, so these elements are
-    a Groebner basis of the elimination ideal (the elimination theorem).
-    On monomials free of the block, the block order is grevlex on the
-    tail, so over the grevlex target each kept element has the same
-    leading monomial and they keep their relative order; they stay monic,
-    and no term of one is divisible by another's leading monomial.  They
-    are therefore exactly the target's unique reduced basis, and the
-    handle carries it.
+    These elements are a Groebner basis of the elimination ideal (the
+    elimination theorem).  On monomials free of the block, the block
+    order is grevlex on the tail, so over the grevlex target each element
+    has the same leading monomial and they keep their relative order;
+    they stay monic, and no term of one is divisible by another's leading
+    monomial.  They are therefore exactly the target's unique reduced
+    basis, and the handle carries it.  Each term moves by one right
+    shift of k fields: a block-free monomial has zero z fields and zero
+    block prefix sums, and its other fields are the target's fields k
+    places higher (see `_shift`).  `gb` must be block-free: the shift
+    would drop a z exponent silently.
     """
-    kept = [g.map_ring(target) for g in gb if min(g.uses_vars(), default=k) >= k]
+    shift = _shift(ring, target)
+    kept = [Polynomial(target, {m >> shift: c for m, c in g.terms.items()}) for g in gb]
     return IdealHandle._of_reduced(target, kept, limits)
 
 
-def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial]) -> tuple[PolyRing, list[Polynomial]]:
+def _rabinowitsch_basis(a: IdealHandle, elems: list[Polynomial], drop: bool = True) -> tuple[PolyRing, list[Polynomial]]:
     """The ring A[z_1..z_k], one fresh z_i per element f_i, the z block
     first and eliminated, and the reduced basis of A + (1 - z_1*f_1, ...,
-    1 - z_k*f_k) there."""
+    1 - z_k*f_k) there: its z-free elements, or with `drop` false all of
+    them."""
     k = len(elems)
     ext, mapped = _extend_first(a.ring, ["_z"] * k, elems + a.gens)
     gens = mapped[k:] + [ext.one() - ext.var(z) * f for z, f in zip(ext.names, mapped[:k])]
-    return ext, buchberger_reduced(gens, limits=a.limits, known=a._known)
+    return ext, buchberger_reduced(gens, limits=a.limits, known=a._known, drop=k if drop else 0)
 
 
 def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
@@ -181,8 +239,8 @@ def intersect(a: IdealHandle, b: IdealHandle) -> IdealHandle:
     one_minus_t = ext.one() - t
     tagged = [t * p for p in mapped[: len(a.gens)]]
     tagged += [one_minus_t * p for p in mapped[len(a.gens) :]]
-    gb = buchberger_reduced(tagged, limits=a.limits, known=a._known)
-    return _eliminated(gb, 1, ring, a.limits)
+    gb = buchberger_reduced(tagged, limits=a.limits, known=a._known, drop=1)
+    return _eliminated(gb, ext, ring, a.limits)
 
 
 def colon(a: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -212,8 +270,8 @@ def saturate(a: IdealHandle, elems: Iterable[Polynomial]) -> IdealHandle:
     elems = list(dict.fromkeys(elems))
     if not elems:
         return a
-    _, gb = _rabinowitsch_basis(a, elems)
-    return _eliminated(gb, len(elems), a.ring, a.limits)
+    ext, gb = _rabinowitsch_basis(a, elems)
+    return _eliminated(gb, ext, a.ring, a.limits)
 
 
 def fraction_kernel(rels: IdealHandle, elems: Iterable[Polynomial], fractions) -> IdealHandle:
@@ -227,19 +285,22 @@ def fraction_kernel(rels: IdealHandle, elems: Iterable[Polynomial], fractions) -
     Two runs, each with one fresh z_i per distinct f_i.  The first is the
     localization, the reduced basis G of L = rels + (1 - z_i*f_i)
     (`_rabinowitsch_basis`).  The second adds x - z_i*g to G with G as its
-    known run, and the elements free of the z's are the result
-    (`_eliminated`).  The ideal is the one `saturate` eliminates from, as
-    x - z*g = x*(1 - z*f) + z*(f*x - g) and f*x - g = f*(x - z*g) -
-    g*(1 - z*f), so the reduced basis is the same.
+    known run, and its elements free of the z's, the only ones it
+    interreduces, are the result (`_eliminated`).  The ideal is the one
+    `saturate` eliminates from, as x - z*g = x*(1 - z*f) + z*(f*x - g)
+    and f*x - g = f*(x - z*g) - g*(1 - z*f), so the reduced basis is the
+    same.
     """
     elems = list(dict.fromkeys(elems))
     if not elems:
         return rels
-    ext, local = _rabinowitsch_basis(rels, elems)
+    ext, local = _rabinowitsch_basis(rels, elems, drop=False)
     z = {f: ext.var(name) for f, name in zip(elems, ext.names)}
-    gens = local + [ext.var(x) - z[f] * g.map_ring(ext) for x, g, f in fractions]
-    gb = buchberger_reduced(gens, limits=rels.limits, known=len(local))
-    return _eliminated(gb, len(elems), rels.ring, rels.limits)
+    fractions = list(fractions)
+    nums = _lifted([g for _, g, _ in fractions], rels.ring, ext, _shift(ext, rels.ring))
+    gens = local + [ext.var(x) - z[f] * g for (x, _, f), g in zip(fractions, nums)]
+    gb = buchberger_reduced(gens, limits=rels.limits, known=len(local), drop=len(elems))
+    return _eliminated(gb, ext, rels.ring, rels.limits)
 
 
 def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
@@ -252,5 +313,5 @@ def eliminate(a: IdealHandle, names: Iterable[str]) -> IdealHandle:
     perm = PolyRing(a.ring.field, names + rest, block_order(len(names)))
     mapped = [g.map_ring(perm) for g in a.gens]
     sub = PolyRing(a.ring.field, rest)
-    return _eliminated(buchberger_reduced(mapped, limits=a.limits), len(names), sub, a.limits)
+    return _eliminated(buchberger_reduced(mapped, limits=a.limits, drop=len(names)), perm, sub, a.limits)
 

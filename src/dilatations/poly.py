@@ -19,11 +19,17 @@ order, `max` of a term dict is its leading monomial, and printing sorts
 ints.  A field that reaches 2**FIELD_BITS would spill into its guard
 bit: packing such an exponent vector, or forming such a product, raises
 ResourceLimitError naming the ring, the bound and the value.  Exponent
-vectors appear only where exponents are read: printing, `uses_vars`,
-and `map_ring` for a term of total degree past the field bound; below it
-`map_ring` moves a term as a sum of the target's packed variables
-(`Packing.units`), and `subst` moves one as a sum of its single-term
-images' packed monomials.
+vectors appear only where exponents are read: printing, `uses_vars`
+(which `map_ring` and `subst` call once per polynomial), `map_ring` for
+a term of total degree past the field bound, the remainders of
+`groebner.ideal_cofactors`, and the finite-ring oracle (its standard
+monomials and `eval_poly`).
+Below the bound `map_ring` moves a term as a sum of the target's packed
+variables (`Packing.units`), `subst` moves one as a sum of its
+single-term images' packed monomials, and a term crossing between a
+grevlex ring and its elimination ring, `block(k)` on k fresh names and
+then the same names, moves by one bit shift (`ideals._shift`): there a
+monomial free of the block is the grevlex int moved up k fields.
 """
 
 from __future__ import annotations

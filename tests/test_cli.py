@@ -630,9 +630,9 @@ def test_flag_budgets_reach_every_buchberger_call(tmp_path, monkeypatch, line):
     original = groebner.buchberger_reduced
     seen = []
 
-    def recording(gens, limits=None, known=0):
-        seen.append(limits)
-        return original(gens, limits, known)
+    def recording(gens, limits=None, known=0, drop=0):
+        seen.append((limits, drop, gens[0].ring.order.block if gens else 0))
+        return original(gens, limits, known, drop)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("dilatations") and getattr(module, "buchberger_reduced", None) is original:
@@ -642,4 +642,6 @@ def test_flag_budgets_reach_every_buchberger_call(tmp_path, monkeypatch, line):
     code, _ = run_cli(tmp_path, text, "--degree-cap", "23", "--pair-cap", "99999")
     assert code == 0
     assert seen
-    assert all(lim is not None and (lim.degree_cap, lim.pair_cap) == (23, 99999) for lim in seen)
+    assert all(lim is not None and (lim.degree_cap, lim.pair_cap) == (23, 99999) for lim, _, _ in seen)
+    # an elimination drops exactly the block of its ring
+    assert all(drop in (0, block) for _, drop, block in seen)

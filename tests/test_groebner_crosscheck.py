@@ -199,9 +199,9 @@ def test_saturation_by_two_elements_matches_sympy(seed, monkeypatch):
 
     real, runs = ideals.buchberger_reduced, []
 
-    def recording(gens, limits=None, known=0):
-        runs.append(known)
-        return real(gens, limits, known)
+    def recording(gens, limits=None, known=0, drop=0):
+        runs.append((known, drop))
+        return real(gens, limits, known, drop)
 
     monkeypatch.setattr(ideals, "buchberger_reduced", recording)
     rng = random.Random(8400 + seed)
@@ -214,7 +214,7 @@ def test_saturation_by_two_elements_matches_sympy(seed, monkeypatch):
     f, g = (ring.parse(s) for s in rng.sample(["x", "y", "x + y", "x*y", "x - 2", "y^2 + x"], 2))
     a = IdealHandle._of_reduced(ring, buchberger_reduced(gens), None) if seed % 2 else IdealHandle(ring, gens)
     ours = {str(p) for p in saturate(a, [f, g]).groebner()}
-    assert runs == [a._known]
+    assert runs == [(a._known, 2)]
     z = sympy.Symbol("z")
     theirs = _sympy_elimination_basis(ring, [_to_sympy(p) for p in gens] + [1 - z * _to_sympy(f * g)], "z")
     assert ours == theirs, ([str(p) for p in gens], str(f), str(g))

@@ -251,27 +251,28 @@ def test_saturate_matches_chain_of_single_saturations(seed, field, k, seeded):
 
 
 def _saturation_runs(monkeypatch, center):
-    """The block orders of the Buchberger runs that `dilate(center)` makes
-    through `ideals` over a ring holding the fraction variables: the
-    localization and the fraction kernel seeded by it (radical_contains
-    runs over the base ring)."""
+    """(block order, variables dropped) of the Buchberger runs that
+    `dilate(center)` makes through `ideals` over a ring holding the
+    fraction variables: the localization, which keeps its whole basis,
+    and the fraction kernel seeded by it, which drops the block
+    (radical_contains runs over the base ring)."""
     runs = []
     real = ideals.buchberger_reduced
 
-    def counted(gens, limits=None, known=0):
-        runs.append(gens[0].ring)
-        return real(gens, limits, known)
+    def counted(gens, limits=None, known=0, drop=0):
+        runs.append((gens[0].ring, drop))
+        return real(gens, limits, known, drop)
 
     monkeypatch.setattr(ideals, "buchberger_reduced", counted)
     names = set(dilate(center).presaturation.ring.names)
-    return [s.order for s in runs if s.order.kind == "block" and names < set(s.names)]
+    return [(s.order, drop) for s, drop in runs if s.order.kind == "block" and names < set(s.names)]
 
 
 def test_dilate_saturates_once_per_distinct_denominator(monkeypatch):
     r = ring(["a", "b", "g"])
     alg = PresentedAlgebra(r)
     center = MultiCenter(alg, [Center(handle(r, "g"), r.var("a")), Center(handle(r, "a*g"), r.var("a"))])
-    assert _saturation_runs(monkeypatch, center) == [block_order(1)] * 2
+    assert _saturation_runs(monkeypatch, center) == [(block_order(1), 0), (block_order(1), 1)]
 
 
 def test_dilate_saturates_four_centers_in_one_run(monkeypatch):
@@ -289,7 +290,7 @@ def test_dilate_saturates_four_centers_in_one_run(monkeypatch):
             Center(handle(r, "x^2", "y^2"), r.var("w")),
         ],
     )
-    assert _saturation_runs(monkeypatch, center) == [block_order(4)] * 2
+    assert _saturation_runs(monkeypatch, center) == [(block_order(4), 0), (block_order(4), 4)]
 
 
 def test_dilate_matches_saturation_by_product():
@@ -403,6 +404,73 @@ def test_random_elimination_results_carry_their_reduced_basis(seed, field):
         assert h.groebner() == buchberger_reduced(h.gens)
 
 
+# ------------------------------------------- block-free output and the shift
+#
+# An elimination asks the kernel for the block-free part of its reduced
+# basis only (`drop=k`), and moves terms between the grevlex ring and
+# its block extension by one bit shift instead of `map_ring`.
+
+
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]))
+def test_dropped_block_matches_full_basis_and_shift_matches_map_ring(seed, field):
+    import random as _random
+
+    rng = _random.Random(seed)
+    tail = ring(["x", "y", "z", "w"][: rng.randint(1, 4)], field)
+    k = rng.randint(1, 2)
+    polys = [random_poly(rng, tail, max_deg=3) for _ in range(3)]
+    ext, lifted = ideals._extend_first(tail, ["_z"] * k, polys)
+    assert ext.order == block_order(k) and ext.names[k:] == tail.names
+    # the shift moves each term as map_ring does, both ways
+    assert lifted == [p.map_ring(ext) for p in polys]
+    nonzero = [q for q in lifted if not q.is_zero()]
+    back = ideals._eliminated(nonzero, ext, tail, None).gens
+    assert back == [q.map_ring(tail) for q in nonzero] == [p for p in polys if not p.is_zero()]
+    # generators over the block ring shaped like those of an elimination
+    # (z*f - g, 1 - z*f) or random, after a known run on odd seeds: a
+    # grevlex basis of the tail, a Groebner basis of the block ring on
+    # block-free monomials
+    zs = [ext.var(n) for n in ext.names[:k]]
+    gens = [random_poly(rng, tail).map_ring(ext) for _ in range(rng.randint(0, 1))]
+    for _ in range(rng.randint(1, 2)):
+        z = rng.choice(zs)
+        f, g = (random_poly(rng, tail).map_ring(ext) for _ in range(2))
+        gens.append(rng.choice([z * f - g, ext.one() - z * f, random_poly(rng, ext)]))
+    known = []
+    if seed % 2:
+        known = [g.map_ring(ext) for g in buchberger_reduced([random_poly(rng, tail) for _ in range(2)])]
+    full = buchberger_reduced(known + gens, known=len(known))
+    dropped = buchberger_reduced(known + gens, known=len(known), drop=k)
+    assert dropped == [g for g in full if min(g.uses_vars(), default=k) >= k]
+    h = ideals._eliminated(dropped, ext, tail, None)
+    assert h.gens == [g.map_ring(tail) for g in dropped]
+    assert h.groebner() == buchberger_reduced(h.gens)
+
+
+def test_shift_transport_refuses_other_rings():
+    r = ring(["x", "y"])
+    ext, (f,) = ideals._extend_first(r, ["_z"], [r.parse("x - y")])
+    # targets with other names, order, field or length, and a grevlex source
+    for source, target in [
+        (ext, ring(["y", "x"])),
+        (ext, ring(["x", "y"], order=LEX)),
+        (ext, ring(["x", "y"], Field(5))),
+        (ext, ring(["x"])),
+        (r, r),
+    ]:
+        with pytest.raises(InputError) as err:
+            ideals._eliminated([f], source, target, None)
+        assert repr(source) in str(err.value) and repr(target) in str(err.value)
+        assert repr(target.order) in str(err.value)
+    lex = ring(["x", "y"], order=LEX)
+    with pytest.raises(InputError, match=re.escape(f"{lex!r} under lex")):
+        ideals._extend_first(lex, ["_z"], [])
+    with pytest.raises(InputError, match=re.escape(repr(ring(["x"])))):
+        ideals._extend_first(r, ["_z"], [ring(["x"]).var("x")])
+    with pytest.raises(InputError, match=re.escape("block(2)")):
+        buchberger_reduced([ext.var("x")], drop=2)
+
+
 def test_demo_rebuilds_no_basis_it_already_has(monkeypatch):
     """Over the demo instance, no Buchberger run gets as input the reduced
     basis an earlier run returned (restricted to the input's variables,
@@ -417,10 +485,10 @@ def test_demo_rebuilds_no_basis_it_already_has(monkeypatch):
     real = groebner.buchberger_reduced
     outputs, repeats = [], []
 
-    def recording(gens, limits=None, known=0):
+    def recording(gens, limits=None, known=0, drop=0):
         known = sum(not g.is_zero() for g in gens[:known])
         gens = [g for g in gens if not g.is_zero()]
-        out = real(gens, limits, known)
+        out = real(gens, limits, known, drop)
         if len(gens) < 2:
             return out
         names = set(gens[0].ring.names)
@@ -459,24 +527,25 @@ request iso forget S3 K=1,2
 def _buchberger_work(monkeypatch, path, reverse):
     """Run an instance's requests, in the file's order or reversed, from a
     fresh parse; return (normal forms computed inside Buchberger runs,
-    runs given a known run)."""
+    runs given a known run, runs that drop a block)."""
     import types
 
     from dilatations import cli, groebner
     from dilatations.oracle import SIZE_CAP
 
     real_nf, real_bb = groebner.normal_form, groebner.buchberger_reduced
-    state = {"depth": 0, "reductions": 0, "seeded": 0}
+    state = {"depth": 0, "reductions": 0, "seeded": 0, "dropping": 0}
 
     def counting_nf(f, basis):
         state["reductions"] += state["depth"] > 0
         return real_nf(f, basis)
 
-    def counting_bb(gens, limits=None, known=0):
+    def counting_bb(gens, limits=None, known=0, drop=0):
         state["seeded"] += known > 0
+        state["dropping"] += drop > 0
         state["depth"] += 1
         try:
-            return real_bb(gens, limits, known)
+            return real_bb(gens, limits, known, drop)
         finally:
             state["depth"] -= 1
 
@@ -489,7 +558,7 @@ def _buchberger_work(monkeypatch, path, reverse):
         m.setattr(ideals, "buchberger_reduced", counting_bb)
         for _, args in requests:
             cli.run_request(inst, args, flags)
-    return state["reductions"], state["seeded"]
+    return state["reductions"], state["seeded"], state["dropping"]
 
 
 @pytest.mark.parametrize("instance", ["demo", "segre"])
@@ -508,3 +577,4 @@ def test_buchberger_work_does_not_depend_on_request_order(monkeypatch, tmp_path,
     backward = _buchberger_work(monkeypatch, path, True)
     assert forward[0] == backward[0] > 0, (forward, backward)
     assert forward[1] > 0 and backward[1] > 0
+    assert forward[2] == backward[2] > 0
