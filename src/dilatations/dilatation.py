@@ -256,10 +256,28 @@ def _construct(center: MultiCenter) -> tuple:
 # verifiers
 
 
+def _saturation_maximal(a: PresentedAlgebra, f: Polynomial) -> bool:
+    """f is a non-zero-divisor in `a`: P : f^∞ ⊆ P for its relations P,
+    by one Rabinowitsch run (see `check_exceptional`)."""
+    return a.relations.contains_ideal(saturate(a.relations, [f]))
+
+
 def check_exceptional(result: DilatationResult, extra_nzd=()) -> Report:
     """Exceptional identities in A': a_i*A' = L_i*A', each a_i a
     non-zero-divisor, and images of declared non-zero-divisors stay
-    non-zero-divisors."""
+    non-zero-divisors.
+
+    The clauses about A' itself, `divisor_nzd_i` and
+    `declared_nzd_image`, rest on saturation maximality: f is a
+    non-zero-divisor modulo S (A''s relations) exactly when S : f^∞ ⊆ S
+    (`_saturation_maximal`).  S ⊆ S : f ⊆ S : f^∞ always, and S : f = S
+    gives S : f^k = S for every k by induction, so the containment holds
+    exactly when S : f = S.  An f in S gives (1), which S (not the zero
+    ring, handled first) does not contain, so the clause reads false.
+    The saturation's run starts from S's reduced basis, which it extends
+    by a few elements when f is a non-zero-divisor.  The precondition
+    that a declared element is a non-zero-divisor of the base stays on
+    `is_nzd`."""
     rep = Report("exceptional")
     if result.is_zero_ring():
         rep.add("nonzero", False, "dilatation is the zero ring")
@@ -278,12 +296,12 @@ def check_exceptional(result: DilatationResult, extra_nzd=()) -> Report:
             rhs = prime.ideal(pushed + [ai])
             detail = f"(a_{i})A' vs L_{i}A': {[str(g) for g in lhs.groebner()]} vs {[str(g) for g in rhs.groebner()]}"
         rep.add(f"divisor_ideal_{i}", ok, detail)
-        rep.add(f"divisor_nzd_{i}", is_nzd(prime, ai), f"a_{i} = {c.elem}")
+        rep.add(f"divisor_nzd_{i}", _saturation_maximal(prime, ai), f"a_{i} = {c.elem}")
     for c in extra_nzd:
         if not is_nzd(result.base, c):
             rep.add("declared_nzd_precondition", False, f"{c} is not a non-zero-divisor in the base")
             continue
-        rep.add("declared_nzd_image", is_nzd(prime, result.push(c)), str(c))
+        rep.add("declared_nzd_image", _saturation_maximal(prime, result.push(c)), str(c))
     return rep
 
 

@@ -364,6 +364,8 @@ class PolyRing:
         return self._packing
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PolyRing)
             and self.field == other.field

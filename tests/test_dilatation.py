@@ -2,13 +2,14 @@ import random as _random
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 import dilatations.dilatation as dilatation_module
 from dilatations import cli
-from dilatations.algebras import AlgebraHom, PresentedAlgebra, maps_equal
+from dilatations.algebras import AlgebraHom, PresentedAlgebra, is_nzd, maps_equal
 from dilatations.dilatation import (
     Center,
+    DilatationResult,
     MultiCenter,
     base_change_compare,
     center_kernel,
@@ -26,7 +27,7 @@ from dilatations.dilatation import (
 )
 from dilatations.groebner import Limits
 from dilatations.ideals import IdealHandle, saturate
-from dilatations.poly import Field, InputError, QQ
+from dilatations.poly import Field, InputError, QQ, ResourceLimitError
 
 from conftest import random_poly, ring
 
@@ -304,8 +305,6 @@ def test_divisor_ideal_clause_matches_two_basis_equality(tmp_path):
     same results with each M_i enlarged by every variable, where it
     fails; a failure keeps its detail."""
     from pathlib import Path
-
-    from dilatations.dilatation import DilatationResult
 
     (tmp_path / "cone_segre.dila").write_text(_CONE_AND_SEGRE, encoding="utf-8")
     paths = [Path(__file__).resolve().parent.parent / "instances" / "demo.dila", tmp_path / "cone_segre.dila"]
@@ -892,6 +891,74 @@ def test_dilate_matches_saturation_of_presaturation(seed, field, k, nilpotent, o
     assert res.algebra.relations.groebner() == sat.groebner()
     if nilpotent:
         assert res.is_zero_ring()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 10**9), st.sampled_from([QQ, Field(5)]), st.integers(1, 3), st.booleans())
+def test_nzd_clauses_match_is_nzd_on_the_presaturation(seed, field, k, nilpotent):
+    # divisor_nzd_i and declared_nzd_image, decided by saturation
+    # maximality, against is_nzd (the colon route) on the dilatation and
+    # on a result whose algebra is the unsaturated presaturation, where
+    # a_i may be a zero-divisor.  is_nzd runs on the same generators with
+    # no known run and a pair budget: on a few presaturations over QQ its
+    # intersection's coefficients swell for minutes, and those examples
+    # are rejected.
+    rng = _random.Random(seed)
+    r = ring(["a", "b", "c"], field)
+    rels = _random_polys(rng, r, 3)
+    if nilpotent:
+        rels.append(r.parse("c^2"))
+    alg = PresentedAlgebra(r, IdealHandle(r, rels))
+    pool = [alg.var("a"), alg.var("b"), alg.var("a") + alg.var("b"), alg.var("c")]
+    centers = [_random_center(rng, alg, pool) for _ in range(k)]
+    res = dilate(MultiCenter(alg, centers))
+    unsaturated = PresentedAlgebra(res.algebra.ring, res.presaturation)
+    for result in (res, DilatationResult(res.center, unsaturated, res.iota, res.fraction_vars, res.presaturation)):
+        if result.is_zero_ring():
+            continue
+        extra = rng.sample(pool, rng.randint(0, 2)) + _random_polys(rng, r, 1)
+        prime = result.algebra
+        ref = PresentedAlgebra(prime.ring, IdealHandle(prime.ring, prime.relations.gens, Limits(pair_cap=300)))
+        try:
+            expected = [(f"divisor_nzd_{i}", is_nzd(ref, result.push(c.elem))) for i, c in enumerate(centers, start=1)]
+            for c in extra:
+                if is_nzd(alg, c):
+                    expected.append(("declared_nzd_image", is_nzd(ref, result.push(c))))
+                else:
+                    expected.append(("declared_nzd_precondition", False))
+        except ResourceLimitError:
+            reject()
+        got = [(key, ok) for key, ok, _ in check_exceptional(result, extra).clauses if "nzd" in key]
+        assert got == expected
+
+
+def test_nzd_clauses_of_the_dilatation_make_no_intersection(monkeypatch, tmp_path):
+    """`check S3` on the Segre quadric decides its divisor clauses without
+    an intersection run; `check C c` on the demo makes exactly one, for
+    the precondition that c is a non-zero-divisor of the base."""
+    import types
+    from pathlib import Path
+
+    from dilatations import ideals
+    from dilatations.oracle import SIZE_CAP
+
+    runs = []
+    real = ideals.intersect
+
+    def counting(a, b):
+        runs.append(a.ring.names)
+        return real(a, b)
+
+    monkeypatch.setattr(ideals, "intersect", counting)
+    (tmp_path / "cone_segre.dila").write_text(_CONE_AND_SEGRE, encoding="utf-8")
+    demo = Path(__file__).resolve().parent.parent / "instances" / "demo.dila"
+    flags = types.SimpleNamespace(oracle_size_cap=SIZE_CAP, bidegree_bound=4, jobs=1, machine_only=True)
+    for path, args, count in [(tmp_path / "cone_segre.dila", ["check", "S3"], 0), (demo, ["check", "C", "c"], 1)]:
+        runs.clear()
+        out = cli.run_request(cli.parse(str(path)), args, flags)
+        assert out.ok and out.machine["check.divisor_nzd_1"] == "pass"
+        assert len(runs) == count, runs
+    assert runs == [("a", "b", "g")]
 
 
 def test_combine_registry_mismatch():

@@ -101,6 +101,16 @@ def test_registry_mismatch_is_error():
         r1.var("x") + r2.var("y")
 
 
+def test_rings_compare_by_value():
+    r, twin = PolyRing(QQ, ["x", "y"]), PolyRing(QQ, ["x", "y"])
+    assert r == r and r == twin and twin == r and hash(r) == hash(twin)
+    assert r != PolyRing(Field(5), ["x", "y"])
+    assert r != PolyRing(QQ, ["y", "x"])
+    assert r != PolyRing(QQ, ["x", "y"], LEX)
+    assert r != ("x", "y")
+    assert r.var("x") == twin.var("x")
+
+
 def test_grevlex_vs_lex_leading_monomials():
     rg = ring(["x", "y"], order=GREVLEX)
     rl = ring(["x", "y"], order=LEX)
